@@ -24,9 +24,14 @@ NORM_HIGH = 1 << 31
 MAX_SHIFT = 62
 
 # Largest |x| for which x * mantissa stays safely inside int64 even after the
-# rounding-half offset is added. Above this the array path falls back to
-# Python big ints.
+# rounding-half offset is added: the one-multiply array path.
 _VEC_LIMIT = 1 << 31
+# Below this |x| the array path stays exact in int64 by splitting |x| into
+# 31-bit halves; above it (or when a result leaves int64) it uses Python ints.
+_SPLIT_LIMIT = 1 << 62
+_LO_BITS = 31
+_LO_MASK = (1 << _LO_BITS) - 1
+_INT64_MAX = (1 << 63) - 1
 
 
 class FixedPointError(ValueError):
@@ -97,8 +102,8 @@ def apply(m: FixedMult, x: int | np.ndarray) -> int | np.ndarray:
     """Exact round-half-away-from-zero of ``x * mantissa / 2**shift``.
 
     Accepts a Python int (arbitrary width) or an integer ndarray. The array
-    path runs vectorized in int64 when magnitudes allow and falls back to
-    exact big-int arithmetic otherwise.
+    path runs vectorized in int64 for |x| < 2^62 and uses exact big-int
+    arithmetic only for larger operands and for results beyond int64.
     """
     if isinstance(x, np.ndarray):
         return _apply_array(m, x)
@@ -113,18 +118,45 @@ def _apply_array(m: FixedMult, x: np.ndarray) -> np.ndarray:
     xi = np.asarray(x)
     if xi.dtype != np.int64:
         xi = xi.astype(np.int64)
-    if xi.size and int(np.abs(xi).max()) >= _VEC_LIMIT:
-        flat = [apply(m, int(v)) for v in xi.reshape(-1)]
-        return np.array(flat, dtype=object if _needs_object(flat) else np.int64).reshape(xi.shape)
-    prod = xi * np.int64(m.mantissa)            # |prod| <= 2^62, exact
-    half = np.int64((1 << m.shift) >> 1)
-    mag = (np.abs(prod) + half) >> np.int64(m.shift)
-    return np.sign(prod) * mag
+    if xi.size == 0 or max(-int(xi.min()), int(xi.max())) < _VEC_LIMIT:
+        prod = xi * np.int64(m.mantissa)            # |prod| <= 2^62, exact
+        half = np.int64((1 << m.shift) >> 1)
+        mag = (np.abs(prod) + half) >> np.int64(m.shift)
+        return np.sign(prod) * mag
+    return _apply_wide(m, xi)
 
 
-def _needs_object(values: list) -> bool:
-    bound = 1 << 62
-    return any(abs(v) > bound for v in values)
+def _apply_wide(m: FixedMult, xi: np.ndarray) -> np.ndarray:
+    """Exact apply for operands of 2^31 and more.
+
+    |x| < 2^62 is split as hi * 2^31 + lo; with |mantissa| < 2^31 both partial
+    products and the carried sum stay below 2^63, so
+    (|x| * |mantissa| + half) >> shift is formed exactly in int64. Operands
+    of 2^62 and more, and results outside int64, fall back to Python ints;
+    the result is an object array only if some value really exceeds int64.
+    """
+    shift = m.shift
+    split = (xi > -_SPLIT_LIMIT) & (xi < _SPLIT_LIMIT)
+    mag = np.where(split, np.abs(xi), 0)
+    mant = np.int64(abs(m.mantissa))
+    hi = (mag >> _LO_BITS) * mant                       # < 2^62
+    lo = (mag & _LO_MASK) * mant + np.int64((1 << shift) >> 1)   # < 2^63
+    carry = hi + (lo >> _LO_BITS)       # |x|*|m| + half == carry*2^31 + lo_low
+    if shift >= _LO_BITS:
+        res = carry >> np.int64(shift - _LO_BITS)
+    else:
+        up = _LO_BITS - shift
+        split &= carry < (1 << (63 - up))               # result fits int64
+        carry = np.where(split, carry, 0)
+        res = (carry << np.int64(up)) + ((lo & _LO_MASK) >> np.int64(shift))
+    res *= np.sign(xi) * (1 if m.mantissa >= 0 else -1)
+    if split.all():
+        return res
+    rest = [apply(m, int(v)) for v in xi[~split].tolist()]
+    if any(abs(v) > _INT64_MAX for v in rest):
+        res = res.astype(object)
+    res[~split] = rest
+    return res
 
 
 def saturate(x: int, width: int) -> tuple[int, bool]:

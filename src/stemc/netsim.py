@@ -4,21 +4,39 @@ Compilation lowers every compute layer to a Population whose synapses are
 materialized as an explicit table: fully-connected layers keep their dense
 matrix, conv/pool layers become per-neuron gather tables (synapse index +
 weight, padding mapped to a hardwired silent slot), residual joins become a
-unit-weight sum over their two incoming trains. Execution then only ever
-does table lookups and integer adds on spike bits - deliberately not the
-sliding-window algebra of the reference oracle, so the two sides check each
-other.
+unit-weight sum over their two incoming trains. That table is the compiled
+artefact (capacity checks and synapse walks read it); the execution form is
+derived from it once per population:
 
-Two drivers share the populations:
+* fully-connected - the dense matrix;
+* small conv (n_in <= 4 * fan-in) - the table expanded to a dense matrix;
+* large conv - the padded input gathered once per output position, times
+  the [c*kh*kw, out_channels] weight rows (the index table is shared by
+  every output channel);
+* avgpool - a gather-sum; residual-add - the identity.
 
-* ``run_batch``    - layer-by-layer over a whole batch; one sample occupies
-  the network for K*(stages+1) steps (stages of integration plus the output
-  train's own transmission block).
-* ``run_pipeline`` - a single global clock; the layer at stage l integrates
-  sample s during steps [(l-1+s)K, (l+s)K), so a stream of S samples drains
-  in exactly K*(stages+S) steps. Shortcut trains stay buffered until their
-  join consumes them; within one global step producers always write before
-  consumers read.
+The K-plane kernel. Step sums are linear in the spike planes, so
+``Population.step_sum`` takes a layer's K bit planes at once, as
+[N, K, n_in] rows with the per-step wire weights phi broadcast over the step
+axis, and computes all of them in one float64 BLAS matmul. The result is
+exact: the planes are 0/1, so every partial sum is an integer of magnitude
+at most sum|w| of one neuron, and ``compile_network`` rejects any layer where
+that reaches 2^53. Only the per-step M0 rounding and the saturation run in
+sequence, in the K-step ``StemState.integrate`` scan. None of this is the
+shifted-slice convolution of the reference oracle, so the two sides check
+each other.
+
+Two run functions share the kernel:
+
+* ``run_batch``    - layer by layer over a whole batch, one ``step_sum`` per
+  population; one sample occupies the network for K*(stages+1) steps
+  (stages of integration plus the output train's own transmission block).
+* ``run_pipeline`` - a global clock advanced one K-step block at a time; the
+  layer at stage l integrates sample s during block l-1+s, i.e. steps
+  [(l-1+s)K, (l+s)K), so a stream of S samples drains in exactly
+  K*(stages+S) steps. A stage's inputs for block b were all emitted by the
+  end of block b-1, so it takes its sample's whole block in one ``step_sum``.
+  Shortcut trains stay buffered until their join consumes them.
 
 Both drivers must produce identical integers - the pipeline only reorders
 work across samples, never within a neuron.
@@ -37,6 +55,10 @@ from .modelio import INPUT_NAME, conv_out_hw, pool_out_hw
 from .sparsity import LayerSparsity, SparsityPlan, rot
 from .stem import StemState, WireSchedule, decode_train, encode_planes, generate_train
 from . import metrics
+
+# Spike planes are 0/1, so a float64 synaptic sum is exact while every
+# neuron's sum|w| stays below 2^53 (all partial sums are smaller integers).
+EXACT_SUM_LIMIT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -65,6 +87,10 @@ class Population:
     n_in_padded: int                # gather input length incl. silent slot
     fanin: int                      # real synapses of the busiest neuron
     fanouts: list[np.ndarray]       # per branch: synapses per input neuron
+    # execution form, derived from the table (see the module docstring)
+    form: str                       # "dense" | "conv" | "pool" | "identity"
+    form_idx: np.ndarray | None     # gather, tap-major: conv [F, n_pos], pool [F, n_out]
+    form_w: np.ndarray | None       # float64: dense [n_in, n_out], conv [oc, F]
     # constants
     m0: FixedMult
     m1: FixedMult
@@ -77,21 +103,37 @@ class Population:
     is_output: bool
     sparsity: LayerSparsity = LayerSparsity(0, 0)
 
-    def step_sum(self, rows: list[np.ndarray], phis: list[int]) -> np.ndarray:
-        """Wide synaptic sum for one wire step; rows are uint8 [N, n_in]."""
+    def step_sum(self, rows: list[np.ndarray], phis: list) -> np.ndarray:
+        """Wide synaptic sums of wire steps: sum over branches of phi * (row @ W).
+
+        Each rows[i] is a uint8 [..., n_in] spike array of input branch i and
+        each phis[i] broadcasts against [..., n_out]: a scalar for one step,
+        ``WireSchedule.weights()[:, None]`` for the K planes [N, K, n_in] of a
+        whole block. Returns int64 [..., n_out].
+        """
         total = None
         for row, phi in zip(rows, phis):
-            r = row.astype(np.int64)
-            if self.kind == "residual-add":
-                part = r                       # unit weight, one synapse each
-            elif self.dense_w is not None:
-                part = r @ self.dense_w.T
-            else:
-                padded = np.concatenate(
-                    [r, np.zeros((r.shape[0], 1), dtype=np.int64)], axis=1)
-                part = (padded[:, self.gather_idx] * self.gather_w[None]).sum(axis=2)
-            total = phi * part if total is None else total + phi * part
+            part = phi * self._synapse_sum(np.asarray(row))
+            total = part if total is None else total + part
         return total
+
+    def _synapse_sum(self, row: np.ndarray) -> np.ndarray:
+        """Per neuron, the sum of w * spike over its synapses (before phi), int64."""
+        lead = row.shape[:-1]
+        if self.form == "identity":
+            return row.astype(np.int64)        # unit weight, one synapse each
+        if self.form == "pool":
+            taps = np.take(row, self.form_idx, axis=-1)        # [..., F, n_out]
+            return taps.sum(axis=-2, dtype=np.int64)
+        if self.form == "dense":
+            x = row.reshape(-1, row.shape[-1]).astype(np.float64)
+            return (x @ self.form_w).astype(np.int64).reshape(lead + (self.n_out,))
+        # conv: one gathered patch per output position, shared by all channels
+        padded = np.zeros((math.prod(lead), self.n_in_padded), dtype=np.float64)
+        padded[:, :-1] = row.reshape(padded.shape[0], -1)  # last slot: silent 0
+        patches = np.take(padded, self.form_idx, axis=1)   # [M, F, n_pos]
+        out = np.matmul(self.form_w, patches)              # [M, oc, n_pos]
+        return out.astype(np.int64).reshape(lead + (self.n_out,))
 
     def emit(self, v: np.ndarray, k: int) -> np.ndarray:
         """Output train of the clamped values (sparsified for hidden layers)."""
@@ -188,6 +230,40 @@ def _build_table(kind, attrs, in_shape, weights):
     raise ValueError(f"no synapse table for kind {kind!r}")
 
 
+def _execution_form(kind, out_shape, dense_w, gather_idx, gather_w, n_in_padded):
+    """(form, form_idx, form_w) of a population, derived from its table."""
+    if kind == "residual-add":
+        return "identity", None, None
+    if kind == "avgpool2d":
+        return "pool", np.ascontiguousarray(gather_idx.T), None
+    if dense_w is not None:
+        return "dense", None, dense_w.T.astype(np.float64)
+    n_out, fanin = gather_idx.shape
+    n_in = n_in_padded - 1
+    if n_in <= 4 * fanin:                    # small conv: expand the table
+        dense = np.zeros((n_out, n_in_padded), dtype=np.float64)
+        dense[np.arange(n_out)[:, None], gather_idx] = gather_w
+        return "dense", None, dense[:, :n_in].T
+    # large conv: neuron o*n_pos + p reads gather_idx[p], the same index row
+    # for every channel o; a tap's weight is read where the tap is not silent
+    oc = out_shape[0]
+    n_pos = n_out // oc
+    idx = gather_idx[:n_pos]
+    where = np.argmax(idx != n_in, axis=0)   # one real position per tap
+    taps = np.arange(fanin)
+    wrow = gather_w.reshape(oc, n_pos, fanin)[:, where, taps]
+    return "conv", np.ascontiguousarray(idx.T), wrow.astype(np.float64)
+
+
+def _max_weight_sum(weights: np.ndarray | None) -> int:
+    """Largest sum|w| of one output channel's (or fc row's) weights: no
+    neuron's synapses sum to more. Pool and residual sums are tiny."""
+    if weights is None:
+        return 0
+    w = np.abs(weights.astype(np.int64)).reshape(weights.shape[0], -1)
+    return int(w.sum(axis=1).max())
+
+
 # ---------------------------------------------------------------------------
 # compilation
 # ---------------------------------------------------------------------------
@@ -231,6 +307,12 @@ def compile_network(qnet, plan: SparsityPlan | None = None,
         else:
             gather_idx, gather_w, n_in_padded, fanin = _build_table(
                 lyr.kind, lyr.attrs, in_shapes[0], lyr.weights)
+        if _max_weight_sum(lyr.weights) >= EXACT_SUM_LIMIT:
+            raise ValueError(
+                f"layer {lyr.name!r}: a neuron's sum of |weights| reaches 2^53, "
+                f"so float64 synaptic sums would not be exact")
+        form, form_idx, form_w = _execution_form(
+            lyr.kind, lyr.out_shape, dense_w, gather_idx, gather_w, n_in_padded)
 
         if lyr.kind == "residual-add":
             fanouts = [np.ones(n_out, dtype=np.int64) for _ in sources]
@@ -253,6 +335,7 @@ def compile_network(qnet, plan: SparsityPlan | None = None,
             in_shapes=in_shapes, out_shape=lyr.out_shape, n_out=n_out,
             dense_w=dense_w, gather_idx=gather_idx, gather_w=gather_w,
             n_in_padded=n_in_padded, fanin=fanin, fanouts=fanouts,
+            form=form, form_idx=form_idx, form_w=form_w,
             m0=lyr.m0, m1=lyr.m1,
             bias_pre_scaled=bias_pre_scaled, bias_post=bias_post,
             v_min=-qnet.q_max if is_output else 0, v_max=qnet.q_max,
@@ -334,36 +417,53 @@ def _as_batch(x: np.ndarray, input_shape) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
 
 
+def _wire_phis(snet: SpikingNetwork) -> dict[str, np.ndarray]:
+    """Per producer, the K per-step decode weights of its train as [K, 1]."""
+    signed = {INPUT_NAME: True} | {p.name: p.is_output for p in snet.populations}
+    return {name: WireSchedule(snet.k, sg).weights()[:, None]
+            for name, sg in signed.items()}
+
+
+def _planes(trains: list[np.ndarray]) -> list[np.ndarray]:
+    """[N, n, K] trains as the [N, K, n] step planes `step_sum` takes."""
+    return [np.swapaxes(tr, -1, -2) for tr in trains]
+
+
+def _integrate_block(pop: Population, sums: np.ndarray, acc_bits: int
+                     ) -> tuple[np.ndarray, int]:
+    """K-step saturating scan of a block's step sums [N, K, n_out], then the
+    bias and the M1 rescale; returns (clamped V, saturation count)."""
+    n, k = sums.shape[:2]
+    state = StemState(pop.n_out, acc_bits, batch=n)
+    for step in range(k):
+        state.integrate(sums[:, step], pop.m0)
+    if pop.bias_pre_scaled is not None:
+        state.add_raw(pop.bias_pre_scaled[None, :])
+    v = state.finalize(pop.m1, 0 if pop.bias_post is None else pop.bias_post,
+                       pop.v_min, pop.v_max)
+    return v, state.saturations
+
+
 def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
               record_trains: bool = False) -> RunResult:
     """Sequential bit-serial execution of a batch; ground-truth order."""
     k = snet.k
     xb = _as_batch(x_int, snet.input_shape)
-    n = xb.shape[0]
     trains: dict[str, np.ndarray] = {INPUT_NAME: encode_planes(xb, k, signed=True)}
-    scheds = {INPUT_NAME: WireSchedule(k, signed=True)}
+    phis = _wire_phis(snet)
     traces: list[LayerTrace] = []
     for pop in snet.populations:
         in_trains = [trains[s] for s in pop.inputs]
-        phis = [scheds[s] for s in pop.inputs]
-        state = StemState(pop.n_out, snet.acc_bits, batch=n)
-        for step in range(k):
-            rows = [tr[:, :, step] for tr in in_trains]
-            state.integrate(pop.step_sum(rows, [sc.weight(step) for sc in phis]),
-                            pop.m0)
-        if pop.bias_pre_scaled is not None:
-            state.add_raw(pop.bias_pre_scaled[None, :])
-        v = state.finalize(pop.m1, 0 if pop.bias_post is None else pop.bias_post,
-                           pop.v_min, pop.v_max)
+        sums = pop.step_sum(_planes(in_trains), [phis[s] for s in pop.inputs])
+        v, saturations = _integrate_block(pop, sums, snet.acc_bits)
         out_train = pop.emit(v, k)
         trains[pop.name] = out_train
-        scheds[pop.name] = WireSchedule(k, signed=pop.is_output)
         spikes_in = sum(int(tr.sum()) for tr in in_trains)
         sops = sum(metrics.count_sops(tr.sum(axis=(0, 2)), fo)
                    for tr, fo in zip(in_trains, pop.fanouts))
         traces.append(LayerTrace(
             name=pop.name, kind=pop.kind, sops=sops, spikes_in=spikes_in,
-            spikes_out=int(out_train.sum()), saturations=state.saturations,
+            spikes_out=int(out_train.sum()), saturations=saturations,
             neurons=pop.n_out))
 
     out_pop = snet.output
@@ -402,11 +502,14 @@ class PipelineResult:
 def run_pipeline(snet: SpikingNetwork, x_int: np.ndarray) -> PipelineResult:
     """Stream a batch through the staged network on one global clock.
 
-    Stage l integrates sample s during global steps [(l-1+s)K, (l+s)K); the
-    output train of the last stage is itself transmitted during the following
-    block, so S samples complete in exactly K*(n_stages + S) steps. Emitted
+    Stage l integrates sample s during block l-1+s, global steps
+    [(l-1+s)K, (l+s)K); the output train of the last stage is itself
+    transmitted during the following block, so S samples complete in exactly
+    K*(n_stages + S) steps. The clock advances a block at a time: every train
+    a stage reads in block b was emitted by the end of block b-1. Emitted
     trains are buffered until every consumer (a shortcut's join may lag) has
-    read them.
+    read them; the buffer peak is taken at each block's end, the only step at
+    which trains are emitted or released.
     """
     k = snet.k
     xb = _as_batch(x_int, snet.input_shape)
@@ -421,15 +524,12 @@ def run_pipeline(snet: SpikingNetwork, x_int: np.ndarray) -> PipelineResult:
             consumers[src] += 1
     consumers[snet.output.name] += 1            # the external reader
 
-    signed_of = {INPUT_NAME: True}
-    for pop in snet.populations:
-        signed_of[pop.name] = pop.is_output
+    phis = _wire_phis(snet)
     out_pop = snet.output
     reader_stage = out_pop.stage + 1            # decodes the final train
 
     emitted: dict[tuple[str, int], np.ndarray] = {}
     reads: dict[tuple[str, int], int] = {}
-    states: dict[tuple[str, int], StemState] = {}
     out_acc = np.zeros((n_samples, out_pop.n_out), dtype=np.int64)
     out_sched = WireSchedule(k, signed=True)
     peak = 0
@@ -448,46 +548,30 @@ def run_pipeline(snet: SpikingNetwork, x_int: np.ndarray) -> PipelineResult:
         if reads[key] == consumers[src]:
             del emitted[key]
 
-    total_steps = k * (n_stages + n_samples)
-    for g in range(total_steps):
-        block, step = divmod(g, k)
+    for block in range(n_stages + n_samples):
         for pop in snet.populations:
             s = block - (pop.stage - 1)
             if not 0 <= s < n_samples:
                 continue
-            last_active = g
-            key = (pop.name, s)
-            if key not in states:
-                states[key] = StemState(pop.n_out, snet.acc_bits, batch=1)
-            state = states[key]
-            rows = [fetch(src, s)[None, :, step] for src in pop.inputs]
-            phis = [WireSchedule(k, signed_of[src]).weight(step)
-                    for src in pop.inputs]
-            state.integrate(pop.step_sum(rows, phis), pop.m0)
-            if step == k - 1:
-                if pop.bias_pre_scaled is not None:
-                    state.add_raw(pop.bias_pre_scaled[None, :])
-                v = state.finalize(
-                    pop.m1, 0 if pop.bias_post is None else pop.bias_post,
-                    pop.v_min, pop.v_max)
-                emitted[(pop.name, s)] = pop.emit(v, k)[0]
-                del states[key]
-                for src in pop.inputs:
-                    release(src, s)
+            last_active = block
+            rows = _planes([fetch(src, s)[None] for src in pop.inputs])
+            sums = pop.step_sum(rows, [phis[src] for src in pop.inputs])
+            v, _ = _integrate_block(pop, sums, snet.acc_bits)
+            emitted[(pop.name, s)] = pop.emit(v, k)[0]
+            for src in pop.inputs:
+                release(src, s)
         s_out = block - (reader_stage - 1)
         if 0 <= s_out < n_samples:
-            last_active = g
-            bit = fetch(out_pop.name, s_out)[:, step].astype(np.int64)
-            out_acc[s_out] += out_sched.weight(step) * bit
-            if step == k - 1:
-                release(out_pop.name, s_out)
+            last_active = block
+            out_acc[s_out] = decode_train(fetch(out_pop.name, s_out), out_sched)
+            release(out_pop.name, s_out)
         peak = max(peak, len(emitted))
 
-    if emitted or states:
+    if emitted:
         raise RuntimeError("pipeline finished with undrained state")
     timing = PipelineTiming(
         k=k, n_stages=n_stages, n_samples=n_samples,
-        total_steps=last_active + 1, buffered_train_peak=peak,
+        total_steps=k * (last_active + 1), buffered_train_peak=peak,
         stage_of={p.name: p.stage for p in snet.populations},
     )
     return PipelineResult(

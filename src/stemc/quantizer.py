@@ -1,8 +1,10 @@
 """Post-training quantization: scales, integer weights, requantization constants.
 
 Symmetric uniform quantization with zero point fixed at 0 and the negation-
-closed integer range [-q_max, q_max], q_max = 2^(K-1) - 1. Per layer the
-builder freezes three fixed-point constants:
+closed integer range [-q_max, q_max], q_max = 2^(K-1) - 1, for activations.
+Weights use [-w_max, w_max] with w_max = min(q_max, 127): the manifest stores
+them as int8 whatever K is. Per layer `build_quantized_network` freezes three
+fixed-point constants:
 
 * m_hat = S_in * S_w / S_out  - the full requantization multiplier,
 * m0    = (2^(n-1) - 1) / I_max - per-step overflow protection for the n-bit
@@ -40,6 +42,7 @@ from . import refengine
 log = logging.getLogger("stemc")
 
 SCALE_EPS = 2.0 ** -20   # floor for degenerate (all-zero) ranges
+INT8_MAX = 127           # weights are stored as int8
 
 
 @dataclass(frozen=True)
@@ -366,7 +369,8 @@ def build_quantized_network(model: FloatModel, stats: CalibStats, k: int = 8,
 
         weights_q = None
         if lyr.kind in ("fully-connected", "conv2d"):
-            w_qp = derive_scale(float(lyr.weights.max()), float(lyr.weights.min()), q_max)
+            w_qp = derive_scale(float(lyr.weights.max()), float(lyr.weights.min()),
+                                min(q_max, INT8_MAX))
             scale_w = w_qp.scale
             weights_q, clamped = quantize_tensor(lyr.weights, w_qp)
             if clamped:

@@ -117,36 +117,6 @@ class StemState:
         return np.clip(v, v_min, v_max)
 
 
-def accumulate_step(
-    state: StemState,
-    spikes: np.ndarray,
-    weights: np.ndarray,
-    m0: FixedMult,
-    schedule: WireSchedule,
-    step: int,
-) -> np.ndarray:
-    """Reference single-step decode for a dense weight matrix.
-
-    spikes: uint8[batch, n_in] row at `step`; weights: int[n_out, n_in].
-    Returns the wide per-neuron step sum I_t that was integrated.
-    """
-    phi = schedule.weight(step)
-    wide = spikes.astype(np.int64) @ weights.T.astype(np.int64)
-    step_sums = phi * wide
-    state.integrate(step_sums, m0)
-    return step_sums
-
-
-def generate_step(v: int, k: int, step: int) -> tuple[int, int]:
-    """One emission step: returns (spike, v_after). Requires v >= 0."""
-    if v < 0:
-        raise ValueError("threshold emission is defined for non-negative values")
-    theta = 1 << (k - 1 - step)
-    if v >= theta:
-        return 1, v - theta
-    return 0, v
-
-
 def generate_train(v: np.ndarray, k: int, suppress_below: int = 0) -> np.ndarray:
     """Greedy MSB-first emission of non-negative values.
 

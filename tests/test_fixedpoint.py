@@ -144,6 +144,23 @@ class TestApply:
         out = apply(m, xs)
         assert [int(v) for v in out] == [apply(m, int(v)) for v in xs]
 
+    @pytest.mark.parametrize("shift", [0, 62])
+    def test_wide_operands_negative_mantissa(self, shift, rng):
+        # |x| in [2^31, 2^62) takes the exact int64 split path; shift 0 also
+        # gives results beyond int64, the only case for an object array
+        mags = (rng.integers(1 << 31, 1 << 62, size=500)
+                >> rng.integers(0, 31, size=500)) | (1 << 31)
+        edges = [1 << 31, -(1 << 31), (1 << 62) - 1, -(1 << 62) + 1,
+                 1 << 62, -(1 << 63)]                 # last two: Python-int path
+        xs = np.concatenate([mags * rng.choice([-1, 1], size=500), edges])
+        for mantissa in (-NORM_LOW, -(NORM_HIGH - 1), -int(rng.integers(NORM_LOW, NORM_HIGH))):
+            m = FixedMult(mantissa, shift)
+            out = apply(m, xs)
+            want = [brute_apply(m, int(x)) for x in xs]
+            assert [int(v) for v in out] == want
+            beyond = any(abs(v) >= 1 << 63 for v in want)
+            assert out.dtype == (object if beyond else np.int64)
+
     @given(st.integers(min_value=-(1 << 40), max_value=1 << 40),
            st.floats(min_value=2.0 ** -20, max_value=2.0 ** 10,
                      allow_nan=False, allow_infinity=False))

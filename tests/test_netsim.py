@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 
 from stemc import fixtures
 from stemc.fixedpoint import from_real
+from stemc.modelio import FloatModel, LayerDesc, infer_shapes
 from stemc.netsim import (
     HardwareProfile,
+    Population,
     check_capacity,
     compile_network,
     dump_spike_trains,
@@ -19,6 +21,7 @@ from stemc.netsim import (
 from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
 from stemc.refengine import int_forward
 from stemc.sparsity import LayerSparsity, SparsityPlan
+from stemc.stem import WireSchedule
 
 
 def _quantized(model, n=24, seed=5, lo=0.0, hi=1.0, **kw):
@@ -114,6 +117,132 @@ class TestGatherTables:
         assert pop.fanin == 36
 
 
+def _strided_model() -> FloatModel:
+    """Strided convs: padded (gathered per position) and unpadded (dense)."""
+    rng = np.random.default_rng(3)
+
+    def conv(name, src, c_in, c_out, stride, pad):
+        return LayerDesc(
+            name=name, kind="conv2d",
+            attrs={"in_channels": c_in, "out_channels": c_out, "kernel": [3, 3],
+                   "stride": stride, "padding": pad},
+            inputs=[src],
+            weights=rng.uniform(-0.4, 0.4, size=(c_out, c_in, 3, 3)).astype(np.float32),
+            bias=rng.uniform(-0.1, 0.1, size=c_out).astype(np.float32),
+            activation="relu")
+
+    model = FloatModel(name="strided", input_shape=(2, 11, 11), layers=[
+        conv("conv_s", "input", 2, 3, 2, 1),         # 3x6x6
+        conv("conv_t", "conv_s", 3, 4, 2, 0),        # 4x2x2
+        LayerDesc(name="flat", kind="flatten", attrs={}, inputs=["conv_t"]),
+        LayerDesc(name="fc", kind="fully-connected",
+                  attrs={"in_features": 16, "out_features": 5}, inputs=["flat"],
+                  weights=rng.uniform(-0.4, 0.4, size=(5, 16)).astype(np.float32),
+                  bias=rng.uniform(-0.1, 0.1, size=5).astype(np.float32)),
+    ])
+    infer_shapes(model)
+    return model
+
+
+def _synapse_walk(pop: Population, rows: list[np.ndarray], phis: np.ndarray) -> np.ndarray:
+    """Brute force: every step, neuron and synapse of rows [N, K, n_in]."""
+    n, k = rows[0].shape[:2]
+    out = np.zeros((n, k, pop.n_out), dtype=np.int64)
+    for s in range(n):
+        for t in range(k):
+            branches = [[int(b) for b in row[s, t]] + [0] for row in rows]  # + silent slot
+            for j in range(pop.n_out):
+                acc = 0
+                for bits in branches:
+                    if pop.kind == "residual-add":
+                        acc += bits[j]
+                    elif pop.dense_w is not None:
+                        acc += sum(int(w) * b for w, b in zip(pop.dense_w[j], bits))
+                    else:
+                        acc += sum(int(w) * bits[i] for w, i in
+                                   zip(pop.gather_w[j], pop.gather_idx[j]))
+                out[s, t, j] = int(phis[t]) * acc
+    return out
+
+
+class TestKPlaneKernel:
+    PHIS = WireSchedule(8, signed=True).weights()        # sign step first
+
+    def _check(self, pop, rng):
+        rows = [rng.integers(0, 2, size=(2, 8, int(np.prod(shape))), dtype=np.uint8)
+                for shape in pop.in_shapes]
+        got = pop.step_sum(rows, [self.PHIS[:, None]] * len(rows))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _synapse_walk(pop, rows, self.PHIS))
+
+    @pytest.mark.parametrize("name,form", [
+        ("conv1", "conv"), ("pool1", "pool"), ("conv2", "dense"), ("fc", "dense")])
+    def test_cnn_layers_vs_synapse_walk(self, cnn_bundle, rng, name, form):
+        pop = next(p for p in compile_network(cnn_bundle.qnet).populations
+                   if p.name == name)
+        assert pop.form == form
+        self._check(pop, rng)
+
+    def test_strided_convs_vs_synapse_walk(self, rng):
+        qnet, _ = _quantized(_strided_model(), n=16)
+        pops = {p.name: p for p in compile_network(qnet).populations}
+        assert pops["conv_s"].form == "conv"          # padded, stride 2
+        assert pops["conv_t"].form == "dense"         # unpadded, stride 2
+        for name in ("conv_s", "conv_t", "fc"):
+            self._check(pops[name], rng)
+
+    def test_residual_add_vs_synapse_walk(self, residual_bundle, rng):
+        pops = {p.name: p for p in compile_network(residual_bundle.qnet).populations}
+        assert pops["join"].form == "identity"
+        for name in ("conv_a", "conv_b", "join"):
+            self._check(pops[name], rng)
+
+    def test_block_equals_per_step_calls(self, cnn_bundle, rng):
+        for pop in compile_network(cnn_bundle.qnet).populations:
+            n_in = int(np.prod(pop.in_shapes[0]))
+            rows = (rng.random((3, 8, n_in)) < 0.4).astype(np.uint8)
+            block = pop.step_sum([rows], [self.PHIS[:, None]])
+            for t in range(8):
+                step = pop.step_sum([rows[:, t]], [int(self.PHIS[t])])
+                assert np.array_equal(block[:, t], step)
+
+    def test_wide_fanin_at_max_weights_exact(self, widefan_bundle):
+        snet = compile_network(widefan_bundle.qnet)
+        pop = snet.populations[0]
+        assert int(np.abs(pop.dense_w).min()) == 127       # every weight at max
+        rows = np.ones((2, 8, 512), dtype=np.uint8)
+        got = pop.step_sum([rows], [self.PHIS[:, None]])
+        want = np.sign(pop.dense_w[:, 0]) * 512 * 127 * self.PHIS[:, None]
+        assert np.array_equal(got, np.broadcast_to(want, got.shape))
+        x = widefan_bundle.x_int
+        ref, _ = int_forward(widefan_bundle.qnet, x, mode="hw")
+        assert np.array_equal(run_batch(snet, x).outputs, ref)
+        assert np.array_equal(run_pipeline(snet, x[:6]).outputs, ref[:6])
+
+    def test_one_step_sum_per_population(self, cnn_bundle, monkeypatch):
+        snet = compile_network(cnn_bundle.qnet)
+        calls = []
+        original = Population.step_sum
+
+        def counting(self, rows, phis):
+            calls.append(self.name)
+            return original(self, rows, phis)
+
+        monkeypatch.setattr(Population, "step_sum", counting)
+        run_batch(snet, cnn_bundle.x_int[:5])
+        assert calls == [p.name for p in snet.populations]
+
+    def test_weight_sum_at_2_pow_53_rejected(self, mlp_bundle):
+        q = copy.deepcopy(mlp_bundle.qnet)
+        w = np.zeros(q.layers[1].weights.shape, dtype=np.int64)
+        w[3, 0] = (1 << 53) - 1
+        q.layers[1].weights = w
+        compile_network(q)                             # just below: accepted
+        w[3, 1] = 1
+        with pytest.raises(ValueError, match="2\\^53"):
+            compile_network(q)
+
+
 class TestPipeline:
     @pytest.mark.parametrize("depth,k,n_samples", [(2, 8, 1), (2, 8, 5), (4, 8, 16)])
     def test_total_steps_formula(self, depth, k, n_samples):
@@ -143,6 +272,18 @@ class TestPipeline:
         seq = run_batch(snet, cnn_bundle.x_int[:12])
         assert np.array_equal(res.outputs, seq.outputs)
         assert res.timing.total_steps == 8 * (5 + 12)
+
+    @pytest.mark.parametrize("plan", [
+        SparsityPlan.identity(),
+        SparsityPlan({"conv1": LayerSparsity(1, 1), "pool1": LayerSparsity(0, 2),
+                      "conv2": LayerSparsity(2, 0)}),
+    ])
+    def test_cnn_pipeline_equals_batch(self, cnn_bundle, plan):
+        snet = compile_network(cnn_bundle.qnet, plan=plan)
+        x = cnn_bundle.x_int
+        res = run_pipeline(snet, x)
+        assert np.array_equal(res.outputs, run_batch(snet, x).outputs)
+        assert res.timing.total_steps == 8 * (snet.n_stages + x.shape[0])
 
     def test_sparsified_pipeline_agrees(self, mlp_bundle):
         plan = SparsityPlan({"fc1": LayerSparsity(1, 2), "fc2": LayerSparsity(0, 1)})

@@ -258,6 +258,25 @@ class TestValidate:
                                     k=8, acc_bits=4)
 
 
+class TestLongTrains:
+    def test_k10_weights_stored_without_int8_wrap(self, mlp_bundle):
+        model, ds = mlp_bundle.model, mlp_bundle.ds
+        acc = {}
+        for k in (8, 10):
+            stats = calibrate(model, ds.inputs[:64], k=k, acc_bits=24)
+            qnet = build_quantized_network(model, stats, k=k, acc_bits=24)
+            for lyr, flt in zip(qnet.layers, model.layers):
+                if lyr.weights is None:
+                    continue
+                wide = QuantParams(lyr.scale_w, 0, -qnet.q_max, qnet.q_max)
+                pre_cast, _ = quantize_tensor(flt.weights, wide)
+                assert np.array_equal(lyr.weights.astype(np.int64), pre_cast)
+            x_int, _ = quantize_tensor(ds.inputs, qnet.input_params)
+            out, _ = int_forward(qnet, x_int, mode="wide")
+            acc[k] = float(np.mean(np.argmax(out, axis=-1) == ds.labels))
+        assert abs(acc[10] - acc[8]) <= 0.02
+
+
 class TestCalibrate:
     def test_i_max_at_least_one(self, mlp_bundle):
         assert all(v >= 1 for v in mlp_bundle.stats.i_max.values())

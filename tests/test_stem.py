@@ -2,17 +2,49 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stemc.fixedpoint import from_real
+from stemc.fixedpoint import FixedMult, from_real
 from stemc.stem import (
     StemState,
     WireSchedule,
-    accumulate_step,
     decode_train,
     encode_integer,
     encode_planes,
-    generate_step,
     generate_train,
 )
+
+
+# Single-step reference oracles: the simulator integrates whole K-step
+# blocks, these walk one step at a time.
+
+
+def accumulate_step(
+    state: StemState,
+    spikes: np.ndarray,
+    weights: np.ndarray,
+    m0: FixedMult,
+    schedule: WireSchedule,
+    step: int,
+) -> np.ndarray:
+    """Reference single-step decode for a dense weight matrix.
+
+    spikes: uint8[batch, n_in] row at `step`; weights: int[n_out, n_in].
+    Returns the wide per-neuron step sum I_t that was integrated.
+    """
+    phi = schedule.weight(step)
+    wide = spikes.astype(np.int64) @ weights.T.astype(np.int64)
+    step_sums = phi * wide
+    state.integrate(step_sums, m0)
+    return step_sums
+
+
+def generate_step(v: int, k: int, step: int) -> tuple[int, int]:
+    """One emission step: returns (spike, v_after). Requires v >= 0."""
+    if v < 0:
+        raise ValueError("threshold emission is defined for non-negative values")
+    theta = 1 << (k - 1 - step)
+    if v >= theta:
+        return 1, v - theta
+    return 0, v
 
 
 class TestWireSchedule:
