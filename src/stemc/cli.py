@@ -18,7 +18,6 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,48 +30,6 @@ from .refengine import INT_MODES, int_forward
 from .sparsity import SparsityPlan, tune_hybrid
 
 log = logging.getLogger("stemc")
-
-
-def _chunk_bounds(n: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, n)) if n else 1
-    size = -(-n // jobs)
-    return [(i, min(i + size, n)) for i in range(0, n, size)]
-
-
-def _merge_traces(per_chunk: list[list[netsim.LayerTrace]]) -> list[netsim.LayerTrace]:
-    merged = [netsim.LayerTrace(t.name, t.kind, 0, 0, 0, 0, t.neurons)
-              for t in per_chunk[0]]
-    for traces in per_chunk:
-        for m, t in zip(merged, traces):
-            m.sops += t.sops
-            m.spikes_in += t.spikes_in
-            m.spikes_out += t.spikes_out
-            m.saturations += t.saturations
-    return merged
-
-
-def _sim_batch(snet, x_int: np.ndarray, jobs: int):
-    """run_batch over thread-sized chunks; identical to one flat call."""
-    bounds = _chunk_bounds(x_int.shape[0], jobs)
-    if len(bounds) == 1:
-        res = netsim.run_batch(snet, x_int)
-        return res.outputs, res.traces, res.steps_per_sample
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        results = list(pool.map(
-            lambda b: netsim.run_batch(snet, x_int[b[0]:b[1]]), bounds))
-    outputs = np.concatenate([r.outputs for r in results], axis=0)
-    return outputs, _merge_traces([r.traces for r in results]), results[0].steps_per_sample
-
-
-def _oracle_batch(qnet, x_int: np.ndarray, mode: str, jobs: int):
-    bounds = _chunk_bounds(x_int.shape[0], jobs)
-    if len(bounds) == 1:
-        out, record = int_forward(qnet, x_int, mode=mode)
-        return out, record
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        results = list(pool.map(
-            lambda b: int_forward(qnet, x_int[b[0]:b[1]], mode=mode), bounds))
-    return np.concatenate([r[0] for r in results], axis=0), results[0][1]
 
 
 def _accuracy(outputs: np.ndarray, labels: np.ndarray) -> float | None:
@@ -121,7 +78,7 @@ def cmd_run(args) -> int:
     steps = None
     trains = None
     if args.mode == "oracle":
-        outputs, record = _oracle_batch(qnet, x_int, args.oracle_mode, args.jobs)
+        outputs, record = int_forward(qnet, x_int, mode=args.oracle_mode)
         saturations = sum(a.saturations for a in record.layers.values())
     else:
         snet = netsim.compile_network(qnet, strict_capacity=args.strict_capacity)
@@ -134,13 +91,10 @@ def cmd_run(args) -> int:
                   f"({snet.n_stages} stages, K={snet.k}, "
                   f"buffer peak {res.timing.buffered_train_peak})")
         else:
-            if args.dump_spikes:
-                res = netsim.run_batch(snet, x_int, record_trains=True)
-                outputs, traces = res.outputs, res.traces
-                steps = res.steps_per_sample
-                trains = res.trains
-            else:
-                outputs, traces, steps = _sim_batch(snet, x_int, args.jobs)
+            res = netsim.run_batch(snet, x_int, record_trains=bool(args.dump_spikes))
+            outputs, traces = res.outputs, res.traces
+            steps = res.steps_per_sample
+            trains = res.trains
             saturations = sum(t.saturations for t in traces)
 
     acc = _accuracy(outputs, ds.labels)
@@ -195,8 +149,8 @@ def cmd_compare(args) -> int:
     n = x_int.shape[0]
     # sparsity is a deliberate deviation from the oracle; compare without it
     snet = netsim.compile_network(qnet, plan=SparsityPlan.identity())
-    sim_out, _, _ = _sim_batch(snet, x_int, args.jobs)
-    ref_out, _ = _oracle_batch(qnet, x_int, "hw", args.jobs)
+    sim_out = netsim.run_batch(snet, x_int).outputs
+    ref_out, _ = int_forward(qnet, x_int, mode="hw")
     bad = np.flatnonzero(np.any(sim_out != ref_out, axis=-1))
     print(f"{bad.size} mismatches / {n} samples")
     for s in bad[:10]:
@@ -265,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("data")
     r.add_argument("--mode", choices=("sim", "oracle", "pipeline"), default="sim")
     r.add_argument("--oracle-mode", choices=INT_MODES, default="hw")
-    r.add_argument("--jobs", type=int, default=1)
     r.add_argument("--report", help="directory for layers.csv + summary.json")
     r.add_argument("--dump-spikes", help="file for run-length spike dumps (sim mode)")
     r.add_argument("--strict-capacity", action="store_true")
@@ -276,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="simulator vs hardware-mode oracle")
     c.add_argument("model")
     c.add_argument("data")
-    c.add_argument("--jobs", type=int, default=1)
     c.set_defaults(func=cmd_compare)
 
     t = sub.add_parser("tune-sparsity", help="fit per-layer rounding/drop settings")

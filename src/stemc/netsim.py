@@ -44,6 +44,7 @@ work across samples, never within a neuron.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -340,7 +341,6 @@ def compile_network(qnet, plan: SparsityPlan | None = None,
             bias_pre_scaled=bias_pre_scaled, bias_post=bias_post,
             v_min=-qnet.q_max if is_output else 0, v_max=qnet.q_max,
             scale_out=lyr.scale_out, stage=0, is_output=is_output,
-            sparsity=LayerSparsity(0, 0) if is_output else plan.for_layer(lyr.name),
         ))
         stage[lyr.name] = 1 + max(stage[s] for s in sources)
         pops[-1].stage = stage[lyr.name]
@@ -353,7 +353,19 @@ def compile_network(qnet, plan: SparsityPlan | None = None,
     report = check_capacity(snet, profile)
     if strict_capacity and report.violations:
         raise ValueError("capacity check failed: " + "; ".join(report.violations))
-    return snet
+    return with_plan(snet, plan)
+
+
+def with_plan(snet: SpikingNetwork, plan: SparsityPlan) -> SpikingNetwork:
+    """The compiled network under another sparsity plan.
+
+    Only ``plan`` and each hidden population's ``sparsity`` change; synapse
+    tables, execution forms and constants are shared with ``snet``.
+    """
+    pops = [dataclasses.replace(
+                p, sparsity=LayerSparsity(0, 0) if p.is_output else plan.for_layer(p.name))
+            for p in snet.populations]
+    return dataclasses.replace(snet, populations=pops, plan=plan)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,9 @@ class QuantizedNetwork:
     def output_layer(self) -> QuantizedLayer:
         return self.layers[-1]
 
-    def validate(self) -> None:
+    def validate(self, check_drift: bool = True) -> None:
+        """Check topology, scales and constants; ``check_drift=False`` skips
+        only the m0*m1 ~ m_hat check (see ``calibrate``'s bootstrap build)."""
         if not 2 <= self.k <= 16:
             raise ValueError(f"train length K={self.k} outside [2, 16]")
         if self.acc_bits < self.k:
@@ -155,7 +157,8 @@ class QuantizedNetwork:
             if lyr.i_max is None or lyr.i_max < 1:
                 raise ValueError(f"layer {lyr.name!r}: i_max must be >= 1")
             rel = abs(lyr.m0.value() * lyr.m1.value() - lyr.m_hat.value())
-            if lyr.m_hat.mantissa and rel / abs(lyr.m_hat.value()) > Fraction(1, 1 << 29):
+            if (check_drift and lyr.m_hat.mantissa
+                    and rel / abs(lyr.m_hat.value()) > Fraction(1, 1 << 29)):
                 raise ValueError(f"layer {lyr.name!r}: m0*m1 drifts from m_hat")
             if lyr.bias is not None:
                 limit = (1 << (lyr.bias_width - 1)) - 1
@@ -277,12 +280,15 @@ def calibrate(model: FloatModel, data, k: int = 8, acc_bits: int = 16,
     stats = CalibStats(rs.input_range, ranges, {}, rs.samples)
 
     # Bootstrap: a throwaway scaling just to measure the weighted-sum ranges.
+    # With i_max = 1 a wide accumulator makes m1 = m_hat / (2^(n-1) - 1) too
+    # small for a normalized mantissa, so this build skips the drift check.
     hi_acc = (1 << (acc_bits - 1)) - 1
     lo_acc = -(1 << (acc_bits - 1))
     for lyr in model.layers:
         if lyr.kind != "flatten":
             stats.i_max[lyr.name] = 1
-    qnet = build_quantized_network(model, stats, k, acc_bits, bias_check_width)
+    qnet = build_quantized_network(model, stats, k, acc_bits, bias_check_width,
+                                   check_drift=False)
     x_int, _ = quantize_tensor(inputs, qnet.input_params)
 
     def measure() -> dict[str, refengine.LayerStats]:
@@ -335,8 +341,11 @@ def calibrate(model: FloatModel, data, k: int = 8, acc_bits: int = 16,
 
 def build_quantized_network(model: FloatModel, stats: CalibStats, k: int = 8,
                             acc_bits: int = 16, bias_check_width: int = 16,
-                            ) -> QuantizedNetwork:
-    """Freeze scales, integer weights and fixed-point constants per layer."""
+                            check_drift: bool = True) -> QuantizedNetwork:
+    """Freeze scales, integer weights and fixed-point constants per layer.
+
+    ``check_drift`` is passed to ``QuantizedNetwork.validate``.
+    """
     if not 2 <= k <= 16:
         raise ValueError(f"train length K={k} outside [2, 16]")
     if acc_bits < k:
@@ -419,7 +428,7 @@ def build_quantized_network(model: FloatModel, stats: CalibStats, k: int = 8,
             m_hat=m_hat, m0=m0, m1=m1, i_max=i_max,
         ))
         scale_of[lyr.name] = scale_out
-    qnet.validate()
+    qnet.validate(check_drift)
     return qnet
 
 

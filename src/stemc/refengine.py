@@ -14,9 +14,21 @@ against. It runs in three modes:
   simulator must reproduce integer-for-integer.
 
 All three share the FixedMult rounding primitive; the linear algebra here is
-deliberately organized differently from the simulator's (shifted-slice
-convolutions vs gather tables) so the two sides are independent
-implementations of the same contract.
+deliberately organized differently from the simulator's, so the two sides
+are independent implementations of the same contract.
+
+Convolution is a stacked shifted slice: the kh*kw strided views of the padded
+input are copied into float64 columns [c*kh*kw, N*oh*ow] and multiplied by
+the [oc, c*kh*kw] weights in one BLAS matmul. Every partial sum is an integer
+of magnitude at most max|x| * sum|w| of one output channel, so the result is
+exact below 2^53; ``int_forward`` checks that bound per conv layer (with
+max|x| = 1 for the 0/1 planes of ``wide`` and ``hw``) and raises otherwise.
+The bit-plane modes convolve one plane per wire step; stacking the K planes
+would multiply the column temporary by K. Fully-connected layers stay an
+int64 matmul. ``netsim`` computes the same sums from its compiled synapse
+table (gather indices, dense expansions, per-position patches); nothing here
+uses those tables or imports ``netsim``, so ``compare`` checks two
+derivations of the same contract.
 """
 
 from __future__ import annotations
@@ -29,6 +41,11 @@ from .fixedpoint import apply, saturate_array
 from .modelio import INPUT_NAME, conv_out_hw, pool_out_hw
 from .stem import WireSchedule, encode_planes
 
+# A convolution's float64 partial sums are integers of magnitude at most
+# max|x| * sum|w| of one output channel; below 2^53 they are all exact.
+EXACT_SUM_LIMIT = 1 << 53
+COLS_BYTES = 8 << 20     # float64 conv columns built at once
+
 
 @dataclass
 class LayerActivation:
@@ -40,17 +57,6 @@ class LayerActivation:
 @dataclass
 class ActivationRecord:
     layers: dict[str, LayerActivation] = field(default_factory=dict)
-
-    def dump_csv(self, path) -> None:
-        """Layer-wise flat dump for diffing runs."""
-        with open(path, "w") as fh:
-            fh.write("layer,sample,index,pre,post\n")
-            for name, act in self.layers.items():
-                pre = np.asarray(act.pre).reshape(len(np.asarray(act.post)), -1)
-                post = np.asarray(act.post).reshape(pre.shape[0], -1)
-                for s in range(pre.shape[0]):
-                    for j in range(pre.shape[1]):
-                        fh.write(f"{name},{s},{j},{pre[s, j]},{post[s, j]}\n")
 
 
 def _ensure_batch(x: np.ndarray, input_shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
@@ -67,18 +73,37 @@ def _ensure_batch(x: np.ndarray, input_shape: tuple[int, ...]) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 
 def _conv2d(x: np.ndarray, w: np.ndarray, attrs: dict) -> np.ndarray:
+    """Stacked shifted-slice convolution: the kh*kw strided views of the
+    padded input become float64 columns [c*kh*kw, N*oh*ow] (taps ordered
+    channel, dy, dx) and meet the [oc, c*kh*kw] weights in one matmul.
+
+    The columns are built for at most COLS_BYTES of samples at a time (one
+    matmul each), so large batches such as a labelled data pool keep a
+    bounded temporary. Integer
+    operands give integer results, exact while every partial sum stays below
+    2^53 (``int_forward`` checks that bound per layer); the result has the
+    promoted dtype of x and w.
+    """
     n, c, h, wd = x.shape
+    oc = w.shape[0]
     kh, kw = attrs["kernel"]
     s = int(attrs.get("stride", 1))
     p = int(attrs.get("padding", 0))
     oh, ow = conv_out_hw(h, wd, attrs)
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    out = np.zeros((n, w.shape[0], oh, ow), dtype=x.dtype)
-    for ic in range(c):
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).transpose(1, 0, 2, 3)
+    wmat = w.reshape(oc, -1).astype(np.float64)
+    out = np.empty((n, oc, oh, ow), dtype=np.result_type(x, w))
+    chunk = max(1, COLS_BYTES // (8 * c * kh * kw * oh * ow))
+    for a in range(0, n, chunk):
+        xa = xp[:, a:a + chunk]
+        m = xa.shape[1]
+        cols = np.empty((c, kh, kw, m, oh, ow), dtype=np.float64)
         for dy in range(kh):
             for dx in range(kw):
-                sl = xp[:, ic, dy:dy + s * (oh - 1) + 1:s, dx:dx + s * (ow - 1) + 1:s]
-                out += w[None, :, ic, dy, dx, None, None] * sl[:, None, :, :]
+                cols[:, dy, dx] = xa[:, :, dy:dy + s * (oh - 1) + 1:s,
+                                     dx:dx + s * (ow - 1) + 1:s]
+        prod = wmat @ cols.reshape(c * kh * kw, m * oh * ow)      # [oc, m*oh*ow]
+        out[a:a + m] = prod.reshape(oc, m, oh, ow).transpose(1, 0, 2, 3)
     return out
 
 
@@ -87,7 +112,7 @@ def _pool_sum(x: np.ndarray, attrs: dict) -> np.ndarray:
     kh, kw = attrs["kernel"]
     s = int(attrs.get("stride", kh))
     oh, ow = pool_out_hw(h, wd, attrs)
-    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
+    out = np.zeros((n, c, oh, ow), dtype=np.promote_types(x.dtype, np.int64))
     for dy in range(kh):
         for dx in range(kw):
             out += x[:, :, dy:dy + s * (oh - 1) + 1:s, dx:dx + s * (ow - 1) + 1:s]
@@ -206,6 +231,13 @@ def int_forward(qnet, x_int: np.ndarray, mode: str = "hw",
             out = post
             continue
 
+        if lyr.kind == "conv2d":
+            # direct mode convolves the values, the bit-plane modes 0/1 planes
+            x_max = int(np.abs(xs[0]).max()) if mode == "direct" else 1
+            if x_max * _max_weight_sum(lyr.weights) >= EXACT_SUM_LIMIT:
+                raise ValueError(
+                    f"layer {lyr.name!r}: max|x| * sum|w| of one output channel "
+                    f"reaches 2^53, so float64 convolution sums would not be exact")
         lo, hi = (-q_max, q_max) if lyr is qnet.layers[-1] else (0, q_max)
         bias_pre = bias_post = None
         if lyr.bias is not None:
@@ -246,6 +278,12 @@ def _w64(lyr) -> np.ndarray | None:
     return None if lyr.weights is None else lyr.weights.astype(np.int64)
 
 
+def _max_weight_sum(weights: np.ndarray) -> int:
+    """Largest sum|w| over the output channels of a conv weight tensor."""
+    w = np.abs(weights.astype(np.int64)).reshape(weights.shape[0], -1)
+    return int(w.sum(axis=1).max())
+
+
 def _scaled_layer(lyr, xs, xsigned, k, acc_bits, lo, hi, bias_pre, bias_post,
                   emulate: bool, stats: LayerStats | None):
     """Bit-plane walk of one layer: per-step M0 rounding, final M1 rescale."""
@@ -259,9 +297,9 @@ def _scaled_layer(lyr, xs, xsigned, k, acc_bits, lo, hi, bias_pre, bias_post,
     for step in range(k):
         step_sum = None
         for x, pl, sched in zip(xs, planes, schedules):
-            row = pl[..., step].astype(np.int64).reshape(x.shape)
+            row = pl[..., step].reshape(x.shape)        # uint8 0/1 plane
             if lyr.kind == "residual-add":
-                part = row          # unit weights, one synapse per branch
+                part = row.astype(np.int64)   # unit weights, one synapse per branch
             else:
                 part = _linear(lyr.kind, lyr.attrs, w, [row])
             part = sched.weight(step) * part.reshape(n, -1)
@@ -294,56 +332,3 @@ def _scaled_layer(lyr, xs, xsigned, k, acc_bits, lo, hi, bias_pre, bias_post,
     if bias_post is not None:
         v = v + bias_post
     return np.clip(v, lo, hi), u, saturations
-
-
-# ---------------------------------------------------------------------------
-# output decoding
-# ---------------------------------------------------------------------------
-
-def argmax_decode(outputs: np.ndarray) -> int | np.ndarray:
-    """Class index of the max logit; ties resolve to the lowest index."""
-    o = np.asarray(outputs)
-    if o.size == 0:
-        raise ValueError("empty output vector")
-    if o.ndim == 1:
-        return int(np.argmax(o))
-    return np.argmax(o, axis=-1)
-
-
-@dataclass(frozen=True)
-class Box:
-    cell: int
-    score: float
-    cx: float
-    cy: float
-    w: float
-    h: float
-    cls: int
-
-
-def yolo_decode(outputs: np.ndarray, conf_threshold: float,
-                grid: tuple[int, int], n_classes: int) -> list[Box]:
-    """Minimal single-box-per-cell grid decode.
-
-    Each cell carries (confidence, cx, cy, w, h, class scores...). Cells at or
-    above the confidence threshold produce one box; centers are offset by the
-    cell position and normalized by the grid size. Deterministic: cells scan
-    in row-major order.
-    """
-    gy, gx = grid
-    per_cell = 5 + n_classes
-    o = np.asarray(outputs, dtype=np.float64).reshape(gy * gx, per_cell)
-    boxes = []
-    for idx in range(gy * gx):
-        conf = float(o[idx, 0])
-        if conf < conf_threshold:
-            continue
-        cy_i, cx_i = divmod(idx, gx)
-        cls = int(np.argmax(o[idx, 5:])) if n_classes else 0
-        boxes.append(Box(
-            cell=idx, score=conf,
-            cx=(cx_i + float(o[idx, 1])) / gx,
-            cy=(cy_i + float(o[idx, 2])) / gy,
-            w=float(o[idx, 3]), h=float(o[idx, 4]), cls=cls,
-        ))
-    return boxes

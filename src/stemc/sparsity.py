@@ -140,9 +140,10 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
     from . import netsim   # local import: netsim depends on this module
     from .metrics import sop_total
 
+    compiled = netsim.compile_network(qnet, plan=SparsityPlan.identity())
+
     def evaluate(plan: SparsityPlan) -> tuple[int, float]:
-        snet = netsim.compile_network(qnet, plan=plan)
-        res = netsim.run_batch(snet, inputs_int)
+        res = netsim.run_batch(netsim.with_plan(compiled, plan), inputs_int)
         preds = np.argmax(res.outputs, axis=-1)
         acc = float(np.mean(preds == labels))
         return sop_total(res.traces, qnet, include_io=include_io), acc

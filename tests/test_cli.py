@@ -70,12 +70,6 @@ class TestCompare:
         assert rc == 0
         assert "0 mismatches / 24 samples" in out
 
-    def test_jobs_do_not_change_result(self, tree, capsys):
-        rc = cli.main(["compare", str(tree / "mlp.q.json"),
-                       str(tree / "fx" / "mlp" / "eval.ds"), "--jobs", "3"])
-        assert rc == 0
-        assert "0 mismatches" in capsys.readouterr().out
-
 
 class TestRun:
     def test_report_reruns_byte_identical(self, tree, report_dir):
@@ -94,14 +88,6 @@ class TestRun:
         assert doc["energy_ratio"] == pytest.approx(
             doc["sdann_uj"] / doc["ann_uj"])
         assert doc["steps_per_sample"] == 8 * 4      # 3 stages + output train
-
-    def test_parallel_jobs_identical_report(self, tree, report_dir):
-        args = ["run", str(tree / "mlp.q.json"), str(tree / "fx" / "mlp" / "eval.ds")]
-        assert cli.main(args + ["--jobs", "4", "--report", str(tree / "r4")]) == 0
-        assert ((report_dir / "summary.json").read_bytes()
-                == (tree / "r4" / "summary.json").read_bytes())
-        assert ((report_dir / "layers.csv").read_bytes()
-                == (tree / "r4" / "layers.csv").read_bytes())
 
     def test_pipeline_mode_line(self, tree, capsys):
         rc = cli.main(["run", str(tree / "mlp.q.json"),

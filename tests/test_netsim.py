@@ -17,6 +17,7 @@ from stemc.netsim import (
     rle_encode,
     run_batch,
     run_pipeline,
+    with_plan,
 )
 from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
 from stemc.refengine import int_forward
@@ -376,6 +377,21 @@ class TestPlanPrecedence:
         plan = SparsityPlan({"fc3": LayerSparsity(3, 4)})
         snet = compile_network(mlp_bundle.qnet, plan=plan)
         assert snet.output.sparsity.is_identity()
+
+    def test_with_plan_matches_fresh_compile(self, cnn_bundle):
+        base = compile_network(cnn_bundle.qnet, plan=SparsityPlan.identity())
+        plan = SparsityPlan({"conv1": LayerSparsity(1, 2), "pool2": LayerSparsity(2, 0)})
+        derived = with_plan(base, plan)
+        fresh = compile_network(cnn_bundle.qnet, plan=plan)
+        assert derived.plan is plan
+        assert ([p.sparsity for p in derived.populations]
+                == [p.sparsity for p in fresh.populations])
+        assert all(p.sparsity.is_identity() for p in base.populations)
+        assert all(d.form_w is b.form_w for d, b in zip(derived.populations, base.populations))
+        x = cnn_bundle.x_int[:32]
+        a, b = run_batch(derived, x), run_batch(fresh, x)
+        assert np.array_equal(a.outputs, b.outputs)
+        assert a.traces == b.traces
 
 
 class TestSpikeDumps:

@@ -19,7 +19,7 @@ from stemc.quantizer import (
     quantize_tensor,
     RangeStats,
 )
-from stemc import fixtures
+from stemc import fixtures, netsim
 from stemc.refengine import LayerStats, int_forward
 
 
@@ -289,6 +289,17 @@ class TestCalibrate:
         stats = calibrate(model, np.full(model.input_shape, 0.5))
         assert stats.samples == 1
         assert set(stats.i_max) == {"fc1", "fc2", "fc3"}
+
+    @pytest.mark.parametrize("which", ["mlp", "cnn", "bias"])
+    def test_wide_accumulator_calibrates(self, which, request):
+        # the i_max = 1 bootstrap build used to fail its m0*m1 drift check
+        bundle = request.getfixturevalue(f"{which}_bundle")
+        stats = calibrate(bundle.model, bundle.ds.inputs[:64], acc_bits=32)
+        qnet = build_quantized_network(bundle.model, stats, acc_bits=32)
+        x_int, _ = quantize_tensor(bundle.ds.inputs, qnet.input_params)
+        sim = netsim.run_batch(netsim.compile_network(qnet), x_int)
+        hw, _ = int_forward(qnet, x_int, mode="hw")
+        assert np.array_equal(sim.outputs, hw)
 
     def test_report_is_stable(self, mlp_bundle):
         a = calibration_report(mlp_bundle.qnet, mlp_bundle.stats)

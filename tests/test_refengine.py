@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from stemc.fixedpoint import from_real
-from stemc.quantizer import QuantizedLayer, QuantizedNetwork
+from stemc.quantizer import (
+    QuantizedLayer,
+    QuantizedNetwork,
+    build_quantized_network,
+    calibrate,
+    quantize_tensor,
+)
 from stemc.refengine import (
     _conv2d,
+    _linear,
     _pool_sum,
-    argmax_decode,
     float_forward,
     int_forward,
-    yolo_decode,
 )
 
 
@@ -35,6 +40,42 @@ def _qnet(layers, input_shape, k=8, acc_bits=16):
         name="hand", input_shape=input_shape, k=k, acc_bits=acc_bits,
         bias_check_width=16, input_scale=1.0, layers=layers,
     )
+
+
+def _brute_conv(x, w, stride, pad):
+    """Python-int loop over every output, channel and tap."""
+    n, c, h, wd = x.shape
+    oc, _, kh, kw = w.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (wd + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    want = np.zeros((n, oc, oh, ow), dtype=np.int64)
+    for s in range(n):
+        for o in range(oc):
+            for y in range(oh):
+                for col in range(ow):
+                    acc = 0
+                    for i in range(c):
+                        for dy in range(kh):
+                            for dx in range(kw):
+                                acc += int(w[o, i, dy, dx]) * int(
+                                    xp[s, i, y * stride + dy, col * stride + dx])
+                    want[s, o, y, col] = acc
+    return want
+
+
+def _conv_qnet(w, in_shape, k=8, acc_bits=16):
+    """One hand-built 1x1 conv layer with unit constants."""
+    one = from_real(1.0)
+    lyr = QuantizedLayer(
+        name="conv", kind="conv2d",
+        attrs={"in_channels": w.shape[1], "out_channels": w.shape[0],
+               "kernel": [1, 1], "stride": 1, "padding": 0},
+        inputs=["input"], weights=w, scale_in=1.0, scale_w=1.0, scale_out=1.0,
+        m_hat=one, m0=one, m1=one, i_max=1,
+        out_shape=(w.shape[0],) + tuple(in_shape[1:]),
+    )
+    return _qnet([lyr], in_shape, k=k, acc_bits=acc_bits)
 
 
 class TestWorkedExamples:
@@ -94,6 +135,68 @@ class TestModeAgreement:
         # the K per-step roundings drift at most a few integer steps
         assert int(np.abs(direct - hw).max()) <= 3
 
+    @pytest.mark.parametrize("which,k,acc_bits", [
+        ("mlp", 8, 16), ("cnn", 8, 16), ("residual", 8, 16), ("bias", 8, 16),
+        ("widefan", 8, 16), ("cnn", 4, 10),
+    ])
+    def test_wide_drift_within_k_half(self, which, k, acc_bits, request):
+        # U = sum_t round(M0 * I_t) (+ round(M0 * b) for a product bias); each
+        # rounding is off by at most 1/2, so with M0 = m / 2^shift
+        # |2^shift * U - m * (sum_t I_t + b)| <= r * 2^(shift-1), r = K (+1)
+        bundle = request.getfixturevalue(f"{which}_bundle")
+        qnet = bundle.qnet
+        if k != qnet.k:
+            stats = calibrate(bundle.model, bundle.ds.inputs[:64], k=k,
+                              acc_bits=acc_bits)
+            qnet = build_quantized_network(bundle.model, stats, k=k,
+                                           acc_bits=acc_bits)
+        x_int, _ = quantize_tensor(bundle.ds.inputs[:48], qnet.input_params)
+        _, record = int_forward(qnet, x_int, mode="wide")
+        post = {"input": x_int.astype(np.int64)}
+        post.update({name: act.post for name, act in record.layers.items()})
+        for lyr in qnet.layers:
+            if lyr.kind == "flatten":
+                continue
+            xs = []
+            for src in lyr.inputs:
+                shape = qnet.input_shape if src == "input" else qnet.layer(src).out_shape
+                xs.append(post[src].reshape((-1,) + tuple(shape)))
+            w = None if lyr.weights is None else lyr.weights.astype(np.int64)
+            total = _linear(lyr.kind, lyr.attrs, w, xs).reshape(len(x_int), -1)
+            r = k
+            if lyr.bias is not None and lyr.bias_scheme == "product":
+                b = lyr.bias.astype(np.int64)
+                if lyr.kind == "conv2d":
+                    b = np.repeat(b, lyr.out_shape[1] * lyr.out_shape[2])
+                total = total + b
+                r += 1
+            m, shift = lyr.m0.mantissa, lyr.m0.shift
+            u = record.layers[lyr.name].pre.astype(object)
+            err = np.abs(u * (1 << shift) - total.astype(object) * m)
+            assert int(err.max()) <= r * (1 << (shift - 1)), lyr.name
+
+    def test_exact_conv_bound_at_2_pow_53(self):
+        big = (1 << 53) - 1
+        w = np.zeros((1, 2, 1, 1), dtype=np.int64)
+        w[0, 0] = big
+        net = _conv_qnet(w, (2, 1, 1), k=2, acc_bits=56)
+        x = np.array([[[[-1]], [[0]]]])                 # sign plane carries it
+        for mode in ("wide", "hw"):                     # just below: accepted
+            _, rec = int_forward(net, x, mode=mode)
+            assert rec.layers["conv"].pre.tolist() == [[-big]], mode
+        w[0, 1] = 1                                     # sum|w| = 2^53
+        for mode in ("wide", "hw"):
+            with pytest.raises(ValueError, match="2\\^53"):
+                int_forward(net, x, mode=mode)
+
+    def test_direct_conv_bound_scales_with_input(self):
+        w = np.full((1, 1, 1, 1), 1 << 51, dtype=np.int64)
+        net = _conv_qnet(w, (1, 1, 1))
+        _, rec = int_forward(net, np.array([[[[3]]]]), mode="direct")
+        assert rec.layers["conv"].pre.tolist() == [[3 << 51]]
+        with pytest.raises(ValueError, match="2\\^53"):       # 4 * 2^51
+            int_forward(net, np.array([[[[-4]]]]), mode="direct")
+
     def test_bad_mode_rejected(self, mlp_bundle):
         with pytest.raises(ValueError, match="mode"):
             int_forward(mlp_bundle.qnet, mlp_bundle.x_int[:1], mode="fast")
@@ -117,23 +220,20 @@ class TestLinearPieces:
         x = rng.integers(-9, 10, size=(2, 2, 5, 5)).astype(np.int64)
         w = rng.integers(-9, 10, size=(3, 2, kh, kw)).astype(np.int64)
         attrs = {"kernel": [kh, kw], "stride": stride, "padding": pad}
-        got = _conv2d(x, w, attrs)
-        oh = (5 + 2 * pad - kh) // stride + 1
-        ow = (5 + 2 * pad - kw) // stride + 1
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        want = np.zeros((2, 3, oh, ow), dtype=np.int64)
-        for s in range(2):
-            for o in range(3):
-                for y in range(oh):
-                    for c in range(ow):
-                        acc = 0
-                        for i in range(2):
-                            for dy in range(kh):
-                                for dx in range(kw):
-                                    acc += w[o, i, dy, dx] * xp[
-                                        s, i, y * stride + dy, c * stride + dx]
-                        want[s, o, y, c] = acc
-        assert np.array_equal(got, want)
+        assert np.array_equal(_conv2d(x, w, attrs), _brute_conv(x, w, stride, pad))
+
+    @pytest.mark.parametrize("inputs", ["planes", "int16-extremes"])
+    def test_conv_exact_at_extremes(self, rng, inputs):
+        # all weights at +-127 over 64 channels, fed 0/1 uint8 planes (the
+        # bit-plane modes) or values at +-32767 (direct mode on wide inputs)
+        if inputs == "planes":
+            x = rng.integers(0, 2, size=(2, 64, 4, 4)).astype(np.uint8)
+        else:
+            x = 32767 * rng.choice([-1, 1], size=(2, 64, 4, 4)).astype(np.int64)
+        w = 127 * rng.choice([-1, 1], size=(3, 64, 3, 3)).astype(np.int64)
+        got = _conv2d(x, w, {"kernel": [3, 3], "stride": 1, "padding": 1})
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _brute_conv(x.astype(np.int64), w, 1, 1))
 
     def test_pool_sum_matches_brute_force(self, rng):
         x = rng.integers(0, 50, size=(2, 3, 6, 6)).astype(np.int64)
@@ -151,38 +251,3 @@ class TestLinearPieces:
     def test_float_forward_single_sample(self, mlp_bundle):
         out, _ = float_forward(mlp_bundle.model, mlp_bundle.ds.inputs[0])
         assert out.shape == (10,)
-
-
-class TestDecoders:
-    def test_argmax_tie_lowest_index(self):
-        assert argmax_decode(np.array([[3, 7, 7]])).tolist() == [1]
-        assert argmax_decode(np.array([3, 7, 7])) == 1
-
-    def test_argmax_empty_rejected(self):
-        with pytest.raises(ValueError):
-            argmax_decode(np.array([]))
-
-    def test_yolo_single_box(self):
-        grid, n_classes = (2, 2), 3
-        o = np.zeros((4, 8))
-        o[2] = [0.9, 0.5, 0.25, 2.0, 1.5, 0.1, 0.9, 0.3]
-        boxes = yolo_decode(o.ravel(), 0.5, grid, n_classes)
-        assert len(boxes) == 1
-        box = boxes[0]
-        assert box.cell == 2
-        assert box.score == 0.9
-        assert box.cx == pytest.approx((0 + 0.5) / 2)   # col 0 of row 1
-        assert box.cy == pytest.approx((1 + 0.25) / 2)
-        assert (box.w, box.h) == (2.0, 1.5)
-        assert box.cls == 1
-
-    def test_yolo_threshold_is_inclusive(self):
-        o = np.zeros((1, 6))
-        o[0, 0] = 0.5
-        assert len(yolo_decode(o.ravel(), 0.5, (1, 1), 1)) == 1
-        assert len(yolo_decode(o.ravel(), 0.500001, (1, 1), 1)) == 0
-
-    def test_yolo_row_major_order(self):
-        o = np.full((4, 5), 0.8)
-        boxes = yolo_decode(o.ravel(), 0.5, (2, 2), 0)
-        assert [b.cell for b in boxes] == [0, 1, 2, 3]
