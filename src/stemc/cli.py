@@ -9,7 +9,10 @@
 
 Errors print a single `error: ...` line and exit 2; `compare` exits 1 when
 the two routes disagree. Reports carry no timestamps, so reruns are
-byte-identical. Set STEMC_LOG=INFO (or DEBUG) for progress logging.
+byte-identical. STEMC_LOG sets the log level (default WARNING): warnings
+report clamped weights or biases and all-zero value ranges during
+quantization, INFO adds the tuned plan of tune-sparsity, DEBUG adds the
+traceback of a failing command. Nothing is logged per layer or per stage.
 """
 
 from __future__ import annotations
@@ -86,10 +89,11 @@ def cmd_run(args) -> int:
             res = netsim.run_pipeline(snet, x_int)
             outputs = res.outputs
             steps = res.timing.total_steps
-            saturations = None
+            saturations = res.saturations
             print(f"pipeline: {res.timing.total_steps} steps for {n} samples "
                   f"({snet.n_stages} stages, K={snet.k}, "
                   f"buffer peak {res.timing.buffered_train_peak})")
+            print(f"saturations {saturations}")
         else:
             res = netsim.run_batch(snet, x_int, record_trains=bool(args.dump_spikes))
             outputs, traces = res.outputs, res.traces

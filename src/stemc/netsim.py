@@ -31,12 +31,15 @@ Two run functions share the kernel:
 * ``run_batch``    - layer by layer over a whole batch, one ``step_sum`` per
   population; one sample occupies the network for K*(stages+1) steps
   (stages of integration plus the output train's own transmission block).
-* ``run_pipeline`` - a global clock advanced one K-step block at a time; the
-  layer at stage l integrates sample s during block l-1+s, i.e. steps
-  [(l-1+s)K, (l+s)K), so a stream of S samples drains in exactly
-  K*(stages+S) steps. A stage's inputs for block b were all emitted by the
-  end of block b-1, so it takes its sample's whole block in one ``step_sum``.
-  Shortcut trains stay buffered until their join consumes them.
+* ``run_pipeline`` - one global clock; the layer at stage l integrates
+  sample s during block l-1+s, i.e. steps [(l-1+s)K, (l+s)K), so a stream of
+  S samples drains in exactly K*(stages+S) steps. The clock advances a window
+  of PIPELINE_WINDOW blocks at a time, and each stage takes all the samples
+  it integrates in the window in one ``step_sum``: producers come first in
+  topological order, so every train it reads is already emitted. Simulated
+  timing and the buffer peak stay per block. Shortcut trains stay buffered,
+  across windows if need be, until their join consumes them; host memory is
+  bounded by the window, not by the stream length.
 
 Both drivers must produce identical integers - the pipeline only reorders
 work across samples, never within a neuron.
@@ -60,6 +63,11 @@ from . import metrics
 # Spike planes are 0/1, so a float64 synaptic sum is exact while every
 # neuron's sum|w| stays below 2^53 (all partial sums are smaller integers).
 EXACT_SUM_LIMIT = 1 << 53
+
+# Blocks the pipeline clock advances at a time: each stage integrates up to
+# this many samples per step_sum, so host memory per window is that of a
+# run_batch of this many samples.
+PIPELINE_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -509,6 +517,13 @@ class PipelineResult:
     outputs: np.ndarray
     outputs_real: np.ndarray
     timing: PipelineTiming
+    saturations: int                # accumulator clamps over every stage and sample
+
+
+def _window_samples(b0: int, b1: int, offset: int, n_samples: int) -> tuple[int, int]:
+    """Samples [lo, hi) that a reader at `offset` takes in blocks [b0, b1):
+    sample s is read during block offset + s."""
+    return max(b0 - offset, 0), min(b1 - offset, n_samples)
 
 
 def run_pipeline(snet: SpikingNetwork, x_int: np.ndarray) -> PipelineResult:
@@ -517,79 +532,94 @@ def run_pipeline(snet: SpikingNetwork, x_int: np.ndarray) -> PipelineResult:
     Stage l integrates sample s during block l-1+s, global steps
     [(l-1+s)K, (l+s)K); the output train of the last stage is itself
     transmitted during the following block, so S samples complete in exactly
-    K*(n_stages + S) steps. The clock advances a block at a time: every train
-    a stage reads in block b was emitted by the end of block b-1. Emitted
-    trains are buffered until every consumer (a shortcut's join may lag) has
-    read them; the buffer peak is taken at each block's end, the only step at
-    which trains are emitted or released.
+    K*(n_stages + S) steps. The clock advances PIPELINE_WINDOW blocks at a
+    time. Within a window every stage, in topological order, takes all the
+    samples it integrates in those blocks in one ``step_sum`` and one
+    ``_integrate_block``: a producer precedes its consumers, so every train a
+    stage reads has been emitted, earlier in the window or in an earlier one.
+    Emitted trains are buffered until every consumer (a shortcut's join may
+    lag) has read them. Timing and the buffer peak stay per block: each
+    train's emission block and the block of its last read give the live count
+    at every block's end, the only step at which trains are emitted or
+    released. Host memory per window is that of a ``run_batch`` of
+    PIPELINE_WINDOW samples, however long the stream.
     """
     k = snet.k
     xb = _as_batch(x_int, snet.input_shape)
     n_samples = xb.shape[0]
     n_stages = snet.n_stages
-    input_planes = encode_planes(xb, k, signed=True)
-
-    consumers: dict[str, int] = {INPUT_NAME: 0}
-    for pop in snet.populations:
-        consumers[pop.name] = 0
-        for src in pop.inputs:
-            consumers[src] += 1
-    consumers[snet.output.name] += 1            # the external reader
-
-    phis = _wire_phis(snet)
+    n_blocks = n_stages + n_samples
     out_pop = snet.output
-    reader_stage = out_pop.stage + 1            # decodes the final train
-
-    emitted: dict[tuple[str, int], np.ndarray] = {}
-    reads: dict[tuple[str, int], int] = {}
-    out_acc = np.zeros((n_samples, out_pop.n_out), dtype=np.int64)
+    phis = _wire_phis(snet)
     out_sched = WireSchedule(k, signed=True)
-    peak = 0
+
+    # Readers of each producer's trains - (population, input slot) or the
+    # external reader of the final train - with their block offsets: a reader
+    # at offset o reads sample s during block o + s.
+    offsets: dict[str, dict] = {p.name: {} for p in snet.populations}
+    for pop in snet.populations:
+        for slot, src in enumerate(pop.inputs):
+            if src != INPUT_NAME:
+                offsets[src][(pop.name, slot)] = pop.stage - 1
+    offsets[out_pop.name]["external"] = out_pop.stage
+
+    buffered: dict[str, list[tuple[int, np.ndarray]]] = {n: [] for n in offsets}
+    read_to = {name: dict.fromkeys(readers, 0) for name, readers in offsets.items()}
+    emitted = np.zeros(n_blocks, dtype=np.int64)        # trains emitted per block
+    released = np.zeros(n_blocks, dtype=np.int64)       # trains released per block
+
+    def read(src: str, reader, lo: int, hi: int) -> np.ndarray:
+        """Trains [hi-lo, n, K] of samples [lo, hi); frees what all readers read."""
+        if src == INPUT_NAME:
+            return encode_planes(xb[lo:hi], k, signed=True)
+        chunks = buffered[src]
+        parts = [tr[max(lo - s0, 0):hi - s0] for s0, tr in chunks
+                 if s0 < hi and s0 + len(tr) > lo]
+        done = min(read_to[src].values())
+        read_to[src][reader] = hi
+        now_done = min(read_to[src].values())
+        if now_done > done:          # samples [done, now_done) read by everyone
+            last = max(offsets[src].values())
+            released[last + done:last + now_done] += 1
+            buffered[src] = [(s0, tr) for s0, tr in chunks if s0 + len(tr) > now_done]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    out_acc = np.zeros((n_samples, out_pop.n_out), dtype=np.int64)
+    saturations = 0
     last_active = -1
-
-    def fetch(src: str, s: int) -> np.ndarray:
-        if src == INPUT_NAME:
-            return input_planes[s]
-        return emitted[(src, s)]
-
-    def release(src: str, s: int) -> None:
-        if src == INPUT_NAME:
-            return
-        key = (src, s)
-        reads[key] = reads.get(key, 0) + 1
-        if reads[key] == consumers[src]:
-            del emitted[key]
-
-    for block in range(n_stages + n_samples):
+    for b0 in range(0, n_blocks, PIPELINE_WINDOW):
+        b1 = min(b0 + PIPELINE_WINDOW, n_blocks)
         for pop in snet.populations:
-            s = block - (pop.stage - 1)
-            if not 0 <= s < n_samples:
+            offset = pop.stage - 1
+            lo, hi = _window_samples(b0, b1, offset, n_samples)
+            if lo >= hi:
                 continue
-            last_active = block
-            rows = _planes([fetch(src, s)[None] for src in pop.inputs])
-            sums = pop.step_sum(rows, [phis[src] for src in pop.inputs])
-            v, _ = _integrate_block(pop, sums, snet.acc_bits)
-            emitted[(pop.name, s)] = pop.emit(v, k)[0]
-            for src in pop.inputs:
-                release(src, s)
-        s_out = block - (reader_stage - 1)
-        if 0 <= s_out < n_samples:
-            last_active = block
-            out_acc[s_out] = decode_train(fetch(out_pop.name, s_out), out_sched)
-            release(out_pop.name, s_out)
-        peak = max(peak, len(emitted))
+            trains = [read(src, (pop.name, slot), lo, hi)
+                      for slot, src in enumerate(pop.inputs)]
+            sums = pop.step_sum(_planes(trains), [phis[src] for src in pop.inputs])
+            v, sat = _integrate_block(pop, sums, snet.acc_bits)
+            saturations += sat
+            buffered[pop.name].append((lo, pop.emit(v, k)))
+            emitted[offset + lo:offset + hi] += 1
+            last_active = max(last_active, offset + hi - 1)
+        lo, hi = _window_samples(b0, b1, out_pop.stage, n_samples)
+        if lo < hi:
+            out_acc[lo:hi] = decode_train(read(out_pop.name, "external", lo, hi), out_sched)
+            last_active = max(last_active, out_pop.stage + hi - 1)
 
-    if emitted:
+    if any(buffered.values()):
         raise RuntimeError("pipeline finished with undrained state")
+    live = np.cumsum(emitted - released)                # buffered at each block's end
     timing = PipelineTiming(
         k=k, n_stages=n_stages, n_samples=n_samples,
-        total_steps=k * (last_active + 1), buffered_train_peak=peak,
+        total_steps=k * (last_active + 1), buffered_train_peak=int(live.max()),
         stage_of={p.name: p.stage for p in snet.populations},
     )
     return PipelineResult(
         outputs=out_acc,
         outputs_real=out_acc.astype(np.float64) * out_pop.scale_out,
         timing=timing,
+        saturations=saturations,
     )
 
 

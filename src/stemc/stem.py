@@ -69,8 +69,10 @@ def encode_planes(values: np.ndarray, k: int, signed: bool) -> np.ndarray:
     if v.size and (int(v.min()) < lo or int(v.max()) > hi):
         raise ValueError(f"values outside encodable range [{lo}, {hi}]")
     u = v & ((1 << k) - 1)
-    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)  # bit position per step
-    return ((u[..., None] >> shifts) & 1).astype(np.uint8)
+    bits = np.empty(v.shape + (k,), dtype=np.uint8)
+    for step in range(k):               # bit position k-1-step, written in place
+        bits[..., step] = (u >> (k - 1 - step)) & 1
+    return bits
 
 
 def decode_train(bits: np.ndarray, schedule: WireSchedule) -> int | np.ndarray:

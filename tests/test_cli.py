@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -96,6 +97,18 @@ class TestRun:
         assert rc == 0
         assert f"pipeline: {8 * (3 + 24)} steps for 24 samples" in out
 
+    def test_pipeline_summary_reports_saturations(self, tree, report_dir):
+        rc = cli.main(["run", str(tree / "mlp.q.json"),
+                       str(tree / "fx" / "mlp" / "eval.ds"), "--mode", "pipeline",
+                       "--report", str(tree / "rp")])
+        assert rc == 0
+        doc = json.loads((tree / "rp" / "summary.json").read_text())
+        sim = json.loads((report_dir / "summary.json").read_text())
+        assert doc["mode"] == "pipeline"
+        assert doc["total_steps"] == 8 * (3 + 24)
+        assert isinstance(doc["saturations"], int)
+        assert doc["saturations"] == sim["saturations"]
+
     def test_oracle_mode_summary(self, tree):
         rc = cli.main(["run", str(tree / "mlp.q.json"),
                        str(tree / "fx" / "mlp" / "eval.ds"),
@@ -186,3 +199,19 @@ class TestErrors:
         with pytest.raises(SystemExit):
             cli.main(["tune-sparsity", str(tree / "mlp.q.json"),
                       str(tree / "fx" / "mlp" / "eval.ds")])
+
+
+class TestLogging:
+    def test_only_the_documented_records(self, tree, caplog):
+        caplog.set_level(logging.DEBUG, logger="stemc")
+        args = [str(tree / "mlp.q.json"), str(tree / "fx" / "mlp" / "eval.ds")]
+        assert cli.main(["run", *args, "--mode", "pipeline"]) == 0
+        assert cli.main(["compare", *args]) == 0
+        assert caplog.records == []                   # nothing per layer or stage
+        assert cli.main(["tune-sparsity", *args, "--budget", "0.05"]) == 0
+        assert [r.levelname for r in caplog.records] == ["INFO"]
+        assert caplog.records[0].getMessage().startswith("tuned plan")
+        caplog.clear()
+        assert cli.main(["run", str(tree / "missing.q.json"), args[1]]) == 2
+        assert [r.levelname for r in caplog.records] == ["DEBUG"]
+        assert caplog.records[0].exc_info is not None  # the failure's traceback

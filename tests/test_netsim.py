@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stemc import fixtures
+from stemc import fixtures, netsim
 from stemc.fixedpoint import from_real
-from stemc.modelio import FloatModel, LayerDesc, infer_shapes
+from stemc.modelio import INPUT_NAME, FloatModel, LayerDesc, infer_shapes
 from stemc.netsim import (
     HardwareProfile,
+    PipelineResult,
+    PipelineTiming,
     Population,
+    _as_batch,
+    _integrate_block,
+    _planes,
+    _wire_phis,
     check_capacity,
     compile_network,
     dump_spike_trains,
@@ -22,7 +28,7 @@ from stemc.netsim import (
 from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
 from stemc.refengine import int_forward
 from stemc.sparsity import LayerSparsity, SparsityPlan
-from stemc.stem import WireSchedule
+from stemc.stem import WireSchedule, decode_train, encode_planes
 
 
 def _quantized(model, n=24, seed=5, lo=0.0, hi=1.0, **kw):
@@ -244,6 +250,96 @@ class TestKPlaneKernel:
             compile_network(q)
 
 
+# Reference pipeline driver: the clock advances one K-step block at a time and
+# each active stage integrates its one sample. ``run_pipeline`` advances a
+# window of blocks and must agree with it on every field.
+
+
+def run_pipeline_per_block(snet, x_int) -> PipelineResult:
+    """Stream a batch through the staged network on one global clock.
+
+    Stage l integrates sample s during block l-1+s, global steps
+    [(l-1+s)K, (l+s)K); the output train of the last stage is itself
+    transmitted during the following block, so S samples complete in exactly
+    K*(n_stages + S) steps. The clock advances a block at a time: every train
+    a stage reads in block b was emitted by the end of block b-1. Emitted
+    trains are buffered until every consumer (a shortcut's join may lag) has
+    read them; the buffer peak is taken at each block's end, the only step at
+    which trains are emitted or released.
+    """
+    k = snet.k
+    xb = _as_batch(x_int, snet.input_shape)
+    n_samples = xb.shape[0]
+    n_stages = snet.n_stages
+    input_planes = encode_planes(xb, k, signed=True)
+
+    consumers: dict[str, int] = {INPUT_NAME: 0}
+    for pop in snet.populations:
+        consumers[pop.name] = 0
+        for src in pop.inputs:
+            consumers[src] += 1
+    consumers[snet.output.name] += 1            # the external reader
+
+    phis = _wire_phis(snet)
+    out_pop = snet.output
+    reader_stage = out_pop.stage + 1            # decodes the final train
+
+    emitted: dict[tuple[str, int], np.ndarray] = {}
+    reads: dict[tuple[str, int], int] = {}
+    out_acc = np.zeros((n_samples, out_pop.n_out), dtype=np.int64)
+    out_sched = WireSchedule(k, signed=True)
+    peak = 0
+    last_active = -1
+    saturations = 0
+
+    def fetch(src: str, s: int) -> np.ndarray:
+        if src == INPUT_NAME:
+            return input_planes[s]
+        return emitted[(src, s)]
+
+    def release(src: str, s: int) -> None:
+        if src == INPUT_NAME:
+            return
+        key = (src, s)
+        reads[key] = reads.get(key, 0) + 1
+        if reads[key] == consumers[src]:
+            del emitted[key]
+
+    for block in range(n_stages + n_samples):
+        for pop in snet.populations:
+            s = block - (pop.stage - 1)
+            if not 0 <= s < n_samples:
+                continue
+            last_active = block
+            rows = _planes([fetch(src, s)[None] for src in pop.inputs])
+            sums = pop.step_sum(rows, [phis[src] for src in pop.inputs])
+            v, sat = _integrate_block(pop, sums, snet.acc_bits)
+            saturations += sat
+            emitted[(pop.name, s)] = pop.emit(v, k)[0]
+            for src in pop.inputs:
+                release(src, s)
+        s_out = block - (reader_stage - 1)
+        if 0 <= s_out < n_samples:
+            last_active = block
+            out_acc[s_out] = decode_train(fetch(out_pop.name, s_out), out_sched)
+            release(out_pop.name, s_out)
+        peak = max(peak, len(emitted))
+
+    if emitted:
+        raise RuntimeError("pipeline finished with undrained state")
+    timing = PipelineTiming(
+        k=k, n_stages=n_stages, n_samples=n_samples,
+        total_steps=k * (last_active + 1), buffered_train_peak=peak,
+        stage_of={p.name: p.stage for p in snet.populations},
+    )
+    return PipelineResult(
+        outputs=out_acc,
+        outputs_real=out_acc.astype(np.float64) * out_pop.scale_out,
+        timing=timing,
+        saturations=saturations,
+    )
+
+
 class TestPipeline:
     @pytest.mark.parametrize("depth,k,n_samples", [(2, 8, 1), (2, 8, 5), (4, 8, 16)])
     def test_total_steps_formula(self, depth, k, n_samples):
@@ -286,12 +382,87 @@ class TestPipeline:
         assert np.array_equal(res.outputs, run_batch(snet, x).outputs)
         assert res.timing.total_steps == 8 * (snet.n_stages + x.shape[0])
 
+    def test_residual_buffer_peak_exact(self, residual_bundle):
+        # the join reads conv_a's train two blocks after its emission, so at a
+        # block's end two conv_a trains and one each of conv_b, join and fc wait
+        res = run_pipeline(compile_network(residual_bundle.qnet), residual_bundle.x_int)
+        assert res.timing.buffered_train_peak == 5
+
     def test_sparsified_pipeline_agrees(self, mlp_bundle):
         plan = SparsityPlan({"fc1": LayerSparsity(1, 2), "fc2": LayerSparsity(0, 1)})
         snet = compile_network(mlp_bundle.qnet, plan=plan)
         res = run_pipeline(snet, mlp_bundle.x_int[:10])
         seq = run_batch(snet, mlp_bundle.x_int[:10])
         assert np.array_equal(res.outputs, seq.outputs)
+
+
+class TestPipelineWindow:
+    """The windowed driver against the block-at-a-time reference."""
+
+    ROT_DRLO = SparsityPlan({"conv1": LayerSparsity(1, 1), "pool1": LayerSparsity(0, 2),
+                             "conv2": LayerSparsity(2, 0)})
+
+    @pytest.fixture(scope="class")
+    def deep4(self):
+        return _quantized(fixtures.make_deep_mlp(4), n=16)
+
+    @pytest.fixture(params=[("deep-mlp4", 16), ("deep-mlp4", 1), ("deep-mlp4", 3),
+                            ("residual", 80), ("residual", 2),
+                            ("cnn-rot-drlo", 12), ("cnn-rot-drlo", 1)],
+                    ids=lambda p: f"{p[0]}-S{p[1]}")
+    def case(self, request, deep4, residual_bundle, cnn_bundle):
+        """(compiled network, samples): S=1 and S < stages included."""
+        name, n = request.param
+        qnet, x, plan = {
+            "deep-mlp4": (*deep4, None),
+            "residual": (residual_bundle.qnet, residual_bundle.x_int, None),
+            "cnn-rot-drlo": (cnn_bundle.qnet, cnn_bundle.x_int, self.ROT_DRLO),
+        }[name]
+        return compile_network(qnet, plan=plan), x[:n]
+
+    @pytest.mark.parametrize("window", ["1", "2", "non-divisor", "whole-stream"])
+    def test_matches_per_block_reference(self, case, window, monkeypatch):
+        snet, x = case
+        n_blocks = snet.n_stages + x.shape[0]
+        w = {"1": 1, "2": 2,
+             "non-divisor": next(w for w in range(3, n_blocks + 2) if n_blocks % w),
+             "whole-stream": n_blocks}[window]
+        monkeypatch.setattr(netsim, "PIPELINE_WINDOW", w)
+        got = run_pipeline(snet, x)
+        want = run_pipeline_per_block(snet, x)
+        assert np.array_equal(got.outputs, want.outputs)
+        assert np.array_equal(got.outputs_real, want.outputs_real)
+        assert got.timing == want.timing
+        assert got.saturations == want.saturations
+
+    def test_reference_peak_on_short_stream(self, deep4):
+        snet = compile_network(deep4[0])
+        assert snet.n_stages == 4
+        res = run_pipeline_per_block(snet, deep4[1][:3])     # S < stages
+        assert res.timing.total_steps == 8 * (4 + 3)
+        assert res.timing.buffered_train_peak == 3
+
+    @pytest.mark.parametrize("window", [5, 1000])
+    def test_one_step_sum_per_stage_and_window(self, residual_bundle, window,
+                                               monkeypatch):
+        snet = compile_network(residual_bundle.qnet)
+        x = residual_bundle.x_int
+        calls = []
+        original = Population.step_sum
+
+        def counting(self, rows, phis):
+            calls.append((self.name, rows[0].shape[0]))
+            return original(self, rows, phis)
+
+        monkeypatch.setattr(Population, "step_sum", counting)
+        monkeypatch.setattr(netsim, "PIPELINE_WINDOW", window)
+        run_pipeline(snet, x)
+        n_blocks = snet.n_stages + x.shape[0]
+        assert max(n for _, n in calls) <= window        # memory bounded by W
+        for pop in snet.populations:
+            mine = [n for name, n in calls if name == pop.name]
+            assert sum(mine) == x.shape[0]                # each sample once
+            assert len(mine) <= -(-n_blocks // window)    # one call per window
 
 
 class TestSaturationParity:
@@ -309,6 +480,24 @@ class TestSaturationParity:
         got = run_batch(snet, x)
         assert np.array_equal(got.outputs, want)
         assert sum(t.saturations for t in got.traces) == oracle_sat
+        pipe = run_pipeline(snet, x)
+        assert np.array_equal(pipe.outputs, want)
+        assert pipe.saturations == oracle_sat
+
+    def test_pipeline_saturations_equal_batch_on_residual(self, residual_bundle):
+        q = copy.deepcopy(residual_bundle.qnet)
+        lyr = next(l for l in q.layers if l.name == "conv_b")
+        lyr.m0 = from_real(1.0)       # unprotected: the join's input saturates
+        lyr.m1 = lyr.m_hat
+        q.validate()
+        snet = compile_network(q)
+        x = residual_bundle.x_int
+        batch = run_batch(snet, x)
+        want = sum(t.saturations for t in batch.traces)
+        assert want > 0
+        pipe = run_pipeline(snet, x)
+        assert np.array_equal(pipe.outputs, batch.outputs)
+        assert pipe.saturations == want
 
     def test_calibrated_network_does_not_saturate(self, widefan_bundle):
         snet = compile_network(widefan_bundle.qnet)

@@ -102,6 +102,19 @@ class TestEncodeDecode:
                 assert planes[i, j].tolist() == encode_integer(
                     int(vals[i, j]), 8, signed=True).tolist()
 
+    @pytest.mark.parametrize("k", [2, 8, 16])
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_planes_match_scalar_encode_at_range_edges(self, k, signed, rng):
+        lo = -(1 << (k - 1)) if signed else 0
+        hi = (1 << (k - 1)) - 1
+        edges = [lo, lo + 1, hi - 1, hi, 0, 1] + ([-1] if signed else [])
+        vals = np.concatenate([edges, rng.integers(lo, hi + 1, size=48 - len(edges))])
+        planes = encode_planes(vals.reshape(4, 12), k, signed=signed)
+        assert planes.dtype == np.uint8
+        assert planes.shape == (4, 12, k)
+        want = [encode_integer(int(q), k, signed=signed).tolist() for q in vals]
+        assert planes.reshape(-1, k).tolist() == want
+
     def test_planes_range_check(self):
         with pytest.raises(ValueError):
             encode_planes(np.array([300]), 8, signed=False)
