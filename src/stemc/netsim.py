@@ -43,10 +43,19 @@ Two run functions share the kernel:
 
 Both drivers must produce identical integers - the pipeline only reorders
 work across samples, never within a neuron.
+
+``CachedRun`` is a ``run_batch`` that keeps every population's pre-emission
+value, train and trace, so that a change of one hidden population's sparsity
+re-runs only the populations downstream of it (the sparsity tuner's
+candidates). It runs each population through the same step as ``run_batch``.
+Each emitted train's per-neuron spike counts are taken once, when it is
+emitted; the SOP and spike fields of every reader's trace come from them.
 """
 
 from __future__ import annotations
 
+import collections
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -464,38 +473,146 @@ def _integrate_block(pop: Population, sums: np.ndarray, acc_bits: int
     return v, state.saturations
 
 
+def _spike_counts(train: np.ndarray) -> np.ndarray:
+    """Per-neuron spike counts of [N, n, K] trains, summed over the batch and
+    the K steps: int64 [n]. The batch sum runs first, over contiguous rows;
+    each of its int32 entries is at most N."""
+    n, n_neurons, k = train.shape
+    per_step = train.reshape(n, n_neurons * k).sum(axis=0, dtype=np.int32)
+    return per_step.reshape(n_neurons, k).sum(axis=1, dtype=np.int64)
+
+
+def _batch_input(snet: SpikingNetwork, x_int: np.ndarray
+                 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The trains and spike counts maps of a batch run, holding the input."""
+    train = encode_planes(_as_batch(x_int, snet.input_shape), snet.k, signed=True)
+    return {INPUT_NAME: train}, {INPUT_NAME: _spike_counts(train)}
+
+
+def _emit(pop: Population, v: np.ndarray, k: int, trains, counts) -> None:
+    """Emit V as pop's train; store it and its spike counts under pop.name."""
+    trains[pop.name] = train = pop.emit(v, k)
+    counts[pop.name] = _spike_counts(train)
+
+
+def _run_population(pop: Population, trains, counts, phis: dict[str, np.ndarray],
+                    acc_bits: int, k: int) -> tuple[np.ndarray, LayerTrace]:
+    """One population over a whole batch: the synaptic sums of its input
+    trains, the K-step scan, emission and its trace.
+
+    Producers' trains and spike counts are read from the `trains` and
+    `counts` maps and the population's own are stored there. SOPs and
+    ``spikes_in`` come from the producers' counts, so each train is counted
+    once, when it is emitted, however many populations read it. Returns
+    (clamped V before emission, trace).
+    """
+    sums = pop.step_sum(_planes([trains[s] for s in pop.inputs]),
+                        [phis[s] for s in pop.inputs])
+    v, saturations = _integrate_block(pop, sums, acc_bits)
+    _emit(pop, v, k, trains, counts)
+    in_counts = [counts[s] for s in pop.inputs]
+    trace = LayerTrace(
+        name=pop.name, kind=pop.kind,
+        sops=sum(metrics.count_sops(c, fo) for c, fo in zip(in_counts, pop.fanouts)),
+        spikes_in=sum(int(c.sum()) for c in in_counts),
+        spikes_out=int(counts[pop.name].sum()), saturations=saturations,
+        neurons=pop.n_out)
+    return v, trace
+
+
+def _decode_output(snet: SpikingNetwork, trains) -> np.ndarray:
+    return decode_train(trains[snet.output.name], WireSchedule(snet.k, signed=True))
+
+
 def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
               record_trains: bool = False) -> RunResult:
     """Sequential bit-serial execution of a batch; ground-truth order."""
-    k = snet.k
-    xb = _as_batch(x_int, snet.input_shape)
-    trains: dict[str, np.ndarray] = {INPUT_NAME: encode_planes(xb, k, signed=True)}
+    trains, counts = _batch_input(snet, x_int)
     phis = _wire_phis(snet)
-    traces: list[LayerTrace] = []
-    for pop in snet.populations:
-        in_trains = [trains[s] for s in pop.inputs]
-        sums = pop.step_sum(_planes(in_trains), [phis[s] for s in pop.inputs])
-        v, saturations = _integrate_block(pop, sums, snet.acc_bits)
-        out_train = pop.emit(v, k)
-        trains[pop.name] = out_train
-        spikes_in = sum(int(tr.sum()) for tr in in_trains)
-        sops = sum(metrics.count_sops(tr.sum(axis=(0, 2)), fo)
-                   for tr, fo in zip(in_trains, pop.fanouts))
-        traces.append(LayerTrace(
-            name=pop.name, kind=pop.kind, sops=sops, spikes_in=spikes_in,
-            spikes_out=int(out_train.sum()), saturations=saturations,
-            neurons=pop.n_out))
-
-    out_pop = snet.output
-    outputs = decode_train(trains[out_pop.name], WireSchedule(k, signed=True))
+    traces = [_run_population(pop, trains, counts, phis, snet.acc_bits, snet.k)[1]
+              for pop in snet.populations]
+    outputs = _decode_output(snet, trains)
     return RunResult(
         outputs=outputs,
-        outputs_real=outputs.astype(np.float64) * out_pop.scale_out,
+        outputs_real=outputs.astype(np.float64) * snet.output.scale_out,
         traces=traces,
-        steps_per_sample=k * (snet.n_stages + 1),
+        steps_per_sample=snet.k * (snet.n_stages + 1),
         n_stages=snet.n_stages,
         trains=trains if record_trains else None,
     )
+
+
+class CachedRun:
+    """A ``run_batch`` of one batch, kept per population so that a change of
+    one hidden population's sparsity re-runs only what depends on it.
+
+    Every population keeps its clamped V before emission, its emitted train
+    with per-neuron spike counts, and its trace. ``rerun`` re-emits one
+    population's cached V under another sparsity setting and re-runs only the
+    populations downstream of it; every other train and trace is read from
+    this cache. ``adopt`` makes such a rerun the cached state. Both go through
+    ``_run_population``, the layer step of ``run_batch``, so a cached run and
+    its reruns hold exactly the integers and traces ``run_batch`` gives under
+    the same plan.
+    """
+
+    def __init__(self, snet: SpikingNetwork, x_int: np.ndarray):
+        self.snet = snet
+        self._phis = _wire_phis(snet)
+        self.trains, self.counts = _batch_input(snet, x_int)
+        self.values: dict[str, np.ndarray] = {}
+        self.traces: dict[str, LayerTrace] = {}
+        for pop in snet.populations:
+            self.values[pop.name], self.traces[pop.name] = _run_population(
+                pop, self.trains, self.counts, self._phis, snet.acc_bits, snet.k)
+        # per population, the indices of the populations that depend on it
+        reads: dict[str, set[str]] = {INPUT_NAME: set()}
+        for pop in snet.populations:
+            reads[pop.name] = set(pop.inputs).union(*(reads[s] for s in pop.inputs))
+        self._downstream = {
+            pop.name: [i for i, q in enumerate(snet.populations) if pop.name in reads[q.name]]
+            for pop in snet.populations}
+        self._index = {pop.name: i for i, pop in enumerate(snet.populations)}
+
+    @property
+    def outputs(self) -> np.ndarray:
+        """Decoded output trains, int64 [N, n_out]."""
+        return _decode_output(self.snet, self.trains)
+
+    @property
+    def layer_traces(self) -> list[LayerTrace]:
+        """Traces in population order, as ``RunResult.traces``."""
+        return [self.traces[pop.name] for pop in self.snet.populations]
+
+    def rerun(self, name: str, setting: LayerSparsity) -> "CachedRun":
+        """This run with hidden population `name` emitting under `setting`.
+
+        The result's maps overlay this run's: they hold the new train of
+        `name` and the V, train and trace of every population downstream of
+        it, and read everything upstream from this cache.
+        """
+        child = copy.copy(self)
+        child.snet = with_plan(self.snet, self.snet.plan.replaced(name, setting))
+        child.trains, child.counts, child.values, child.traces = (
+            collections.ChainMap({}, m)
+            for m in (self.trains, self.counts, self.values, self.traces))
+        snet = child.snet
+        _emit(snet.populations[self._index[name]], self.values[name], snet.k,
+              child.trains, child.counts)
+        child.traces[name] = dataclasses.replace(
+            self.traces[name], spikes_out=int(child.counts[name].sum()))
+        for i in self._downstream[name]:
+            pop = snet.populations[i]
+            child.values[pop.name], child.traces[pop.name] = _run_population(
+                pop, child.trains, child.counts, self._phis, snet.acc_bits, snet.k)
+        return child
+
+    def adopt(self, child: "CachedRun") -> None:
+        """Make `child`, a ``rerun`` of this run, the cached state."""
+        self.snet = child.snet
+        for mine, theirs in ((self.trains, child.trains), (self.counts, child.counts),
+                             (self.values, child.values), (self.traces, child.traces)):
+            mine.update(theirs.maps[0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ emitted:
 Together (RoT first, then the cut during emission) 83 -> 84 -> 80, and its
 train thins from 4 spikes to 2.
 
-The hybrid tuner walks layers front to back; per layer it measures every
-(rot, drlo) candidate on a calibration set, orders them by saved synaptic
-operations, and keeps the most-saving setting whose cumulative accuracy drop
-stays within the budget. Entirely deterministic: ties break on the smaller
-(rot, drlo) pair.
+The hybrid tuner walks layers front to back; per layer it scores each
+(rot, drlo) candidate on a calibration set by its synaptic operations and
+accuracy, and keeps the most-saving setting whose cumulative accuracy drop
+stays within the budget. A candidate is scored by re-running only the layers
+downstream of the tuned layer, from the cached run of the accepted plan:
+nothing upstream of it can change. Entirely deterministic: ties break on the
+smaller (rot, drlo) pair.
 """
 
 from __future__ import annotations
@@ -133,6 +135,13 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
             (fraction of samples, e.g. 0.015).
         include_io: count first/last layer synaptic ops as well.
 
+    The network runs once in full, into a ``netsim.CachedRun`` of the
+    accepted plan. A candidate at layer l is measured by re-emitting l's
+    cached pre-emission values under the candidate and re-running only the
+    layers downstream of l; upstream trains and SOP counts come from the
+    cache. The winning candidate's rerun becomes the cache for the next
+    layer, and no more than two reruns are held at a time.
+
     Returns a TuneResult; the plan never degrades accuracy beyond the budget
     on the calibration inputs and falls back to identity per layer when every
     candidate overshoots.
@@ -140,41 +149,43 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
     from . import netsim   # local import: netsim depends on this module
     from .metrics import sop_total
 
-    compiled = netsim.compile_network(qnet, plan=SparsityPlan.identity())
-
-    def evaluate(plan: SparsityPlan) -> tuple[int, float]:
-        res = netsim.run_batch(netsim.with_plan(compiled, plan), inputs_int)
-        preds = np.argmax(res.outputs, axis=-1)
+    def score(run) -> tuple[int, float]:
+        preds = np.argmax(run.outputs, axis=-1)
         acc = float(np.mean(preds == labels))
-        return sop_total(res.traces, qnet, include_io=include_io), acc
+        return sop_total(run.layer_traces, qnet, include_io=include_io), acc
 
     hidden = [
         lyr.name for lyr in qnet.layers
         if lyr.kind != "flatten" and lyr is not qnet.output_layer
     ]
-    plan = SparsityPlan.identity()
-    base_sops, base_acc = evaluate(plan)
+    cache = netsim.CachedRun(
+        netsim.compile_network(qnet, plan=SparsityPlan.identity()), inputs_int)
+    base_sops, base_acc = score(cache)
     cur_sops, cur_acc = base_sops, base_acc
     steps: list[TuneStep] = []
     for name in hidden:
-        candidates = []
+        # Keep the most-SOP-saving candidate within budget: the first one in
+        # the order (SOPs saved, rot, drlo); ties break on (rot, drlo).
+        best = None
         for rb in ROT_CANDIDATES:
             for db in DRLO_CANDIDATES:
                 setting = LayerSparsity(rb, db)
                 if setting.is_identity():
-                    candidates.append((0, 0, 0, setting, cur_sops, cur_acc))
-                    continue
-                sops, acc = evaluate(plan.replaced(name, setting))
-                candidates.append((-(cur_sops - sops), rb, db, setting, sops, acc))
-        # most SOPs saved first; deterministic tie-break on (rot, drlo)
-        candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-        for _, _, _, setting, sops, acc in candidates:
-            if base_acc - acc <= accuracy_budget and sops <= cur_sops:
-                if not setting.is_identity():
-                    plan = plan.replaced(name, setting)
-                cur_sops, cur_acc = sops, acc
-                steps.append(TuneStep(name, setting, sops, acc))
-                break
+                    run, sops, acc = None, cur_sops, cur_acc
+                else:
+                    run = cache.rerun(name, setting)
+                    sops, acc = score(run)
+                key = (-(cur_sops - sops), rb, db)
+                if (base_acc - acc <= accuracy_budget and sops <= cur_sops
+                        and (best is None or key < best[0])):
+                    best = (key, setting, run, sops, acc)
+        if best is not None:
+            _, setting, run, sops, acc = best
+            if run is not None:
+                cache.adopt(run)
+            cur_sops, cur_acc = sops, acc
+            steps.append(TuneStep(name, setting, sops, acc))
+    plan = cache.snet.plan
     log.info("tuned plan %s: sops %d -> %d, accuracy %.4f -> %.4f",
              plan.to_manifest(), base_sops, cur_sops, base_acc, cur_acc)
     return TuneResult(plan, base_sops, base_acc, cur_sops, cur_acc, steps)

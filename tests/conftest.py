@@ -55,6 +55,11 @@ def bias_bundle():
 
 
 @pytest.fixture(scope="session")
+def deep_mlp_bundle():
+    return _bundle(lambda: fx.make_deep_mlp(4), 0.0, 1.0, 80, 46)
+
+
+@pytest.fixture(scope="session")
 def widefan_bundle():
     # worst-case per-step accumulation: all weights at max magnitude
     return _bundle(fx.make_wide_fanin, 0.0, 1.0, 40, 45)

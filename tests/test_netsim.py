@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stemc import fixtures, netsim
+from stemc import fixtures, metrics, netsim
 from stemc.fixedpoint import from_real
 from stemc.modelio import INPUT_NAME, FloatModel, LayerDesc, infer_shapes
 from stemc.netsim import (
+    CachedRun,
     HardwareProfile,
     PipelineResult,
     PipelineTiming,
@@ -581,6 +582,57 @@ class TestPlanPrecedence:
         a, b = run_batch(derived, x), run_batch(fresh, x)
         assert np.array_equal(a.outputs, b.outputs)
         assert a.traces == b.traces
+
+
+def _thinning_plan(snet) -> SparsityPlan:
+    """rot 1 and drlo 2 on every hidden population."""
+    return SparsityPlan({p.name: LayerSparsity(1, 2)
+                         for p in snet.populations if not p.is_output})
+
+
+class TestSpikeCounts:
+    """Traces count each train once, where it is emitted; every field must
+    equal a recount of the recorded trains by each of their readers."""
+
+    @pytest.mark.parametrize("which", ["mlp", "cnn", "residual", "bias"])
+    @pytest.mark.parametrize("thinned", [False, True], ids=["exact", "rot-drlo"])
+    def test_traces_match_recount(self, which, thinned, request):
+        b = request.getfixturevalue(f"{which}_bundle")
+        snet = compile_network(b.qnet, plan=SparsityPlan.identity())
+        if thinned:
+            snet = with_plan(snet, _thinning_plan(snet))
+        res = run_batch(snet, b.x_int[:32], record_trains=True)
+        for pop, t in zip(snet.populations, res.traces):
+            ins = [res.trains[s] for s in pop.inputs]
+            assert t.spikes_in == sum(int(tr.sum()) for tr in ins)
+            assert t.sops == sum(metrics.count_sops(tr.sum(axis=(0, 2)), fo)
+                                 for tr, fo in zip(ins, pop.fanouts))
+            assert t.spikes_out == int(res.trains[pop.name].sum())
+            assert (t.name, t.kind, t.neurons) == (pop.name, pop.kind, pop.n_out)
+
+
+class TestCachedRun:
+    @pytest.mark.parametrize("which", ["mlp", "cnn", "residual"])
+    def test_rerun_and_adopt_match_run_batch(self, which, request):
+        b = request.getfixturevalue(f"{which}_bundle")
+        x = b.x_int[:24]
+        base = compile_network(b.qnet, plan=SparsityPlan.identity())
+        cache = CachedRun(base, x)
+        plan = SparsityPlan.identity()
+        for name, setting in _thinning_plan(base).entries.items():
+            before = run_batch(with_plan(base, plan), x)
+            run = cache.rerun(name, setting)
+            plan = plan.replaced(name, setting)
+            want = run_batch(with_plan(base, plan), x)
+            assert np.array_equal(run.outputs, want.outputs)
+            assert run.layer_traces == want.traces
+            # the rerun leaves the cache as it was until it is adopted
+            assert np.array_equal(cache.outputs, before.outputs)
+            assert cache.layer_traces == before.traces
+            cache.adopt(run)
+            assert cache.snet.plan.entries == plan.entries
+            assert np.array_equal(cache.outputs, want.outputs)
+            assert cache.layer_traces == want.traces
 
 
 class TestSpikeDumps:

@@ -1,9 +1,18 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from stemc import netsim
+from stemc.metrics import sop_total
+from stemc.modelio import INPUT_NAME
 from stemc.sparsity import (
+    DRLO_CANDIDATES,
+    ROT_CANDIDATES,
     LayerSparsity,
     SparsityPlan,
+    TuneResult,
+    TuneStep,
     drlo,
     rot,
     tune_hybrid,
@@ -147,3 +156,105 @@ class TestTuner:
         b = tune_hybrid(mlp_bundle.qnet, x, y, accuracy_budget=0.01)
         assert a.plan.to_manifest() == b.plan.to_manifest()
         assert a.final_sops == b.final_sops
+
+
+# Reference tuner: every candidate is scored by a full run_batch of the whole
+# network under the candidate plan. ``tune_hybrid`` re-runs only the layers
+# downstream of the tuned one and must return the same TuneResult.
+
+
+def tune_hybrid_full_rerun(qnet, inputs_int: np.ndarray, labels: np.ndarray,
+                           accuracy_budget: float, include_io: bool = False) -> TuneResult:
+    compiled = netsim.compile_network(qnet, plan=SparsityPlan.identity())
+
+    def evaluate(plan: SparsityPlan) -> tuple[int, float]:
+        res = netsim.run_batch(netsim.with_plan(compiled, plan), inputs_int)
+        preds = np.argmax(res.outputs, axis=-1)
+        acc = float(np.mean(preds == labels))
+        return sop_total(res.traces, qnet, include_io=include_io), acc
+
+    hidden = [
+        lyr.name for lyr in qnet.layers
+        if lyr.kind != "flatten" and lyr is not qnet.output_layer
+    ]
+    plan = SparsityPlan.identity()
+    base_sops, base_acc = evaluate(plan)
+    cur_sops, cur_acc = base_sops, base_acc
+    steps: list[TuneStep] = []
+    for name in hidden:
+        candidates = []
+        for rb in ROT_CANDIDATES:
+            for db in DRLO_CANDIDATES:
+                setting = LayerSparsity(rb, db)
+                if setting.is_identity():
+                    candidates.append((0, 0, 0, setting, cur_sops, cur_acc))
+                    continue
+                sops, acc = evaluate(plan.replaced(name, setting))
+                candidates.append((-(cur_sops - sops), rb, db, setting, sops, acc))
+        # most SOPs saved first; deterministic tie-break on (rot, drlo)
+        candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+        for _, _, _, setting, sops, acc in candidates:
+            if base_acc - acc <= accuracy_budget and sops <= cur_sops:
+                if not setting.is_identity():
+                    plan = plan.replaced(name, setting)
+                cur_sops, cur_acc = sops, acc
+                steps.append(TuneStep(name, setting, sops, acc))
+                break
+    return TuneResult(plan, base_sops, base_acc, cur_sops, cur_acc, steps)
+
+
+BUNDLES = ["mlp_bundle", "cnn_bundle", "residual_bundle", "bias_bundle", "deep_mlp_bundle"]
+
+
+def _tune_inputs(bundle, n=40):
+    return bundle.qnet, bundle.x_int[:n], bundle.ds.labels[:n]
+
+
+class TestTunerReference:
+    @pytest.mark.parametrize("include_io", [False, True], ids=["hidden", "io"])
+    @pytest.mark.parametrize("budget", [0.0, 0.015, 1.0])
+    @pytest.mark.parametrize("bundle", BUNDLES)
+    def test_matches_full_rerun(self, bundle, budget, include_io, request):
+        # 80 samples let a budget of 0.015 tolerate one lost sample
+        n = 80 if budget == 0.015 else 40
+        qnet, x, y = _tune_inputs(request.getfixturevalue(bundle), n)
+        got = tune_hybrid(qnet, x, y, accuracy_budget=budget, include_io=include_io)
+        want = tune_hybrid_full_rerun(qnet, x, y, accuracy_budget=budget,
+                                      include_io=include_io)
+        assert got.steps == want.steps       # layer, setting, sops, accuracy
+        assert got == want                   # plan, baseline and final values too
+
+    def test_budget_one_sparsifies(self, cnn_bundle):
+        """The widest budget must reach non-identity settings, or the reference
+        comparison above would not exercise a single rerun's adoption."""
+        qnet, x, y = _tune_inputs(cnn_bundle)
+        result = tune_hybrid(qnet, x, y, accuracy_budget=1.0)
+        assert not result.plan.is_identity()
+        assert result.final_sops < result.baseline_sops
+
+
+class TestSuffixOnly:
+    @pytest.mark.parametrize("bundle", ["cnn_bundle", "residual_bundle"])
+    def test_step_sum_calls_per_population(self, bundle, request, monkeypatch):
+        qnet, x, y = _tune_inputs(request.getfixturevalue(bundle))
+        calls = Counter()
+        original = netsim.Population.step_sum
+
+        def counting(self, rows, phis):
+            calls[self.name] += 1
+            return original(self, rows, phis)
+
+        monkeypatch.setattr(netsim.Population, "step_sum", counting)
+        tune_hybrid(qnet, x, y, accuracy_budget=0.015)
+
+        pops = netsim.compile_network(qnet).populations
+        hidden = {p.name for p in pops if not p.is_output}
+        upstream = {INPUT_NAME: set()}
+        for pop in pops:
+            upstream[pop.name] = set(pop.inputs).union(*(upstream[s] for s in pop.inputs))
+        # per tuned upstream layer: every non-identity candidate, once each
+        candidates = len(ROT_CANDIDATES) * len(DRLO_CANDIDATES) - 1
+        assert calls[pops[0].name] == 1
+        for pop in pops:
+            assert calls[pop.name] <= 1 + candidates * len(upstream[pop.name] & hidden)
+        assert sum(calls.values()) < len(pops) * (1 + candidates * len(hidden))
