@@ -26,20 +26,30 @@ sequence, in the K-step ``StemState.integrate`` scan. None of this is the
 shifted-slice convolution of the reference oracle, so the two sides check
 each other.
 
-Two run functions share the kernel:
+The population step. Both run functions hand each population's samples to
+one step, ``_population_step``, which works through them in sample blocks:
+each sample block's step sums, K-step scan and emission are written into the
+population's V and train before the next one starts. A sample block holds as
+many samples as keep its int64 step sums (8*K bytes per output neuron), or a
+conv's float64 gathered patches if those are larger, within BLOCK_BYTES, and
+at least one. Sample blocks split only the batch axis, so they change no
+integer, trace or saturation count; they bound the step's largest
+temporaries and keep them near the cache size.
 
-* ``run_batch``    - layer by layer over a whole batch, one ``step_sum`` per
-  population; one sample occupies the network for K*(stages+1) steps
+Two run functions share the step:
+
+* ``run_batch``    - layer by layer over a whole batch, one population step
+  per population; one sample occupies the network for K*(stages+1) steps
   (stages of integration plus the output train's own transmission block).
 * ``run_pipeline`` - one global clock; the layer at stage l integrates
   sample s during block l-1+s, i.e. steps [(l-1+s)K, (l+s)K), so a stream of
   S samples drains in exactly K*(stages+S) steps. The clock advances a window
   of PIPELINE_WINDOW blocks at a time, and each stage takes all the samples
-  it integrates in the window in one ``step_sum``: producers come first in
-  topological order, so every train it reads is already emitted. Simulated
-  timing and the buffer peak stay per block. Shortcut trains stay buffered,
-  across windows if need be, until their join consumes them; host memory is
-  bounded by the window, not by the stream length.
+  it integrates in the window in one population step: producers come first
+  in topological order, so every train it reads is already emitted.
+  Simulated timing and the buffer peak stay per block. Shortcut trains stay
+  buffered, across windows if need be, until their join consumes them; the
+  trains held are bounded by the window, not by the stream length.
 
 Both drivers must produce identical integers - the pipeline only reorders
 work across samples, never within a neuron.
@@ -73,9 +83,13 @@ from . import metrics
 # neuron's sum|w| stays below 2^53 (all partial sums are smaller integers).
 EXACT_SUM_LIMIT = 1 << 53
 
-# Blocks the pipeline clock advances at a time: each stage integrates up to
-# this many samples per step_sum, so host memory per window is that of a
-# run_batch of this many samples.
+# Bytes of step sums (or conv patches) a population step holds per sample
+# block (see _block_samples); chosen by paired timing of run_batch on the
+# benchmark workloads, below the per-core L2 cache.
+BLOCK_BYTES = 1 << 20
+
+# Blocks the pipeline clock advances at a time: each stage takes up to this
+# many samples per population step.
 PIPELINE_WINDOW = 64
 
 
@@ -473,6 +487,40 @@ def _integrate_block(pop: Population, sums: np.ndarray, acc_bits: int
     return v, state.saturations
 
 
+def _block_samples(pop: Population, k: int) -> int:
+    """Samples per sample block of a population step: the step sums take 8*K
+    bytes per output neuron and sample, a conv's float64 patches 8*K per
+    entry of its [F, n_pos] gather; a sample block holds BLOCK_BYTES of the
+    larger, and at least one sample."""
+    width = pop.n_out
+    if pop.form == "conv":
+        width = max(width, pop.form_idx.size)
+    return max(1, BLOCK_BYTES // (8 * k * width))
+
+
+def _population_step(pop: Population, trains: list[np.ndarray], phis: list,
+                     acc_bits: int, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One population over m samples, in sample blocks of ``_block_samples``.
+
+    `trains` are the [m, n_in, K] input trains of pop's branches and `phis`
+    their per-step wire weights. Each sample block's synaptic sums, K-step
+    scan and emission fill its rows of V and of the output train. Returns
+    (clamped V int64 [m, n_out], train uint8 [m, n_out, K], saturation count).
+    """
+    m = trains[0].shape[0]
+    v = np.empty((m, pop.n_out), dtype=np.int64)
+    train = np.empty((m, pop.n_out, k), dtype=np.uint8)
+    saturations = 0
+    size = _block_samples(pop, k)
+    for lo in range(0, m, size):
+        hi = min(lo + size, m)
+        sums = pop.step_sum(_planes([tr[lo:hi] for tr in trains]), phis)
+        v[lo:hi], sat = _integrate_block(pop, sums, acc_bits)
+        train[lo:hi] = pop.emit(v[lo:hi], k)
+        saturations += sat
+    return v, train, saturations
+
+
 def _spike_counts(train: np.ndarray) -> np.ndarray:
     """Per-neuron spike counts of [N, n, K] trains, summed over the batch and
     the K steps: int64 [n]. The batch sum runs first, over contiguous rows;
@@ -489,16 +537,15 @@ def _batch_input(snet: SpikingNetwork, x_int: np.ndarray
     return {INPUT_NAME: train}, {INPUT_NAME: _spike_counts(train)}
 
 
-def _emit(pop: Population, v: np.ndarray, k: int, trains, counts) -> None:
-    """Emit V as pop's train; store it and its spike counts under pop.name."""
-    trains[pop.name] = train = pop.emit(v, k)
-    counts[pop.name] = _spike_counts(train)
+def _store_train(name: str, train: np.ndarray, trains, counts) -> None:
+    """Store an emitted train and its spike counts under `name`."""
+    trains[name] = train
+    counts[name] = _spike_counts(train)
 
 
 def _run_population(pop: Population, trains, counts, phis: dict[str, np.ndarray],
                     acc_bits: int, k: int) -> tuple[np.ndarray, LayerTrace]:
-    """One population over a whole batch: the synaptic sums of its input
-    trains, the K-step scan, emission and its trace.
+    """One population over a whole batch: its population step and its trace.
 
     Producers' trains and spike counts are read from the `trains` and
     `counts` maps and the population's own are stored there. SOPs and
@@ -506,10 +553,9 @@ def _run_population(pop: Population, trains, counts, phis: dict[str, np.ndarray]
     once, when it is emitted, however many populations read it. Returns
     (clamped V before emission, trace).
     """
-    sums = pop.step_sum(_planes([trains[s] for s in pop.inputs]),
-                        [phis[s] for s in pop.inputs])
-    v, saturations = _integrate_block(pop, sums, acc_bits)
-    _emit(pop, v, k, trains, counts)
+    v, train, saturations = _population_step(
+        pop, [trains[s] for s in pop.inputs], [phis[s] for s in pop.inputs], acc_bits, k)
+    _store_train(pop.name, train, trains, counts)
     in_counts = [counts[s] for s in pop.inputs]
     trace = LayerTrace(
         name=pop.name, kind=pop.kind,
@@ -597,8 +643,8 @@ class CachedRun:
             collections.ChainMap({}, m)
             for m in (self.trains, self.counts, self.values, self.traces))
         snet = child.snet
-        _emit(snet.populations[self._index[name]], self.values[name], snet.k,
-              child.trains, child.counts)
+        pop = snet.populations[self._index[name]]
+        _store_train(name, pop.emit(self.values[name], snet.k), child.trains, child.counts)
         child.traces[name] = dataclasses.replace(
             self.traces[name], spikes_out=int(child.counts[name].sum()))
         for i in self._downstream[name]:
@@ -651,15 +697,16 @@ def run_pipeline(snet: SpikingNetwork, x_int: np.ndarray) -> PipelineResult:
     transmitted during the following block, so S samples complete in exactly
     K*(n_stages + S) steps. The clock advances PIPELINE_WINDOW blocks at a
     time. Within a window every stage, in topological order, takes all the
-    samples it integrates in those blocks in one ``step_sum`` and one
-    ``_integrate_block``: a producer precedes its consumers, so every train a
-    stage reads has been emitted, earlier in the window or in an earlier one.
-    Emitted trains are buffered until every consumer (a shortcut's join may
-    lag) has read them. Timing and the buffer peak stay per block: each
-    train's emission block and the block of its last read give the live count
-    at every block's end, the only step at which trains are emitted or
-    released. Host memory per window is that of a ``run_batch`` of
-    PIPELINE_WINDOW samples, however long the stream.
+    samples it integrates in those blocks in one population step (the one
+    ``run_batch`` uses, which works in byte-bounded sample blocks): a producer
+    precedes its consumers, so every train a stage reads has been emitted,
+    earlier in the window or in an earlier one. Emitted trains are buffered
+    until every consumer (a shortcut's join may lag) has read them. Timing
+    and the buffer peak stay per block: each train's emission block and the
+    block of its last read give the live count at every block's end, the
+    only step at which trains are emitted or released. Host memory is
+    bounded by PIPELINE_WINDOW samples of trains plus one step's
+    BLOCK_BYTES, however long the stream.
     """
     k = snet.k
     xb = _as_batch(x_int, snet.input_shape)
@@ -713,10 +760,10 @@ def run_pipeline(snet: SpikingNetwork, x_int: np.ndarray) -> PipelineResult:
                 continue
             trains = [read(src, (pop.name, slot), lo, hi)
                       for slot, src in enumerate(pop.inputs)]
-            sums = pop.step_sum(_planes(trains), [phis[src] for src in pop.inputs])
-            v, sat = _integrate_block(pop, sums, snet.acc_bits)
+            _, train, sat = _population_step(
+                pop, trains, [phis[src] for src in pop.inputs], snet.acc_bits, k)
             saturations += sat
-            buffered[pop.name].append((lo, pop.emit(v, k)))
+            buffered[pop.name].append((lo, train))
             emitted[offset + lo:offset + hi] += 1
             last_active = max(last_active, offset + hi - 1)
         lo, hi = _window_samples(b0, b1, out_pop.stage, n_samples)

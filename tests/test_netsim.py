@@ -28,7 +28,7 @@ from stemc.netsim import (
 )
 from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
 from stemc.refengine import int_forward
-from stemc.sparsity import LayerSparsity, SparsityPlan
+from stemc.sparsity import LayerSparsity, SparsityPlan, tune_hybrid
 from stemc.stem import WireSchedule, decode_train, encode_planes
 
 
@@ -230,13 +230,13 @@ class TestKPlaneKernel:
     def test_one_step_sum_per_population(self, cnn_bundle, monkeypatch):
         snet = compile_network(cnn_bundle.qnet)
         calls = []
-        original = Population.step_sum
+        original = netsim._population_step
 
-        def counting(self, rows, phis):
-            calls.append(self.name)
-            return original(self, rows, phis)
+        def counting(pop, *args):
+            calls.append(pop.name)
+            return original(pop, *args)
 
-        monkeypatch.setattr(Population, "step_sum", counting)
+        monkeypatch.setattr(netsim, "_population_step", counting)
         run_batch(snet, cnn_bundle.x_int[:5])
         assert calls == [p.name for p in snet.populations]
 
@@ -449,13 +449,13 @@ class TestPipelineWindow:
         snet = compile_network(residual_bundle.qnet)
         x = residual_bundle.x_int
         calls = []
-        original = Population.step_sum
+        original = netsim._population_step
 
-        def counting(self, rows, phis):
-            calls.append((self.name, rows[0].shape[0]))
-            return original(self, rows, phis)
+        def counting(pop, trains, *args):
+            calls.append((pop.name, trains[0].shape[0]))
+            return original(pop, trains, *args)
 
-        monkeypatch.setattr(Population, "step_sum", counting)
+        monkeypatch.setattr(netsim, "_population_step", counting)
         monkeypatch.setattr(netsim, "PIPELINE_WINDOW", window)
         run_pipeline(snet, x)
         n_blocks = snet.n_stages + x.shape[0]
@@ -633,6 +633,135 @@ class TestCachedRun:
             assert cache.snet.plan.entries == plan.entries
             assert np.array_equal(cache.outputs, want.outputs)
             assert cache.layer_traces == want.traces
+
+
+def _unprotected(qnet, name):
+    """`qnet` with layer `name`'s overflow protection dropped (M0 = 1)."""
+    q = copy.deepcopy(qnet)
+    lyr = next(l for l in q.layers if l.name == name)
+    lyr.m0 = from_real(1.0)
+    lyr.m1 = lyr.m_hat
+    q.validate()
+    return q
+
+
+def _every_result(q, x, y) -> list[tuple[str, object]]:
+    """(label, value) of everything the run functions report on (q, x, y):
+    run_batch with trains, CachedRun reruns and adoptions, the tuner and the
+    pipeline, each under the identity plan and rot 1/drlo 2 on every hidden
+    layer."""
+    base = compile_network(q, plan=SparsityPlan.identity())
+    thin = _thinning_plan(base)
+    got = []
+    for label, snet in (("identity", base), ("thin", with_plan(base, thin))):
+        res = run_batch(snet, x, record_trains=True)
+        got += [(f"{label} batch outputs", res.outputs), (f"{label} batch traces", res.traces)]
+        got += [(f"{label} batch train {n}", tr) for n, tr in res.trains.items()]
+        pipe = run_pipeline(snet, x)
+        got += [(f"{label} pipeline outputs", pipe.outputs),
+                (f"{label} pipeline timing", pipe.timing),
+                (f"{label} pipeline saturations", pipe.saturations)]
+    cache = CachedRun(base, x)
+    for name, setting in thin.entries.items():
+        run = cache.rerun(name, setting)
+        cache.adopt(run)
+        for label, r in ((f"rerun {name}", run), (f"adopt {name}", cache)):
+            got += [(f"{label} outputs", r.outputs), (f"{label} traces", r.layer_traces)]
+            got += [(f"{label} value {n}", v) for n, v in r.values.items()]
+            got += [(f"{label} train {n}", tr) for n, tr in r.trains.items()]
+    got.append(("tune", tune_hybrid(q, x, y, accuracy_budget=1.0)))
+    return got
+
+
+def _assert_same(got, want):
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (label, a), (_, b) in zip(got, want):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), label
+        else:
+            assert a == b, label
+
+
+class TestPopulationBlocks:
+    """Blocks split only the batch axis, so every BLOCK_BYTES gives exactly
+    the results of the default constant."""
+
+    N = 24
+
+    @pytest.fixture(params=["mlp", "cnn", "residual", "widefan-overflow"])
+    def case(self, request):
+        """(quantized network, inputs, labels) of N samples."""
+        name = request.param
+        b = request.getfixturevalue(f"{name.split('-')[0]}_bundle")
+        q = _unprotected(b.qnet, "fc") if name == "widefan-overflow" else b.qnet
+        return q, b.x_int[:self.N], b.ds.labels[:self.N]
+
+    def _split(self, q, block_bytes, monkeypatch) -> list[int]:
+        """Set BLOCK_BYTES ("one-sample", or the default halved until some
+        population's last block of N samples is partial); returns the
+        populations' block sizes."""
+        pops = compile_network(q).populations
+        k = q.k
+
+        def sizes(b):
+            monkeypatch.setattr(netsim, "BLOCK_BYTES", b)
+            return [netsim._block_samples(p, k) for p in pops]
+
+        if block_bytes == "one-sample":
+            return sizes(1)
+        b = netsim.BLOCK_BYTES
+        while not any(1 < s < self.N and self.N % s for s in sizes(b)):
+            b //= 2
+        return sizes(b)
+
+    @pytest.mark.parametrize("block_bytes", ["one-sample", "ragged"])
+    def test_blocks_change_no_result(self, case, block_bytes, monkeypatch):
+        want = _every_result(*case)
+        sizes = self._split(case[0], block_bytes, monkeypatch)
+        assert min(sizes) < self.N                   # some population splits
+        _assert_same(_every_result(*case), want)
+
+    @pytest.mark.parametrize("block_bytes", ["one-sample", "ragged"])
+    def test_overflow_falls_in_several_blocks(self, widefan_bundle, block_bytes,
+                                              monkeypatch):
+        q, x = _unprotected(widefan_bundle.qnet, "fc"), widefan_bundle.x_int[:self.N]
+        want = run_batch(compile_network(q), x)
+        self._split(q, block_bytes, monkeypatch)
+        saturated = []
+        original = netsim._integrate_block
+
+        def counting(pop, sums, acc_bits):
+            v, sat = original(pop, sums, acc_bits)
+            saturated.append(sat)
+            return v, sat
+
+        monkeypatch.setattr(netsim, "_integrate_block", counting)
+        got = run_batch(compile_network(q), x)
+        assert np.array_equal(got.outputs, want.outputs)
+        assert got.traces == want.traces
+        assert sum(sat > 0 for sat in saturated) >= 2
+        assert sum(saturated) == want.traces[0].saturations
+
+    @pytest.mark.parametrize("bundle,block_bytes", [
+        ("cnn_bundle", None), ("residual_bundle", netsim.BLOCK_BYTES // 4)])
+    def test_step_sum_rows_within_block(self, bundle, block_bytes, request, monkeypatch):
+        b = request.getfixturevalue(bundle)
+        if block_bytes is not None:
+            monkeypatch.setattr(netsim, "BLOCK_BYTES", block_bytes)
+        snet = compile_network(b.qnet)
+        calls = []
+        original = Population.step_sum
+
+        def counting(self, rows, phis):
+            assert rows[0].shape[0] <= netsim._block_samples(self, snet.k)
+            calls.append(self.name)
+            return original(self, rows, phis)
+
+        monkeypatch.setattr(Population, "step_sum", counting)
+        run_batch(snet, b.x_int)
+        assert len(calls) > len(snet.populations)     # some population splits
+        tune_hybrid(b.qnet, b.x_int[:40], b.ds.labels[:40], accuracy_budget=0.015)
+        run_pipeline(snet, b.x_int)
 
 
 class TestSpikeDumps:

@@ -238,13 +238,13 @@ class TestSuffixOnly:
     def test_step_sum_calls_per_population(self, bundle, request, monkeypatch):
         qnet, x, y = _tune_inputs(request.getfixturevalue(bundle))
         calls = Counter()
-        original = netsim.Population.step_sum
+        original = netsim._population_step
 
-        def counting(self, rows, phis):
-            calls[self.name] += 1
-            return original(self, rows, phis)
+        def counting(pop, *args):
+            calls[pop.name] += 1
+            return original(pop, *args)
 
-        monkeypatch.setattr(netsim.Population, "step_sum", counting)
+        monkeypatch.setattr(netsim, "_population_step", counting)
         tune_hybrid(qnet, x, y, accuracy_budget=0.015)
 
         pops = netsim.compile_network(qnet).populations
