@@ -42,8 +42,16 @@ def _accuracy(outputs: np.ndarray, labels: np.ndarray) -> float | None:
     return float(np.mean(preds == labels))
 
 
-def _load_inputs(qnet, data_path: str):
+def _load_dataset(data_path: str):
+    """The dataset at `data_path`; every command needs at least one sample."""
     ds = load_dataset(data_path)
+    if len(ds) == 0:
+        raise ValueError(f"{data_path}: dataset holds no samples")
+    return ds
+
+
+def _load_inputs(qnet, data_path: str):
+    ds = _load_dataset(data_path)
     x_int, _ = quantize_tensor(ds.inputs, qnet.input_params)
     return ds, x_int
 
@@ -62,7 +70,7 @@ def cmd_make_fixtures(args) -> int:
 
 def cmd_quantize(args) -> int:
     model = load_model(args.model)
-    ds = load_dataset(args.data)
+    ds = _load_dataset(args.data)
     stats = calibrate(model, ds.inputs, k=args.k, acc_bits=args.acc_bits,
                       bias_check_width=args.bias_bits)
     qnet = build_quantized_network(model, stats, k=args.k, acc_bits=args.acc_bits,
@@ -74,6 +82,8 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.dump_spikes and args.mode != "sim":
+        raise ValueError(f"--dump-spikes needs --mode sim, not --mode {args.mode}")
     qnet = load_quantized_model(args.model)
     ds, x_int = _load_inputs(qnet, args.data)
     n = x_int.shape[0]

@@ -33,8 +33,10 @@ population's V and train before the next one starts. A sample block holds as
 many samples as keep its int64 step sums (8*K bytes per output neuron), or a
 conv's float64 gathered patches if those are larger, within BLOCK_BYTES, and
 at least one. Sample blocks split only the batch axis, so they change no
-integer, trace or saturation count; they bound the step's largest
-temporaries and keep them near the cache size.
+integer, trace or saturation count. They keep the step sums and conv patches
+near the cache size; a dense form's float64 copy of its input rows (8*K
+bytes per input neuron and sample) is not counted, so a dense layer with far
+more inputs than outputs takes large blocks.
 
 Two run functions share the step:
 
@@ -43,16 +45,14 @@ Two run functions share the step:
   (stages of integration plus the output train's own transmission block).
 * ``run_pipeline`` - one global clock; the layer at stage l integrates
   sample s during block l-1+s, i.e. steps [(l-1+s)K, (l+s)K), so a stream of
-  S samples drains in exactly K*(stages+S) steps. The clock advances a window
-  of PIPELINE_WINDOW blocks at a time, and each stage takes all the samples
-  it integrates in the window in one population step: producers come first
-  in topological order, so every train it reads is already emitted.
-  Simulated timing and the buffer peak stay per block. Shortcut trains stay
-  buffered, across windows if need be, until their join consumes them; the
-  trains held are bounded by the window, not by the stream length.
+  S samples drains in exactly K*(stages+S) steps. The stream runs
+  PIPELINE_WINDOW samples at a time, each window through every population
+  in topological order, one population step each. The clock is not stepped:
+  the timing and the peak of buffered trains are counted from the stage
+  numbers alone.
 
-Both drivers must produce identical integers - the pipeline only reorders
-work across samples, never within a neuron.
+Both drivers must produce identical integers. They do, because a sample's
+integers do not depend on which other samples share its window or block.
 
 ``CachedRun`` is a ``run_batch`` that keeps every population's pre-emission
 value, train and trace, so that a change of one hidden population's sparsity
@@ -88,8 +88,7 @@ EXACT_SUM_LIMIT = 1 << 53
 # benchmark workloads, below the per-core L2 cache.
 BLOCK_BYTES = 1 << 20
 
-# Blocks the pipeline clock advances at a time: each stage takes up to this
-# many samples per population step.
+# Samples the pipeline driver runs through every population at a time.
 PIPELINE_WINDOW = 64
 
 
@@ -683,105 +682,66 @@ class PipelineResult:
     saturations: int                # accumulator clamps over every stage and sample
 
 
-def _window_samples(b0: int, b1: int, offset: int, n_samples: int) -> tuple[int, int]:
-    """Samples [lo, hi) that a reader at `offset` takes in blocks [b0, b1):
-    sample s is read during block offset + s."""
-    return max(b0 - offset, 0), min(b1 - offset, n_samples)
-
-
 def run_pipeline(snet: SpikingNetwork, x_int: np.ndarray) -> PipelineResult:
     """Stream a batch through the staged network on one global clock.
 
     Stage l integrates sample s during block l-1+s, global steps
     [(l-1+s)K, (l+s)K); the output train of the last stage is itself
     transmitted during the following block, so S samples complete in exactly
-    K*(n_stages + S) steps. The clock advances PIPELINE_WINDOW blocks at a
-    time. Within a window every stage, in topological order, takes all the
-    samples it integrates in those blocks in one population step (the one
-    ``run_batch`` uses, which works in byte-bounded sample blocks): a producer
-    precedes its consumers, so every train a stage reads has been emitted,
-    earlier in the window or in an earlier one. Emitted trains are buffered
-    until every consumer (a shortcut's join may lag) has read them. Timing
-    and the buffer peak stay per block: each train's emission block and the
-    block of its last read give the live count at every block's end, the
-    only step at which trains are emitted or released. Host memory is
-    bounded by PIPELINE_WINDOW samples of trains plus one step's
+    K*(n_stages + S) steps.
+
+    The integers do not depend on the order in which samples are integrated,
+    so the stream is run PIPELINE_WINDOW samples at a time: every population,
+    in topological order, takes the window's samples in one population step
+    (the one ``run_batch`` uses, which works in byte-bounded sample blocks),
+    and the output trains are decoded. Host memory is bounded by
+    PIPELINE_WINDOW samples of every population's train plus one step's
     BLOCK_BYTES, however long the stream.
+
+    The timing follows from the stage numbers alone. Producer p emits the
+    train of sample s in block stage_p - 1 + s; it stays buffered until its
+    last reader has read it, in block R_p + s, where R_p is the largest block
+    offset among p's readers (a population at stage q reads sample s in
+    block q - 1 + s, the external reader of the final train in block
+    stage + s). Trains are emitted and released only at a block's end, so
+    the buffer peak is the largest running sum of emissions minus releases.
     """
     k = snet.k
     xb = _as_batch(x_int, snet.input_shape)
     n_samples = xb.shape[0]
-    n_stages = snet.n_stages
-    n_blocks = n_stages + n_samples
     out_pop = snet.output
     phis = _wire_phis(snet)
     out_sched = WireSchedule(k, signed=True)
 
-    # Readers of each producer's trains - (population, input slot) or the
-    # external reader of the final train - with their block offsets: a reader
-    # at offset o reads sample s during block o + s.
-    offsets: dict[str, dict] = {p.name: {} for p in snet.populations}
-    for pop in snet.populations:
-        for slot, src in enumerate(pop.inputs):
-            if src != INPUT_NAME:
-                offsets[src][(pop.name, slot)] = pop.stage - 1
-    offsets[out_pop.name]["external"] = out_pop.stage
-
-    buffered: dict[str, list[tuple[int, np.ndarray]]] = {n: [] for n in offsets}
-    read_to = {name: dict.fromkeys(readers, 0) for name, readers in offsets.items()}
-    emitted = np.zeros(n_blocks, dtype=np.int64)        # trains emitted per block
-    released = np.zeros(n_blocks, dtype=np.int64)       # trains released per block
-
-    def read(src: str, reader, lo: int, hi: int) -> np.ndarray:
-        """Trains [hi-lo, n, K] of samples [lo, hi); frees what all readers read."""
-        if src == INPUT_NAME:
-            return encode_planes(xb[lo:hi], k, signed=True)
-        chunks = buffered[src]
-        parts = [tr[max(lo - s0, 0):hi - s0] for s0, tr in chunks
-                 if s0 < hi and s0 + len(tr) > lo]
-        done = min(read_to[src].values())
-        read_to[src][reader] = hi
-        now_done = min(read_to[src].values())
-        if now_done > done:          # samples [done, now_done) read by everyone
-            last = max(offsets[src].values())
-            released[last + done:last + now_done] += 1
-            buffered[src] = [(s0, tr) for s0, tr in chunks if s0 + len(tr) > now_done]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    out_acc = np.zeros((n_samples, out_pop.n_out), dtype=np.int64)
+    outputs = np.empty((n_samples, out_pop.n_out), dtype=np.int64)
     saturations = 0
-    last_active = -1
-    for b0 in range(0, n_blocks, PIPELINE_WINDOW):
-        b1 = min(b0 + PIPELINE_WINDOW, n_blocks)
+    for lo in range(0, n_samples, PIPELINE_WINDOW):
+        hi = min(lo + PIPELINE_WINDOW, n_samples)
+        trains = {INPUT_NAME: encode_planes(xb[lo:hi], k, signed=True)}
         for pop in snet.populations:
-            offset = pop.stage - 1
-            lo, hi = _window_samples(b0, b1, offset, n_samples)
-            if lo >= hi:
-                continue
-            trains = [read(src, (pop.name, slot), lo, hi)
-                      for slot, src in enumerate(pop.inputs)]
-            _, train, sat = _population_step(
-                pop, trains, [phis[src] for src in pop.inputs], snet.acc_bits, k)
+            _, trains[pop.name], sat = _population_step(
+                pop, [trains[s] for s in pop.inputs], [phis[s] for s in pop.inputs],
+                snet.acc_bits, k)
             saturations += sat
-            buffered[pop.name].append((lo, train))
-            emitted[offset + lo:offset + hi] += 1
-            last_active = max(last_active, offset + hi - 1)
-        lo, hi = _window_samples(b0, b1, out_pop.stage, n_samples)
-        if lo < hi:
-            out_acc[lo:hi] = decode_train(read(out_pop.name, "external", lo, hi), out_sched)
-            last_active = max(last_active, out_pop.stage + hi - 1)
+        outputs[lo:hi] = decode_train(trains[out_pop.name], out_sched)
 
-    if any(buffered.values()):
-        raise RuntimeError("pipeline finished with undrained state")
-    live = np.cumsum(emitted - released)                # buffered at each block's end
+    last_read = {out_pop.name: out_pop.stage}
+    for pop in snet.populations:
+        for src in pop.inputs:
+            last_read[src] = max(last_read.get(src, 0), pop.stage - 1)
+    live = np.zeros(snet.n_stages + n_samples, dtype=np.int64)
+    for pop in snet.populations:
+        live[pop.stage - 1:pop.stage - 1 + n_samples] += 1
+        live[last_read[pop.name]:last_read[pop.name] + n_samples] -= 1
     timing = PipelineTiming(
-        k=k, n_stages=n_stages, n_samples=n_samples,
-        total_steps=k * (last_active + 1), buffered_train_peak=int(live.max()),
+        k=k, n_stages=snet.n_stages, n_samples=n_samples,
+        total_steps=k * (snet.n_stages + n_samples),
+        buffered_train_peak=int(np.cumsum(live).max()),
         stage_of={p.name: p.stage for p in snet.populations},
     )
     return PipelineResult(
-        outputs=out_acc,
-        outputs_real=out_acc.astype(np.float64) * out_pop.scale_out,
+        outputs=outputs,
+        outputs_real=outputs.astype(np.float64) * out_pop.scale_out,
         timing=timing,
         saturations=saturations,
     )

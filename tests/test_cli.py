@@ -1,10 +1,11 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from stemc import cli
-from stemc.modelio import load_quantized_model
+from stemc.modelio import load_quantized_model, save_dataset
 from stemc.netsim import rle_decode
 
 
@@ -190,6 +191,34 @@ class TestErrors:
         rc = cli.main(["compare", str(tree / "mlp.q.json"), str(bad)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["quantize", "{tree}/fx/mlp/model.json", "{empty}", "-o", "{tree}/e.q.json"],
+        ["run", "{tree}/mlp.q.json", "{empty}", "--mode", "sim"],
+        ["run", "{tree}/mlp.q.json", "{empty}", "--mode", "pipeline"],
+        ["run", "{tree}/mlp.q.json", "{empty}", "--mode", "oracle"],
+        ["compare", "{tree}/mlp.q.json", "{empty}"],
+        ["tune-sparsity", "{tree}/mlp.q.json", "{empty}", "--budget", "0.05"],
+    ], ids=["quantize", "run-sim", "run-pipeline", "run-oracle", "compare", "tune"])
+    def test_empty_dataset_exits_2(self, tree, capsys, argv):
+        empty = tree / "empty.ds"
+        save_dataset(empty, np.zeros((0, 36), dtype=np.float32),
+                     np.zeros(0, dtype=np.int32))
+        rc = cli.main([a.format(tree=tree, empty=empty) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {empty}: dataset holds no samples\n"
+
+    @pytest.mark.parametrize("mode", ["pipeline", "oracle"])
+    def test_dump_spikes_needs_sim_mode(self, tree, capsys, mode):
+        dump = tree / f"spikes-{mode}.txt"
+        rc = cli.main(["run", str(tree / "mlp.q.json"),
+                       str(tree / "fx" / "mlp" / "eval.ds"), "--mode", mode,
+                       "--dump-spikes", str(dump)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --dump-spikes needs --mode sim, not --mode {mode}\n")
+        assert not dump.exists()
 
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):

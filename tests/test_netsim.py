@@ -152,6 +152,35 @@ def _strided_model() -> FloatModel:
     return model
 
 
+def _skip_join_model() -> FloatModel:
+    """conv a -> b -> c, join(a, c): a shortcut over two stages; then
+    join(j, j), a join that reads one producer twice; flatten, fc."""
+    rng = np.random.default_rng(4)
+
+    def conv(name, src, c_in):
+        return LayerDesc(
+            name=name, kind="conv2d",
+            attrs={"in_channels": c_in, "out_channels": 3, "kernel": [3, 3],
+                   "stride": 1, "padding": 1},
+            inputs=[src],
+            weights=rng.uniform(-0.4, 0.4, size=(3, c_in, 3, 3)).astype(np.float32),
+            bias=rng.uniform(-0.1, 0.1, size=3).astype(np.float32),
+            activation="relu")
+
+    model = FloatModel(name="skip-join", input_shape=(1, 6, 6), layers=[
+        conv("a", "input", 1), conv("b", "a", 3), conv("c", "b", 3),
+        LayerDesc(name="j", kind="residual-add", attrs={}, inputs=["a", "c"]),
+        LayerDesc(name="jj", kind="residual-add", attrs={}, inputs=["j", "j"]),
+        LayerDesc(name="flat", kind="flatten", attrs={}, inputs=["jj"]),
+        LayerDesc(name="fc", kind="fully-connected",
+                  attrs={"in_features": 108, "out_features": 6}, inputs=["flat"],
+                  weights=rng.uniform(-0.3, 0.3, size=(6, 108)).astype(np.float32),
+                  bias=rng.uniform(-0.1, 0.1, size=6).astype(np.float32)),
+    ])
+    infer_shapes(model)
+    return model
+
+
 def _synapse_walk(pop: Population, rows: list[np.ndarray], phis: np.ndarray) -> np.ndarray:
     """Brute force: every step, neuron and synapse of rows [N, K, n_in]."""
     n, k = rows[0].shape[:2]
@@ -251,9 +280,10 @@ class TestKPlaneKernel:
             compile_network(q)
 
 
-# Reference pipeline driver: the clock advances one K-step block at a time and
-# each active stage integrates its one sample. ``run_pipeline`` advances a
-# window of blocks and must agree with it on every field.
+# Reference pipeline driver: the clock advances one K-step block at a time,
+# each active stage integrates its one sample, and trains are really buffered.
+# ``run_pipeline`` counts its timing from the stage numbers and must agree
+# with it on every field.
 
 
 def run_pipeline_per_block(snet, x_int) -> PipelineResult:
@@ -407,15 +437,21 @@ class TestPipelineWindow:
     def deep4(self):
         return _quantized(fixtures.make_deep_mlp(4), n=16)
 
+    @pytest.fixture(scope="class")
+    def skip_join(self):
+        return _quantized(_skip_join_model(), n=30)
+
     @pytest.fixture(params=[("deep-mlp4", 16), ("deep-mlp4", 1), ("deep-mlp4", 3),
                             ("residual", 80), ("residual", 2),
-                            ("cnn-rot-drlo", 12), ("cnn-rot-drlo", 1)],
+                            ("cnn-rot-drlo", 12), ("cnn-rot-drlo", 1),
+                            ("skip-join", 1), ("skip-join", 3), ("skip-join", 30)],
                     ids=lambda p: f"{p[0]}-S{p[1]}")
-    def case(self, request, deep4, residual_bundle, cnn_bundle):
+    def case(self, request, deep4, skip_join, residual_bundle, cnn_bundle):
         """(compiled network, samples): S=1 and S < stages included."""
         name, n = request.param
         qnet, x, plan = {
             "deep-mlp4": (*deep4, None),
+            "skip-join": (*skip_join, None),
             "residual": (residual_bundle.qnet, residual_bundle.x_int, None),
             "cnn-rot-drlo": (cnn_bundle.qnet, cnn_bundle.x_int, self.ROT_DRLO),
         }[name]
@@ -424,10 +460,10 @@ class TestPipelineWindow:
     @pytest.mark.parametrize("window", ["1", "2", "non-divisor", "whole-stream"])
     def test_matches_per_block_reference(self, case, window, monkeypatch):
         snet, x = case
-        n_blocks = snet.n_stages + x.shape[0]
+        n = x.shape[0]
         w = {"1": 1, "2": 2,
-             "non-divisor": next(w for w in range(3, n_blocks + 2) if n_blocks % w),
-             "whole-stream": n_blocks}[window]
+             "non-divisor": next(w for w in range(3, n + 3) if n % w),
+             "whole-stream": n}[window]
         monkeypatch.setattr(netsim, "PIPELINE_WINDOW", w)
         got = run_pipeline(snet, x)
         want = run_pipeline_per_block(snet, x)
@@ -458,12 +494,11 @@ class TestPipelineWindow:
         monkeypatch.setattr(netsim, "_population_step", counting)
         monkeypatch.setattr(netsim, "PIPELINE_WINDOW", window)
         run_pipeline(snet, x)
-        n_blocks = snet.n_stages + x.shape[0]
         assert max(n for _, n in calls) <= window        # memory bounded by W
         for pop in snet.populations:
             mine = [n for name, n in calls if name == pop.name]
             assert sum(mine) == x.shape[0]                # each sample once
-            assert len(mine) <= -(-n_blocks // window)    # one call per window
+            assert len(mine) == -(-x.shape[0] // window)  # one call per window
 
 
 class TestSaturationParity:
