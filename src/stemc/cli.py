@@ -71,8 +71,7 @@ def cmd_make_fixtures(args) -> int:
 def cmd_quantize(args) -> int:
     model = load_model(args.model)
     ds = _load_dataset(args.data)
-    stats = calibrate(model, ds.inputs, k=args.k, acc_bits=args.acc_bits,
-                      bias_check_width=args.bias_bits)
+    stats = calibrate(model, ds.inputs)
     qnet = build_quantized_network(model, stats, k=args.k, acc_bits=args.acc_bits,
                                    bias_check_width=args.bias_bits)
     save_quantized_model(qnet, args.out)

@@ -8,8 +8,9 @@ shapes and every blob is validated against its expected element count.
 
 Float manifests describe the network to be quantized. Quantized manifests add
 the per-layer scales, the frozen fixed-point requantization constants, the
-calibrated integer range bound i_max, the bias scheme, and (optionally) an
-embedded sparsity plan. Saving and re-loading a quantized model is bit-exact:
+integer range bound i_max (derived from the layer's integer weights, bias and
+input wire format), the bias scheme, and (optionally) an embedded sparsity
+plan. Saving and re-loading a quantized model is bit-exact:
 integer tensors round-trip through raw blobs and scales round-trip through
 JSON's shortest-repr floats.
 

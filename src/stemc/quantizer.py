@@ -8,8 +8,8 @@ fixed-point constants:
 
 * m_hat = S_in * S_w / S_out  - the full requantization multiplier,
 * m0    = (2^(n-1) - 1) / I_max - per-step overflow protection for the n-bit
-  accumulator, where I_max is the largest integer weighted-sum magnitude
-  observed on the calibration set,
+  accumulator, where I_max is derived from the integer weights and the
+  layer's input wire format (see below),
 * m1    = m_hat / m0 - applied once when the accumulator is folded back into
   the activation domain. value(m0) * value(m1) tracks value(m_hat) to better
   than 2^-29 relative.
@@ -17,19 +17,21 @@ fixed-point constants:
 Biases are stored under one of two schemes, decided per layer by an overflow
 check at `bias_check_width` bits: "product" keeps the bias at S_w*S_in scale
 and injects it into the accumulator before rescaling; "output" requantizes it
-to S_out and adds it after m1 (the calibrated fallback for biases too large
-for the product scale).
+to S_out at max(8, K) bits and adds it after m1 (the fallback for biases too
+large for the product scale).
 
-I_max is measured through the same bit-plane arithmetic the simulator runs
-(running prefixes and single-step sums included, not just the final sum), and
-the measurement loop re-runs with frozen constants until the accumulator
-provably stays inside its n-bit range on every calibration sample.
+I_max bounds every running prefix of a neuron's per-step weighted sums over
+every value the input wires can carry: [0, q_max] on hidden wires,
+[-2^(K-1), q_max] for each prefix of the signed network input. Padded conv
+taps read 0, inside both ranges. A product-scheme bias is added to both ends
+of that range. Each of the K per-step roundings and the bias injection moves
+the accumulator by at most 1/2 from m0 times the exact sum, and I_max leaves
+room for that, so the accumulator never saturates on any input.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -135,9 +137,8 @@ class QuantizedNetwork:
     def output_layer(self) -> QuantizedLayer:
         return self.layers[-1]
 
-    def validate(self, check_drift: bool = True) -> None:
-        """Check topology, scales and constants; ``check_drift=False`` skips
-        only the m0*m1 ~ m_hat check (see ``calibrate``'s bootstrap build)."""
+    def validate(self) -> None:
+        """Check topology, scales and constants."""
         if not 2 <= self.k <= 16:
             raise ValueError(f"train length K={self.k} outside [2, 16]")
         if self.acc_bits < self.k:
@@ -157,7 +158,7 @@ class QuantizedNetwork:
             if lyr.i_max is None or lyr.i_max < 1:
                 raise ValueError(f"layer {lyr.name!r}: i_max must be >= 1")
             rel = abs(lyr.m0.value() * lyr.m1.value() - lyr.m_hat.value())
-            if (check_drift and lyr.m_hat.mantissa
+            if (lyr.m_hat.mantissa
                     and rel / abs(lyr.m_hat.value()) > Fraction(1, 1 << 29)):
                 raise ValueError(f"layer {lyr.name!r}: m0*m1 drifts from m_hat")
             if lyr.bias is not None:
@@ -175,41 +176,11 @@ class QuantizedNetwork:
 
 @dataclass
 class RangeStats:
-    """Float value ranges, mergeable by min/max reduction."""
+    """Float value ranges seen on the calibration set."""
 
-    input_range: tuple[float, float]
-    ranges: dict[str, tuple[float, float]]
-    samples: int
-
-    @staticmethod
-    def merge(a: "RangeStats", b: "RangeStats") -> "RangeStats":
-        lo = min(a.input_range[0], b.input_range[0])
-        hi = max(a.input_range[1], b.input_range[1])
-        merged = {}
-        for name in a.ranges:
-            merged[name] = (min(a.ranges[name][0], b.ranges[name][0]),
-                            max(a.ranges[name][1], b.ranges[name][1]))
-        return RangeStats((lo, hi), merged, a.samples + b.samples)
-
-
-@dataclass
-class CalibStats:
     input_range: tuple[float, float]
     ranges: dict[str, tuple[float, float]]   # residual-unified output ranges
-    i_max: dict[str, int]
     samples: int
-
-
-def collect_ranges(model: FloatModel, inputs: np.ndarray) -> RangeStats:
-    """One float pass; per-tensor min/max of post-activation values."""
-    _, record = refengine.float_forward(model, inputs)
-    ranges = {
-        name: (float(act.post.min()), float(act.post.max()))
-        for name, act in record.layers.items()
-    }
-    x = np.asarray(inputs, dtype=np.float64)
-    n = x.shape[0] if x.shape != tuple(model.input_shape) else 1
-    return RangeStats((float(x.min()), float(x.max())), ranges, n)
 
 
 def _range_owner(model: FloatModel, name: str) -> str:
@@ -261,91 +232,78 @@ def calibrate_bias(bias: np.ndarray | None, scale_w: float, scale_in: float,
     return "output" if int(np.abs(q).max()) > limit else "product"
 
 
-def calibrate(model: FloatModel, data, k: int = 8, acc_bits: int = 16,
-              bias_check_width: int = 16, max_passes: int = 8) -> CalibStats:
-    """Measure quantization statistics on a calibration set.
+def calibrate(model: FloatModel, data) -> RangeStats:
+    """One float pass: per-tensor min/max of the post-activation values.
 
-    Two phases: a float pass collects per-tensor value ranges (merged by
-    min/max, so sample batches may be processed independently); then the
-    integer bit-plane pass measures per-layer I_max on the actual quantized
-    chain, re-running with frozen constants until the n-bit accumulator range
-    holds on every calibration sample.
+    Both branches of a residual join are unified onto one range, so they
+    share an output scale.
     """
     inputs = getattr(data, "inputs", data)
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape == tuple(model.input_shape):
         inputs = inputs[None, ...]
-    rs = collect_ranges(model, inputs)
-    ranges = _unify_residual_ranges(model, rs.ranges)
-    stats = CalibStats(rs.input_range, ranges, {}, rs.samples)
-
-    # Bootstrap: a throwaway scaling just to measure the weighted-sum ranges.
-    # With i_max = 1 a wide accumulator makes m1 = m_hat / (2^(n-1) - 1) too
-    # small for a normalized mantissa, so this build skips the drift check.
-    hi_acc = (1 << (acc_bits - 1)) - 1
-    lo_acc = -(1 << (acc_bits - 1))
-    for lyr in model.layers:
-        if lyr.kind != "flatten":
-            stats.i_max[lyr.name] = 1
-    qnet = build_quantized_network(model, stats, k, acc_bits, bias_check_width,
-                                   check_drift=False)
-    x_int, _ = quantize_tensor(inputs, qnet.input_params)
-
-    def measure() -> dict[str, refengine.LayerStats]:
-        wide: dict[str, refengine.LayerStats] = {}
-        refengine.int_forward(qnet, x_int, mode="wide", stats=wide)
-        return wide
-
-    def observed(st: refengine.LayerStats) -> int:
-        return max(st.max_abs_step, st.max_abs_prefix, st.max_abs_total, 1)
-
-    for name, st in measure().items():
-        stats.i_max[name] = observed(st)
-    qnet = build_quantized_network(model, stats, k, acc_bits, bias_check_width)
-
-    # Refine: the measured bound alone does not cover the rounding drift the
-    # K per-step roundings add on top of M0 * prefix, so a pass that drives
-    # the accumulator out of its range raises a protection floor. The floor
-    # only ever grows (measurement wiggle must not undo it), measurements
-    # settle front to back because a layer's inputs stop changing once its
-    # producers are stable, and a clean pass is exactly the proof that the
-    # accumulator stays in range on every calibration sample.
-    protect: dict[str, int] = {}
-    for _ in range(max_passes):
-        changed = False
-        for name, st in measure().items():
-            cur = stats.i_max[name]
-            if st.u_max > hi_acc:
-                protect[name] = max(protect.get(name, 0),
-                                    math.ceil(cur * st.u_max / hi_acc) + 1)
-            if st.u_min < lo_acc:
-                protect[name] = max(protect.get(name, 0),
-                                    math.ceil(cur * st.u_min / lo_acc) + 1)
-            need = max(observed(st), protect.get(name, 0))
-            if need != cur:
-                stats.i_max[name] = need
-                changed = True
-        if not changed:
-            break
-        qnet = build_quantized_network(model, stats, k, acc_bits, bias_check_width)
-    else:
-        raise RuntimeError(
-            f"I_max calibration did not stabilize after {max_passes} passes"
-        )
-    return stats
+    _, record = refengine.float_forward(model, inputs)
+    ranges = {
+        name: (float(act.post.min()), float(act.post.max()))
+        for name, act in record.layers.items()
+    }
+    return RangeStats((float(inputs.min()), float(inputs.max())),
+                      _unify_residual_ranges(model, ranges), inputs.shape[0])
 
 
 # ---------------------------------------------------------------------------
 # network construction
 # ---------------------------------------------------------------------------
 
-def build_quantized_network(model: FloatModel, stats: CalibStats, k: int = 8,
-                            acc_bits: int = 16, bias_check_width: int = 16,
-                            check_drift: bool = True) -> QuantizedNetwork:
-    """Freeze scales, integer weights and fixed-point constants per layer.
+def _prefix_bound(lyr, weights_q: np.ndarray | None, bias_pre: np.ndarray | None,
+                  signed: bool, k: int) -> int:
+    """Largest |P| (and |P + b| for a product-scheme bias b) over the output
+    channels, where P is any running prefix of one neuron's per-step sums.
 
-    ``check_drift`` is passed to ``QuantizedNetwork.validate``.
+    Each input's prefix lies in [x_lo, q_max]: x_lo = -2^(K-1) on the signed
+    network input (its first step carries the sign weight), 0 otherwise. So
+    P lies in [x_lo*sum(w+) + q_max*sum(w-), q_max*sum(w+) + x_lo*sum(w-)].
+    Pool and join taps have unit weights.
     """
+    q_max = (1 << (k - 1)) - 1
+    x_lo = -(1 << (k - 1)) if signed else 0
+    if weights_q is not None:
+        w = weights_q.astype(np.int64).reshape(weights_q.shape[0], -1)
+        pos = np.where(w > 0, w, 0).sum(axis=1)
+        neg = np.where(w < 0, w, 0).sum(axis=1)
+    elif lyr.kind == "avgpool2d":
+        kh, kw = lyr.attrs["kernel"]
+        pos, neg = kh * kw, 0
+    else:  # residual-add: one unit synapse per branch
+        pos, neg = 2, 0
+    p_lo = x_lo * pos + q_max * neg
+    p_hi = q_max * pos + x_lo * neg
+    ends = [p_lo, p_hi]
+    if bias_pre is not None:
+        ends += [p_lo + bias_pre, p_hi + bias_pre]
+    return max(int(np.abs(e).max()) for e in ends)
+
+
+def _i_max(bound: int, k: int, acc_bits: int) -> int:
+    """An I_max with value(M0) * bound + (K+1)/2 <= hi = 2^(n-1) - 1.
+
+    The K step roundings and the bias injection each move U by at most 1/2.
+    value(M0) exceeds hi / I_max by less than 2^-31 relative, which adds less
+    than 1 to value(M0) * bound; the extra 1 in the room absorbs it.
+    """
+    hi = (1 << (acc_bits - 1)) - 1
+    room2 = 2 * hi - (k + 1) - 2          # twice hi - (K+1)/2 - 1
+    if room2 <= 0:
+        raise ValueError(
+            f"accumulator width {acc_bits} leaves no room for the rounding "
+            f"drift of K={k} steps; use at least {acc_bits + 1} bits")
+    return max(1, -(-2 * bound * hi // room2))
+
+
+def build_quantized_network(model: FloatModel, stats: RangeStats, k: int = 8,
+                            acc_bits: int = 16,
+                            bias_check_width: int = 16) -> QuantizedNetwork:
+    """Freeze scales, integer weights and fixed-point constants per layer."""
     if not 2 <= k <= 16:
         raise ValueError(f"train length K={k} outside [2, 16]")
     if acc_bits < k:
@@ -359,6 +317,7 @@ def build_quantized_network(model: FloatModel, stats: CalibStats, k: int = 8,
         bias_check_width=bias_check_width, input_scale=in_qp.scale,
     )
     scale_of = {INPUT_NAME: in_qp.scale}
+    signed = refengine.signedness(model)
     for lyr in model.layers:
         in_scales = [scale_of[s] for s in lyr.inputs]
         if lyr.kind == "flatten":
@@ -405,7 +364,7 @@ def build_quantized_network(model: FloatModel, stats: CalibStats, k: int = 8,
                 bias_width = bias_check_width
                 b_scale = scale_w * scale_in
             else:
-                bias_width = 8
+                bias_width = max(8, k)
                 b_scale = scale_out
             limit = (1 << (bias_width - 1)) - 1
             raw = _round_half_away(lyr.bias.astype(np.float64) / b_scale)
@@ -416,7 +375,9 @@ def build_quantized_network(model: FloatModel, stats: CalibStats, k: int = 8,
                             lyr.name, clamped, bias_width)
             bias_q = bias_q.astype(np.int32)
 
-        i_max = max(1, int(stats.i_max.get(lyr.name, 1)))
+        bias_pre = bias_q if scheme == "product" else None
+        i_max = _i_max(_prefix_bound(lyr, weights_q, bias_pre,
+                                     signed[lyr.inputs[0]], k), k, acc_bits)
         m0 = from_real(hi_acc / i_max)
         m1 = from_real(float(Fraction(m_hat.value()) / Fraction(m0.value())))
 
@@ -428,11 +389,11 @@ def build_quantized_network(model: FloatModel, stats: CalibStats, k: int = 8,
             m_hat=m_hat, m0=m0, m1=m1, i_max=i_max,
         ))
         scale_of[lyr.name] = scale_out
-    qnet.validate(check_drift)
+    qnet.validate()
     return qnet
 
 
-def calibration_report(qnet: QuantizedNetwork, stats: CalibStats) -> str:
+def calibration_report(qnet: QuantizedNetwork, stats: RangeStats) -> str:
     """Human-readable constant table (stable: no timestamps, fixed widths)."""
     lines = [
         f"model {qnet.name}: K={qnet.k} acc_bits={qnet.acc_bits} "

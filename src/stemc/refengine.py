@@ -8,7 +8,9 @@ against. It runs in three modes:
   analysis and reporting.
 * ``wide``    - the scaled-integration arithmetic (per-step M0 rounding over
   the MSB-first bit planes of the inputs, final M1 rescale) with an unbounded
-  accumulator. Equals ``hw`` whenever nothing saturates, by construction.
+  accumulator. Equals ``hw`` whenever nothing saturates, by construction;
+  the quantizer derives M0 from the weights so that nothing saturates on any
+  input the wires can carry.
 * ``hw``      - same as ``wide`` but the accumulator saturates at the
   configured width, with every clamp counted. This is the mode the spiking
   simulator must reproduce integer-for-integer.
@@ -168,46 +170,23 @@ def float_forward(model, x: np.ndarray) -> tuple[np.ndarray, ActivationRecord]:
 INT_MODES = ("direct", "wide", "hw")
 
 
-def _signedness(qnet) -> dict[str, bool]:
+def signedness(net) -> dict[str, bool]:
+    """Which wires are read as signed trains: the network input and flatten
+    views of it. Hidden layers emit values in [0, q_max]."""
     signed = {INPUT_NAME: True}
-    for lyr in qnet.layers:
+    for lyr in net.layers:
         signed[lyr.name] = signed[lyr.inputs[0]] if lyr.kind == "flatten" else False
     return signed
 
 
-@dataclass
-class LayerStats:
-    """Wide-range statistics collected during a calibration pass."""
-
-    max_abs_step: int = 0      # max |I_t| over neurons/samples/steps
-    max_abs_prefix: int = 0    # max |sum_{t<=tau} I_t|
-    max_abs_total: int = 0     # max |sum_t I_t| == max |sum W~ X~|
-    u_min: int = 0             # wide accumulator extremes (incl. bias inject)
-    u_max: int = 0
-
-    @staticmethod
-    def merge(a: "LayerStats", b: "LayerStats") -> "LayerStats":
-        """Associative max-reduction; batching samples must not change stats."""
-        return LayerStats(
-            max(a.max_abs_step, b.max_abs_step),
-            max(a.max_abs_prefix, b.max_abs_prefix),
-            max(a.max_abs_total, b.max_abs_total),
-            min(a.u_min, b.u_min),
-            max(a.u_max, b.u_max),
-        )
-
-
-def int_forward(qnet, x_int: np.ndarray, mode: str = "hw",
-                stats: dict[str, "LayerStats"] | None = None,
-                ) -> tuple[np.ndarray, ActivationRecord]:
+def int_forward(qnet, x_int: np.ndarray,
+                mode: str = "hw") -> tuple[np.ndarray, ActivationRecord]:
     """Integer forward pass of a quantized network.
 
     Args:
         qnet: QuantizedNetwork (constants already frozen).
         x_int: quantized input, shape == input_shape or [N, *input_shape].
         mode: "direct", "wide" or "hw" (see module docstring).
-        stats: optional dict filled with per-layer wide-range statistics
-            (only meaningful for the bit-plane modes; used by calibration).
 
     Returns:
         (outputs [N, n_out] int64, ActivationRecord)
@@ -218,7 +197,7 @@ def int_forward(qnet, x_int: np.ndarray, mode: str = "hw",
     xb = xb.astype(np.int64)
     k = qnet.k
     q_max = (1 << (k - 1)) - 1
-    signed = _signedness(qnet)
+    signed = signedness(qnet)
     tensors: dict[str, np.ndarray] = {INPUT_NAME: xb}
     record = ActivationRecord()
     out = None
@@ -263,9 +242,7 @@ def int_forward(qnet, x_int: np.ndarray, mode: str = "hw",
             post2, pre_rec, sat = _scaled_layer(
                 lyr, xs, [signed[s] for s in lyr.inputs], k, qnet.acc_bits,
                 lo, hi, bias_pre, bias_post,
-                emulate=(mode == "hw"),
-                stats=None if stats is None else stats.setdefault(lyr.name, LayerStats()),
-            )
+                emulate=(mode == "hw"))
 
         post = post2.reshape((post2.shape[0],) + lyr.out_shape)
         record.layers[lyr.name] = LayerActivation(pre_rec, post2, sat)
@@ -285,14 +262,13 @@ def _max_weight_sum(weights: np.ndarray) -> int:
 
 
 def _scaled_layer(lyr, xs, xsigned, k, acc_bits, lo, hi, bias_pre, bias_post,
-                  emulate: bool, stats: LayerStats | None):
+                  emulate: bool):
     """Bit-plane walk of one layer: per-step M0 rounding, final M1 rescale."""
     n = xs[0].shape[0]
     planes = [encode_planes(x.reshape(n, -1), k, sg) for x, sg in zip(xs, xsigned)]
     schedules = [WireSchedule(k, sg) for sg in xsigned]
     w = _w64(lyr)
-    u = None
-    prefix = None
+    u = 0
     saturations = 0
     for step in range(k):
         step_sum = None
@@ -304,30 +280,15 @@ def _scaled_layer(lyr, xs, xsigned, k, acc_bits, lo, hi, bias_pre, bias_post,
                 part = _linear(lyr.kind, lyr.attrs, w, [row])
             part = sched.weight(step) * part.reshape(n, -1)
             step_sum = part if step_sum is None else step_sum + part
-        if u is None:
-            u = np.zeros_like(step_sum)
-            prefix = np.zeros_like(step_sum)
-        if stats is not None:
-            prefix = prefix + step_sum
-            stats.max_abs_step = max(stats.max_abs_step, int(np.abs(step_sum).max()))
-            stats.max_abs_prefix = max(stats.max_abs_prefix, int(np.abs(prefix).max()))
         u = u + apply(lyr.m0, step_sum)
         if emulate:
             u, ev = saturate_array(u, acc_bits)
             saturations += ev
-        if stats is not None:
-            stats.u_min = min(stats.u_min, int(u.min()))
-            stats.u_max = max(stats.u_max, int(u.max()))
-    if stats is not None:
-        stats.max_abs_total = max(stats.max_abs_total, int(np.abs(prefix).max()))
     if bias_pre is not None:
         u = u + apply(lyr.m0, bias_pre)
         if emulate:
             u, ev = saturate_array(u, acc_bits)
             saturations += ev
-        if stats is not None:
-            stats.u_min = min(stats.u_min, int(u.min()))
-            stats.u_max = max(stats.u_max, int(u.max()))
     v = apply(lyr.m1, u)
     if bias_post is not None:
         v = v + bias_post

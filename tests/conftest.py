@@ -28,7 +28,7 @@ class Bundle:
 def _bundle(builder, lo, hi, n, data_seed, **quant_kwargs) -> Bundle:
     model = builder()
     ds = fx.labeled_dataset(model, n, data_seed, lo, hi)
-    stats = calibrate(model, ds.inputs[:64], **quant_kwargs)
+    stats = calibrate(model, ds.inputs[:64])
     qnet = build_quantized_network(model, stats, **quant_kwargs)
     x_int, _ = quantize_tensor(ds.inputs, qnet.input_params)
     return Bundle(model, ds, stats, qnet, x_int)

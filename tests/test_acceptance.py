@@ -34,7 +34,7 @@ def _deep(depth: int, n: int, k: int = 8):
     model = fixtures.make_deep_mlp(depth)
     rng = np.random.default_rng(31 + depth)
     x = rng.uniform(0.0, 1.0, size=(n,) + model.input_shape).astype(np.float32)
-    stats = calibrate(model, x, k=k)
+    stats = calibrate(model, x)
     qnet = build_quantized_network(model, stats, k=k)
     x_int, _ = quantize_tensor(x, qnet.input_params)
     return qnet, x_int

@@ -35,7 +35,7 @@ from stemc.stem import WireSchedule, decode_train, encode_planes
 def _quantized(model, n=24, seed=5, lo=0.0, hi=1.0, **kw):
     rng = np.random.default_rng(seed)
     x = rng.uniform(lo, hi, size=(n,) + model.input_shape).astype(np.float32)
-    stats = calibrate(model, x, **kw)
+    stats = calibrate(model, x)
     qnet = build_quantized_network(model, stats, **kw)
     x_int, _ = quantize_tensor(x, qnet.input_params)
     return qnet, x_int

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,43 +9,76 @@ import pytest
 from stemc.fixedpoint import FixedMult, from_real
 from stemc.quantizer import (
     QuantParams,
-    QuantizedLayer,
-    QuantizedNetwork,
     build_quantized_network,
     calibrate,
     calibrate_bias,
     calibration_report,
-    collect_ranges,
     dequantize,
     derive_scale,
     quantize_tensor,
-    RangeStats,
 )
 from stemc import fixtures, netsim
-from stemc.refengine import LayerStats, int_forward
+from stemc.fixedpoint import apply
+from stemc.modelio import FloatModel, LayerDesc, infer_shapes
+from stemc.refengine import int_forward
+from stemc.stem import WireSchedule, encode_planes
 
 
 def _record_saturations(record) -> int:
     return sum(act.saturations for act in record.layers.values())
 
 
-def _single_fc_qnet(weights: np.ndarray, k: int = 8, acc_bits: int = 16) -> QuantizedNetwork:
-    """Hand-built one-layer network with unit scaling (for measurement tests)."""
-    n_out, n_in = weights.shape
-    one = from_real(1.0)
-    lyr = QuantizedLayer(
-        name="fc", kind="fully-connected",
-        attrs={"in_features": n_in, "out_features": n_out}, inputs=["input"],
-        weights=np.asarray(weights, dtype=np.int8),
-        scale_in=1.0, scale_w=1.0, scale_out=1.0,
-        m_hat=one, m0=one, m1=one, i_max=1,
-    )
-    qnet = QuantizedNetwork(
-        name="unit", input_shape=(n_in,), k=k, acc_bits=acc_bits,
-        bias_check_width=16, input_scale=1.0, layers=[lyr],
-    )
-    qnet.validate()
-    return qnet
+def _fc_model(layers, n_in: int) -> FloatModel:
+    """fc stack from (float weights [n_out, n_in], float bias or None) pairs."""
+    descs, src = [], "input"
+    for i, (w, b) in enumerate(layers):
+        w = np.asarray(w, dtype=np.float32)
+        descs.append(LayerDesc(
+            name=f"fc{i + 1}", kind="fully-connected",
+            attrs={"in_features": w.shape[1], "out_features": w.shape[0]},
+            inputs=[src], weights=w,
+            bias=None if b is None else np.asarray(b, dtype=np.float32)))
+        src = descs[-1].name
+    m = FloatModel(name="bound", input_shape=(n_in,), layers=descs)
+    infer_shapes(m)
+    return m
+
+
+def _quantize(model, k: int, acc_bits: int):
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(16,) + model.input_shape)
+    return build_quantized_network(model, calibrate(model, x), k=k, acc_bits=acc_bits)
+
+
+def _wire_values(k: int, signed: bool, n_in: int) -> np.ndarray:
+    """Every input vector the wire format can carry."""
+    lo = -(1 << (k - 1)) if signed else 0
+    return np.array(list(itertools.product(range(lo, 1 << (k - 1)), repeat=n_in)))
+
+
+def _step_sums(lyr, x: np.ndarray, k: int, signed: bool) -> np.ndarray:
+    """Per-step weighted sums I_t of an fc layer, shape [K, N, n_out]."""
+    planes = encode_planes(x, k, signed).astype(np.int64)
+    sched = WireSchedule(k, signed)
+    w = lyr.weights.astype(np.int64)
+    return np.stack([sched.weight(t) * (planes[..., t] @ w.T) for t in range(k)])
+
+
+def _u_prefixes(lyr, x: np.ndarray, k: int, signed: bool) -> np.ndarray:
+    """Every value the unbounded accumulator takes: after each step and after
+    the product-scheme bias injection."""
+    u = np.cumsum([apply(lyr.m0, i) for i in _step_sums(lyr, x, k, signed)], axis=0)
+    if lyr.bias_scheme == "product":
+        u = np.concatenate([u, [u[-1] + apply(lyr.m0, lyr.bias.astype(np.int64))]])
+    return u
+
+
+def _alone(qnet, name: str):
+    """One layer as a network of its own. Step sums of a value in [0, q_max]
+    are the same on the signed input wire as on an unsigned hidden wire."""
+    lyr = dataclasses.replace(qnet.layer(name), inputs=["input"],
+                              scale_in=qnet.input_scale)
+    return dataclasses.replace(qnet, input_shape=(lyr.weights.shape[1],),
+                               layers=[lyr])
 
 
 class TestScales:
@@ -140,73 +175,85 @@ class TestBiasScheme:
 
 
 class TestMeasurement:
-    def test_worked_example_i_max(self):
-        # W~ = [2, -3], X~ = [5, 7]: per-step sums -4, -6, -1 (steps 5..7),
-        # running prefix peaks at |−11| == |total|, single step peaks at 6.
-        qnet = _single_fc_qnet(np.array([[2, -3]]))
-        st: dict[str, LayerStats] = {}
-        int_forward(qnet, np.array([[5, 7]]), mode="wide", stats=st)
-        got = st["fc"]
-        assert got.max_abs_step == 6
-        assert got.max_abs_prefix == 11
-        assert got.max_abs_total == 11
-        assert max(got.max_abs_step, got.max_abs_prefix, got.max_abs_total, 1) == 11
-
-    def test_prefix_can_exceed_total(self):
-        # +64 then -64: total 0 but the wire sees a 64-high prefix
-        qnet = _single_fc_qnet(np.array([[1, -1]]))
-        st: dict[str, LayerStats] = {}
-        int_forward(qnet, np.array([[64, 64]]), mode="wide", stats=st)
-        assert st["fc"].max_abs_total == 0
-        assert st["fc"].max_abs_step == 0
-        assert st["fc"].max_abs_prefix == 0  # same-step bits cancel in the sum
-        st2: dict[str, LayerStats] = {}
-        int_forward(qnet, np.array([[64, 32]]), mode="wide", stats=st2)
-        assert st2["fc"].max_abs_total == 32
-        assert st2["fc"].max_abs_prefix == 64   # the +64 step lands first
-
-    def test_layer_stats_merge_associative(self):
-        a = LayerStats(3, 9, 7, -2, 5)
-        b = LayerStats(6, 4, 8, -9, 2)
-        c = LayerStats(1, 12, 2, -1, 11)
-        lhs = LayerStats.merge(LayerStats.merge(a, b), c)
-        rhs = LayerStats.merge(a, LayerStats.merge(b, c))
-        assert lhs == rhs
-
-    def test_stats_batch_split_equivalence(self, mlp_bundle):
-        q, x = mlp_bundle.qnet, mlp_bundle.x_int[:10]
-        whole: dict[str, LayerStats] = {}
-        int_forward(q, x, mode="wide", stats=whole)
-        first: dict[str, LayerStats] = {}
-        second: dict[str, LayerStats] = {}
-        int_forward(q, x[:4], mode="wide", stats=first)
-        int_forward(q, x[4:], mode="wide", stats=second)
-        for name in whole:
-            assert LayerStats.merge(first[name], second[name]) == whole[name]
-
-    def test_range_stats_merge_matches_whole(self, mlp_bundle):
-        model, ds = mlp_bundle.model, mlp_bundle.ds
-        whole = collect_ranges(model, ds.inputs[:12])
-        merged = RangeStats.merge(collect_ranges(model, ds.inputs[:5]),
-                                  collect_ranges(model, ds.inputs[5:12]))
-        assert merged.input_range == whole.input_range
-        assert merged.ranges == whole.ranges
-        assert merged.samples == whole.samples
-
     def test_calibrated_bound_holds(self, mlp_bundle, bias_bundle):
+        # i_max covers every prefix the calibration samples really produce
         for bundle in (mlp_bundle, bias_bundle):
             q = bundle.qnet
             x_cal = bundle.x_int[:64]
-            st: dict[str, LayerStats] = {}
-            _, record = int_forward(q, x_cal, mode="hw", stats=st)
+            _, record = int_forward(q, x_cal, mode="hw")
             assert _record_saturations(record) == 0
+            x, signed = x_cal, True
             for lyr in q.layers:
-                if lyr.kind == "flatten":
-                    continue
-                observed = max(st[lyr.name].max_abs_step,
-                               st[lyr.name].max_abs_prefix,
-                               st[lyr.name].max_abs_total, 1)
-                assert lyr.i_max >= observed
+                prefixes = np.cumsum(_step_sums(lyr, x, q.k, signed), axis=0)
+                assert lyr.i_max >= int(np.abs(prefixes).max())
+                x, signed = record.layers[lyr.name].post, False
+
+
+# (weights, bias) of fc1 and fc2; inputs run in [-1, 1], so at K=4 a bias of
+# 0.3 lands near 15 on the product scale, as large as the weighted sums
+BOUND_NETS = {
+    "mixed": [([[1.0, -0.5, 0.25], [-1.0, -0.75, 0.5]], None),
+              ([[1.0, -1.0], [0.5, 1.0]], None)],
+    "all-positive": [([[1.0, 1.0, 1.0], [0.5, 0.25, 1.0]], None),
+                     ([[1.0, 1.0], [1.0, 0.5]], None)],
+    "product-bias": [([[1.0, -0.5, 0.25], [0.5, 1.0, -1.0]], [0.3, -0.3]),
+                     ([[1.0, -1.0], [-0.5, -1.0]], [0.3, -0.3])],
+}
+
+
+class TestStaticBound:
+    @pytest.mark.parametrize("net", sorted(BOUND_NETS))
+    @pytest.mark.parametrize("k,acc_bits", [(2, 3), (3, 4), (3, 6), (4, 4),
+                                            (4, 6), (4, 16)])
+    def test_exhaustive_fc_inputs(self, net, k, acc_bits):
+        qnet = _quantize(_fc_model(BOUND_NETS[net], 3), k, acc_bits)
+        hi = (1 << (acc_bits - 1)) - 1
+        for name, signed in (("fc1", True), ("fc2", False)):
+            lyr = qnet.layer(name)
+            x = _wire_values(k, signed, lyr.weights.shape[1])
+            u = _u_prefixes(lyr, x, k, signed)
+            assert -hi - 1 <= int(u.min()) and int(u.max()) <= hi
+            _, record = int_forward(_alone(qnet, name), x, mode="hw")
+            assert _record_saturations(record) == 0
+
+    def test_prefix_above_total(self):
+        # +64 lands a step before -32: the prefix, not the total, is the peak
+        qnet = _quantize(_fc_model([([[1.0, -1.0]], None)], 2), 8, 16)
+        lyr = qnet.layer("fc1")
+        assert lyr.weights.tolist() == [[127, -127]]
+        prefixes = np.cumsum(_step_sums(lyr, np.array([[64, 32]]), 8, True), axis=0)
+        assert (prefixes[:, 0, 0] // 127).tolist() == [0, 64, 32, 32, 32, 32, 32, 32]
+        x = _wire_values(8, True, 2)
+        u = _u_prefixes(lyr, x, 8, True)
+        # in range, and x = [-128, 127] reaches the bound: U comes within the
+        # (K+1)/2 + 1 room plus K/2 of rounding drift of the rail
+        hi = (1 << 15) - 1
+        assert hi - 9 <= int(np.abs(u).max()) <= hi
+        _, record = int_forward(qnet, x, mode="hw")
+        assert _record_saturations(record) == 0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_narrowest_accumulator_rejected(self, k):
+        with pytest.raises(ValueError, match="no room for the rounding drift"):
+            _quantize(_fc_model(BOUND_NETS["mixed"], 3), k, k)
+
+    @pytest.mark.parametrize("k,acc_bits", [(8, 16), (12, 32)])
+    @pytest.mark.parametrize("which", sorted(fixtures.FIXTURES) + ["wide-fanin"])
+    def test_full_range_random_inputs(self, which, k, acc_bits):
+        builder, lo, hi = fixtures.FIXTURES.get(which, (fixtures.make_wide_fanin, 0.0, 1.0))
+        model = builder()
+        ds = fixtures.labeled_dataset(model, 32, 8, lo, hi)
+        qnet = build_quantized_network(model, calibrate(model, ds.inputs),
+                                       k=k, acc_bits=acc_bits)
+        rng = np.random.default_rng(k)
+        shape = (48,) + tuple(qnet.input_shape)
+        x = rng.integers(-(1 << (k - 1)), 1 << (k - 1), size=shape)
+        # half of the samples sit on the ends of the wire range
+        x[::2] = rng.choice([-(1 << (k - 1)), 0, qnet.q_max], size=x[::2].shape)
+        _, record = int_forward(qnet, x, mode="hw")
+        sim = netsim.run_batch(netsim.compile_network(qnet), x)
+        assert _record_saturations(record) == 0
+        assert sum(t.saturations for t in sim.traces) == 0
 
 
 class TestValidate:
@@ -263,7 +310,7 @@ class TestLongTrains:
         model, ds = mlp_bundle.model, mlp_bundle.ds
         acc = {}
         for k in (8, 10):
-            stats = calibrate(model, ds.inputs[:64], k=k, acc_bits=24)
+            stats = calibrate(model, ds.inputs[:64])
             qnet = build_quantized_network(model, stats, k=k, acc_bits=24)
             for lyr, flt in zip(qnet.layers, model.layers):
                 if lyr.weights is None:
@@ -276,25 +323,56 @@ class TestLongTrains:
             acc[k] = float(np.mean(np.argmax(out, axis=-1) == ds.labels))
         assert abs(acc[10] - acc[8]) <= 0.02
 
+    @pytest.mark.parametrize("which", ["mlp", "cnn", "bias"])
+    def test_output_scheme_bias_keeps_accuracy_at_long_trains(self, which, request):
+        # an output-scale bias stored at 8 bits is clamped to +-127 of a
+        # 2^(K-1) - 1 output range, which loses accuracy once K > 8
+        bundle = request.getfixturevalue(f"{which}_bundle")
+        stats = calibrate(bundle.model, bundle.ds.inputs[:64])
+        acc = {}
+        for k in (8, 10, 11, 12):
+            qnet = build_quantized_network(bundle.model, stats, k=k, acc_bits=24)
+            x_int, _ = quantize_tensor(bundle.ds.inputs, qnet.input_params)
+            out, _ = int_forward(qnet, x_int, mode="wide")
+            acc[k] = float(np.mean(np.argmax(out, axis=-1) == bundle.ds.labels))
+        assert all(acc[8] - acc[k] <= 0.02 for k in (10, 11, 12)), acc
+
 
 class TestCalibrate:
     def test_i_max_at_least_one(self, mlp_bundle):
-        assert all(v >= 1 for v in mlp_bundle.stats.i_max.values())
+        assert all(mlp_bundle.qnet.layer(n).i_max >= 1 for n in ("fc1", "fc2", "fc3"))
 
     def test_flatten_has_no_i_max(self, cnn_bundle):
-        assert "flat" not in cnn_bundle.stats.i_max
+        assert cnn_bundle.qnet.layer("flat").i_max is None
 
     def test_single_sample_input_accepted(self):
         model = fixtures.make_mlp()
         stats = calibrate(model, np.full(model.input_shape, 0.5))
         assert stats.samples == 1
-        assert set(stats.i_max) == {"fc1", "fc2", "fc3"}
+        qnet = build_quantized_network(model, stats)
+        assert all(qnet.layer(n).i_max >= 1 for n in ("fc1", "fc2", "fc3"))
+
+    @pytest.mark.parametrize("acc_bits", [16, 24, 32])
+    def test_dead_input_layer_quantizes(self, acc_bits):
+        # fc1 has one live neuron; fc2 gives it weight 0, so fc2 sums only
+        # zeros on every calibration sample and outputs its (output-scheme)
+        # bias. A bound measured there is 1, which at 32 bits pushed m1 below
+        # a normalized mantissa.
+        w1 = np.full((4, 3), 0.5)
+        w2 = np.array([[0.0, 1.0, -1.0, 0.5], [0.0, -0.5, 1.0, 1.0]])
+        model = _fc_model([(w1, [0.1, -100.0, -100.0, -100.0]), (w2, [5.0, -5.0])], 3)
+        x = np.random.default_rng(0).uniform(0.0, 1.0, size=(32, 3))
+        qnet = build_quantized_network(model, calibrate(model, x), acc_bits=acc_bits)
+        x_int, _ = quantize_tensor(x, qnet.input_params)
+        assert qnet.layer("fc2").bias_scheme == "output"
+        sim = netsim.run_batch(netsim.compile_network(qnet), x_int)
+        hw, _ = int_forward(qnet, x_int, mode="hw")
+        assert np.array_equal(sim.outputs, hw)
 
     @pytest.mark.parametrize("which", ["mlp", "cnn", "bias"])
     def test_wide_accumulator_calibrates(self, which, request):
-        # the i_max = 1 bootstrap build used to fail its m0*m1 drift check
         bundle = request.getfixturevalue(f"{which}_bundle")
-        stats = calibrate(bundle.model, bundle.ds.inputs[:64], acc_bits=32)
+        stats = calibrate(bundle.model, bundle.ds.inputs[:64])
         qnet = build_quantized_network(bundle.model, stats, acc_bits=32)
         x_int, _ = quantize_tensor(bundle.ds.inputs, qnet.input_params)
         sim = netsim.run_batch(netsim.compile_network(qnet), x_int)

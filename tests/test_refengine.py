@@ -146,8 +146,7 @@ class TestModeAgreement:
         bundle = request.getfixturevalue(f"{which}_bundle")
         qnet = bundle.qnet
         if k != qnet.k:
-            stats = calibrate(bundle.model, bundle.ds.inputs[:64], k=k,
-                              acc_bits=acc_bits)
+            stats = calibrate(bundle.model, bundle.ds.inputs[:64])
             qnet = build_quantized_network(bundle.model, stats, k=k,
                                            acc_bits=acc_bits)
         x_int, _ = quantize_tensor(bundle.ds.inputs[:48], qnet.input_params)
