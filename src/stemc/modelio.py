@@ -14,6 +14,12 @@ plan. Saving and re-loading a quantized model is bit-exact:
 integer tensors round-trip through raw blobs and scales round-trip through
 JSON's shortest-repr floats.
 
+Both model types go through one codec: one reader parses and checks every
+manifest and one writer emits it. A `_Format` names what differs, namely the
+model type, the blob dtypes (float32 or int8/int32) and the keys a quantized
+manifest adds, so every check applies to both types and each malformed file
+raises `ModelFormatError`.
+
 Datasets are a single binary file: a header (magic, version, sample count,
 input shape, label width) followed by packed float32 inputs and int32 labels.
 """
@@ -22,15 +28,23 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .fixedpoint import FixedMult
+
 FORMAT_VERSION = 1
 DATASET_MAGIC = b"STDS"
 
 LAYER_KINDS = ("fully-connected", "conv2d", "avgpool2d", "residual-add", "flatten")
+_REQUIRED_ATTRS = {
+    "fully-connected": ("in_features", "out_features"),
+    "conv2d": ("in_channels", "out_channels", "kernel"),
+    "avgpool2d": ("kernel",),
+}
 INPUT_NAME = "input"
 
 
@@ -76,8 +90,8 @@ class LayerDesc:
     kind: str
     attrs: dict
     inputs: list[str]
-    weights: np.ndarray | None = None   # float32
-    bias: np.ndarray | None = None      # float32
+    weights: np.ndarray | None = None   # float32 (int8 when quantized)
+    bias: np.ndarray | None = None      # float32 (int32 when quantized)
     out_shape: tuple[int, ...] = ()
     activation: str = "none"            # "relu" | "none", derived at validation
 
@@ -97,6 +111,9 @@ class FloatModel:
     @property
     def output_layer(self) -> LayerDesc:
         return self.layers[-1]
+
+    def validate(self) -> None:
+        infer_shapes(self)
 
 
 def _expected_weight_shape(kind: str, attrs: dict) -> tuple[int, ...] | None:
@@ -126,7 +143,6 @@ def pool_out_hw(h: int, w: int, attrs: dict) -> tuple[int, int]:
 def infer_shapes(model: FloatModel) -> None:
     """Topology + shape validation; fills out_shape and activation in place."""
     shapes: dict[str, tuple[int, ...]] = {INPUT_NAME: tuple(model.input_shape)}
-    seen: set[str] = set()
     consumed: set[str] = set()
     for lyr in model.layers:
         if lyr.kind not in LAYER_KINDS:
@@ -201,7 +217,6 @@ def infer_shapes(model: FloatModel) -> None:
 
         lyr.out_shape = out
         shapes[lyr.name] = out
-        seen.add(lyr.name)
 
     sinks = [l for l in model.layers if l.name not in consumed]
     if len(sinks) != 1:
@@ -218,191 +233,177 @@ def infer_shapes(model: FloatModel) -> None:
             lyr.activation = "none"
 
 
-def _check_version(doc: dict, path: Path) -> None:
+# ---------------------------------------------------------------------------
+# manifest codec, shared by the float and the quantized model types
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Key:
+    """A manifest key stored in the container field of the same name."""
+
+    name: str
+    decode: Callable = lambda v: v      # JSON value -> field
+    encode: Callable = lambda v: v      # field -> JSON value
+    required: bool = False              # else a missing or null key reads `default`
+    default: object = None
+    omit_empty: bool = False            # write nothing for an empty field
+
+
+@dataclass(frozen=True)
+class _Format:
+    """What one model type stores beyond each layer's name, kind, attrs,
+    inputs and weight/bias blobs."""
+
+    model_type: str
+    blob_dtypes: tuple[str, str]        # weights, bias
+    head: tuple[_Key, ...]              # network keys before "layers"
+    layer_keys: tuple[_Key, ...] = ()   # per-layer keys after the blob files
+    tail: tuple[_Key, ...] = ()         # network keys after "layers"
+
+
+def _fixed_mult(value: dict) -> FixedMult:
+    return FixedMult(int(value["mantissa"]), int(value["shift"]))
+
+
+def _fixed_mult_json(m: FixedMult) -> dict:
+    return {"mantissa": m.mantissa, "shift": m.shift}
+
+
+_HEAD = (_Key("name", required=True),
+         _Key("input_shape", lambda v: tuple(int(d) for d in v), list, required=True))
+_CONST = {"decode": _fixed_mult, "encode": _fixed_mult_json, "omit_empty": True}
+
+_FLOAT = _Format("float", ("<f4", "<f4"), _HEAD)
+_QUANTIZED = _Format(
+    "quantized", ("<i1", "<i4"),
+    head=_HEAD + (_Key("k", int, required=True), _Key("acc_bits", int, required=True),
+                  _Key("bias_check_width", int, default=16),
+                  _Key("input_scale", float, required=True)),
+    layer_keys=(_Key("scale_in"), _Key("scale_w"), _Key("scale_out"),
+                _Key("bias_scheme"), _Key("bias_width"),
+                _Key("m_hat", **_CONST), _Key("m0", **_CONST), _Key("m1", **_CONST),
+                _Key("i_max", omit_empty=True)),
+    tail=(_Key("sparsity", lambda v: [dict(e) for e in v], default=[],
+               omit_empty=True),),
+)
+
+
+def _decode(keys: tuple[_Key, ...], doc: dict, where: str) -> dict:
+    fields = {}
+    for key in keys:
+        raw = doc.get(key.name)
+        if raw is None:
+            if key.required:
+                raise ModelFormatError(f"{where}: missing key {key.name!r}")
+            raw = key.default
+        try:
+            fields[key.name] = None if raw is None else key.decode(raw)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"{where}: bad {key.name!r} value {raw!r}") from exc
+    return fields
+
+
+def _encode(keys: tuple[_Key, ...], obj, doc: dict) -> None:
+    for key in keys:
+        value = getattr(obj, key.name)
+        if value or not key.omit_empty:
+            doc[key.name] = None if value is None else key.encode(value)
+
+
+def _read_manifest(path: str | Path, fmt: _Format, net_cls: type[FloatModel],
+                   layer_cls: type[LayerDesc]) -> FloatModel:
+    """Parse, check and validate a `fmt` manifest and its blobs."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ModelFormatError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{path.name}: manifest is not a JSON object")
     ver = doc.get("format_version")
     if ver != FORMAT_VERSION:
         raise ModelFormatError(
             f"{path.name}: format_version {ver!r} not supported (expected {FORMAT_VERSION})"
         )
+    if doc.get("model_type", "float") != fmt.model_type:
+        raise ModelFormatError(f"{path.name}: not a {fmt.model_type} model manifest")
+    fields = _decode(fmt.head + fmt.tail, doc, path.name)
+    if not isinstance(doc.get("layers"), list):
+        raise ModelFormatError(f"{path.name}: needs a 'layers' list")
+    layers = []
+    for i, entry in enumerate(doc["layers"]):
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not name:
+            raise ModelFormatError(f"{path.name}: layer #{i} has no 'name'")
+        kind, attrs = entry.get("kind", ""), dict(entry.get("attrs", {}))
+        for attr in _REQUIRED_ATTRS.get(kind, ()):
+            if attr not in attrs:
+                raise ModelFormatError(f"layer {name!r}: missing attr {attr!r}")
+        blobs = []
+        for what, dtype in zip(("weights", "bias"), fmt.blob_dtypes):
+            fname = entry.get(f"{what}_file")
+            if not fname:
+                blobs.append(None)
+                continue
+            wshape = _expected_weight_shape(kind, attrs)
+            if wshape is None:
+                raise ModelFormatError(f"layer {name!r}: kind {kind!r} takes no {what}")
+            shape = wshape if what == "weights" else wshape[:1]
+            blobs.append(read_blob(path.parent / fname, dtype, shape).data)
+        layers.append(layer_cls(
+            name=name, kind=kind, attrs=attrs, inputs=list(entry.get("inputs", [])),
+            weights=blobs[0], bias=blobs[1],
+            **_decode(fmt.layer_keys, entry, f"layer {name!r}")))
+    model = net_cls(layers=layers, **fields)
+    try:
+        model.validate()
+    except ValueError as exc:
+        raise ModelFormatError(f"{path.name}: {exc}") from exc
+    return model
+
+
+def _write_manifest(model, path: str | Path, fmt: _Format) -> None:
+    """Write `model` as a `fmt` manifest plus weight/bias blobs next to it."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    doc = {"format_version": FORMAT_VERSION, "model_type": fmt.model_type}
+    _encode(fmt.head, model, doc)
+    doc["layers"] = []
+    for lyr in model.layers:
+        entry = {"name": lyr.name, "kind": lyr.kind, "attrs": lyr.attrs,
+                 "inputs": lyr.inputs}
+        for what, array, dtype in zip(("weights", "bias"), (lyr.weights, lyr.bias),
+                                      fmt.blob_dtypes):
+            entry[f"{what}_file"] = None
+            if array is not None:
+                entry[f"{what}_file"] = f"{path.stem}.{lyr.name}.{what[0]}.bin"
+                write_blob(path.parent / entry[f"{what}_file"], array, dtype)
+        _encode(fmt.layer_keys, lyr, entry)
+        doc["layers"].append(entry)
+    _encode(fmt.tail, model, doc)
+    path.write_text(json.dumps(doc, indent=1))
 
 
 def load_model(path: str | Path) -> FloatModel:
     """Load and validate a float model manifest + blobs."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot read manifest {path}: {exc}") from exc
-    _check_version(doc, path)
-    if doc.get("model_type", "float") != "float":
-        raise ModelFormatError(f"{path.name}: not a float model manifest")
-    base = path.parent
-    layers = []
-    for entry in doc["layers"]:
-        kind = entry.get("kind", "")
-        attrs = dict(entry.get("attrs", {}))
-        name = entry.get("name")
-        if not name:
-            raise ModelFormatError("every layer needs a name")
-        weights = bias = None
-        wshape = _expected_weight_shape(kind, attrs) if kind in LAYER_KINDS else None
-        if entry.get("weights_file"):
-            if wshape is None:
-                raise ModelFormatError(f"layer {name!r}: kind {kind!r} takes no weights")
-            weights = read_blob(base / entry["weights_file"], "<f4", wshape).data
-        if entry.get("bias_file"):
-            if wshape is None:
-                raise ModelFormatError(f"layer {name!r}: kind {kind!r} takes no bias")
-            bias = read_blob(base / entry["bias_file"], "<f4", (wshape[0],)).data
-        layers.append(LayerDesc(name, kind, attrs, list(entry.get("inputs", [])),
-                                weights, bias))
-    model = FloatModel(doc["name"], tuple(int(d) for d in doc["input_shape"]), layers)
-    infer_shapes(model)
-    return model
+    return _read_manifest(path, _FLOAT, FloatModel, LayerDesc)
 
 
 def save_model(model: FloatModel, path: str | Path) -> None:
     """Write a float model manifest plus weight/bias blobs next to it."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "model_type": "float",
-        "name": model.name,
-        "input_shape": list(model.input_shape),
-        "layers": [],
-    }
-    stem = path.stem
-    for lyr in model.layers:
-        entry = {
-            "name": lyr.name,
-            "kind": lyr.kind,
-            "attrs": lyr.attrs,
-            "inputs": lyr.inputs,
-            "weights_file": None,
-            "bias_file": None,
-        }
-        if lyr.weights is not None:
-            fname = f"{stem}.{lyr.name}.w.bin"
-            write_blob(path.parent / fname, lyr.weights, "<f4")
-            entry["weights_file"] = fname
-        if lyr.bias is not None:
-            fname = f"{stem}.{lyr.name}.b.bin"
-            write_blob(path.parent / fname, lyr.bias, "<f4")
-            entry["bias_file"] = fname
-        doc["layers"].append(entry)
-    path.write_text(json.dumps(doc, indent=1))
-
-
-# ---------------------------------------------------------------------------
-# quantized model
-# ---------------------------------------------------------------------------
-
-def save_quantized_model(qnet, path: str | Path) -> None:
-    """Serialize a QuantizedNetwork; integer tensors as blobs, exact scales."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    stem = path.stem
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "model_type": "quantized",
-        "name": qnet.name,
-        "input_shape": list(qnet.input_shape),
-        "k": qnet.k,
-        "acc_bits": qnet.acc_bits,
-        "bias_check_width": qnet.bias_check_width,
-        "input_scale": qnet.input_scale,
-        "layers": [],
-    }
-    if qnet.sparsity:
-        doc["sparsity"] = [dict(e) for e in qnet.sparsity]
-    for lyr in qnet.layers:
-        entry = {
-            "name": lyr.name,
-            "kind": lyr.kind,
-            "attrs": lyr.attrs,
-            "inputs": lyr.inputs,
-            "weights_file": None,
-            "bias_file": None,
-            "scale_in": lyr.scale_in,
-            "scale_w": lyr.scale_w,
-            "scale_out": lyr.scale_out,
-            "bias_scheme": lyr.bias_scheme,
-            "bias_width": lyr.bias_width,
-        }
-        if lyr.m_hat is not None:
-            entry["m_hat"] = {"mantissa": lyr.m_hat.mantissa, "shift": lyr.m_hat.shift}
-            entry["m0"] = {"mantissa": lyr.m0.mantissa, "shift": lyr.m0.shift}
-            entry["m1"] = {"mantissa": lyr.m1.mantissa, "shift": lyr.m1.shift}
-            entry["i_max"] = lyr.i_max
-        if lyr.weights is not None:
-            fname = f"{stem}.{lyr.name}.w.bin"
-            write_blob(path.parent / fname, lyr.weights, "<i1")
-            entry["weights_file"] = fname
-        if lyr.bias is not None:
-            fname = f"{stem}.{lyr.name}.b.bin"
-            write_blob(path.parent / fname, lyr.bias, "<i4")
-            entry["bias_file"] = fname
-        doc["layers"].append(entry)
-    path.write_text(json.dumps(doc, indent=1))
+    _write_manifest(model, path, _FLOAT)
 
 
 def load_quantized_model(path: str | Path):
-    """Load a quantized manifest + blobs back into a QuantizedNetwork."""
-    from .fixedpoint import FixedMult
+    """Load and validate a quantized manifest + blobs as a QuantizedNetwork."""
     from .quantizer import QuantizedLayer, QuantizedNetwork
 
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot read manifest {path}: {exc}") from exc
-    _check_version(doc, path)
-    if doc.get("model_type") != "quantized":
-        raise ModelFormatError(f"{path.name}: not a quantized model manifest")
-    base = path.parent
-    layers = []
-    for entry in doc["layers"]:
-        name, kind = entry["name"], entry["kind"]
-        if kind not in LAYER_KINDS:
-            raise ModelFormatError(f"layer {name!r}: unknown kind {kind!r}")
-        attrs = dict(entry.get("attrs", {}))
-        weights = bias = None
-        if entry.get("weights_file"):
-            wshape = _expected_weight_shape(kind, attrs)
-            weights = read_blob(base / entry["weights_file"], "<i1", wshape).data
-        if entry.get("bias_file"):
-            nout = _expected_weight_shape(kind, attrs)[0]
-            bias = read_blob(base / entry["bias_file"], "<i4", (nout,)).data
-        consts = {}
-        for key in ("m_hat", "m0", "m1"):
-            if key in entry:
-                consts[key] = FixedMult(int(entry[key]["mantissa"]), int(entry[key]["shift"]))
-            else:
-                consts[key] = None
-        lyr = QuantizedLayer(
-            name=name, kind=kind, attrs=attrs, inputs=list(entry["inputs"]),
-            weights=weights, bias=bias,
-            bias_scheme=entry.get("bias_scheme"),
-            bias_width=entry.get("bias_width"),
-            scale_in=entry.get("scale_in"), scale_w=entry.get("scale_w"),
-            scale_out=entry.get("scale_out"),
-            m_hat=consts["m_hat"], m0=consts["m0"], m1=consts["m1"],
-            i_max=entry.get("i_max"),
-        )
-        layers.append(lyr)
-    qnet = QuantizedNetwork(
-        name=doc["name"],
-        input_shape=tuple(int(d) for d in doc["input_shape"]),
-        k=int(doc["k"]),
-        acc_bits=int(doc["acc_bits"]),
-        bias_check_width=int(doc.get("bias_check_width", 16)),
-        input_scale=float(doc["input_scale"]),
-        layers=layers,
-        sparsity=[dict(e) for e in doc.get("sparsity", [])],
-    )
-    qnet.validate()
-    return qnet
+    return _read_manifest(path, _QUANTIZED, QuantizedNetwork, QuantizedLayer)
+
+
+def save_quantized_model(qnet, path: str | Path) -> None:
+    """Serialize a QuantizedNetwork; integer tensors as blobs, exact scales."""
+    _write_manifest(qnet, path, _QUANTIZED)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +444,24 @@ def save_dataset(path: str | Path, inputs: np.ndarray, labels: np.ndarray) -> No
         fh.write(labels.tobytes())
 
 
+def _unpack_header(fmt: str, raw: bytes, offset: int, name: str) -> tuple:
+    end = offset + struct.calcsize(fmt)
+    if len(raw) < end:
+        raise ModelFormatError(
+            f"{name}: {len(raw)} bytes, expected at least {end} for the header"
+        )
+    return struct.unpack_from(fmt, raw, offset)
+
+
 def load_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != DATASET_MAGIC:
         raise ModelFormatError(f"{path.name}: not a dataset file")
-    ver, count, ndim, label_width = struct.unpack_from("<IIII", raw, 4)
+    ver, count, ndim, label_width = _unpack_header("<IIII", raw, 4, path.name)
     if ver != FORMAT_VERSION:
         raise ModelFormatError(f"{path.name}: dataset version {ver} not supported")
-    dims = struct.unpack_from(f"<{ndim}I", raw, 20)
+    dims = _unpack_header(f"<{ndim}I", raw, 20, path.name)
     offset = 20 + 4 * ndim
     n_in = count * int(np.prod(dims)) if ndim else count
     expected = offset + 4 * n_in + 4 * count * label_width

@@ -345,10 +345,7 @@ def compile_network(qnet, plan: SparsityPlan | None = None,
         form, form_idx, form_w = _execution_form(
             lyr.kind, lyr.out_shape, dense_w, gather_idx, gather_w, n_in_padded)
 
-        if lyr.kind == "residual-add":
-            fanouts = [np.ones(n_out, dtype=np.int64) for _ in sources]
-        else:
-            fanouts = [metrics.layer_fanout(lyr.kind, lyr.attrs, in_shapes[0])]
+        fanouts = [metrics.layer_fanout(lyr.kind, lyr.attrs, shape) for shape in in_shapes]
 
         bias_pre_scaled = bias_post = None
         if lyr.bias is not None:

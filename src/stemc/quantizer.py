@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fixedpoint import FixedMult, from_real
-from .modelio import INPUT_NAME, FloatModel, infer_shapes
+from .modelio import INPUT_NAME, FloatModel, LayerDesc, infer_shapes
 from . import refengine
 
 log = logging.getLogger("stemc")
@@ -50,21 +50,17 @@ INT8_MAX = 127           # weights are stored as int8
 @dataclass(frozen=True)
 class QuantParams:
     scale: float
-    zero_point: int = 0
     q_min: int = -127
     q_max: int = 127
 
 
-def derive_scale(r_max: float, r_min: float, q_max: int,
-                 q_min: int | None = None) -> QuantParams:
+def derive_scale(r_max: float, r_min: float, q_max: int) -> QuantParams:
     """Symmetric scale: S = max(|r_max|, |r_min|) / q_max, zero point 0."""
-    if q_min is None:
-        q_min = -q_max
     bound = max(abs(float(r_max)), abs(float(r_min)))
     if bound == 0.0:
         log.warning("degenerate range [0, 0]; falling back to scale %.3g", SCALE_EPS)
         bound = SCALE_EPS * q_max
-    return QuantParams(scale=bound / q_max, zero_point=0, q_min=q_min, q_max=q_max)
+    return QuantParams(scale=bound / q_max, q_min=-q_max, q_max=q_max)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -88,13 +84,9 @@ def dequantize(q: np.ndarray, params: QuantParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class QuantizedLayer:
-    name: str
-    kind: str
-    attrs: dict
-    inputs: list[str]
-    weights: np.ndarray | None = None      # int8
-    bias: np.ndarray | None = None         # int32, domain per bias_scheme
+class QuantizedLayer(LayerDesc):
+    """A layer with int8 weights, an int32 bias and its frozen constants."""
+
     bias_scheme: str | None = None         # "product" | "output"
     bias_width: int | None = None
     scale_in: float | None = None
@@ -104,19 +96,16 @@ class QuantizedLayer:
     m0: FixedMult | None = None
     m1: FixedMult | None = None
     i_max: int | None = None
-    out_shape: tuple[int, ...] = ()
-    activation: str = "none"
 
 
-@dataclass
-class QuantizedNetwork:
-    name: str
-    input_shape: tuple[int, ...]
+@dataclass(kw_only=True)
+class QuantizedNetwork(FloatModel):
+    """A network of QuantizedLayers and the wire format they share."""
+
     k: int
     acc_bits: int
     bias_check_width: int
     input_scale: float
-    layers: list[QuantizedLayer] = field(default_factory=list)
     sparsity: list[dict] = field(default_factory=list)
 
     @property
@@ -125,17 +114,7 @@ class QuantizedNetwork:
 
     @property
     def input_params(self) -> QuantParams:
-        return QuantParams(self.input_scale, 0, -self.q_max, self.q_max)
-
-    def layer(self, name: str) -> QuantizedLayer:
-        for lyr in self.layers:
-            if lyr.name == name:
-                return lyr
-        raise KeyError(name)
-
-    @property
-    def output_layer(self) -> QuantizedLayer:
-        return self.layers[-1]
+        return QuantParams(self.input_scale, -self.q_max, self.q_max)
 
     def validate(self) -> None:
         """Check topology, scales and constants."""
@@ -143,7 +122,7 @@ class QuantizedNetwork:
             raise ValueError(f"train length K={self.k} outside [2, 16]")
         if self.acc_bits < self.k:
             raise ValueError(f"accumulator width {self.acc_bits} < K={self.k}")
-        infer_shapes(self)   # topology, shapes, activation tagging
+        super().validate()   # topology, shapes, activation tagging
         scale_of = {INPUT_NAME: self.input_scale}
         for lyr in self.layers:
             for src in lyr.inputs:
@@ -155,13 +134,20 @@ class QuantizedNetwork:
             scale_of[lyr.name] = lyr.scale_out
             if lyr.kind == "flatten":
                 continue
-            if lyr.i_max is None or lyr.i_max < 1:
+            missing = [key for key in ("m_hat", "m0", "m1", "i_max")
+                       if getattr(lyr, key) is None]
+            if missing:
+                raise ValueError(f"layer {lyr.name!r}: missing {', '.join(missing)}")
+            if lyr.i_max < 1:
                 raise ValueError(f"layer {lyr.name!r}: i_max must be >= 1")
             rel = abs(lyr.m0.value() * lyr.m1.value() - lyr.m_hat.value())
             if (lyr.m_hat.mantissa
                     and rel / abs(lyr.m_hat.value()) > Fraction(1, 1 << 29)):
                 raise ValueError(f"layer {lyr.name!r}: m0*m1 drifts from m_hat")
             if lyr.bias is not None:
+                if lyr.bias_scheme not in ("product", "output") or lyr.bias_width is None:
+                    raise ValueError(f"layer {lyr.name!r}: bias scheme {lyr.bias_scheme!r}"
+                                     f" or width {lyr.bias_width!r} is not valid")
                 limit = (1 << (lyr.bias_width - 1)) - 1
                 if int(np.abs(lyr.bias).max()) > limit:
                     raise ValueError(
@@ -284,12 +270,15 @@ def _prefix_bound(lyr, weights_q: np.ndarray | None, bias_pre: np.ndarray | None
     return max(int(np.abs(e).max()) for e in ends)
 
 
-def _i_max(bound: int, k: int, acc_bits: int) -> int:
+def _i_max(bound: int, m_hat: FixedMult, k: int, acc_bits: int) -> int:
     """An I_max with value(M0) * bound + (K+1)/2 <= hi = 2^(n-1) - 1.
 
     The K step roundings and the bias injection each move U by at most 1/2.
     value(M0) exceeds hi / I_max by less than 2^-31 relative, which adds less
     than 1 to value(M0) * bound; the extra 1 in the room absorbs it.
+    I_max is also at least hi / (m_hat * 2^31), so that m1 = m_hat / M0 stays
+    within from_real's normalized range when the bound is tiny (a layer whose
+    weights are all zero has bound 0). A larger I_max only lowers M0.
     """
     hi = (1 << (acc_bits - 1)) - 1
     room2 = 2 * hi - (k + 1) - 2          # twice hi - (K+1)/2 - 1
@@ -297,7 +286,8 @@ def _i_max(bound: int, k: int, acc_bits: int) -> int:
         raise ValueError(
             f"accumulator width {acc_bits} leaves no room for the rounding "
             f"drift of K={k} steps; use at least {acc_bits + 1} bits")
-    return max(1, -(-2 * bound * hi // room2))
+    floor = -(-hi // (m_hat.value() * (1 << 31))) if m_hat.mantissa else 1
+    return max(1, floor, -(-2 * bound * hi // room2))
 
 
 def build_quantized_network(model: FloatModel, stats: RangeStats, k: int = 8,
@@ -377,7 +367,7 @@ def build_quantized_network(model: FloatModel, stats: RangeStats, k: int = 8,
 
         bias_pre = bias_q if scheme == "product" else None
         i_max = _i_max(_prefix_bound(lyr, weights_q, bias_pre,
-                                     signed[lyr.inputs[0]], k), k, acc_bits)
+                                     signed[lyr.inputs[0]], k), m_hat, k, acc_bits)
         m0 = from_real(hi_acc / i_max)
         m1 = from_real(float(Fraction(m_hat.value()) / Fraction(m0.value())))
 

@@ -185,6 +185,16 @@ class TestErrors:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_malformed_quantized_manifest_exits_2(self, tree, capsys):
+        doc = json.loads((tree / "mlp.q.json").read_text())
+        del doc["layers"][0]["m0"]
+        bad = tree / "no-m0.q.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli.main(["run", str(bad), str(tree / "fx" / "mlp" / "eval.ds")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: no-m0.q.json: layer 'fc1': missing m0\n")
+
     def test_corrupt_dataset_exits_2(self, tree, capsys):
         bad = tree / "bad.ds"
         bad.write_bytes(b"not a dataset")

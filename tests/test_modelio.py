@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -130,6 +132,51 @@ class TestQuantizedRoundtrip:
             load_model(tmp_path / "q.json")
 
 
+def _entry(doc, name):
+    return next(e for e in doc["layers"] if e["name"] == name)
+
+
+def _pool_takes_conv_weights(doc):
+    _entry(doc, "pool1")["weights_file"] = _entry(doc, "conv1")["weights_file"]
+
+
+BOTH_TYPES = [
+    ("no-layer-name", lambda d: d["layers"][1].pop("name"), "layer #1 has no 'name'"),
+    ("pool-weights", _pool_takes_conv_weights,
+     "layer 'pool1': kind 'avgpool2d' takes no weights"),
+    ("no-inputs", lambda d: _entry(d, "conv1").pop("inputs"), "layer 'conv1' has no inputs"),
+    ("no-attr", lambda d: _entry(d, "fc")["attrs"].pop("in_features"),
+     "layer 'fc': missing attr 'in_features'"),
+]
+
+
+@pytest.mark.parametrize("model_type,edit,match", [
+    pytest.param(t, edit, match, id=f"{t}-{case}")
+    for t in ("float", "quantized") for case, edit, match in BOTH_TYPES
+] + [
+    pytest.param("float", lambda d: d.pop("input_shape"), "missing key 'input_shape'",
+                 id="float-no-input_shape"),
+    pytest.param("quantized", lambda d: d.pop("k"), "missing key 'k'", id="quantized-no-k"),
+    pytest.param("quantized", lambda d: _entry(d, "conv2").pop("m0"),
+                 "layer 'conv2': missing m0", id="quantized-no-m0"),
+    pytest.param("quantized", lambda d: _entry(d, "fc").update(bias_scheme="bogus"),
+                 "layer 'fc': bias scheme 'bogus'", id="quantized-bad-bias-scheme"),
+])
+def test_malformed_manifest_raises(tmp_path, cnn_bundle, model_type, edit, match):
+    path = tmp_path / "m.json"
+    if model_type == "float":
+        save_model(cnn_bundle.model, path)
+        load = load_model
+    else:
+        save_quantized_model(cnn_bundle.qnet, path)
+        load = load_quantized_model
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=re.escape(match)):
+        load(path)
+
+
 class TestValidation:
     def test_conv_weight_shape_mismatch(self, rng):
         lyr = LayerDesc(
@@ -253,6 +300,15 @@ class TestDataset:
         raw = (tmp_path / "d.ds").read_bytes()
         (tmp_path / "d.ds").write_bytes(raw[:-4])
         with pytest.raises(ModelFormatError, match="expected"):
+            load_dataset(tmp_path / "d.ds")
+
+    @pytest.mark.parametrize("raw", [
+        b"STDS\1\0",
+        b"STDS" + struct.pack("<IIII", 1, 4, 2, 1),   # no room for its 2 dims
+    ], ids=["in-counts", "in-dims"])
+    def test_truncated_header(self, tmp_path, raw):
+        (tmp_path / "d.ds").write_bytes(raw)
+        with pytest.raises(ModelFormatError, match="expected at least"):
             load_dataset(tmp_path / "d.ds")
 
     def test_label_count_mismatch(self, tmp_path, rng):

@@ -85,7 +85,7 @@ class TestScales:
     def test_symmetric_scale(self):
         p = derive_scale(0.5, -0.3, 127)
         assert p.scale == 0.5 / 127
-        assert (p.zero_point, p.q_min, p.q_max) == (0, -127, 127)
+        assert (p.q_min, p.q_max) == (-127, 127)
 
     def test_negative_dominates(self):
         assert derive_scale(0.2, -0.8, 127).scale == 0.8 / 127
@@ -315,7 +315,7 @@ class TestLongTrains:
             for lyr, flt in zip(qnet.layers, model.layers):
                 if lyr.weights is None:
                     continue
-                wide = QuantParams(lyr.scale_w, 0, -qnet.q_max, qnet.q_max)
+                wide = QuantParams(lyr.scale_w, -qnet.q_max, qnet.q_max)
                 pre_cast, _ = quantize_tensor(flt.weights, wide)
                 assert np.array_equal(lyr.weights.astype(np.int64), pre_cast)
             x_int, _ = quantize_tensor(ds.inputs, qnet.input_params)
@@ -368,6 +368,22 @@ class TestCalibrate:
         sim = netsim.run_batch(netsim.compile_network(qnet), x_int)
         hw, _ = int_forward(qnet, x_int, mode="hw")
         assert np.array_equal(sim.outputs, hw)
+
+    @pytest.mark.parametrize("bias", [None, [0.5, -0.25]])
+    @pytest.mark.parametrize("acc_bits", [16, 32])
+    def test_zero_weight_layer_quantizes(self, acc_bits, bias):
+        # all-zero weights bound every prefix by 0; an I_max of 1 made
+        # M0 = 2^(n-1) - 1 and left m1 below a normalized mantissa (at 32 bits,
+        # and at 16 with a bias)
+        model = _fc_model([(np.zeros((2, 2)), bias), ([[1.0, -0.5], [0.25, 1.0]], None)], 2)
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2))
+        qnet = build_quantized_network(model, calibrate(model, x), k=8, acc_bits=acc_bits)
+        assert qnet.layer("fc1").m1.is_normalized()
+        x_int, _ = quantize_tensor(x, qnet.input_params)
+        sim = netsim.run_batch(netsim.compile_network(qnet), x_int)
+        hw, record = int_forward(qnet, x_int, mode="hw")
+        assert np.array_equal(sim.outputs, hw)
+        assert _record_saturations(record) == 0
 
     @pytest.mark.parametrize("which", ["mlp", "cnn", "bias"])
     def test_wide_accumulator_calibrates(self, which, request):
