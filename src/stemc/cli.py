@@ -83,32 +83,33 @@ def cmd_quantize(args) -> int:
 def cmd_run(args) -> int:
     if args.dump_spikes and args.mode != "sim":
         raise ValueError(f"--dump-spikes needs --mode sim, not --mode {args.mode}")
+    if args.strict_capacity and args.mode == "oracle":
+        raise ValueError("--strict-capacity needs --mode sim or pipeline, not --mode oracle")
     qnet = load_quantized_model(args.model)
     ds, x_int = _load_inputs(qnet, args.data)
     n = x_int.shape[0]
-    traces = None
-    steps = None
-    trains = None
+    traces = trains = steps = total_steps = None
     if args.mode == "oracle":
-        outputs, record = int_forward(qnet, x_int, mode=args.oracle_mode)
-        saturations = sum(a.saturations for a in record.layers.values())
+        w = netsim.PIPELINE_WINDOW        # windowed like run_batch: bounded temporaries
+        outputs, saturations = [], 0
+        for lo in range(0, n, w):
+            out, record = int_forward(qnet, x_int[lo:lo + w], mode=args.oracle_mode)
+            outputs.append(out)
+            saturations += sum(a.saturations for a in record.layers.values())
+        outputs = np.concatenate(outputs)
     else:
         snet = netsim.compile_network(qnet, strict_capacity=args.strict_capacity)
+        res = netsim.run_batch(snet, x_int, record_trains=bool(args.dump_spikes))
+        outputs, traces, trains = res.outputs, res.traces, res.trains
+        saturations = sum(t.saturations for t in traces)
         if args.mode == "pipeline":
-            res = netsim.run_pipeline(snet, x_int)
-            outputs = res.outputs
-            steps = res.timing.total_steps
-            saturations = res.saturations
-            print(f"pipeline: {res.timing.total_steps} steps for {n} samples "
+            timing = netsim.pipeline_timing(snet, n)
+            total_steps = timing.total_steps
+            print(f"pipeline: {total_steps} steps for {n} samples "
                   f"({snet.n_stages} stages, K={snet.k}, "
-                  f"buffer peak {res.timing.buffered_train_peak})")
-            print(f"saturations {saturations}")
+                  f"buffer peak {timing.buffered_train_peak})")
         else:
-            res = netsim.run_batch(snet, x_int, record_trains=bool(args.dump_spikes))
-            outputs, traces = res.outputs, res.traces
             steps = res.steps_per_sample
-            trains = res.trains
-            saturations = sum(t.saturations for t in traces)
 
     acc = _accuracy(outputs, ds.labels)
     macs = metrics.count_macs(qnet)
@@ -120,8 +121,8 @@ def cmd_run(args) -> int:
         "total_macs": macs * n,
         "macs_per_sample": macs,
         "saturations": saturations,
-        "steps_per_sample": steps if args.mode != "pipeline" else None,
-        "total_steps": steps if args.mode == "pipeline" else None,
+        "steps_per_sample": steps,
+        "total_steps": total_steps,
         "total_sops": None,
         "sops_per_sample": None,
         "ann_uj": None,

@@ -45,6 +45,9 @@ _REQUIRED_ATTRS = {
     "conv2d": ("in_channels", "out_channels", "kernel"),
     "avgpool2d": ("kernel",),
 }
+# least value of each integer attr; a kernel is a pair of them
+_INT_ATTRS = {"in_features": 1, "out_features": 1, "in_channels": 1, "out_channels": 1,
+              "kernel": 1, "stride": 1, "padding": 0}
 INPUT_NAME = "input"
 
 
@@ -310,6 +313,15 @@ def _encode(keys: tuple[_Key, ...], obj, doc: dict) -> None:
             doc[key.name] = None if value is None else key.encode(value)
 
 
+def _int_attr_ok(attr: str, value) -> bool:
+    """`value` is an int (a kernel: a pair of ints) of at least the attr's least value."""
+    least = _INT_ATTRS[attr]
+    if attr == "kernel":
+        return (isinstance(value, list) and len(value) == 2
+                and all(type(v) is int and v >= least for v in value))
+    return type(value) is int and value >= least
+
+
 def _read_manifest(path: str | Path, fmt: _Format, net_cls: type[FloatModel],
                    layer_cls: type[LayerDesc]) -> FloatModel:
     """Parse, check and validate a `fmt` manifest and its blobs."""
@@ -339,6 +351,9 @@ def _read_manifest(path: str | Path, fmt: _Format, net_cls: type[FloatModel],
         for attr in _REQUIRED_ATTRS.get(kind, ()):
             if attr not in attrs:
                 raise ModelFormatError(f"layer {name!r}: missing attr {attr!r}")
+        for attr, value in attrs.items():
+            if attr in _INT_ATTRS and not _int_attr_ok(attr, value):
+                raise ModelFormatError(f"layer {name!r}: bad attr {attr!r} value {value!r}")
         blobs = []
         for what, dtype in zip(("weights", "bias"), fmt.blob_dtypes):
             fname = entry.get(f"{what}_file")

@@ -26,40 +26,26 @@ sequence, in the K-step ``StemState.integrate`` scan. None of this is the
 shifted-slice convolution of the reference oracle, so the two sides check
 each other.
 
-The population step. Both run functions hand each population's samples to
-one step, ``_population_step``, which works through them in sample blocks:
-each sample block's step sums, K-step scan and emission are written into the
+The population step. Every run hands each population's samples to one step,
+``_population_step``, which works through them in sample blocks: each sample
+block's step sums, K-step scan and emission are written into the
 population's V and train before the next one starts. A sample block holds as
 many samples as keep its int64 step sums (8*K bytes per output neuron), or a
 conv's float64 gathered patches if those are larger, within BLOCK_BYTES, and
 at least one. Sample blocks split only the batch axis, so they change no
-integer, trace or saturation count. They keep the step sums and conv patches
-near the cache size; a dense form's float64 copy of its input rows (8*K
-bytes per input neuron and sample) is not counted, so a dense layer with far
-more inputs than outputs takes large blocks.
+integer, trace or saturation count.
 
-Two run functions share the step:
-
-* ``run_batch``    - layer by layer over a whole batch, one population step
-  per population; one sample occupies the network for K*(stages+1) steps
-  (stages of integration plus the output train's own transmission block).
-* ``run_pipeline`` - one global clock; the layer at stage l integrates
-  sample s during block l-1+s, i.e. steps [(l-1+s)K, (l+s)K), so a stream of
-  S samples drains in exactly K*(stages+S) steps. The stream runs
-  PIPELINE_WINDOW samples at a time, each window through every population
-  in topological order, one population step each. The clock is not stepped:
-  the timing and the peak of buffered trains are counted from the stage
-  numbers alone.
-
-Both drivers must produce identical integers. They do, because a sample's
-integers do not depend on which other samples share its window or block.
-
-``CachedRun`` is a ``run_batch`` that keeps every population's pre-emission
-value, train and trace, so that a change of one hidden population's sparsity
-re-runs only the populations downstream of it (the sparsity tuner's
-candidates). It runs each population through the same step as ``run_batch``.
-Each emitted train's per-neuron spike counts are taken once, when it is
-emitted; the SOP and spike fields of every reader's trace come from them.
+One executor. ``run_batch`` streams a batch PIPELINE_WINDOW samples at a
+time, each window through every population in topological order, so no
+sample block is larger than the window; one sample occupies the network for
+K*(stages+1) steps (stages of integration plus the output train's own
+transmission block). Each train's per-neuron spike counts are taken once,
+when it is emitted, and the SOP and spike fields of every reader's trace
+come from them. ``run_pipeline`` overlaps the layers on one global clock,
+which changes only the timing, never the integers: it is ``run_batch`` plus
+the schedule that ``pipeline_timing`` counts from the stage numbers.
+``CachedRun`` keeps a whole-batch run per population, so that the sparsity
+tuner re-runs only the populations downstream of a changed one.
 """
 
 from __future__ import annotations
@@ -88,8 +74,9 @@ EXACT_SUM_LIMIT = 1 << 53
 # benchmark workloads, below the per-core L2 cache.
 BLOCK_BYTES = 1 << 20
 
-# Samples the pipeline driver runs through every population at a time.
-PIPELINE_WINDOW = 64
+# Samples run_batch runs through every population at a time: chosen by paired
+# timing on the benchmark workloads, within a 4 MiB peak for wide-fanin.
+PIPELINE_WINDOW = 80
 
 
 @dataclass(frozen=True)
@@ -377,9 +364,10 @@ def compile_network(qnet, plan: SparsityPlan | None = None,
         input_shape=tuple(qnet.input_shape), populations=pops,
         n_stages=max(stage.values()), plan=plan, profile=profile,
     )
-    report = check_capacity(snet, profile)
-    if strict_capacity and report.violations:
-        raise ValueError("capacity check failed: " + "; ".join(report.violations))
+    if strict_capacity:
+        violations = check_capacity(snet, profile).violations
+        if violations:
+            raise ValueError("capacity check failed: " + "; ".join(violations))
     return with_plan(snet, plan)
 
 
@@ -526,61 +514,63 @@ def _spike_counts(train: np.ndarray) -> np.ndarray:
     return per_step.reshape(n_neurons, k).sum(axis=1, dtype=np.int64)
 
 
-def _batch_input(snet: SpikingNetwork, x_int: np.ndarray
-                 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """The trains and spike counts maps of a batch run, holding the input."""
-    train = encode_planes(_as_batch(x_int, snet.input_shape), snet.k, signed=True)
-    return {INPUT_NAME: train}, {INPUT_NAME: _spike_counts(train)}
-
-
-def _store_train(name: str, train: np.ndarray, trains, counts) -> None:
-    """Store an emitted train and its spike counts under `name`."""
-    trains[name] = train
-    counts[name] = _spike_counts(train)
-
-
-def _run_population(pop: Population, trains, counts, phis: dict[str, np.ndarray],
-                    acc_bits: int, k: int) -> tuple[np.ndarray, LayerTrace]:
-    """One population over a whole batch: its population step and its trace.
-
-    Producers' trains and spike counts are read from the `trains` and
-    `counts` maps and the population's own are stored there. SOPs and
-    ``spikes_in`` come from the producers' counts, so each train is counted
-    once, when it is emitted, however many populations read it. Returns
-    (clamped V before emission, trace).
-    """
-    v, train, saturations = _population_step(
-        pop, [trains[s] for s in pop.inputs], [phis[s] for s in pop.inputs], acc_bits, k)
-    _store_train(pop.name, train, trains, counts)
+def _trace(pop: Population, counts: dict[str, np.ndarray], saturations: int) -> LayerTrace:
+    """The trace of `pop` from the per-neuron spike counts of its producers'
+    trains and its own."""
     in_counts = [counts[s] for s in pop.inputs]
-    trace = LayerTrace(
+    return LayerTrace(
         name=pop.name, kind=pop.kind,
         sops=sum(metrics.count_sops(c, fo) for c, fo in zip(in_counts, pop.fanouts)),
         spikes_in=sum(int(c.sum()) for c in in_counts),
         spikes_out=int(counts[pop.name].sum()), saturations=saturations,
         neurons=pop.n_out)
-    return v, trace
 
 
-def _decode_output(snet: SpikingNetwork, trains) -> np.ndarray:
-    return decode_train(trains[snet.output.name], WireSchedule(snet.k, signed=True))
+def _decode_output(snet: SpikingNetwork, train: np.ndarray) -> np.ndarray:
+    return decode_train(train, WireSchedule(snet.k, signed=True))
 
 
 def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
               record_trains: bool = False) -> RunResult:
-    """Sequential bit-serial execution of a batch; ground-truth order."""
-    trains, counts = _batch_input(snet, x_int)
+    """Bit-serial execution of a batch, PIPELINE_WINDOW samples at a time.
+
+    Each population's spike counts and saturations are summed over the
+    windows and its trace is built once, from the sums. The window changes no
+    result, since a sample's integers do not depend on which samples share
+    it; it bounds host memory by PIPELINE_WINDOW samples of every train plus
+    one step's BLOCK_BYTES. With `record_trains` every train is also kept
+    whole.
+    """
+    k = snet.k
+    xb = _as_batch(x_int, snet.input_shape)
+    n = xb.shape[0]
     phis = _wire_phis(snet)
-    traces = [_run_population(pop, trains, counts, phis, snet.acc_bits, snet.k)[1]
-              for pop in snet.populations]
-    outputs = _decode_output(snet, trains)
+    counts = {INPUT_NAME: np.zeros(xb.shape[1], dtype=np.int64)}
+    counts |= {p.name: np.zeros(p.n_out, dtype=np.int64) for p in snet.populations}
+    saturations = {p.name: 0 for p in snet.populations}
+    kept = ({name: np.empty((n, c.size, k), dtype=np.uint8) for name, c in counts.items()}
+            if record_trains else None)
+    outputs = np.empty((n, snet.output.n_out), dtype=np.int64)
+    for lo in range(0, n, PIPELINE_WINDOW):
+        hi = min(lo + PIPELINE_WINDOW, n)
+        trains = {INPUT_NAME: encode_planes(xb[lo:hi], k, signed=True)}
+        for pop in snet.populations:
+            _, trains[pop.name], sat = _population_step(
+                pop, [trains[s] for s in pop.inputs], [phis[s] for s in pop.inputs],
+                snet.acc_bits, k)
+            saturations[pop.name] += sat
+        for name, train in trains.items():
+            counts[name] += _spike_counts(train)
+            if kept is not None:
+                kept[name][lo:hi] = train
+        outputs[lo:hi] = _decode_output(snet, trains[snet.output.name])
     return RunResult(
         outputs=outputs,
         outputs_real=outputs.astype(np.float64) * snet.output.scale_out,
-        traces=traces,
-        steps_per_sample=snet.k * (snet.n_stages + 1),
+        traces=[_trace(pop, counts, saturations[pop.name]) for pop in snet.populations],
+        steps_per_sample=k * (snet.n_stages + 1),
         n_stages=snet.n_stages,
-        trains=trains if record_trains else None,
+        trains=kept,
     )
 
 
@@ -588,25 +578,27 @@ class CachedRun:
     """A ``run_batch`` of one batch, kept per population so that a change of
     one hidden population's sparsity re-runs only what depends on it.
 
-    Every population keeps its clamped V before emission, its emitted train
-    with per-neuron spike counts, and its trace. ``rerun`` re-emits one
-    population's cached V under another sparsity setting and re-runs only the
-    populations downstream of it; every other train and trace is read from
-    this cache. ``adopt`` makes such a rerun the cached state. Both go through
-    ``_run_population``, the layer step of ``run_batch``, so a cached run and
-    its reruns hold exactly the integers and traces ``run_batch`` gives under
-    the same plan.
+    The whole batch runs at once: every population keeps its clamped V
+    before emission, its emitted train with per-neuron spike counts, and its
+    trace. ``rerun`` re-emits one population's cached V under another
+    sparsity setting and re-runs only the populations downstream of it; every
+    other train and trace is read from this cache. ``adopt`` makes such a
+    rerun the cached state. Both run each population through the population
+    step and trace of ``run_batch``, so a cached run and its reruns hold
+    exactly the integers and traces ``run_batch`` gives under the same plan.
     """
 
     def __init__(self, snet: SpikingNetwork, x_int: np.ndarray):
         self.snet = snet
         self._phis = _wire_phis(snet)
-        self.trains, self.counts = _batch_input(snet, x_int)
+        self.trains: dict[str, np.ndarray] = {}
+        self.counts: dict[str, np.ndarray] = {}
         self.values: dict[str, np.ndarray] = {}
         self.traces: dict[str, LayerTrace] = {}
+        self._store(INPUT_NAME, encode_planes(
+            _as_batch(x_int, snet.input_shape), snet.k, signed=True))
         for pop in snet.populations:
-            self.values[pop.name], self.traces[pop.name] = _run_population(
-                pop, self.trains, self.counts, self._phis, snet.acc_bits, snet.k)
+            self._run(pop)
         # per population, the indices of the populations that depend on it
         reads: dict[str, set[str]] = {INPUT_NAME: set()}
         for pop in snet.populations:
@@ -616,10 +608,24 @@ class CachedRun:
             for pop in snet.populations}
         self._index = {pop.name: i for i, pop in enumerate(snet.populations)}
 
+    def _store(self, name: str, train: np.ndarray) -> None:
+        """Keep an emitted train and its spike counts under `name`."""
+        self.trains[name] = train
+        self.counts[name] = _spike_counts(train)
+
+    def _run(self, pop: Population) -> None:
+        """Run `pop` over the batch from the cached trains; keep its V, train
+        and trace."""
+        self.values[pop.name], train, saturations = _population_step(
+            pop, [self.trains[s] for s in pop.inputs], [self._phis[s] for s in pop.inputs],
+            self.snet.acc_bits, self.snet.k)
+        self._store(pop.name, train)
+        self.traces[pop.name] = _trace(pop, self.counts, saturations)
+
     @property
     def outputs(self) -> np.ndarray:
         """Decoded output trains, int64 [N, n_out]."""
-        return _decode_output(self.snet, self.trains)
+        return _decode_output(self.snet, self.trains[self.snet.output.name])
 
     @property
     def layer_traces(self) -> list[LayerTrace]:
@@ -638,15 +644,12 @@ class CachedRun:
         child.trains, child.counts, child.values, child.traces = (
             collections.ChainMap({}, m)
             for m in (self.trains, self.counts, self.values, self.traces))
-        snet = child.snet
-        pop = snet.populations[self._index[name]]
-        _store_train(name, pop.emit(self.values[name], snet.k), child.trains, child.counts)
+        pop = child.snet.populations[self._index[name]]
+        child._store(name, pop.emit(self.values[name], child.snet.k))
         child.traces[name] = dataclasses.replace(
             self.traces[name], spikes_out=int(child.counts[name].sum()))
         for i in self._downstream[name]:
-            pop = snet.populations[i]
-            child.values[pop.name], child.traces[pop.name] = _run_population(
-                pop, child.trains, child.counts, self._phis, snet.acc_bits, snet.k)
+            child._run(child.snet.populations[i])
         return child
 
     def adopt(self, child: "CachedRun") -> None:
@@ -658,7 +661,7 @@ class CachedRun:
 
 
 # ---------------------------------------------------------------------------
-# pipeline driver
+# pipeline timing
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -679,49 +682,22 @@ class PipelineResult:
     saturations: int                # accumulator clamps over every stage and sample
 
 
-def run_pipeline(snet: SpikingNetwork, x_int: np.ndarray) -> PipelineResult:
-    """Stream a batch through the staged network on one global clock.
+def pipeline_timing(snet: SpikingNetwork, n_samples: int) -> PipelineTiming:
+    """The schedule of `n_samples` streamed through the staged network on one
+    global clock, counted from the stage numbers alone.
 
     Stage l integrates sample s during block l-1+s, global steps
     [(l-1+s)K, (l+s)K); the output train of the last stage is itself
     transmitted during the following block, so S samples complete in exactly
-    K*(n_stages + S) steps.
-
-    The integers do not depend on the order in which samples are integrated,
-    so the stream is run PIPELINE_WINDOW samples at a time: every population,
-    in topological order, takes the window's samples in one population step
-    (the one ``run_batch`` uses, which works in byte-bounded sample blocks),
-    and the output trains are decoded. Host memory is bounded by
-    PIPELINE_WINDOW samples of every population's train plus one step's
-    BLOCK_BYTES, however long the stream.
-
-    The timing follows from the stage numbers alone. Producer p emits the
-    train of sample s in block stage_p - 1 + s; it stays buffered until its
-    last reader has read it, in block R_p + s, where R_p is the largest block
-    offset among p's readers (a population at stage q reads sample s in
-    block q - 1 + s, the external reader of the final train in block
-    stage + s). Trains are emitted and released only at a block's end, so
-    the buffer peak is the largest running sum of emissions minus releases.
+    K*(n_stages + S) steps. Producer p emits the train of sample s in block
+    stage_p - 1 + s; it stays buffered until its last reader has read it, in
+    block R_p + s, where R_p is the largest block offset among p's readers (a
+    population at stage q reads sample s in block q - 1 + s, the external
+    reader of the final train in block stage + s). Trains are emitted and
+    released only at a block's end, so the buffer peak is the largest running
+    sum of emissions minus releases.
     """
-    k = snet.k
-    xb = _as_batch(x_int, snet.input_shape)
-    n_samples = xb.shape[0]
     out_pop = snet.output
-    phis = _wire_phis(snet)
-    out_sched = WireSchedule(k, signed=True)
-
-    outputs = np.empty((n_samples, out_pop.n_out), dtype=np.int64)
-    saturations = 0
-    for lo in range(0, n_samples, PIPELINE_WINDOW):
-        hi = min(lo + PIPELINE_WINDOW, n_samples)
-        trains = {INPUT_NAME: encode_planes(xb[lo:hi], k, signed=True)}
-        for pop in snet.populations:
-            _, trains[pop.name], sat = _population_step(
-                pop, [trains[s] for s in pop.inputs], [phis[s] for s in pop.inputs],
-                snet.acc_bits, k)
-            saturations += sat
-        outputs[lo:hi] = decode_train(trains[out_pop.name], out_sched)
-
     last_read = {out_pop.name: out_pop.stage}
     for pop in snet.populations:
         for src in pop.inputs:
@@ -730,17 +706,24 @@ def run_pipeline(snet: SpikingNetwork, x_int: np.ndarray) -> PipelineResult:
     for pop in snet.populations:
         live[pop.stage - 1:pop.stage - 1 + n_samples] += 1
         live[last_read[pop.name]:last_read[pop.name] + n_samples] -= 1
-    timing = PipelineTiming(
-        k=k, n_stages=snet.n_stages, n_samples=n_samples,
-        total_steps=k * (snet.n_stages + n_samples),
+    return PipelineTiming(
+        k=snet.k, n_stages=snet.n_stages, n_samples=n_samples,
+        total_steps=snet.k * (snet.n_stages + n_samples),
         buffered_train_peak=int(np.cumsum(live).max()),
         stage_of={p.name: p.stage for p in snet.populations},
     )
+
+
+def run_pipeline(snet: SpikingNetwork, x_int: np.ndarray) -> PipelineResult:
+    """A batch streamed through the staged network: the integers of
+    ``run_batch`` (overlapping the layers changes only the timing) and the
+    schedule of ``pipeline_timing``."""
+    res = run_batch(snet, x_int)
     return PipelineResult(
-        outputs=outputs,
-        outputs_real=outputs.astype(np.float64) * out_pop.scale_out,
-        timing=timing,
-        saturations=saturations,
+        outputs=res.outputs,
+        outputs_real=res.outputs_real,
+        timing=pipeline_timing(snet, res.outputs.shape[0]),
+        saturations=sum(t.saturations for t in res.traces),
     )
 
 

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from stemc import cli
+from stemc import cli, netsim
 from stemc.modelio import load_quantized_model, save_dataset
 from stemc.netsim import rle_decode
 
@@ -110,6 +110,24 @@ class TestRun:
         assert isinstance(doc["saturations"], int)
         assert doc["saturations"] == sim["saturations"]
 
+    @pytest.mark.parametrize("fixture", ["bias-stress", "cnn", "mlp", "residual"])
+    def test_pipeline_report_equals_sim(self, tree, fixture):
+        d = tree / "fx" / fixture
+        q = tree / f"{fixture}.pipe.q.json"
+        assert cli.main(["quantize", str(d / "model.json"), str(d / "calib.ds"),
+                         "-o", str(q)]) == 0
+        for mode in ("sim", "pipeline"):
+            assert cli.main(["run", str(q), str(d / "eval.ds"), "--mode", mode,
+                             "--report", str(tree / f"{fixture}-{mode}")]) == 0
+        sim, pipe = (tree / f"{fixture}-sim", tree / f"{fixture}-pipeline")
+        assert (pipe / "layers.csv").read_bytes() == (sim / "layers.csv").read_bytes()
+        doc = json.loads((pipe / "summary.json").read_text())
+        want = json.loads((sim / "summary.json").read_text())
+        assert doc["total_sops"] is not None
+        for key in ("mode", "steps_per_sample", "total_steps"):
+            del doc[key], want[key]
+        assert doc == want
+
     def test_oracle_mode_summary(self, tree):
         rc = cli.main(["run", str(tree / "mlp.q.json"),
                        str(tree / "fx" / "mlp" / "eval.ds"),
@@ -119,6 +137,16 @@ class TestRun:
         doc = json.loads((tree / "ro" / "summary.json").read_text())
         assert doc["mode"] == "oracle-direct"
         assert doc["total_sops"] is None             # no spikes in oracle mode
+
+    @pytest.mark.parametrize("mode", ["sim", "oracle"])
+    def test_windows_change_no_report(self, tree, mode, monkeypatch):
+        args = ["run", str(tree / "mlp.q.json"), str(tree / "fx" / "mlp" / "eval.ds"),
+                "--mode", mode]
+        assert cli.main(args + ["--report", str(tree / f"w-{mode}")]) == 0   # one window
+        monkeypatch.setattr(netsim, "PIPELINE_WINDOW", 5)
+        assert cli.main(args + ["--report", str(tree / f"w5-{mode}")]) == 0
+        for path in (tree / f"w-{mode}").iterdir():
+            assert path.read_bytes() == (tree / f"w5-{mode}" / path.name).read_bytes()
 
     def test_dump_spikes_parses(self, tree):
         dump = tree / "spikes.txt"
@@ -229,6 +257,14 @@ class TestErrors:
         assert capsys.readouterr().err == (
             f"error: --dump-spikes needs --mode sim, not --mode {mode}\n")
         assert not dump.exists()
+
+    def test_strict_capacity_needs_simulator(self, tree, capsys):
+        rc = cli.main(["run", str(tree / "mlp.q.json"),
+                       str(tree / "fx" / "mlp" / "eval.ds"), "--mode", "oracle",
+                       "--strict-capacity"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --strict-capacity needs --mode sim or pipeline, not --mode oracle\n")
 
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):

@@ -147,6 +147,24 @@ BOTH_TYPES = [
     ("no-inputs", lambda d: _entry(d, "conv1").pop("inputs"), "layer 'conv1' has no inputs"),
     ("no-attr", lambda d: _entry(d, "fc")["attrs"].pop("in_features"),
      "layer 'fc': missing attr 'in_features'"),
+    ("int-kernel", lambda d: _entry(d, "conv1")["attrs"].update(kernel=3),
+     "layer 'conv1': bad attr 'kernel' value 3"),
+    ("kernel-zero", lambda d: _entry(d, "pool1")["attrs"].update(kernel=[2, 0]),
+     "layer 'pool1': bad attr 'kernel' value [2, 0]"),
+    ("kernel-triple", lambda d: _entry(d, "conv2")["attrs"].update(kernel=[3, 3, 3]),
+     "layer 'conv2': bad attr 'kernel' value [3, 3, 3]"),
+    ("stride-zero", lambda d: _entry(d, "conv1")["attrs"].update(stride=0),
+     "layer 'conv1': bad attr 'stride' value 0"),
+    ("pool-stride-zero", lambda d: _entry(d, "pool2")["attrs"].update(stride=0),
+     "layer 'pool2': bad attr 'stride' value 0"),
+    ("padding-negative", lambda d: _entry(d, "conv2")["attrs"].update(padding=-1),
+     "layer 'conv2': bad attr 'padding' value -1"),
+    ("channels-zero", lambda d: _entry(d, "conv1")["attrs"].update(out_channels=0),
+     "layer 'conv1': bad attr 'out_channels' value 0"),
+    ("channels-float", lambda d: _entry(d, "conv2")["attrs"].update(in_channels=4.0),
+     "layer 'conv2': bad attr 'in_channels' value 4.0"),
+    ("features-string", lambda d: _entry(d, "fc")["attrs"].update(out_features="10"),
+     "layer 'fc': bad attr 'out_features' value '10'"),
 ]
 
 

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,8 +480,10 @@ class TestPipelineWindow:
         assert res.timing.total_steps == 8 * (4 + 3)
         assert res.timing.buffered_train_peak == 3
 
+    @pytest.mark.parametrize("driver", [run_batch, run_pipeline],
+                             ids=["run_batch", "run_pipeline"])
     @pytest.mark.parametrize("window", [5, 1000])
-    def test_one_step_sum_per_stage_and_window(self, residual_bundle, window,
+    def test_one_step_sum_per_stage_and_window(self, residual_bundle, window, driver,
                                                monkeypatch):
         snet = compile_network(residual_bundle.qnet)
         x = residual_bundle.x_int
@@ -493,12 +496,26 @@ class TestPipelineWindow:
 
         monkeypatch.setattr(netsim, "_population_step", counting)
         monkeypatch.setattr(netsim, "PIPELINE_WINDOW", window)
-        run_pipeline(snet, x)
+        driver(snet, x)
         assert max(n for _, n in calls) <= window        # memory bounded by W
         for pop in snet.populations:
             mine = [n for name, n in calls if name == pop.name]
             assert sum(mine) == x.shape[0]                # each sample once
             assert len(mine) == -(-x.shape[0] // window)  # one call per window
+
+    def test_memory_bounded_by_window(self, widefan_bundle):
+        # a dense form copies its input rows to float64, 8*K bytes per input
+        # neuron and sample: 512 inputs make that the largest temporary
+        snet = compile_network(widefan_bundle.qnet)
+        x = np.tile(widefan_bundle.x_int, (50, 1))               # 2000 samples
+        peaks = []
+        for n in (netsim.PIPELINE_WINDOW, x.shape[0]):
+            tracemalloc.start()
+            run_batch(snet, x[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
+        assert peaks[1] < 4 * 2**20
 
 
 class TestSaturationParity:
@@ -575,6 +592,15 @@ class TestCapacity:
         snet = compile_network(mlp_bundle.qnet)
         report = check_capacity(snet, HardwareProfile(acc_bits=8))
         assert any("accumulator" in v for v in report.violations)
+
+    def test_checked_only_when_strict(self, mlp_bundle, monkeypatch):
+        calls = []
+        monkeypatch.setattr(netsim, "check_capacity",
+                            lambda *args: calls.append(args) or check_capacity(*args))
+        compile_network(mlp_bundle.qnet)
+        assert calls == []
+        compile_network(mlp_bundle.qnet, strict_capacity=True)
+        assert len(calls) == 1
 
     def test_strict_compile_raises(self, mlp_bundle):
         with pytest.raises(ValueError, match="capacity"):
@@ -718,8 +744,8 @@ def _assert_same(got, want):
 
 
 class TestPopulationBlocks:
-    """Blocks split only the batch axis, so every BLOCK_BYTES gives exactly
-    the results of the default constant."""
+    """Blocks and windows split only the batch axis, so every BLOCK_BYTES and
+    PIPELINE_WINDOW gives exactly the results of the default constants."""
 
     N = 24
 
@@ -754,6 +780,13 @@ class TestPopulationBlocks:
         want = _every_result(*case)
         sizes = self._split(case[0], block_bytes, monkeypatch)
         assert min(sizes) < self.N                   # some population splits
+        _assert_same(_every_result(*case), want)
+
+    @pytest.mark.parametrize("window", [1, 5], ids=["1", "non-divisor"])
+    def test_windows_change_no_result(self, case, window, monkeypatch):
+        monkeypatch.setattr(netsim, "PIPELINE_WINDOW", self.N)     # the whole batch
+        want = _every_result(*case)
+        monkeypatch.setattr(netsim, "PIPELINE_WINDOW", window)
         _assert_same(_every_result(*case), want)
 
     @pytest.mark.parametrize("block_bytes", ["one-sample", "ragged"])
