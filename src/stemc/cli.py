@@ -56,6 +56,17 @@ def _load_inputs(qnet, data_path: str):
     return ds, x_int
 
 
+def _oracle(qnet, x_int: np.ndarray, mode: str) -> tuple[np.ndarray, int]:
+    """``int_forward`` in the windows of ``run_batch``, so its temporaries stay
+    bounded: (outputs, saturations summed over every layer and window)."""
+    outputs, saturations = [], 0
+    for lo in range(0, x_int.shape[0], netsim.PIPELINE_WINDOW):
+        out, record = int_forward(qnet, x_int[lo:lo + netsim.PIPELINE_WINDOW], mode=mode)
+        outputs.append(out)
+        saturations += sum(a.saturations for a in record.layers.values())
+    return np.concatenate(outputs), saturations
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -90,13 +101,7 @@ def cmd_run(args) -> int:
     n = x_int.shape[0]
     traces = trains = steps = total_steps = None
     if args.mode == "oracle":
-        w = netsim.PIPELINE_WINDOW        # windowed like run_batch: bounded temporaries
-        outputs, saturations = [], 0
-        for lo in range(0, n, w):
-            out, record = int_forward(qnet, x_int[lo:lo + w], mode=args.oracle_mode)
-            outputs.append(out)
-            saturations += sum(a.saturations for a in record.layers.values())
-        outputs = np.concatenate(outputs)
+        outputs, saturations = _oracle(qnet, x_int, args.oracle_mode)
     else:
         snet = netsim.compile_network(qnet, strict_capacity=args.strict_capacity)
         res = netsim.run_batch(snet, x_int, record_trains=bool(args.dump_spikes))
@@ -159,12 +164,12 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     qnet = load_quantized_model(args.model)
-    _, x_int = _load_inputs(qnet, args.data)
+    x_int = _load_inputs(qnet, args.data)[1]      # the float inputs are freed
     n = x_int.shape[0]
     # sparsity is a deliberate deviation from the oracle; compare without it
     snet = netsim.compile_network(qnet, plan=SparsityPlan.identity())
     sim_out = netsim.run_batch(snet, x_int).outputs
-    ref_out, _ = int_forward(qnet, x_int, mode="hw")
+    ref_out, _ = _oracle(qnet, x_int, "hw")
     bad = np.flatnonzero(np.any(sim_out != ref_out, axis=-1))
     print(f"{bad.size} mismatches / {n} samples")
     for s in bad[:10]:

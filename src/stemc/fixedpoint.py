@@ -101,9 +101,11 @@ def from_real(r: float) -> FixedMult:
 def apply(m: FixedMult, x: int | np.ndarray) -> int | np.ndarray:
     """Exact round-half-away-from-zero of ``x * mantissa / 2**shift``.
 
-    Accepts a Python int (arbitrary width) or an integer ndarray. The array
-    path runs vectorized in int64 for |x| < 2^62 and uses exact big-int
-    arithmetic only for larger operands and for results beyond int64.
+    Accepts a Python int (arbitrary width) or an integer ndarray. An array
+    with every |x| < 2^31 gives p = x * mantissa exactly in int64 and returns
+    ``(p + 2^(shift-1) - (p < 0)) >> shift`` (p itself at shift 0). Larger
+    operands stay in int64 up to 2^62 (split multiply); big ints are used only
+    beyond that and for results outside int64.
     """
     if isinstance(x, np.ndarray):
         return _apply_array(m, x)
@@ -119,10 +121,11 @@ def _apply_array(m: FixedMult, x: np.ndarray) -> np.ndarray:
     if xi.dtype != np.int64:
         xi = xi.astype(np.int64)
     if xi.size == 0 or max(-int(xi.min()), int(xi.max())) < _VEC_LIMIT:
-        prod = xi * np.int64(m.mantissa)            # |prod| <= 2^62, exact
-        half = np.int64((1 << m.shift) >> 1)
-        mag = (np.abs(prod) + half) >> np.int64(m.shift)
-        return np.sign(prod) * mag
+        p = xi * np.int64(m.mantissa)               # |p| < 2^62, exact
+        if m.shift:
+            p += np.int64((1 << m.shift) >> 1) - (p < 0)
+            p >>= np.int64(m.shift)
+        return p
     return _apply_wide(m, xi)
 
 
@@ -171,9 +174,11 @@ def saturate(x: int, width: int) -> tuple[int, bool]:
 
 
 def saturate_array(x: np.ndarray, width: int) -> tuple[np.ndarray, int]:
-    """Vectorized saturate; returns (clamped array, number of clamp events)."""
+    """Vectorized saturate: (clamped array, clamp events); x itself if in range."""
     lo = -(1 << (width - 1))
     hi = (1 << (width - 1)) - 1
+    if x.size == 0 or (lo <= int(x.min()) and int(x.max()) <= hi):
+        return x, 0
     out = np.clip(x, lo, hi)
     events = int(np.count_nonzero(x != out))
     return out, events

@@ -21,8 +21,9 @@ The K-plane kernel. Step sums are linear in the spike planes, so
 axis, and computes all of them in one float64 BLAS matmul. The result is
 exact: the planes are 0/1, so every partial sum is an integer of magnitude
 at most sum|w| of one neuron, and ``compile_network`` rejects any layer where
-that reaches 2^53. Only the per-step M0 rounding and the saturation run in
-sequence, in the K-step ``StemState.integrate`` scan. None of this is the
+that reaches 2^53. The elementwise M0 rounding runs once per block too; only
+the saturating adds run in sequence, a K-step ``StemState.add_raw`` scan.
+None of this is the
 shifted-slice convolution of the reference oracle, so the two sides check
 each other.
 
@@ -459,11 +460,13 @@ def _planes(trains: list[np.ndarray]) -> list[np.ndarray]:
 def _integrate_block(pop: Population, sums: np.ndarray, acc_bits: int
                      ) -> tuple[np.ndarray, int]:
     """K-step saturating scan of a block's step sums [N, K, n_out], then the
-    bias and the M1 rescale; returns (clamped V, saturation count)."""
+    bias and the M1 rescale; returns (clamped V, saturation count). The M0
+    rounding is elementwise, so it runs once on the whole block."""
     n, k = sums.shape[:2]
+    incs = apply(pop.m0, sums)
     state = StemState(pop.n_out, acc_bits, batch=n)
     for step in range(k):
-        state.integrate(sums[:, step], pop.m0)
+        state.add_raw(incs[:, step])
     if pop.bias_pre_scaled is not None:
         state.add_raw(pop.bias_pre_scaled[None, :])
     v = state.finalize(pop.m1, 0 if pop.bias_post is None else pop.bias_post,

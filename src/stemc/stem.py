@@ -12,9 +12,10 @@ and the weighted per-step sums, scaled by the overflow-protection constant M0,
 accumulate into a saturating n-bit integrator U. After the K-th step the
 integrator is rescheduled into the output value domain by M1, the bias is
 added, and the clamped result V is emitted as a fresh train: at step t the
-neuron fires iff V >= 2^(K-1-t), subtracting the threshold when it does. For
-V in [0, 2^(K-1)-1] this greedy emission reproduces exactly the binary
-expansion of V, so a following layer decodes the integer unchanged.
+neuron fires iff V >= 2^(K-1-t), subtracting the threshold when it does.
+This greedy emission gives exactly the binary digits of min(V, 2^K - 1),
+which ``generate_train`` extracts directly, so a following layer decodes
+any V in [0, 2^(K-1)-1] unchanged.
 
 Negative values (final-layer logits) are emitted as signed two's-complement
 trains directly; threshold emission is only defined for V >= 0.
@@ -68,11 +69,14 @@ def encode_planes(values: np.ndarray, k: int, signed: bool) -> np.ndarray:
     hi = (1 << (k - 1)) - 1
     if v.size and (int(v.min()) < lo or int(v.max()) > hi):
         raise ValueError(f"values outside encodable range [{lo}, {hi}]")
-    u = v & ((1 << k) - 1)
-    bits = np.empty(v.shape + (k,), dtype=np.uint8)
-    for step in range(k):               # bit position k-1-step, written in place
-        bits[..., step] = (u >> (k - 1 - step)) & 1
-    return bits
+    return _msb_first(v & ((1 << k) - 1), k)
+
+
+def _msb_first(u: np.ndarray, k: int) -> np.ndarray:
+    """The k low bits of each 0 <= u < 2^k (k <= 16), most significant first:
+    uint8 u.shape + (k,), from the bytes of u << (16 - k) as big-endian uint16."""
+    words = (u[..., None] << (16 - k)).astype(">u2").view(np.uint8)
+    return np.unpackbits(words, axis=-1, count=k)
 
 
 def decode_train(bits: np.ndarray, schedule: WireSchedule) -> int | np.ndarray:
@@ -98,12 +102,10 @@ class StemState:
 
     def integrate(self, step_sums: np.ndarray, m0: FixedMult) -> None:
         """One decode step: U <- saturate(U + round(M0 * I_t))."""
-        inc = apply(m0, step_sums)
-        self.u, events = saturate_array(self.u + inc, self.acc_bits)
-        self.saturations += events
+        self.add_raw(apply(m0, step_sums))
 
     def add_raw(self, addend: np.ndarray) -> None:
-        """Saturating add of a precomputed integer (product-scheme bias)."""
+        """Saturating add of a precomputed integer (M0-rounded step sum or bias)."""
         self.u, events = saturate_array(self.u + addend, self.acc_bits)
         self.saturations += events
 
@@ -122,19 +124,13 @@ class StemState:
 def generate_train(v: np.ndarray, k: int, suppress_below: int = 0) -> np.ndarray:
     """Greedy MSB-first emission of non-negative values.
 
-    suppress_below > 0 masks the spikes that would carry bit positions below
-    that index (the last `suppress_below` steps); the internal residue update
-    still runs, so the transmitted value is exactly v with those bits zeroed.
-    Output shape = v.shape + (k,).
+    The train is the binary digits of min(v, 2^K - 1), MSB first: what the
+    step-by-step greedy walk (kept in the tests as the reference) emits.
+    suppress_below > 0 zeroes the bits below that position (the spikes of the
+    last `suppress_below` steps). Output shape = v.shape + (k,).
     """
-    work = np.array(v, dtype=np.int64, copy=True)
-    if work.size and int(work.min()) < 0:
+    v = np.asarray(v, dtype=np.int64)
+    if v.size and int(v.min()) < 0:
         raise ValueError("threshold emission is defined for non-negative values")
-    bits = np.zeros(work.shape + (k,), dtype=np.uint8)
-    for step in range(k):
-        theta = np.int64(1 << (k - 1 - step))
-        fire = work >= theta
-        work -= theta * fire
-        if (k - 1 - step) >= suppress_below:
-            bits[..., step] = fire
-    return bits
+    kept = (1 << k) - (1 << min(max(suppress_below, 0), k))   # bits [suppress_below, k)
+    return _msb_first(np.minimum(v, (1 << k) - 1) & kept, k)

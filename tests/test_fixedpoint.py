@@ -161,6 +161,18 @@ class TestApply:
             beyond = any(abs(v) >= 1 << 63 for v in want)
             assert out.dtype == (object if beyond else np.int64)
 
+    @pytest.mark.parametrize("shift", [0, 1, 30, 62])
+    @given(mantissa=st.integers(min_value=-(NORM_HIGH - 1), max_value=NORM_HIGH - 1),
+           xs=st.lists(st.integers(min_value=-(1 << 31) + 1, max_value=(1 << 31) - 1),
+                       max_size=30))
+    def test_int64_path_matches_brute_force(self, shift, mantissa, xs):
+        # every |x| < 2^31: the fused int64 rounding, both operand edges included
+        m = FixedMult(mantissa, shift)
+        x = np.array(xs + [(1 << 31) - 1, -(1 << 31) + 1, 0, 1, -1], dtype=np.int64)
+        out = apply(m, x)
+        assert out.dtype == np.int64
+        assert out.tolist() == [brute_apply(m, int(v)) for v in x]
+
     @given(st.integers(min_value=-(1 << 40), max_value=1 << 40),
            st.floats(min_value=2.0 ** -20, max_value=2.0 ** 10,
                      allow_nan=False, allow_infinity=False))
@@ -198,6 +210,29 @@ class TestSaturate:
         arr = np.array([40000, -40000, 7, 32767, -32768])
         out, events = saturate_array(arr, 16)
         assert out.tolist() == [32767, -32768, 7, 32767, -32768]
+        assert events == 2
+
+    @given(st.integers(min_value=2, max_value=64), st.data())
+    def test_in_range_array_unchanged(self, width, data):
+        lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        xs = data.draw(st.lists(st.integers(min_value=lo, max_value=hi), max_size=20))
+        x = np.array(xs + [lo, hi], dtype=np.int64)
+        out, events = saturate_array(x, width)
+        assert events == 0
+        assert out.tolist() == x.tolist()
+
+    def test_empty_array(self):
+        out, events = saturate_array(np.zeros((0, 3), dtype=np.int64), 16)
+        assert out.shape == (0, 3)
+        assert events == 0
+
+    def test_object_array_event_count(self):
+        # results beyond int64 come back from the wide path as an object array
+        x = apply(FixedMult(NORM_HIGH - 1, 0),
+                  np.array([1 << 40, -(1 << 40), 0, 1], dtype=np.int64))
+        assert x.dtype == object
+        out, events = saturate_array(x, 32)
+        assert [int(v) for v in out] == [(1 << 31) - 1, -(1 << 31), 0, (1 << 31) - 1]
         assert events == 2
 
     @given(st.integers(min_value=-(1 << 40), max_value=1 << 40),

@@ -30,7 +30,7 @@ from stemc.netsim import (
 from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
 from stemc.refengine import int_forward
 from stemc.sparsity import LayerSparsity, SparsityPlan, tune_hybrid
-from stemc.stem import WireSchedule, decode_train, encode_planes
+from stemc.stem import StemState, WireSchedule, decode_train, encode_planes
 
 
 def _quantized(model, n=24, seed=5, lo=0.0, hi=1.0, **kw):
@@ -551,6 +551,24 @@ class TestSaturationParity:
         pipe = run_pipeline(snet, x)
         assert np.array_equal(pipe.outputs, batch.outputs)
         assert pipe.saturations == want
+
+    def test_block_scan_equals_per_step_integrate(self, widefan_bundle):
+        # one M0 rounding of the whole [N, K, n_out] block, then the
+        # saturating scan, against integrating step by step
+        snet = compile_network(_unprotected(widefan_bundle.qnet, "fc"))
+        pop, x = snet.populations[0], _as_batch(widefan_bundle.x_int, snet.input_shape)
+        sums = pop.step_sum(_planes([encode_planes(x, snet.k, signed=True)]),
+                            [_wire_phis(snet)[INPUT_NAME]])
+        v, saturations = _integrate_block(pop, sums, snet.acc_bits)
+        state = StemState(pop.n_out, snet.acc_bits, batch=x.shape[0])
+        for step in range(snet.k):
+            state.integrate(sums[:, step], pop.m0)
+        if pop.bias_pre_scaled is not None:
+            state.add_raw(pop.bias_pre_scaled[None, :])
+        want = state.finalize(pop.m1, 0 if pop.bias_post is None else pop.bias_post,
+                              pop.v_min, pop.v_max)
+        assert saturations == state.saturations > 0
+        assert np.array_equal(v, want)
 
     def test_calibrated_network_does_not_saturate(self, widefan_bundle):
         snet = compile_network(widefan_bundle.qnet)

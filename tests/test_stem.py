@@ -164,6 +164,24 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_step(-1, 8, 0)
 
+    @given(st.integers(min_value=2, max_value=16), st.data())
+    def test_matches_greedy_walk(self, k, data):
+        # v up to 2^(k+1) - 1 (the walk saturates at all ones), every suppression
+        vs = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << (k + 1)) - 1),
+                                max_size=12))
+        vs += [0, (1 << (k - 1)) - 1, (1 << k) - 1, 1 << k, (1 << (k + 1)) - 1]
+        for suppress in range(k + 1):
+            want = []
+            for v in vs:
+                bits = []
+                for t in range(k):
+                    spike, v = generate_step(v, k, t)
+                    bits.append(spike if k - 1 - t >= suppress else 0)
+                want.append(bits)
+            got = generate_train(np.array(vs), k, suppress_below=suppress)
+            assert got.dtype == np.uint8
+            assert got.tolist() == want
+
     def test_suppression_zeroes_low_bits(self):
         sched = WireSchedule(8, signed=False)
         for v in (84, 83, 127, 7, 0):
