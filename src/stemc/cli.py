@@ -51,9 +51,11 @@ def _load_dataset(data_path: str):
 
 
 def _load_inputs(qnet, data_path: str):
+    """The dataset and its quantized inputs as int16 (K <= 16 bits); the
+    simulator and the oracle widen them a window at a time."""
     ds = _load_dataset(data_path)
     x_int, _ = quantize_tensor(ds.inputs, qnet.input_params)
-    return ds, x_int
+    return ds, x_int.astype(np.int16)
 
 
 def _oracle(qnet, x_int: np.ndarray, mode: str) -> tuple[np.ndarray, int]:

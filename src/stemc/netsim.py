@@ -1,18 +1,15 @@
 """Spiking network simulator: compile a quantized net, run it bit-serially.
 
-Compilation lowers every compute layer to a Population whose synapses are
-materialized as an explicit table: fully-connected layers keep their dense
-matrix, conv/pool layers become per-neuron gather tables (synapse index +
-weight, padding mapped to a hardwired silent slot), residual joins become a
-unit-weight sum over their two incoming trains. That table is the compiled
-artefact (capacity checks and synapse walks read it); the execution form is
-derived from it once per population:
+Compilation lowers every compute layer to a Population that holds its
+synapses once, in the form it executes, built straight from the layer's
+integer weights and, for conv and pool layers, its geometry:
 
 * fully-connected - the dense matrix;
-* small conv (n_in <= 4 * fan-in) - the table expanded to a dense matrix;
-* large conv - the padded input gathered once per output position, times
-  the [c*kh*kw, out_channels] weight rows (the index table is shared by
-  every output channel);
+* small conv (n_in <= 4 * c*kh*kw) - the dense matrix of every neuron's
+  weights, zero where a neuron has no synapse;
+* large conv - the padded input gathered once per output position (tap-major
+  indices, padding mapped to a hardwired silent slot), times the
+  [oc, c*kh*kw] weight rows (the gather is shared by every output channel);
 * avgpool - a gather-sum; residual-add - the identity.
 
 The K-plane kernel. Step sums are linear in the spike planes, so
@@ -99,17 +96,15 @@ class Population:
     in_shapes: list[tuple[int, ...]]
     out_shape: tuple[int, ...]
     n_out: int
-    # synapse table (exactly one of the three forms)
-    dense_w: np.ndarray | None      # [n_out, n_in] int64 (fully-connected)
-    gather_idx: np.ndarray | None   # [n_out, F] int64 into padded input
-    gather_w: np.ndarray | None     # [n_out, F] int64, silent-slot weight 0
-    n_in_padded: int                # gather input length incl. silent slot
     fanin: int                      # real synapses of the busiest neuron
     fanouts: list[np.ndarray]       # per branch: synapses per input neuron
-    # execution form, derived from the table (see the module docstring)
+    # synapses, in the execution form (see the module docstring)
     form: str                       # "dense" | "conv" | "pool" | "identity"
-    form_idx: np.ndarray | None     # gather, tap-major: conv [F, n_pos], pool [F, n_out]
-    form_w: np.ndarray | None       # float64: dense [n_in, n_out], conv [oc, F]
+    dense_w: np.ndarray | None      # dense: float64 [n_out, n_in]
+    gather_idx: np.ndarray | None   # tap-major gather: conv [F, n_pos] into the
+                                    # padded input, pool [F, n_out]; int64
+    conv_w: np.ndarray | None       # conv: float64 [oc, F], zero on a tap that
+                                    # is silent at every position
     # constants
     m0: FixedMult
     m1: FixedMult
@@ -142,16 +137,16 @@ class Population:
         if self.form == "identity":
             return row.astype(np.int64)        # unit weight, one synapse each
         if self.form == "pool":
-            taps = np.take(row, self.form_idx, axis=-1)        # [..., F, n_out]
+            taps = np.take(row, self.gather_idx, axis=-1)      # [..., F, n_out]
             return taps.sum(axis=-2, dtype=np.int64)
         if self.form == "dense":
             x = row.reshape(-1, row.shape[-1]).astype(np.float64)
-            return (x @ self.form_w).astype(np.int64).reshape(lead + (self.n_out,))
+            return (x @ self.dense_w.T).astype(np.int64).reshape(lead + (self.n_out,))
         # conv: one gathered patch per output position, shared by all channels
-        padded = np.zeros((math.prod(lead), self.n_in_padded), dtype=np.float64)
+        padded = np.zeros((math.prod(lead), row.shape[-1] + 1), dtype=np.float64)
         padded[:, :-1] = row.reshape(padded.shape[0], -1)  # last slot: silent 0
-        patches = np.take(padded, self.form_idx, axis=1)   # [M, F, n_pos]
-        out = np.matmul(self.form_w, patches)              # [M, oc, n_pos]
+        patches = np.take(padded, self.gather_idx, axis=1) # [M, F, n_pos]
+        out = np.matmul(self.conv_w, patches)              # [M, oc, n_pos]
         return out.astype(np.int64).reshape(lead + (self.n_out,))
 
     def emit(self, v: np.ndarray, k: int) -> np.ndarray:
@@ -201,10 +196,13 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# synapse table construction
+# execution forms
 # ---------------------------------------------------------------------------
 
-def _conv_table(in_shape, attrs) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _conv_table(in_shape, attrs) -> tuple[np.ndarray, int, int]:
+    """Per output position, the input index of every tap in (ic, dy, dx)
+    order, or the silent slot c*h*w where the tap falls in the padding:
+    (idx [n_pos, F], n_pos, silent)."""
     c, h, w = in_shape
     kh, kw = attrs["kernel"]
     s = int(attrs.get("stride", 1))
@@ -220,58 +218,38 @@ def _conv_table(in_shape, attrs) -> tuple[np.ndarray, np.ndarray, int, int]:
     chan = np.arange(c)[None, None, :, None, None] * (h * w)
     idx = np.where(valid[:, :, None, :, :], chan + spat[:, :, None, :, :], silent)
     idx = idx.reshape(oh * ow, c * kh * kw)                           # (ic,dy,dx) order
-    return idx, valid, oh * ow, silent
+    return idx, oh * ow, silent
 
 
-def _build_table(kind, attrs, in_shape, weights):
-    """Returns (gather_idx [n_out,F], gather_w, n_in_padded, fanin)."""
-    if kind == "conv2d":
-        idx_sp, valid, n_pos, silent = _conv_table(in_shape, attrs)
-        oc = int(attrs["out_channels"])
-        gather_idx = np.tile(idx_sp, (oc, 1))
-        wrow = weights.astype(np.int64).reshape(oc, -1)               # (ic,dy,dx)
-        gather_w = np.repeat(wrow, n_pos, axis=0)
-        gather_w = np.where(gather_idx == silent, 0, gather_w)
-        fanin = int((gather_idx != silent).sum(axis=1).max())
-        return gather_idx, gather_w, silent + 1, fanin
-    if kind == "avgpool2d":
-        c, h, w = in_shape
-        kh, kw = attrs["kernel"]
-        s = int(attrs.get("stride", kh))
-        oh, ow = pool_out_hw(h, w, attrs)
-        ys = np.arange(oh)[:, None] * s + np.arange(kh)[None, :]
-        xs = np.arange(ow)[:, None] * s + np.arange(kw)[None, :]
-        spat = (ys[:, None, :, None] * w + xs[None, :, None, :]).reshape(oh * ow, kh * kw)
-        chan = np.arange(c)[:, None, None] * (h * w)
-        gather_idx = (chan + spat[None]).reshape(c * oh * ow, kh * kw)
-        gather_w = np.ones_like(gather_idx)
-        return gather_idx, gather_w, c * h * w + 1, kh * kw
-    raise ValueError(f"no synapse table for kind {kind!r}")
+def _conv_form(in_shape, attrs, weights):
+    """(form, dense_w, gather_idx, conv_w, fanin) of a conv layer. Neuron
+    o*n_pos + p reads row p of the geometry's index table with channel o's
+    weights; its synapses are the taps that fall inside the input."""
+    idx, n_pos, silent = _conv_table(in_shape, attrs)
+    oc = int(attrs["out_channels"])
+    real = idx != silent
+    fanin = int(real.sum(axis=1).max())
+    wrow = weights.astype(np.float64).reshape(oc, -1)                 # (ic,dy,dx)
+    if silent <= 4 * idx.shape[1]:           # small conv: dense matrix
+        # padding taps land in the silent column, which the view leaves out
+        dense = np.zeros((oc, n_pos, silent + 1), dtype=np.float64)
+        dense[:, np.arange(n_pos)[:, None], idx] = wrow[:, None, :]
+        return "dense", dense.reshape(oc * n_pos, -1)[:, :silent], None, None, fanin
+    conv_w = np.asfortranarray(np.where(real.any(axis=0), wrow, 0.0))
+    return "conv", None, np.ascontiguousarray(idx.T), conv_w, fanin
 
 
-def _execution_form(kind, out_shape, dense_w, gather_idx, gather_w, n_in_padded):
-    """(form, form_idx, form_w) of a population, derived from its table."""
-    if kind == "residual-add":
-        return "identity", None, None
-    if kind == "avgpool2d":
-        return "pool", np.ascontiguousarray(gather_idx.T), None
-    if dense_w is not None:
-        return "dense", None, dense_w.T.astype(np.float64)
-    n_out, fanin = gather_idx.shape
-    n_in = n_in_padded - 1
-    if n_in <= 4 * fanin:                    # small conv: expand the table
-        dense = np.zeros((n_out, n_in_padded), dtype=np.float64)
-        dense[np.arange(n_out)[:, None], gather_idx] = gather_w
-        return "dense", None, dense[:, :n_in].T
-    # large conv: neuron o*n_pos + p reads gather_idx[p], the same index row
-    # for every channel o; a tap's weight is read where the tap is not silent
-    oc = out_shape[0]
-    n_pos = n_out // oc
-    idx = gather_idx[:n_pos]
-    where = np.argmax(idx != n_in, axis=0)   # one real position per tap
-    taps = np.arange(fanin)
-    wrow = gather_w.reshape(oc, n_pos, fanin)[:, where, taps]
-    return "conv", np.ascontiguousarray(idx.T), wrow.astype(np.float64)
+def _pool_gather(in_shape, attrs) -> np.ndarray:
+    """Tap-major input indices of an avgpool layer, int64 [kh*kw, n_out]."""
+    c, h, w = in_shape
+    kh, kw = attrs["kernel"]
+    s = int(attrs.get("stride", kh))
+    oh, ow = pool_out_hw(h, w, attrs)
+    ys = np.arange(oh)[:, None] * s + np.arange(kh)[None, :]
+    xs = np.arange(ow)[:, None] * s + np.arange(kw)[None, :]
+    spat = (ys[:, None, :, None] * w + xs[None, :, None, :]).reshape(oh * ow, kh * kw)
+    chan = np.arange(c)[:, None, None] * (h * w)
+    return np.ascontiguousarray((chan + spat[None]).reshape(c * oh * ow, kh * kw).T)
 
 
 def _max_weight_sum(weights: np.ndarray | None) -> int:
@@ -290,7 +268,7 @@ def _max_weight_sum(weights: np.ndarray | None) -> int:
 def compile_network(qnet, plan: SparsityPlan | None = None,
                     profile: HardwareProfile | None = None,
                     strict_capacity: bool = False) -> SpikingNetwork:
-    """Lower a quantized network onto populations with explicit synapses.
+    """Lower a quantized network onto populations in their execution forms.
 
     Sparsity settings are taken from `plan` when given, else from the plan
     embedded in the network manifest, else no sparsification. Stage numbers
@@ -316,22 +294,21 @@ def compile_network(qnet, plan: SparsityPlan | None = None,
         in_shapes = [shapes[s] for s in lyr.inputs]   # pre-flatten consumer view
         n_out = int(np.prod(lyr.out_shape))
 
-        dense_w = gather_idx = gather_w = None
-        n_in_padded = 0
-        if lyr.kind == "fully-connected":
-            dense_w = lyr.weights.astype(np.int64)
-            fanin = dense_w.shape[1]
-        elif lyr.kind == "residual-add":
-            fanin = 2
-        else:
-            gather_idx, gather_w, n_in_padded, fanin = _build_table(
-                lyr.kind, lyr.attrs, in_shapes[0], lyr.weights)
         if _max_weight_sum(lyr.weights) >= EXACT_SUM_LIMIT:
             raise ValueError(
                 f"layer {lyr.name!r}: a neuron's sum of |weights| reaches 2^53, "
                 f"so float64 synaptic sums would not be exact")
-        form, form_idx, form_w = _execution_form(
-            lyr.kind, lyr.out_shape, dense_w, gather_idx, gather_w, n_in_padded)
+        dense_w = gather_idx = conv_w = None
+        if lyr.kind == "fully-connected":
+            form, dense_w, fanin = "dense", lyr.weights.astype(np.float64), lyr.weights.shape[1]
+        elif lyr.kind == "residual-add":
+            form, fanin = "identity", 2
+        elif lyr.kind == "avgpool2d":
+            form, gather_idx = "pool", _pool_gather(in_shapes[0], lyr.attrs)
+            fanin = gather_idx.shape[0]
+        else:
+            form, dense_w, gather_idx, conv_w, fanin = _conv_form(
+                in_shapes[0], lyr.attrs, lyr.weights)
 
         fanouts = [metrics.layer_fanout(lyr.kind, lyr.attrs, shape) for shape in in_shapes]
 
@@ -349,9 +326,8 @@ def compile_network(qnet, plan: SparsityPlan | None = None,
         pops.append(Population(
             name=lyr.name, kind=lyr.kind, inputs=sources,
             in_shapes=in_shapes, out_shape=lyr.out_shape, n_out=n_out,
-            dense_w=dense_w, gather_idx=gather_idx, gather_w=gather_w,
-            n_in_padded=n_in_padded, fanin=fanin, fanouts=fanouts,
-            form=form, form_idx=form_idx, form_w=form_w,
+            fanin=fanin, fanouts=fanouts,
+            form=form, dense_w=dense_w, gather_idx=gather_idx, conv_w=conv_w,
             m0=lyr.m0, m1=lyr.m1,
             bias_pre_scaled=bias_pre_scaled, bias_post=bias_post,
             v_min=-qnet.q_max if is_output else 0, v_max=qnet.q_max,
@@ -375,8 +351,8 @@ def compile_network(qnet, plan: SparsityPlan | None = None,
 def with_plan(snet: SpikingNetwork, plan: SparsityPlan) -> SpikingNetwork:
     """The compiled network under another sparsity plan.
 
-    Only ``plan`` and each hidden population's ``sparsity`` change; synapse
-    tables, execution forms and constants are shared with ``snet``.
+    Only ``plan`` and each hidden population's ``sparsity`` change; execution
+    forms and constants are shared with ``snet``.
     """
     pops = [dataclasses.replace(
                 p, sparsity=LayerSparsity(0, 0) if p.is_output else plan.for_layer(p.name))
@@ -418,11 +394,9 @@ def check_capacity(snet: SpikingNetwork, profile: HardwareProfile | None = None
         if pop.fanin > profile.max_fanin:
             violations.append(
                 f"{pop.name}: fan-in {pop.fanin} exceeds {profile.max_fanin}")
-        wmax = 0
-        if pop.dense_w is not None:
-            wmax = int(np.abs(pop.dense_w).max())
-        elif pop.gather_w is not None:
-            wmax = int(np.abs(pop.gather_w).max())
+        # pool taps weigh 1; a residual join holds no weights
+        w = pop.conv_w if pop.dense_w is None else pop.dense_w
+        wmax = 1 if pop.form == "pool" else 0 if w is None else int(np.abs(w).max())
         if wmax > w_hi:
             violations.append(
                 f"{pop.name}: weight magnitude {wmax} exceeds {profile.weight_bits}-bit range")
@@ -437,7 +411,9 @@ def check_capacity(snet: SpikingNetwork, profile: HardwareProfile | None = None
 # ---------------------------------------------------------------------------
 
 def _as_batch(x: np.ndarray, input_shape) -> np.ndarray:
-    x = np.asarray(x, dtype=np.int64)
+    """[N, n_in] rows of a sample or batch, in the dtype they came in (each
+    window is widened where it is encoded)."""
+    x = np.asarray(x)
     if x.shape == tuple(input_shape):
         x = x[None, ...]
     elif x.shape[1:] != tuple(input_shape):
@@ -481,7 +457,7 @@ def _block_samples(pop: Population, k: int) -> int:
     larger, and at least one sample."""
     width = pop.n_out
     if pop.form == "conv":
-        width = max(width, pop.form_idx.size)
+        width = max(width, pop.gather_idx.size)
     return max(1, BLOCK_BYTES // (8 * k * width))
 
 

@@ -27,9 +27,9 @@ exact below 2^53; ``int_forward`` checks that bound per conv layer (with
 max|x| = 1 for the 0/1 planes of ``wide`` and ``hw``) and raises otherwise.
 The bit-plane modes convolve one plane per wire step; stacking the K planes
 would multiply the column temporary by K. Fully-connected layers stay an
-int64 matmul. ``netsim`` computes the same sums from its compiled synapse
-table (gather indices, dense expansions, per-position patches); nothing here
-uses those tables or imports ``netsim``, so ``compare`` checks two
+int64 matmul. ``netsim`` computes the same sums from its own compiled forms
+(dense matrices, per-position patch gathers, pool gathers); nothing here
+uses those forms or imports ``netsim``, so ``compare`` checks two
 derivations of the same contract.
 """
 
@@ -71,7 +71,7 @@ def _ensure_batch(x: np.ndarray, input_shape: tuple[int, ...]) -> tuple[np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# linear pieces (shifted-slice style; the simulator uses gather tables)
+# linear pieces (shifted-slice style; the simulator gathers patches)
 # ---------------------------------------------------------------------------
 
 def _conv2d(x: np.ndarray, w: np.ndarray, attrs: dict) -> np.ndarray:

@@ -1,13 +1,14 @@
 import copy
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stemc import fixtures, metrics, netsim
 from stemc.fixedpoint import from_real
-from stemc.modelio import INPUT_NAME, FloatModel, LayerDesc, infer_shapes
+from stemc.modelio import INPUT_NAME, FloatModel, LayerDesc, infer_shapes, pool_out_hw
 from stemc.netsim import (
     CachedRun,
     HardwareProfile,
@@ -15,6 +16,7 @@ from stemc.netsim import (
     PipelineTiming,
     Population,
     _as_batch,
+    _conv_table,
     _integrate_block,
     _planes,
     _wire_phis,
@@ -76,46 +78,102 @@ class TestOracleEquivalence:
         assert got.steps_per_sample == 6 * (snet.n_stages + 1)
 
 
-class TestGatherTables:
-    def _brute_step(self, pop, row, phi):
-        padded = np.concatenate([row, np.zeros((row.shape[0], 1), np.int64)], axis=1)
-        out = np.zeros((row.shape[0], pop.n_out), dtype=np.int64)
-        for s in range(row.shape[0]):
-            for j in range(pop.n_out):
-                acc = 0
-                for f in range(pop.gather_idx.shape[1]):
-                    acc += int(pop.gather_w[j, f]) * int(padded[s, pop.gather_idx[j, f]])
-                out[s, j] = acc * phi
-        return out
+# Reference synapse table: every neuron's synapses listed one by one, input
+# indices into the input plus a silent slot (padding), with their weights.
+# ``compile_network`` builds the execution forms straight from the geometry;
+# every synapse walk and fan-in below is checked against this table.
 
+
+def _build_table(kind, attrs, in_shape, weights):
+    """Returns (gather_idx [n_out,F], gather_w, n_in_padded, fanin)."""
+    if kind == "conv2d":
+        idx_sp, n_pos, silent = _conv_table(in_shape, attrs)
+        oc = int(attrs["out_channels"])
+        gather_idx = np.tile(idx_sp, (oc, 1))
+        wrow = weights.astype(np.int64).reshape(oc, -1)               # (ic,dy,dx)
+        gather_w = np.repeat(wrow, n_pos, axis=0)
+        gather_w = np.where(gather_idx == silent, 0, gather_w)
+        fanin = int((gather_idx != silent).sum(axis=1).max())
+        return gather_idx, gather_w, silent + 1, fanin
+    if kind == "avgpool2d":
+        c, h, w = in_shape
+        kh, kw = attrs["kernel"]
+        s = int(attrs.get("stride", kh))
+        oh, ow = pool_out_hw(h, w, attrs)
+        ys = np.arange(oh)[:, None] * s + np.arange(kh)[None, :]
+        xs = np.arange(ow)[:, None] * s + np.arange(kw)[None, :]
+        spat = (ys[:, None, :, None] * w + xs[None, :, None, :]).reshape(oh * ow, kh * kw)
+        chan = np.arange(c)[:, None, None] * (h * w)
+        gather_idx = (chan + spat[None]).reshape(c * oh * ow, kh * kw)
+        gather_w = np.ones_like(gather_idx)
+        return gather_idx, gather_w, c * h * w + 1, kh * kw
+    raise ValueError(f"no synapse table for kind {kind!r}")
+
+
+def _synapse_table(lyr, in_shape) -> tuple[np.ndarray, np.ndarray]:
+    """(idx [n_out, F], w [n_out, F]) of one input branch of `lyr`: conv and
+    pool from ``_build_table``, fully-connected from the weights, a residual
+    join one unit synapse per neuron."""
+    n_in = math.prod(in_shape)
+    if lyr.kind == "fully-connected":
+        w = lyr.weights.astype(np.int64)
+        return np.broadcast_to(np.arange(n_in), w.shape), w
+    if lyr.kind == "residual-add":
+        return np.arange(n_in)[:, None], np.ones((n_in, 1), dtype=np.int64)
+    return _build_table(lyr.kind, lyr.attrs, in_shape, lyr.weights)[:2]
+
+
+def _synapse_walk(qnet, pop: Population, rows: list[np.ndarray], phi) -> np.ndarray:
+    """Brute force: per row and neuron, phi times the sum of w * spike over
+    every synapse of the reference table, over all branches. rows[i] is a
+    uint8 [..., n_in] spike array of branch i and phi broadcasts against
+    [..., n_out] as in ``step_sum``. Returns int64 [..., n_out]."""
+    lyr = qnet.layer(pop.name)
+    lead = rows[0].shape[:-1]
+    tables = [[a.tolist() for a in _synapse_table(lyr, shape)] for shape in pop.in_shapes]
+    phis = np.broadcast_to(np.asarray(phi, dtype=np.int64), lead + (1,)).reshape(-1).tolist()
+    flat = [row.reshape(-1, row.shape[-1]).tolist() for row in rows]
+    out = np.zeros((len(phis), pop.n_out), dtype=np.int64)
+    for m, p in enumerate(phis):
+        branches = [spikes[m] + [0] for spikes in flat]          # + silent slot
+        for j in range(pop.n_out):
+            acc = 0
+            for bits, (idx, w) in zip(branches, tables):
+                acc += sum(wf * bits[i] for wf, i in zip(w[j], idx[j]))
+            out[m, j] = p * acc
+    return out.reshape(lead + (pop.n_out,))
+
+
+def _pop(qnet, name) -> Population:
+    return next(p for p in compile_network(qnet).populations if p.name == name)
+
+
+class TestGatherTables:
     def test_conv_table_vs_synapse_walk(self, cnn_bundle, rng):
-        snet = compile_network(cnn_bundle.qnet)
-        pop = next(p for p in snet.populations if p.name == "conv2")
+        pop = _pop(cnn_bundle.qnet, "conv2")
         n_in = int(np.prod(pop.in_shapes[0]))
-        row = rng.integers(0, 2, size=(2, n_in)).astype(np.int64)
-        got = pop.step_sum([row.astype(np.uint8)], [32])
-        assert np.array_equal(got, self._brute_step(pop, row, 32))
+        row = rng.integers(0, 2, size=(2, n_in), dtype=np.uint8)
+        got = pop.step_sum([row], [32])
+        assert np.array_equal(got, _synapse_walk(cnn_bundle.qnet, pop, [row], 32))
 
     def test_padded_conv_edges_stay_silent(self, cnn_bundle):
-        snet = compile_network(cnn_bundle.qnet)
-        pop = next(p for p in snet.populations if p.name == "conv1")
-        silent = pop.n_in_padded - 1
-        masked = pop.gather_idx == silent
-        assert masked.any()                      # padding=1 creates halo slots
-        assert (pop.gather_w[masked] == 0).all()
+        pop, lyr = _pop(cnn_bundle.qnet, "conv1"), cnn_bundle.qnet.layer("conv1")
+        idx, _, n_in_padded, _ = _build_table("conv2d", lyr.attrs, pop.in_shapes[0],
+                                              lyr.weights)
+        silent = n_in_padded - 1
+        assert (idx == silent).any()             # padding=1 creates halo slots
+        assert (pop.gather_idx == silent).any()
         # an all-ones spike row must not pick up anything from the halo
         row = np.ones((1, silent), dtype=np.uint8)
         got = pop.step_sum([row], [1])
-        want = self._brute_step(pop, row.astype(np.int64), 1)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, _synapse_walk(cnn_bundle.qnet, pop, [row], 1))
 
     def test_pool_table_vs_synapse_walk(self, cnn_bundle, rng):
-        snet = compile_network(cnn_bundle.qnet)
-        pop = next(p for p in snet.populations if p.name == "pool1")
+        pop = _pop(cnn_bundle.qnet, "pool1")
         n_in = int(np.prod(pop.in_shapes[0]))
-        row = rng.integers(0, 2, size=(3, n_in)).astype(np.int64)
-        got = pop.step_sum([row.astype(np.uint8)], [-128])
-        assert np.array_equal(got, self._brute_step(pop, row, -128))
+        row = rng.integers(0, 2, size=(3, n_in), dtype=np.uint8)
+        got = pop.step_sum([row], [-128])
+        assert np.array_equal(got, _synapse_walk(cnn_bundle.qnet, pop, [row], -128))
         assert pop.fanin == 4
 
     def test_fc_stays_dense(self, mlp_bundle):
@@ -182,44 +240,125 @@ def _skip_join_model() -> FloatModel:
     return model
 
 
-def _synapse_walk(pop: Population, rows: list[np.ndarray], phis: np.ndarray) -> np.ndarray:
-    """Brute force: every step, neuron and synapse of rows [N, K, n_in]."""
-    n, k = rows[0].shape[:2]
-    out = np.zeros((n, k, pop.n_out), dtype=np.int64)
-    for s in range(n):
-        for t in range(k):
-            branches = [[int(b) for b in row[s, t]] + [0] for row in rows]  # + silent slot
-            for j in range(pop.n_out):
-                acc = 0
-                for bits in branches:
-                    if pop.kind == "residual-add":
-                        acc += bits[j]
-                    elif pop.dense_w is not None:
-                        acc += sum(int(w) * b for w, b in zip(pop.dense_w[j], bits))
-                    else:
-                        acc += sum(int(w) * bits[i] for w, i in
-                                   zip(pop.gather_w[j], pop.gather_idx[j]))
-                out[s, t, j] = int(phis[t]) * acc
-    return out
+def _one_layer_qnet(in_shape, kind, attrs, weights=None):
+    """A quantized network of one conv or pool layer whose integer weights
+    are exactly `weights`."""
+    lyr = LayerDesc(name="layer", kind=kind, attrs=attrs, inputs=[INPUT_NAME])
+    if weights is not None:
+        lyr.weights = (weights / 127.0).astype(np.float32)
+    model = FloatModel(name=kind, input_shape=in_shape, layers=[lyr])
+    infer_shapes(model)
+    qnet, _ = _quantized(model, n=4)
+    if weights is not None:
+        qnet.layers[0].weights = weights.astype(np.int8)
+    return qnet
+
+
+@st.composite
+def _conv_or_pool(draw):
+    """(in_shape, kind, attrs, int weights or None) of a random conv or pool."""
+    c = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([1, 3, 5]))
+        pad = draw(st.integers(0, k - 1))
+        lo = max(1, k - 2 * pad)                  # at least one output position
+        h, w = draw(st.integers(lo, 9)), draw(st.integers(lo, 9))
+        oc = draw(st.integers(1, 3))
+        weights = np.array(draw(st.lists(
+            st.integers(-127, 127) | st.just(0), min_size=oc * c * k * k,
+            max_size=oc * c * k * k))).reshape(oc, c, k, k)
+        attrs = {"in_channels": c, "out_channels": oc, "kernel": [k, k],
+                 "stride": draw(st.sampled_from([1, 2])), "padding": pad}
+        return (c, h, w), "conv2d", attrs, weights
+    k = draw(st.integers(1, 3))
+    h, w = draw(st.integers(k, 9)), draw(st.integers(k, 9))
+    return (c, h, w), "avgpool2d", {"kernel": [k, k], "stride": draw(st.integers(1, 3))}, None
+
+
+# one layer of each conv form: n_in > 4 * c*kh*kw gathers patches, else dense
+_LARGE_CONV = ((1, 3, 4), "conv2d", {"in_channels": 1, "out_channels": 2, "kernel": [1, 1],
+                                    "stride": 2, "padding": 0}, np.array([[[[5]]], [[[0]]]]))
+_SMALL_CONV = ((1, 3, 3), "conv2d", {"in_channels": 1, "out_channels": 1, "kernel": [3, 3],
+                                    "stride": 1, "padding": 1},
+               np.array([[[[0, -7, 0], [127, 0, -127], [1, 0, 2]]]]))
+
+
+class TestRandomGeometry:
+    """Random conv and pool layers: the execution form ``compile_network``
+    builds from the geometry sums exactly the reference table's synapses, and
+    its fan-in is that of the table's busiest neuron."""
+
+    @settings(max_examples=60)
+    @example(layer=_LARGE_CONV, k=4, seed=0)
+    @example(layer=_SMALL_CONV, k=16, seed=1)
+    @given(layer=_conv_or_pool(), k=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+    def test_step_sum_and_fanin_match_table(self, layer, k, seed):
+        in_shape, kind, attrs, weights = layer
+        qnet = _one_layer_qnet(in_shape, kind, attrs, weights)
+        pop = compile_network(qnet).populations[0]
+        planes = np.random.default_rng(seed).integers(
+            0, 2, size=(2, k, math.prod(in_shape)), dtype=np.uint8)
+        phi = WireSchedule(k, signed=True).weights()[:, None]
+        got = pop.step_sum([planes], [phi])
+        assert np.array_equal(got, _synapse_walk(qnet, pop, [planes], phi))
+        assert pop.fanin == _build_table(kind, attrs, in_shape, qnet.layers[0].weights)[3]
+
+    @pytest.mark.parametrize("layer,form", [(_LARGE_CONV, "conv"), (_SMALL_CONV, "dense")],
+                             ids=["large", "small"])
+    def test_examples_cover_both_conv_forms(self, layer, form):
+        assert compile_network(_one_layer_qnet(*layer)).populations[0].form == form
+
+    def test_tap_silent_everywhere_carries_no_weight(self):
+        """A 5x5 kernel at stride 2 and padding 4 on a one-row input: taps of
+        kernel rows 1 and 3 never meet the input, so neither the large-conv
+        weight rows nor the capacity check see their weights."""
+        w = np.zeros((1, 1, 5, 5), dtype=np.int64)
+        w[0, 0, 0] = 3
+        w[0, 0, 1] = 120                        # a kernel row that is never live
+        attrs = {"in_channels": 1, "out_channels": 1, "kernel": [5, 5],
+                 "stride": 2, "padding": 4}
+        qnet = _one_layer_qnet((1, 1, 128), "conv2d", attrs, w)
+        snet = compile_network(qnet)
+        pop = snet.populations[0]
+        assert pop.form == "conv"
+        assert not pop.conv_w[0, 5:10].any()
+        assert check_capacity(snet, HardwareProfile(weight_bits=3)).violations == []
+        row = np.ones((1, 128), dtype=np.uint8)
+        assert np.array_equal(pop.step_sum([row], [1]), _synapse_walk(qnet, pop, [row], 1))
+
+    def test_large_conv_compiles_in_small_memory(self):
+        """cnn28's conv2 (16 -> 32 channels on 14x14, padding 1): its
+        per-neuron table alone would take 14.5 MB."""
+        attrs = {"in_channels": 16, "out_channels": 32, "kernel": [3, 3],
+                 "stride": 1, "padding": 1}
+        w = np.random.default_rng(28).integers(-127, 128, size=(32, 16, 3, 3))
+        qnet = _one_layer_qnet((16, 14, 14), "conv2d", attrs, w)
+        tracemalloc.start()
+        try:
+            pop = compile_network(qnet).populations[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pop.form == "conv"
+        assert peak < 4 << 20
 
 
 class TestKPlaneKernel:
     PHIS = WireSchedule(8, signed=True).weights()        # sign step first
 
-    def _check(self, pop, rng):
+    def _check(self, qnet, pop, rng):
         rows = [rng.integers(0, 2, size=(2, 8, int(np.prod(shape))), dtype=np.uint8)
                 for shape in pop.in_shapes]
         got = pop.step_sum(rows, [self.PHIS[:, None]] * len(rows))
         assert got.dtype == np.int64
-        assert np.array_equal(got, _synapse_walk(pop, rows, self.PHIS))
+        assert np.array_equal(got, _synapse_walk(qnet, pop, rows, self.PHIS[:, None]))
 
     @pytest.mark.parametrize("name,form", [
         ("conv1", "conv"), ("pool1", "pool"), ("conv2", "dense"), ("fc", "dense")])
     def test_cnn_layers_vs_synapse_walk(self, cnn_bundle, rng, name, form):
-        pop = next(p for p in compile_network(cnn_bundle.qnet).populations
-                   if p.name == name)
+        pop = _pop(cnn_bundle.qnet, name)
         assert pop.form == form
-        self._check(pop, rng)
+        self._check(cnn_bundle.qnet, pop, rng)
 
     def test_strided_convs_vs_synapse_walk(self, rng):
         qnet, _ = _quantized(_strided_model(), n=16)
@@ -227,13 +366,13 @@ class TestKPlaneKernel:
         assert pops["conv_s"].form == "conv"          # padded, stride 2
         assert pops["conv_t"].form == "dense"         # unpadded, stride 2
         for name in ("conv_s", "conv_t", "fc"):
-            self._check(pops[name], rng)
+            self._check(qnet, pops[name], rng)
 
     def test_residual_add_vs_synapse_walk(self, residual_bundle, rng):
         pops = {p.name: p for p in compile_network(residual_bundle.qnet).populations}
         assert pops["join"].form == "identity"
         for name in ("conv_a", "conv_b", "join"):
-            self._check(pops[name], rng)
+            self._check(residual_bundle.qnet, pops[name], rng)
 
     def test_block_equals_per_step_calls(self, cnn_bundle, rng):
         for pop in compile_network(cnn_bundle.qnet).populations:
@@ -246,11 +385,12 @@ class TestKPlaneKernel:
 
     def test_wide_fanin_at_max_weights_exact(self, widefan_bundle):
         snet = compile_network(widefan_bundle.qnet)
-        pop = snet.populations[0]
-        assert int(np.abs(pop.dense_w).min()) == 127       # every weight at max
+        pop, w = snet.populations[0], widefan_bundle.qnet.layers[0].weights.astype(np.int64)
+        assert int(np.abs(w).min()) == 127                 # every weight at max
+        assert np.array_equal(pop.dense_w, w)
         rows = np.ones((2, 8, 512), dtype=np.uint8)
         got = pop.step_sum([rows], [self.PHIS[:, None]])
-        want = np.sign(pop.dense_w[:, 0]) * 512 * 127 * self.PHIS[:, None]
+        want = np.sign(w[:, 0]) * 512 * 127 * self.PHIS[:, None]
         assert np.array_equal(got, np.broadcast_to(want, got.shape))
         x = widefan_bundle.x_int
         ref, _ = int_forward(widefan_bundle.qnet, x, mode="hw")
@@ -656,7 +796,9 @@ class TestPlanPrecedence:
         assert ([p.sparsity for p in derived.populations]
                 == [p.sparsity for p in fresh.populations])
         assert all(p.sparsity.is_identity() for p in base.populations)
-        assert all(d.form_w is b.form_w for d, b in zip(derived.populations, base.populations))
+        assert all(getattr(d, f) is getattr(b, f)
+                   for d, b in zip(derived.populations, base.populations)
+                   for f in ("dense_w", "gather_idx", "conv_w"))
         x = cnn_bundle.x_int[:32]
         a, b = run_batch(derived, x), run_batch(fresh, x)
         assert np.array_equal(a.outputs, b.outputs)
