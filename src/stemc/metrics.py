@@ -2,11 +2,13 @@
 
 A synaptic operation (SOP) is one weight fetched and accumulated because of
 one incoming spike: each spike costs the number of synapses fanning out of
-that input inside the receiving layer. Fully-connected inputs fan out to
-every output neuron; a conv input pixel fans out to (sliding windows covering
-it) x out_channels, computed exactly per position, so edge pixels under
-padding cost less. SOP totals are input-dependent; multiply-accumulate (MAC)
-counts of the quantized reference are analytic and input-independent.
+that input inside the receiving layer. Those fan-outs are counted by
+``netsim.compile_network`` from the same tables its execution forms are built
+from (``Population.fanouts``): a fully-connected input fans out to every
+output neuron, a conv input pixel to (sliding windows covering it) x
+out_channels, so edge pixels under padding cost less. SOP totals are
+input-dependent; multiply-accumulate (MAC) counts of the quantized reference
+are analytic and input-independent.
 
 Energy uses the standard 45nm per-op figures: a 32-bit MAC at 0.23 pJ and an
 accumulate-only op at 0.03 pJ; totals are reported in microjoules. The
@@ -22,16 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .modelio import conv_out_hw, pool_out_hw
-
 MAC_PJ = 0.23
 AC_PJ = 0.03
-
-
-@dataclass(frozen=True)
-class EnergyModel:
-    mac_pj: float = MAC_PJ
-    ac_pj: float = AC_PJ
 
 
 @dataclass(frozen=True)
@@ -44,73 +38,9 @@ class EnergyEstimate:
         return self.sdann_uj / self.ann_uj if self.ann_uj else float("inf")
 
 
-def energy_estimate(macs: int, sops: int, model: EnergyModel = EnergyModel()
-                    ) -> EnergyEstimate:
-    """MACs at mac_pj, SOPs at ac_pj, both converted pJ -> uJ."""
-    return EnergyEstimate(ann_uj=macs * model.mac_pj * 1e-6,
-                          sdann_uj=sops * model.ac_pj * 1e-6)
-
-
-# ---------------------------------------------------------------------------
-# fan-out geometry (synapses per input neuron, used for SOP counting)
-# ---------------------------------------------------------------------------
-
-def fc_fanout(in_features: int, out_features: int) -> np.ndarray:
-    return np.full(in_features, out_features, dtype=np.int64)
-
-def conv_fanout(in_shape: tuple[int, ...], attrs: dict) -> np.ndarray:
-    """Per-input-pixel synapse count of a conv layer, flattened C,H,W order."""
-    c, h, w = in_shape
-    kh, kw = attrs["kernel"]
-    s = int(attrs.get("stride", 1))
-    p = int(attrs.get("padding", 0))
-    oh, ow = conv_out_hw(h, w, attrs)
-    out_c = int(attrs["out_channels"])
-    cov_y = np.zeros(h, dtype=np.int64)
-    for oy in range(oh):
-        y0 = oy * s - p
-        for dy in range(kh):
-            if 0 <= y0 + dy < h:
-                cov_y[y0 + dy] += 1
-    cov_x = np.zeros(w, dtype=np.int64)
-    for ox in range(ow):
-        x0 = ox * s - p
-        for dx in range(kw):
-            if 0 <= x0 + dx < w:
-                cov_x[x0 + dx] += 1
-    per_pixel = np.outer(cov_y, cov_x) * out_c
-    return np.tile(per_pixel.reshape(-1), c)
-
-def pool_fanout(in_shape: tuple[int, ...], attrs: dict) -> np.ndarray:
-    """Per-pixel window membership of an avgpool (edge crop can leave 0s)."""
-    c, h, w = in_shape
-    kh, kw = attrs["kernel"]
-    s = int(attrs.get("stride", kh))
-    oh, ow = pool_out_hw(h, w, attrs)
-    cov_y = np.zeros(h, dtype=np.int64)
-    for oy in range(oh):
-        for dy in range(kh):
-            cov_y[oy * s + dy] += 1
-    cov_x = np.zeros(w, dtype=np.int64)
-    for ox in range(ow):
-        for dx in range(kw):
-            cov_x[ox * s + dx] += 1
-    return np.tile(np.outer(cov_y, cov_x).reshape(-1), c)
-
-def residual_fanout(n: int) -> np.ndarray:
-    return np.ones(n, dtype=np.int64)           # one synapse per branch input
-
-
-def layer_fanout(kind: str, attrs: dict, in_shape: tuple[int, ...]) -> np.ndarray:
-    if kind == "fully-connected":
-        return fc_fanout(int(attrs["in_features"]), int(attrs["out_features"]))
-    if kind == "conv2d":
-        return conv_fanout(in_shape, attrs)
-    if kind == "avgpool2d":
-        return pool_fanout(in_shape, attrs)
-    if kind == "residual-add":
-        return residual_fanout(int(np.prod(in_shape)))
-    raise ValueError(f"no fan-out defined for kind {kind!r}")
+def energy_estimate(macs: int, sops: int) -> EnergyEstimate:
+    """MACs at MAC_PJ, SOPs at AC_PJ, both converted pJ -> uJ."""
+    return EnergyEstimate(ann_uj=macs * MAC_PJ * 1e-6, sdann_uj=sops * AC_PJ * 1e-6)
 
 
 def count_sops(spike_counts: np.ndarray, fanout: np.ndarray) -> int:
@@ -130,25 +60,16 @@ def count_macs_layer(kind: str, attrs: dict, in_shape: tuple[int, ...],
         kh, kw = attrs["kernel"]
         oc, oh, ow = out_shape
         return oh * ow * oc * kh * kw * int(attrs["in_channels"])
-    if kind == "avgpool2d":
-        kh, kw = attrs["kernel"]
-        return int(np.prod(out_shape)) * kh * kw   # adds, not true MACs
-    if kind == "residual-add":
-        return int(np.prod(out_shape))             # adds
-    return 0
+    return 0                # pool and residual layers add, they do not multiply
 
 
-def count_macs(qnet, include_pool_adds: bool = False) -> int:
-    """MACs of one quantized-reference inference. Pool/residual adds are not
-    multiplies and are excluded unless include_pool_adds is set."""
+def count_macs(qnet) -> int:
+    """MACs of one quantized-reference inference."""
     total = 0
     shapes = {"input": tuple(qnet.input_shape)}
     for lyr in qnet.layers:
-        in_shape = shapes[lyr.inputs[0]]
+        total += count_macs_layer(lyr.kind, lyr.attrs, shapes[lyr.inputs[0]], lyr.out_shape)
         shapes[lyr.name] = lyr.out_shape
-        if lyr.kind in ("avgpool2d", "residual-add") and not include_pool_adds:
-            continue
-        total += count_macs_layer(lyr.kind, lyr.attrs, in_shape, lyr.out_shape)
     return total
 
 

@@ -347,7 +347,13 @@ def _read_manifest(path: str | Path, fmt: _Format, net_cls: type[FloatModel],
         name = entry.get("name") if isinstance(entry, dict) else None
         if not name:
             raise ModelFormatError(f"{path.name}: layer #{i} has no 'name'")
-        kind, attrs = entry.get("kind", ""), dict(entry.get("attrs", {}))
+        kind, attrs = entry.get("kind", ""), entry.get("attrs", {})
+        inputs = entry.get("inputs", [])
+        if not isinstance(attrs, dict):
+            raise ModelFormatError(f"layer {name!r}: 'attrs' is not a JSON object")
+        if not (isinstance(inputs, list) and all(isinstance(src, str) for src in inputs)):
+            raise ModelFormatError(f"layer {name!r}: 'inputs' is not a list of layer names")
+        attrs = dict(attrs)
         for attr in _REQUIRED_ATTRS.get(kind, ()):
             if attr not in attrs:
                 raise ModelFormatError(f"layer {name!r}: missing attr {attr!r}")
@@ -366,7 +372,7 @@ def _read_manifest(path: str | Path, fmt: _Format, net_cls: type[FloatModel],
             shape = wshape if what == "weights" else wshape[:1]
             blobs.append(read_blob(path.parent / fname, dtype, shape).data)
         layers.append(layer_cls(
-            name=name, kind=kind, attrs=attrs, inputs=list(entry.get("inputs", [])),
+            name=name, kind=kind, attrs=attrs, inputs=list(inputs),
             weights=blobs[0], bias=blobs[1],
             **_decode(fmt.layer_keys, entry, f"layer {name!r}")))
     model = net_cls(layers=layers, **fields)

@@ -33,17 +33,20 @@ conv's float64 gathered patches if those are larger, within BLOCK_BYTES, and
 at least one. Sample blocks split only the batch axis, so they change no
 integer, trace or saturation count.
 
-One executor. ``run_batch`` streams a batch PIPELINE_WINDOW samples at a
-time, each window through every population in topological order, so no
-sample block is larger than the window; one sample occupies the network for
-K*(stages+1) steps (stages of integration plus the output train's own
-transmission block). Each train's per-neuron spike counts are taken once,
-when it is emitted, and the SOP and spike fields of every reader's trace
-come from them. ``run_pipeline`` overlaps the layers on one global clock,
-which changes only the timing, never the integers: it is ``run_batch`` plus
-the schedule that ``pipeline_timing`` counts from the stage numbers.
-``CachedRun`` keeps a whole-batch run per population, so that the sparsity
-tuner re-runs only the populations downstream of a changed one.
+One executor. ``CachedRun`` is the only code that runs a network over
+samples: it takes every population in topological order through one
+population step and keeps, per population, V before emission, the emitted
+train, the train's per-neuron spike counts (taken once, when it is emitted)
+and the saturation count. Every trace's SOP and spike fields are derived
+from those counts. ``run_batch`` is one CachedRun per PIPELINE_WINDOW
+samples, summing their counts and saturations, so no sample block is larger
+than the window; one sample occupies the network for K*(stages+1) steps
+(stages of integration plus the output train's own transmission block).
+``run_pipeline`` overlaps the layers on one global clock, which changes only
+the timing, never the integers: it is ``run_batch`` plus the schedule that
+``pipeline_timing`` counts from the stage numbers. The sparsity tuner keeps
+one whole-batch CachedRun and re-runs only the populations downstream of a
+changed one.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ class Population:
     out_shape: tuple[int, ...]
     n_out: int
     fanin: int                      # real synapses of the busiest neuron
-    fanouts: list[np.ndarray]       # per branch: synapses per input neuron
+    fanouts: list[np.ndarray]       # per branch: synapses per input neuron,
+                                    # counted from the form's index tables
     # synapses, in the execution form (see the module docstring)
     form: str                       # "dense" | "conv" | "pool" | "identity"
     dense_w: np.ndarray | None      # dense: float64 [n_out, n_in]
@@ -222,21 +226,23 @@ def _conv_table(in_shape, attrs) -> tuple[np.ndarray, int, int]:
 
 
 def _conv_form(in_shape, attrs, weights):
-    """(form, dense_w, gather_idx, conv_w, fanin) of a conv layer. Neuron
-    o*n_pos + p reads row p of the geometry's index table with channel o's
-    weights; its synapses are the taps that fall inside the input."""
+    """(form, dense_w, gather_idx, conv_w, fanin, fanout) of a conv layer.
+    Neuron o*n_pos + p reads row p of the geometry's index table with channel
+    o's weights; its synapses are the taps that fall inside the input, so an
+    input's fan-out is its count among the real taps times out_channels."""
     idx, n_pos, silent = _conv_table(in_shape, attrs)
     oc = int(attrs["out_channels"])
     real = idx != silent
     fanin = int(real.sum(axis=1).max())
+    fanout = np.bincount(idx[real], minlength=silent) * oc
     wrow = weights.astype(np.float64).reshape(oc, -1)                 # (ic,dy,dx)
     if silent <= 4 * idx.shape[1]:           # small conv: dense matrix
         # padding taps land in the silent column, which the view leaves out
         dense = np.zeros((oc, n_pos, silent + 1), dtype=np.float64)
         dense[:, np.arange(n_pos)[:, None], idx] = wrow[:, None, :]
-        return "dense", dense.reshape(oc * n_pos, -1)[:, :silent], None, None, fanin
+        return "dense", dense.reshape(oc * n_pos, -1)[:, :silent], None, None, fanin, fanout
     conv_w = np.asfortranarray(np.where(real.any(axis=0), wrow, 0.0))
-    return "conv", None, np.ascontiguousarray(idx.T), conv_w, fanin
+    return "conv", None, np.ascontiguousarray(idx.T), conv_w, fanin, fanout
 
 
 def _pool_gather(in_shape, attrs) -> np.ndarray:
@@ -301,16 +307,18 @@ def compile_network(qnet, plan: SparsityPlan | None = None,
         dense_w = gather_idx = conv_w = None
         if lyr.kind == "fully-connected":
             form, dense_w, fanin = "dense", lyr.weights.astype(np.float64), lyr.weights.shape[1]
+            fanouts = [np.full(fanin, n_out, dtype=np.int64)]
         elif lyr.kind == "residual-add":
             form, fanin = "identity", 2
+            fanouts = [np.ones(math.prod(shape), dtype=np.int64) for shape in in_shapes]
         elif lyr.kind == "avgpool2d":
             form, gather_idx = "pool", _pool_gather(in_shapes[0], lyr.attrs)
             fanin = gather_idx.shape[0]
+            fanouts = [np.bincount(gather_idx.ravel(), minlength=math.prod(in_shapes[0]))]
         else:
-            form, dense_w, gather_idx, conv_w, fanin = _conv_form(
+            form, dense_w, gather_idx, conv_w, fanin, fanout = _conv_form(
                 in_shapes[0], lyr.attrs, lyr.weights)
-
-        fanouts = [metrics.layer_fanout(lyr.kind, lyr.attrs, shape) for shape in in_shapes]
+            fanouts = [fanout]
 
         bias_pre_scaled = bias_post = None
         if lyr.bias is not None:
@@ -505,25 +513,21 @@ def _trace(pop: Population, counts: dict[str, np.ndarray], saturations: int) -> 
         neurons=pop.n_out)
 
 
-def _decode_output(snet: SpikingNetwork, train: np.ndarray) -> np.ndarray:
-    return decode_train(train, WireSchedule(snet.k, signed=True))
-
-
 def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
               record_trains: bool = False) -> RunResult:
-    """Bit-serial execution of a batch, PIPELINE_WINDOW samples at a time.
+    """Bit-serial execution of a batch: one ``CachedRun`` per PIPELINE_WINDOW
+    samples.
 
     Each population's spike counts and saturations are summed over the
     windows and its trace is built once, from the sums. The window changes no
     result, since a sample's integers do not depend on which samples share
-    it; it bounds host memory by PIPELINE_WINDOW samples of every train plus
-    one step's BLOCK_BYTES. With `record_trains` every train is also kept
-    whole.
+    it; only one window's run is held at a time, so host memory is bounded by
+    PIPELINE_WINDOW samples of every V and train plus one step's BLOCK_BYTES.
+    With `record_trains` every train is also kept whole.
     """
     k = snet.k
     xb = _as_batch(x_int, snet.input_shape)
     n = xb.shape[0]
-    phis = _wire_phis(snet)
     counts = {INPUT_NAME: np.zeros(xb.shape[1], dtype=np.int64)}
     counts |= {p.name: np.zeros(p.n_out, dtype=np.int64) for p in snet.populations}
     saturations = {p.name: 0 for p in snet.populations}
@@ -532,17 +536,15 @@ def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
     outputs = np.empty((n, snet.output.n_out), dtype=np.int64)
     for lo in range(0, n, PIPELINE_WINDOW):
         hi = min(lo + PIPELINE_WINDOW, n)
-        trains = {INPUT_NAME: encode_planes(xb[lo:hi], k, signed=True)}
-        for pop in snet.populations:
-            _, trains[pop.name], sat = _population_step(
-                pop, [trains[s] for s in pop.inputs], [phis[s] for s in pop.inputs],
-                snet.acc_bits, k)
-            saturations[pop.name] += sat
-        for name, train in trains.items():
-            counts[name] += _spike_counts(train)
+        run = CachedRun(snet, xb[lo:hi].reshape((-1,) + snet.input_shape))
+        for name, c in run.counts.items():
+            counts[name] += c
             if kept is not None:
-                kept[name][lo:hi] = train
-        outputs[lo:hi] = _decode_output(snet, trains[snet.output.name])
+                kept[name][lo:hi] = run.trains[name]
+        for name, sat in run.saturations.items():
+            saturations[name] += sat
+        outputs[lo:hi] = run.outputs
+        del run                     # freed before the next window's run is built
     return RunResult(
         outputs=outputs,
         outputs_real=outputs.astype(np.float64) * snet.output.scale_out,
@@ -554,17 +556,18 @@ def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
 
 
 class CachedRun:
-    """A ``run_batch`` of one batch, kept per population so that a change of
-    one hidden population's sparsity re-runs only what depends on it.
+    """One run of a batch through every population, kept per population so
+    that a change of one hidden population's sparsity re-runs only what
+    depends on it.
 
-    The whole batch runs at once: every population keeps its clamped V
-    before emission, its emitted train with per-neuron spike counts, and its
-    trace. ``rerun`` re-emits one population's cached V under another
-    sparsity setting and re-runs only the populations downstream of it; every
-    other train and trace is read from this cache. ``adopt`` makes such a
-    rerun the cached state. Both run each population through the population
-    step and trace of ``run_batch``, so a cached run and its reruns hold
-    exactly the integers and traces ``run_batch`` gives under the same plan.
+    This is the only code that runs a network over samples; ``run_batch`` is
+    one CachedRun per window. Every population keeps its clamped V before
+    emission, its emitted train with per-neuron spike counts, and its
+    saturation count; ``layer_traces`` derives the traces from the counts
+    with the ``_trace`` of ``run_batch``. ``rerun`` re-emits one population's
+    cached V under another sparsity setting and re-runs only the populations
+    downstream of it; every other train, count and saturation is read from
+    this cache. ``adopt`` makes such a rerun the cached state.
     """
 
     def __init__(self, snet: SpikingNetwork, x_int: np.ndarray):
@@ -573,7 +576,7 @@ class CachedRun:
         self.trains: dict[str, np.ndarray] = {}
         self.counts: dict[str, np.ndarray] = {}
         self.values: dict[str, np.ndarray] = {}
-        self.traces: dict[str, LayerTrace] = {}
+        self.saturations: dict[str, int] = {}
         self._store(INPUT_NAME, encode_planes(
             _as_batch(x_int, snet.input_shape), snet.k, signed=True))
         for pop in snet.populations:
@@ -594,39 +597,38 @@ class CachedRun:
 
     def _run(self, pop: Population) -> None:
         """Run `pop` over the batch from the cached trains; keep its V, train
-        and trace."""
-        self.values[pop.name], train, saturations = _population_step(
+        and saturation count."""
+        self.values[pop.name], train, self.saturations[pop.name] = _population_step(
             pop, [self.trains[s] for s in pop.inputs], [self._phis[s] for s in pop.inputs],
             self.snet.acc_bits, self.snet.k)
         self._store(pop.name, train)
-        self.traces[pop.name] = _trace(pop, self.counts, saturations)
 
     @property
     def outputs(self) -> np.ndarray:
         """Decoded output trains, int64 [N, n_out]."""
-        return _decode_output(self.snet, self.trains[self.snet.output.name])
+        return decode_train(self.trains[self.snet.output.name],
+                            WireSchedule(self.snet.k, signed=True))
 
     @property
     def layer_traces(self) -> list[LayerTrace]:
         """Traces in population order, as ``RunResult.traces``."""
-        return [self.traces[pop.name] for pop in self.snet.populations]
+        return [_trace(pop, self.counts, self.saturations[pop.name])
+                for pop in self.snet.populations]
 
     def rerun(self, name: str, setting: LayerSparsity) -> "CachedRun":
         """This run with hidden population `name` emitting under `setting`.
 
         The result's maps overlay this run's: they hold the new train of
-        `name` and the V, train and trace of every population downstream of
-        it, and read everything upstream from this cache.
+        `name` and the V, train and saturation count of every population
+        downstream of it, and read everything upstream from this cache.
         """
         child = copy.copy(self)
         child.snet = with_plan(self.snet, self.snet.plan.replaced(name, setting))
-        child.trains, child.counts, child.values, child.traces = (
+        child.trains, child.counts, child.values, child.saturations = (
             collections.ChainMap({}, m)
-            for m in (self.trains, self.counts, self.values, self.traces))
+            for m in (self.trains, self.counts, self.values, self.saturations))
         pop = child.snet.populations[self._index[name]]
         child._store(name, pop.emit(self.values[name], child.snet.k))
-        child.traces[name] = dataclasses.replace(
-            self.traces[name], spikes_out=int(child.counts[name].sum()))
         for i in self._downstream[name]:
             child._run(child.snet.populations[i])
         return child
@@ -635,7 +637,8 @@ class CachedRun:
         """Make `child`, a ``rerun`` of this run, the cached state."""
         self.snet = child.snet
         for mine, theirs in ((self.trains, child.trains), (self.counts, child.counts),
-                             (self.values, child.values), (self.traces, child.traces)):
+                             (self.values, child.values),
+                             (self.saturations, child.saturations)):
             mine.update(theirs.maps[0])
 
 

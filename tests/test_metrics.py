@@ -6,23 +6,18 @@ import pytest
 from stemc.metrics import (
     AC_PJ,
     MAC_PJ,
-    EnergyModel,
-    conv_fanout,
     consolidate,
     count_macs,
     count_macs_layer,
     count_sops,
     energy_estimate,
-    fc_fanout,
     io_layer_names,
-    layer_fanout,
-    pool_fanout,
-    residual_fanout,
     sop_total,
     write_layer_csv,
     write_summary,
 )
 from stemc.netsim import compile_network, run_batch
+from test_netsim import _one_layer_qnet
 
 
 def _brute_conv_fanout(in_shape, attrs):
@@ -43,9 +38,25 @@ def _brute_conv_fanout(in_shape, attrs):
     return fan.reshape(-1)
 
 
+def _fanouts(in_shape, kind, attrs, weights=None) -> list[np.ndarray]:
+    """``Population.fanouts`` of a compiled network of one layer."""
+    return compile_network(_one_layer_qnet(in_shape, kind, attrs, weights)).populations[0].fanouts
+
+
+def _conv_weights(in_shape, attrs):
+    kh, kw = attrs["kernel"]
+    return np.random.default_rng(7).integers(
+        -127, 128, size=(attrs["out_channels"], in_shape[0], kh, kw))
+
+
 class TestFanout:
+    """SOP fan-outs, counted by ``compile_network`` from its index tables."""
+
     def test_fc_full_fanout(self):
-        assert fc_fanout(36, 24).tolist() == [24] * 36
+        attrs = {"in_features": 36, "out_features": 24}
+        w = np.random.default_rng(3).integers(-127, 128, size=(24, 36))
+        fanouts = _fanouts((36,), "fully-connected", attrs, w)
+        assert [f.tolist() for f in fanouts] == [[24] * 36]
 
     @pytest.mark.parametrize("attrs", [
         {"kernel": [3, 3], "stride": 1, "padding": 1, "out_channels": 4},
@@ -55,31 +66,34 @@ class TestFanout:
     ])
     def test_conv_matches_coverage_walk(self, attrs):
         in_shape = (3, 7, 7)
-        assert np.array_equal(conv_fanout(in_shape, attrs),
-                              _brute_conv_fanout(in_shape, attrs))
+        attrs = {"in_channels": 3, **attrs}
+        (fan,) = _fanouts(in_shape, "conv2d", attrs, _conv_weights(in_shape, attrs))
+        assert np.array_equal(fan, _brute_conv_fanout(in_shape, attrs))
 
     def test_conv_edges_cost_less_under_padding(self):
-        attrs = {"kernel": [3, 3], "stride": 1, "padding": 1, "out_channels": 1}
-        fan = conv_fanout((1, 5, 5), attrs).reshape(5, 5)
+        attrs = {"in_channels": 1, "kernel": [3, 3], "stride": 1, "padding": 1,
+                 "out_channels": 1}
+        (fan,) = _fanouts((1, 5, 5), "conv2d", attrs, _conv_weights((1, 5, 5), attrs))
+        fan = fan.reshape(5, 5)
         assert fan[2, 2] == 9      # interior pixel: every window position
         assert fan[0, 0] == 4      # corner: windows clipped by the image edge
         assert fan[0, 2] == 6
 
     def test_pool_fanout_totals(self):
-        fan = pool_fanout((3, 4, 4), {"kernel": [2, 2], "stride": 2})
+        (fan,) = _fanouts((3, 4, 4), "avgpool2d", {"kernel": [2, 2], "stride": 2})
         assert fan.tolist() == [1] * 48
         assert fan.sum() == 3 * 2 * 2 * 2 * 2   # c * oh * ow * kh * kw
 
     def test_pool_crop_leaves_uncovered(self):
-        fan = pool_fanout((1, 5, 5), {"kernel": [2, 2], "stride": 2})
+        (fan,) = _fanouts((1, 5, 5), "avgpool2d", {"kernel": [2, 2], "stride": 2})
         assert fan.reshape(5, 5)[4, 4] == 0     # last row/col never pooled
 
-    def test_residual_fanout_is_unit(self):
-        assert residual_fanout(6).tolist() == [1] * 6
-
-    def test_dispatcher_rejects_flatten(self):
-        with pytest.raises(ValueError):
-            layer_fanout("flatten", {}, (4,))
+    def test_residual_fanout_is_unit(self, residual_bundle):
+        snet = compile_network(residual_bundle.qnet)
+        join = next(p for p in snet.populations if p.kind == "residual-add")
+        assert len(join.fanouts) == 2           # one synapse per branch input
+        for fan, shape in zip(join.fanouts, join.in_shapes):
+            assert fan.tolist() == [1] * int(np.prod(shape))
 
 
 class TestCounting:
@@ -99,7 +113,6 @@ class TestCounting:
     def test_network_macs_exclude_pool_adds(self, cnn_bundle):
         q = cnn_bundle.qnet
         assert count_macs(q) == 2304 + 4608 + 320
-        assert count_macs(q, include_pool_adds=True) == 2304 + 4608 + 320 + 256 + 128
 
     def test_io_layer_names(self, cnn_bundle, mlp_bundle):
         assert io_layer_names(cnn_bundle.qnet) == {"conv1", "fc"}
@@ -145,10 +158,6 @@ class TestEnergy:
 
     def test_zero_macs_ratio(self):
         assert energy_estimate(0, 10).ratio == float("inf")
-
-    def test_custom_model(self):
-        est = energy_estimate(10, 10, EnergyModel(mac_pj=1.0, ac_pj=0.5))
-        assert est.ratio == pytest.approx(0.5, rel=1e-12)
 
 
 class TestReports:

@@ -165,6 +165,10 @@ BOTH_TYPES = [
      "layer 'conv2': bad attr 'in_channels' value 4.0"),
     ("features-string", lambda d: _entry(d, "fc")["attrs"].update(out_features="10"),
      "layer 'fc': bad attr 'out_features' value '10'"),
+    ("attrs-list", lambda d: _entry(d, "conv2").update(attrs=[3, 3]),
+     "layer 'conv2': 'attrs' is not a JSON object"),
+    ("inputs-string", lambda d: _entry(d, "fc").update(inputs="flat"),
+     "layer 'fc': 'inputs' is not a list of layer names"),
 ]
 
 

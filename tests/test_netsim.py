@@ -241,8 +241,8 @@ def _skip_join_model() -> FloatModel:
 
 
 def _one_layer_qnet(in_shape, kind, attrs, weights=None):
-    """A quantized network of one conv or pool layer whose integer weights
-    are exactly `weights`."""
+    """A quantized network of one layer reading the input whose integer
+    weights are exactly `weights`."""
     lyr = LayerDesc(name="layer", kind=kind, attrs=attrs, inputs=[INPUT_NAME])
     if weights is not None:
         lyr.weights = (weights / 127.0).astype(np.float32)
@@ -285,8 +285,9 @@ _SMALL_CONV = ((1, 3, 3), "conv2d", {"in_channels": 1, "out_channels": 1, "kerne
 
 class TestRandomGeometry:
     """Random conv and pool layers: the execution form ``compile_network``
-    builds from the geometry sums exactly the reference table's synapses, and
-    its fan-in is that of the table's busiest neuron."""
+    builds from the geometry sums exactly the reference table's synapses, its
+    fan-in is that of the table's busiest neuron, and each input's fan-out is
+    the number of the table's synapses that read it."""
 
     @settings(max_examples=60)
     @example(layer=_LARGE_CONV, k=4, seed=0)
@@ -301,7 +302,11 @@ class TestRandomGeometry:
         phi = WireSchedule(k, signed=True).weights()[:, None]
         got = pop.step_sum([planes], [phi])
         assert np.array_equal(got, _synapse_walk(qnet, pop, [planes], phi))
-        assert pop.fanin == _build_table(kind, attrs, in_shape, qnet.layers[0].weights)[3]
+        idx, _, n_in_padded, fanin = _build_table(kind, attrs, in_shape, qnet.layers[0].weights)
+        assert pop.fanin == fanin
+        # one table row per neuron, so a conv's rows repeat per output channel
+        reads = np.bincount(idx.ravel(), minlength=n_in_padded)[:-1]   # drop the silent slot
+        assert [f.tolist() for f in pop.fanouts] == [reads.tolist()]
 
     @pytest.mark.parametrize("layer,form", [(_LARGE_CONV, "conv"), (_SMALL_CONV, "dense")],
                              ids=["large", "small"])
@@ -833,11 +838,13 @@ class TestSpikeCounts:
 
 
 class TestCachedRun:
-    @pytest.mark.parametrize("which", ["mlp", "cnn", "residual"])
+    @pytest.mark.parametrize("which", ["mlp", "cnn", "residual", "residual-overflow"])
     def test_rerun_and_adopt_match_run_batch(self, which, request):
-        b = request.getfixturevalue(f"{which}_bundle")
+        b = request.getfixturevalue(f"{which.split('-')[0]}_bundle")
         x = b.x_int[:24]
-        base = compile_network(b.qnet, plan=SparsityPlan.identity())
+        # overflow: conv_b saturates, and thinning conv_a changes how often
+        q = _unprotected(b.qnet, "conv_b") if which == "residual-overflow" else b.qnet
+        base = compile_network(q, plan=SparsityPlan.identity())
         cache = CachedRun(base, x)
         plan = SparsityPlan.identity()
         for name, setting in _thinning_plan(base).entries.items():
