@@ -52,8 +52,7 @@ def count_sops(spike_counts: np.ndarray, fanout: np.ndarray) -> int:
 # MAC counting (analytic, input-independent)
 # ---------------------------------------------------------------------------
 
-def count_macs_layer(kind: str, attrs: dict, in_shape: tuple[int, ...],
-                     out_shape: tuple[int, ...]) -> int:
+def count_macs_layer(kind: str, attrs: dict, out_shape: tuple[int, ...]) -> int:
     if kind == "fully-connected":
         return int(attrs["in_features"]) * int(attrs["out_features"])
     if kind == "conv2d":
@@ -65,12 +64,7 @@ def count_macs_layer(kind: str, attrs: dict, in_shape: tuple[int, ...],
 
 def count_macs(qnet) -> int:
     """MACs of one quantized-reference inference."""
-    total = 0
-    shapes = {"input": tuple(qnet.input_shape)}
-    for lyr in qnet.layers:
-        total += count_macs_layer(lyr.kind, lyr.attrs, shapes[lyr.inputs[0]], lyr.out_shape)
-        shapes[lyr.name] = lyr.out_shape
-    return total
+    return sum(count_macs_layer(lyr.kind, lyr.attrs, lyr.out_shape) for lyr in qnet.layers)
 
 
 def io_layer_names(qnet) -> set[str]:

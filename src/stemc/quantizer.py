@@ -228,11 +228,7 @@ def calibrate(model: FloatModel, data) -> RangeStats:
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape == tuple(model.input_shape):
         inputs = inputs[None, ...]
-    _, record = refengine.float_forward(model, inputs)
-    ranges = {
-        name: (float(act.post.min()), float(act.post.max()))
-        for name, act in record.layers.items()
-    }
+    _, ranges = refengine.float_forward(model, inputs)
     return RangeStats((float(inputs.min()), float(inputs.max())),
                       _unify_residual_ranges(model, ranges), inputs.shape[0])
 

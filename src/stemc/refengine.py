@@ -1,5 +1,9 @@
 """Reference engines: float forward pass and the integer oracle.
 
+The float pass serves calibration and dataset labelling. It returns the
+outputs and each layer's post-activation (min, max), and holds only the
+tensors a later layer still reads.
+
 The integer oracle is the ground truth the spiking simulator is judged
 against. It runs in three modes:
 
@@ -51,7 +55,7 @@ COLS_BYTES = 8 << 20     # float64 conv columns built at once
 
 @dataclass
 class LayerActivation:
-    pre: np.ndarray       # accumulator-domain integers (or wide sum / float pre-act)
+    pre: np.ndarray       # accumulator-domain integers (or the direct-mode sum)
     post: np.ndarray      # layer output in its own value domain
     saturations: int = 0
 
@@ -142,26 +146,38 @@ def _linear(kind: str, attrs: dict, weights: np.ndarray | None,
 # float reference
 # ---------------------------------------------------------------------------
 
-def float_forward(model, x: np.ndarray) -> tuple[np.ndarray, ActivationRecord]:
-    """Float64 forward pass. Hidden fc/conv layers apply bias then ReLU."""
+def float_forward(model, x: np.ndarray) -> tuple[np.ndarray, dict[str, tuple[float, float]]]:
+    """Float64 forward pass. Hidden fc/conv layers apply bias then ReLU.
+
+    Returns (outputs, ranges): ranges[layer] is the (min, max) of that layer's
+    post-activation over the batch. Only live tensors are kept: each one is
+    dropped once its last reader has run. The pool division, bias add and
+    ReLU work in place on the array the layer's own ``_linear`` call
+    allocated; flatten returns a view of its input, so it is never written.
+    x itself is never written; it is copied only if it is not float64.
+    """
     xb, single = _ensure_batch(x, model.input_shape)
-    tensors = {INPUT_NAME: xb.astype(np.float64)}
-    record = ActivationRecord()
-    out = None
-    for lyr in model.layers:
-        xs = [tensors[s] for s in lyr.inputs]
-        pre = _linear(lyr.kind, lyr.attrs, lyr.weights, xs)
+    tensors = {INPUT_NAME: np.asarray(xb, dtype=np.float64)}
+    last_read = {src: i for i, lyr in enumerate(model.layers) for src in lyr.inputs}
+    ranges = {}
+    for i, lyr in enumerate(model.layers):
+        y = _linear(lyr.kind, lyr.attrs, lyr.weights, [tensors[s] for s in lyr.inputs])
+        owned = lyr.kind != "flatten"
         if lyr.kind == "avgpool2d":
             kh, kw = lyr.attrs["kernel"]
-            pre = pre / (kh * kw)
+            y /= kh * kw
         if lyr.bias is not None:
-            pre = pre + lyr.bias.reshape((1, -1) + (1,) * (pre.ndim - 2))
-        post = np.maximum(pre, 0.0) if lyr.activation == "relu" else pre
-        record.layers[lyr.name] = LayerActivation(pre, post)
-        tensors[lyr.name] = post
-        out = post
-    out2 = out.reshape(out.shape[0], -1)
-    return (out2[0] if single else out2), record
+            b = lyr.bias.reshape((1, -1) + (1,) * (y.ndim - 2))
+            y = np.add(y, b, out=y if owned else None)
+        if lyr.activation == "relu":
+            y = np.maximum(y, 0.0, out=y if owned else None)
+        ranges[lyr.name] = (float(y.min()), float(y.max()))
+        for src in lyr.inputs:
+            if last_read[src] == i:
+                tensors.pop(src, None)    # a join may read one tensor twice
+        tensors[lyr.name] = y
+    out2 = y.reshape(y.shape[0], -1)
+    return (out2[0] if single else out2), ranges
 
 
 # ---------------------------------------------------------------------------

@@ -103,12 +103,12 @@ class TestCounting:
 
     def test_fc_macs(self):
         attrs = {"in_features": 784, "out_features": 128}
-        assert count_macs_layer("fully-connected", attrs, (784,), (128,)) == 100352
+        assert count_macs_layer("fully-connected", attrs, (128,)) == 100352
 
     def test_conv_macs(self):
         attrs = {"kernel": [3, 3], "in_channels": 1, "out_channels": 8,
                  "stride": 1, "padding": 1}
-        assert count_macs_layer("conv2d", attrs, (1, 8, 8), (8, 8, 8)) == 4608
+        assert count_macs_layer("conv2d", attrs, (8, 8, 8)) == 4608
 
     def test_network_macs_exclude_pool_adds(self, cnn_bundle):
         q = cnn_bundle.qnet

@@ -1,21 +1,32 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from stemc import fixtures as fx
 from stemc.fixedpoint import from_real
+from stemc.modelio import INPUT_NAME, FloatModel, LayerDesc, infer_shapes
 from stemc.quantizer import (
     QuantizedLayer,
     QuantizedNetwork,
+    RangeStats,
+    _unify_residual_ranges,
     build_quantized_network,
     calibrate,
     quantize_tensor,
 )
 from stemc.refengine import (
+    ActivationRecord,
+    LayerActivation,
     _conv2d,
+    _ensure_batch,
     _linear,
     _pool_sum,
     float_forward,
     int_forward,
 )
+from test_netsim import _skip_join_model
 
 
 def _fc_layer(name, src, w, m_hat=1.0, m0=1.0, m1=None, bias=None,
@@ -62,6 +73,75 @@ def _brute_conv(x, w, stride, pad):
                                     xp[s, i, y * stride + dy, col * stride + dx])
                     want[s, o, y, col] = acc
     return want
+
+
+def _float_forward_record(model, x):
+    """The record-keeping float pass ``float_forward`` replaced: every
+    layer's pre- and post-activation kept for the whole batch, each op on a
+    fresh array. Reference for the bit-identity and memory tests."""
+    xb, single = _ensure_batch(x, model.input_shape)
+    tensors = {INPUT_NAME: xb.astype(np.float64)}
+    record = ActivationRecord()
+    out = None
+    for lyr in model.layers:
+        xs = [tensors[s] for s in lyr.inputs]
+        pre = _linear(lyr.kind, lyr.attrs, lyr.weights, xs)
+        if lyr.kind == "avgpool2d":
+            kh, kw = lyr.attrs["kernel"]
+            pre = pre / (kh * kw)
+        if lyr.bias is not None:
+            pre = pre + lyr.bias.reshape((1, -1) + (1,) * (pre.ndim - 2))
+        post = np.maximum(pre, 0.0) if lyr.activation == "relu" else pre
+        record.layers[lyr.name] = LayerActivation(pre, post)
+        tensors[lyr.name] = post
+        out = post
+    out2 = out.reshape(out.shape[0], -1)
+    return (out2[0] if single else out2), record
+
+
+def _record_ranges(record) -> dict:
+    return {name: (float(act.post.min()), float(act.post.max()))
+            for name, act in record.layers.items()}
+
+
+def _calibrate_reference(model, inputs) -> RangeStats:
+    """``calibrate`` over the record-keeping reference pass."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.shape == tuple(model.input_shape):
+        inputs = inputs[None, ...]
+    _, record = _float_forward_record(model, inputs)
+    return RangeStats((float(inputs.min()), float(inputs.max())),
+                      _unify_residual_ranges(model, _record_ranges(record)),
+                      inputs.shape[0])
+
+
+def _bits(ranges: dict) -> dict:
+    """Ranges as raw float64 bytes, so -0.0 and 0.0 differ."""
+    return {name: np.array(r, dtype=np.float64).tobytes() for name, r in ranges.items()}
+
+
+def _cnn28_shaped(seed: int = 28) -> FloatModel:
+    """1x28x28: conv 1->16, pool 2, conv 16->32, pool 2, fc 1568->10."""
+    rng = np.random.default_rng(seed)
+    model = FloatModel(name="cnn28-shaped", input_shape=(1, 28, 28), layers=[
+        fx._conv("conv1", "input", 1, 16, rng, 0.45),
+        fx._pool("pool1", "conv1"),
+        fx._conv("conv2", "pool1", 16, 32, rng, 0.12),
+        fx._pool("pool2", "conv2"),
+        LayerDesc(name="flat", kind="flatten", attrs={}, inputs=["pool2"]),
+        fx._fc("fc", "flat", 1568, 10, rng, 0.06, relu=False),
+    ])
+    infer_shapes(model)
+    return model
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _conv_qnet(w, in_shape, k=8, acc_bits=16):
@@ -241,12 +321,79 @@ class TestLinearPieces:
         assert np.array_equal(got, want)
 
     def test_float_pool_is_mean(self, cnn_bundle, rng):
-        x = rng.random((3,) + cnn_bundle.model.input_shape).astype(np.float32)
-        _, record = float_forward(cnn_bundle.model, x)
-        conv1 = record.layers["conv1"].post
-        want = conv1.reshape(3, 4, 4, 2, 4, 2).mean(axis=(3, 5))
-        assert np.allclose(record.layers["pool1"].post, want)
+        model = cnn_bundle.model
+        x = rng.random((3,) + model.input_shape).astype(np.float32)
+
+        def through(name):     # outputs of the model truncated after `name`
+            names = [lyr.name for lyr in model.layers]
+            head = dataclasses.replace(model, layers=model.layers[:names.index(name) + 1])
+            return float_forward(head, x)[0]
+
+        want = through("conv1").reshape(3, 4, 4, 2, 4, 2).mean(axis=(3, 5))
+        assert np.allclose(through("pool1").reshape(want.shape), want)
 
     def test_float_forward_single_sample(self, mlp_bundle):
         out, _ = float_forward(mlp_bundle.model, mlp_bundle.ds.inputs[0])
         assert out.shape == (10,)
+
+
+# (builder, input lo, input hi): every fixture, a deep stack and a join that
+# reads a shortcut over two stages and one producer twice
+FLOAT_MODELS = {
+    **fx.FIXTURES,
+    "deep-mlp8": (lambda: fx.make_deep_mlp(8), 0.0, 1.0),
+    "skip-join": (_skip_join_model, 0.0, 1.0),
+}
+
+
+class TestFloatPass:
+    """``float_forward`` keeps only live tensors and works in place; its
+    outputs and ranges must equal the record-keeping reference bit for bit."""
+
+    @pytest.mark.parametrize("n", [None, 1, 7, 300])
+    @pytest.mark.parametrize("name", sorted(FLOAT_MODELS))
+    def test_bit_identical_to_reference(self, name, n):
+        builder, lo, hi = FLOAT_MODELS[name]
+        model = builder()
+        x = fx.class_inputs(np.random.default_rng(5), 1 if n is None else n,
+                            model.input_shape, lo=lo, hi=hi)
+        if n is None:                       # one unbatched sample
+            x = x[0]
+        out, ranges = float_forward(model, x)
+        want, record = _float_forward_record(model, x)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+        assert _bits(ranges) == _bits(_record_ranges(record))
+        got, ref = calibrate(model, x), _calibrate_reference(model, x)
+        assert got.samples == ref.samples
+        assert _bits({"input": got.input_range}) == _bits({"input": ref.input_range})
+        assert _bits(got.ranges) == _bits(ref.ranges)
+
+    @pytest.mark.parametrize("name", ["cnn", "residual", "flatten-first"])
+    def test_input_is_never_written(self, name):
+        if name == "flatten-first":
+            # flatten returns a view of x; an in-memory model may give it a
+            # bias and a ReLU (only the manifest reader rejects them)
+            rng = np.random.default_rng(3)
+            model = FloatModel(name=name, input_shape=(2, 3, 3), layers=[
+                LayerDesc(name="flat", kind="flatten", attrs={}, inputs=["input"],
+                          bias=np.full(18, -0.5, dtype=np.float32)),
+                fx._fc("fc", "flat", 18, 4, rng, 0.5, relu=False),
+            ])
+            infer_shapes(model)
+            model.layers[0].activation = "relu"
+        else:
+            model = FLOAT_MODELS[name][0]()
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5,) + model.input_shape)
+        before = x.copy()
+        float_forward(model, x)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("build,n", [(_cnn28_shaped, 256),
+                                         (lambda: fx.make_deep_mlp(depth=8), 2000)])
+    def test_peak_memory_below_reference(self, build, n):
+        model = build()
+        x = fx.class_inputs(np.random.default_rng(6), n, model.input_shape)
+        peak = _traced_peak(float_forward, model, x)
+        ref = _traced_peak(_float_forward_record, model, x)
+        assert peak <= 0.7 * ref, (peak, ref)
