@@ -105,7 +105,9 @@ def cmd_run(args) -> int:
     if args.mode == "oracle":
         outputs, saturations = _oracle(qnet, x_int, args.oracle_mode)
     else:
-        snet = netsim.compile_network(qnet, strict_capacity=args.strict_capacity)
+        snet = netsim.compile_network(qnet)
+        if args.strict_capacity and (violations := netsim.check_capacity(snet).violations):
+            raise ValueError("capacity check failed: " + "; ".join(violations))
         res = netsim.run_batch(snet, x_int, record_trains=bool(args.dump_spikes))
         outputs, traces, trains = res.outputs, res.traces, res.trains
         saturations = sum(t.saturations for t in traces)

@@ -433,17 +433,13 @@ def save_quantized_model(qnet, path: str | Path) -> None:
 
 @dataclass
 class Dataset:
-    """Float inputs plus integer labels, iterable as (input, label) pairs."""
+    """Float inputs plus integer labels."""
 
     inputs: np.ndarray           # float32 [count, *shape]
     labels: np.ndarray           # int32 [count] or [count, label_width]
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self.inputs[i], self.labels[i]
 
 
 def save_dataset(path: str | Path, inputs: np.ndarray, labels: np.ndarray) -> None:

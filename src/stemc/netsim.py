@@ -35,23 +35,22 @@ integer, trace or saturation count.
 
 One executor. ``CachedRun`` is the only code that runs a network over
 samples: it takes every population in topological order through one
-population step and keeps, per population, V before emission, the emitted
-train, the train's per-neuron spike counts (taken once, when it is emitted)
-and the saturation count. Every trace's SOP and spike fields are derived
-from those counts. ``run_batch`` is one CachedRun per PIPELINE_WINDOW
-samples, summing their counts and saturations, so no sample block is larger
-than the window; one sample occupies the network for K*(stages+1) steps
-(stages of integration plus the output train's own transmission block).
-``run_pipeline`` overlaps the layers on one global clock, which changes only
-the timing, never the integers: it is ``run_batch`` plus the schedule that
-``pipeline_timing`` counts from the stage numbers. The sparsity tuner keeps
-one whole-batch CachedRun and re-runs only the populations downstream of a
-changed one.
+population step, under the setting ``snet.plan`` gives it, and keeps, per
+population, the emitted train, the train's per-neuron spike counts (taken
+once, when it is emitted) and the saturation count. Every trace's SOP and
+spike fields are derived from those counts. ``run_batch`` is one CachedRun
+per PIPELINE_WINDOW samples, summing their counts and saturations, so no
+sample block is larger than the window; one sample occupies the network for
+K*(stages+1) steps (stages of integration plus the output train's own
+transmission block). ``run_pipeline`` overlaps the layers on one global
+clock, which changes only the timing, never the integers: it is
+``run_batch`` plus the schedule that ``pipeline_timing`` counts from the
+stage numbers. The sparsity tuner keeps one whole-batch CachedRun and
+re-runs only the populations downstream of a changed one.
 """
 
 from __future__ import annotations
 
-import collections
 import copy
 import dataclasses
 import math
@@ -119,7 +118,6 @@ class Population:
     scale_out: float
     stage: int
     is_output: bool
-    sparsity: LayerSparsity = LayerSparsity(0, 0)
 
     def step_sum(self, rows: list[np.ndarray], phis: list) -> np.ndarray:
         """Wide synaptic sums of wire steps: sum over branches of phi * (row @ W).
@@ -153,13 +151,13 @@ class Population:
         out = np.matmul(self.conv_w, patches)              # [M, oc, n_pos]
         return out.astype(np.int64).reshape(lead + (self.n_out,))
 
-    def emit(self, v: np.ndarray, k: int) -> np.ndarray:
-        """Output train of the clamped values (sparsified for hidden layers)."""
+    def emit(self, v: np.ndarray, k: int, setting: LayerSparsity) -> np.ndarray:
+        """Output train of the clamped values; a hidden layer's is thinned by `setting`."""
         if self.is_output:
             return encode_planes(v, k, signed=True)
-        if self.sparsity.rot_bits:
-            v = rot(v, self.sparsity.rot_bits, k)
-        return generate_train(v, k, suppress_below=self.sparsity.drlo_bits)
+        if setting.rot_bits:
+            v = rot(v, setting.rot_bits, k)
+        return generate_train(v, k, suppress_below=setting.drlo_bits)
 
 
 @dataclass
@@ -171,7 +169,6 @@ class SpikingNetwork:
     populations: list[Population]
     n_stages: int
     plan: SparsityPlan
-    profile: HardwareProfile
 
     @property
     def output(self) -> Population:
@@ -271,9 +268,7 @@ def _max_weight_sum(weights: np.ndarray | None) -> int:
 # compilation
 # ---------------------------------------------------------------------------
 
-def compile_network(qnet, plan: SparsityPlan | None = None,
-                    profile: HardwareProfile | None = None,
-                    strict_capacity: bool = False) -> SpikingNetwork:
+def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
     """Lower a quantized network onto populations in their execution forms.
 
     Sparsity settings are taken from `plan` when given, else from the plan
@@ -281,7 +276,6 @@ def compile_network(qnet, plan: SparsityPlan | None = None,
     (pipeline depth) are 1 + the deepest producer; flatten is transparent.
     """
     qnet.validate()
-    profile = profile or HardwareProfile()
     if plan is None:
         plan = SparsityPlan.from_manifest(qnet.sparsity)
 
@@ -344,28 +338,16 @@ def compile_network(qnet, plan: SparsityPlan | None = None,
         stage[lyr.name] = 1 + max(stage[s] for s in sources)
         pops[-1].stage = stage[lyr.name]
 
-    snet = SpikingNetwork(
+    return SpikingNetwork(
         name=qnet.name, k=qnet.k, acc_bits=qnet.acc_bits,
         input_shape=tuple(qnet.input_shape), populations=pops,
-        n_stages=max(stage.values()), plan=plan, profile=profile,
+        n_stages=max(stage.values()), plan=plan,
     )
-    if strict_capacity:
-        violations = check_capacity(snet, profile).violations
-        if violations:
-            raise ValueError("capacity check failed: " + "; ".join(violations))
-    return with_plan(snet, plan)
 
 
 def with_plan(snet: SpikingNetwork, plan: SparsityPlan) -> SpikingNetwork:
-    """The compiled network under another sparsity plan.
-
-    Only ``plan`` and each hidden population's ``sparsity`` change; execution
-    forms and constants are shared with ``snet``.
-    """
-    pops = [dataclasses.replace(
-                p, sparsity=LayerSparsity(0, 0) if p.is_output else plan.for_layer(p.name))
-            for p in snet.populations]
-    return dataclasses.replace(snet, populations=pops, plan=plan)
+    """The compiled network under another sparsity plan, sharing its populations."""
+    return dataclasses.replace(snet, plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +371,7 @@ class CapacityReport:
 
 def check_capacity(snet: SpikingNetwork, profile: HardwareProfile | None = None
                    ) -> CapacityReport:
-    profile = profile or snet.profile
+    profile = profile or HardwareProfile()
     rows = []
     violations = []
     if snet.acc_bits > profile.acc_bits:
@@ -419,14 +401,14 @@ def check_capacity(snet: SpikingNetwork, profile: HardwareProfile | None = None
 # ---------------------------------------------------------------------------
 
 def _as_batch(x: np.ndarray, input_shape) -> np.ndarray:
-    """[N, n_in] rows of a sample or batch, in the dtype they came in (each
-    window is widened where it is encoded)."""
+    """A sample or batch as a batch [N, *input_shape], in the dtype it came in
+    (each window is widened where it is encoded)."""
     x = np.asarray(x)
     if x.shape == tuple(input_shape):
-        x = x[None, ...]
-    elif x.shape[1:] != tuple(input_shape):
+        return x[None, ...]
+    if x.shape[1:] != tuple(input_shape):
         raise ValueError(f"input shape {x.shape} does not match {input_shape}")
-    return x.reshape(x.shape[0], -1)
+    return x
 
 
 def _wire_phis(snet: SpikingNetwork) -> dict[str, np.ndarray]:
@@ -470,26 +452,26 @@ def _block_samples(pop: Population, k: int) -> int:
 
 
 def _population_step(pop: Population, trains: list[np.ndarray], phis: list,
-                     acc_bits: int, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+                     acc_bits: int, k: int, setting: LayerSparsity
+                     ) -> tuple[np.ndarray, int]:
     """One population over m samples, in sample blocks of ``_block_samples``.
 
     `trains` are the [m, n_in, K] input trains of pop's branches and `phis`
     their per-step wire weights. Each sample block's synaptic sums, K-step
-    scan and emission fill its rows of V and of the output train. Returns
-    (clamped V int64 [m, n_out], train uint8 [m, n_out, K], saturation count).
+    scan and emission under `setting` fill its rows of the output train.
+    Returns (train uint8 [m, n_out, K], saturation count).
     """
     m = trains[0].shape[0]
-    v = np.empty((m, pop.n_out), dtype=np.int64)
     train = np.empty((m, pop.n_out, k), dtype=np.uint8)
     saturations = 0
     size = _block_samples(pop, k)
     for lo in range(0, m, size):
         hi = min(lo + size, m)
         sums = pop.step_sum(_planes([tr[lo:hi] for tr in trains]), phis)
-        v[lo:hi], sat = _integrate_block(pop, sums, acc_bits)
-        train[lo:hi] = pop.emit(v[lo:hi], k)
+        v, sat = _integrate_block(pop, sums, acc_bits)
+        train[lo:hi] = pop.emit(v, k, setting)
         saturations += sat
-    return v, train, saturations
+    return train, saturations
 
 
 def _spike_counts(train: np.ndarray) -> np.ndarray:
@@ -522,13 +504,13 @@ def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
     windows and its trace is built once, from the sums. The window changes no
     result, since a sample's integers do not depend on which samples share
     it; only one window's run is held at a time, so host memory is bounded by
-    PIPELINE_WINDOW samples of every V and train plus one step's BLOCK_BYTES.
-    With `record_trains` every train is also kept whole.
+    PIPELINE_WINDOW samples of every train plus one step's BLOCK_BYTES. With
+    `record_trains` every train is also kept whole.
     """
     k = snet.k
     xb = _as_batch(x_int, snet.input_shape)
     n = xb.shape[0]
-    counts = {INPUT_NAME: np.zeros(xb.shape[1], dtype=np.int64)}
+    counts = {INPUT_NAME: np.zeros(math.prod(snet.input_shape), dtype=np.int64)}
     counts |= {p.name: np.zeros(p.n_out, dtype=np.int64) for p in snet.populations}
     saturations = {p.name: 0 for p in snet.populations}
     kept = ({name: np.empty((n, c.size, k), dtype=np.uint8) for name, c in counts.items()}
@@ -536,7 +518,7 @@ def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
     outputs = np.empty((n, snet.output.n_out), dtype=np.int64)
     for lo in range(0, n, PIPELINE_WINDOW):
         hi = min(lo + PIPELINE_WINDOW, n)
-        run = CachedRun(snet, xb[lo:hi].reshape((-1,) + snet.input_shape))
+        run = CachedRun(snet, xb[lo:hi])
         for name, c in run.counts.items():
             counts[name] += c
             if kept is not None:
@@ -561,13 +543,13 @@ class CachedRun:
     depends on it.
 
     This is the only code that runs a network over samples; ``run_batch`` is
-    one CachedRun per window. Every population keeps its clamped V before
-    emission, its emitted train with per-neuron spike counts, and its
-    saturation count; ``layer_traces`` derives the traces from the counts
-    with the ``_trace`` of ``run_batch``. ``rerun`` re-emits one population's
-    cached V under another sparsity setting and re-runs only the populations
-    downstream of it; every other train, count and saturation is read from
-    this cache. ``adopt`` makes such a rerun the cached state.
+    one CachedRun per window. Every population keeps its emitted train with
+    per-neuron spike counts, and its saturation count; ``layer_traces``
+    derives the traces from the counts with the ``_trace`` of ``run_batch``.
+    ``rerun`` re-emits one population under another sparsity setting and
+    re-runs only the populations downstream of it; every other train, count
+    and saturation is read from this cache. ``adopt`` makes such a rerun the
+    cached state.
     """
 
     def __init__(self, snet: SpikingNetwork, x_int: np.ndarray):
@@ -575,20 +557,11 @@ class CachedRun:
         self._phis = _wire_phis(snet)
         self.trains: dict[str, np.ndarray] = {}
         self.counts: dict[str, np.ndarray] = {}
-        self.values: dict[str, np.ndarray] = {}
         self.saturations: dict[str, int] = {}
-        self._store(INPUT_NAME, encode_planes(
-            _as_batch(x_int, snet.input_shape), snet.k, signed=True))
+        x = _as_batch(x_int, snet.input_shape)
+        self._store(INPUT_NAME, encode_planes(x.reshape(x.shape[0], -1), snet.k, signed=True))
         for pop in snet.populations:
             self._run(pop)
-        # per population, the indices of the populations that depend on it
-        reads: dict[str, set[str]] = {INPUT_NAME: set()}
-        for pop in snet.populations:
-            reads[pop.name] = set(pop.inputs).union(*(reads[s] for s in pop.inputs))
-        self._downstream = {
-            pop.name: [i for i, q in enumerate(snet.populations) if pop.name in reads[q.name]]
-            for pop in snet.populations}
-        self._index = {pop.name: i for i, pop in enumerate(snet.populations)}
 
     def _store(self, name: str, train: np.ndarray) -> None:
         """Keep an emitted train and its spike counts under `name`."""
@@ -596,11 +569,11 @@ class CachedRun:
         self.counts[name] = _spike_counts(train)
 
     def _run(self, pop: Population) -> None:
-        """Run `pop` over the batch from the cached trains; keep its V, train
-        and saturation count."""
-        self.values[pop.name], train, self.saturations[pop.name] = _population_step(
+        """Run `pop` over the batch from the cached trains, under its setting
+        in the plan; keep its train and saturation count."""
+        train, self.saturations[pop.name] = _population_step(
             pop, [self.trains[s] for s in pop.inputs], [self._phis[s] for s in pop.inputs],
-            self.snet.acc_bits, self.snet.k)
+            self.snet.acc_bits, self.snet.k, self.snet.plan.for_layer(pop.name))
         self._store(pop.name, train)
 
     @property
@@ -618,28 +591,31 @@ class CachedRun:
     def rerun(self, name: str, setting: LayerSparsity) -> "CachedRun":
         """This run with hidden population `name` emitting under `setting`.
 
-        The result's maps overlay this run's: they hold the new train of
-        `name` and the V, train and saturation count of every population
-        downstream of it, and read everything upstream from this cache.
+        `name` must have run under the identity setting: hidden V lies in
+        [0, q_max], so its train is V's binary digits and decodes to the
+        exact V. The result's maps are copies of this run's, with new entries
+        for `name` and every population downstream of it.
         """
+        pop = next(p for p in self.snet.populations if p.name == name)
+        if pop.is_output or not self.snet.plan.for_layer(name).is_identity():
+            raise ValueError(f"cannot re-run {name!r}: its train is not V's exact digits")
         child = copy.copy(self)
         child.snet = with_plan(self.snet, self.snet.plan.replaced(name, setting))
-        child.trains, child.counts, child.values, child.saturations = (
-            collections.ChainMap({}, m)
-            for m in (self.trains, self.counts, self.values, self.saturations))
-        pop = child.snet.populations[self._index[name]]
-        child._store(name, pop.emit(self.values[name], child.snet.k))
-        for i in self._downstream[name]:
-            child._run(child.snet.populations[i])
+        child.trains, child.counts, child.saturations = (
+            dict(self.trains), dict(self.counts), dict(self.saturations))
+        v = decode_train(self.trains[name], WireSchedule(self.snet.k, signed=False))
+        child._store(name, pop.emit(v, self.snet.k, setting))
+        changed = {name}
+        for q in child.snet.populations:
+            if changed.intersection(q.inputs):
+                child._run(q)
+                changed.add(q.name)
         return child
 
     def adopt(self, child: "CachedRun") -> None:
         """Make `child`, a ``rerun`` of this run, the cached state."""
-        self.snet = child.snet
-        for mine, theirs in ((self.trains, child.trains), (self.counts, child.counts),
-                             (self.values, child.values),
-                             (self.saturations, child.saturations)):
-            mine.update(theirs.maps[0])
+        self.snet, self.trains, self.counts, self.saturations = (
+            child.snet, child.trains, child.counts, child.saturations)
 
 
 # ---------------------------------------------------------------------------

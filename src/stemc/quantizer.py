@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fixedpoint import FixedMult, from_real
-from .modelio import INPUT_NAME, FloatModel, LayerDesc, infer_shapes
+from .modelio import INPUT_NAME, FloatModel, LayerDesc, ModelFormatError, infer_shapes
 from . import refengine
 
 log = logging.getLogger("stemc")
@@ -117,7 +117,7 @@ class QuantizedNetwork(FloatModel):
         return QuantParams(self.input_scale, -self.q_max, self.q_max)
 
     def validate(self) -> None:
-        """Check topology, scales and constants."""
+        """Check topology, scales, constants and sparsity rows."""
         if not 2 <= self.k <= 16:
             raise ValueError(f"train length K={self.k} outside [2, 16]")
         if self.acc_bits < self.k:
@@ -154,6 +154,20 @@ class QuantizedNetwork(FloatModel):
                         f"layer {lyr.name!r}: bias exceeds declared "
                         f"{lyr.bias_width}-bit width"
                     )
+        # Each sparsity row names a distinct hidden layer; rot and drlo are
+        # bit counts of a train, so they lie in [0, 16] whatever K is.
+        hidden = [lyr.name for lyr in self.layers[:-1] if lyr.kind != "flatten"]
+        for i, row in enumerate(self.sparsity):
+            where = f"sparsity row #{i} {row!r}"
+            if not isinstance(row, dict) or set(row) - {"layer", "rot", "drlo"}:
+                raise ModelFormatError(f"{where}: keys must be 'layer', 'rot' and 'drlo'")
+            if row.get("layer") not in hidden:
+                raise ModelFormatError(f"{where}: 'layer' must be a hidden layer, of {hidden}")
+            if any(r["layer"] == row["layer"] for r in self.sparsity[:i]):
+                raise ModelFormatError(f"{where}: a second row for {row['layer']!r}")
+            for key in ("rot", "drlo"):
+                if type(row.get(key, 0)) is not int or not 0 <= row.get(key, 0) <= 16:
+                    raise ModelFormatError(f"{where}: {key!r} must be an integer in [0, 16]")
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,11 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
 
     The network runs once in full, into a ``netsim.CachedRun`` of the
     accepted plan. A candidate at layer l is measured by re-emitting l's
-    cached pre-emission values under the candidate and re-running only the
-    layers downstream of l; upstream trains and SOP counts come from the
-    cache. The winning candidate's rerun becomes the cache for the next
+    values under the candidate and re-running only the layers downstream of
+    l; upstream trains and SOP counts come from the cache. The values are
+    decoded from l's cached train, which is exact because l has not been
+    tuned yet: under the identity setting a hidden train is V's binary
+    digits. The winning candidate's rerun becomes the cache for the next
     layer, and no more than two reruns are held at a time.
 
     Returns a TuneResult; the plan never degrades accuracy beyond the budget

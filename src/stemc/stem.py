@@ -80,11 +80,19 @@ def _msb_first(u: np.ndarray, k: int) -> np.ndarray:
 
 
 def decode_train(bits: np.ndarray, schedule: WireSchedule) -> int | np.ndarray:
-    """Sum of phi(t) * bit(t); inverse of encode for in-range values."""
-    b = np.asarray(bits, dtype=np.int64)
-    if b.shape[-1] != schedule.steps:
+    """Sum of phi(t) * bit(t) of 0/1 trains, the inverse of ``_msb_first``: each
+    train, led by zero steps to whole bytes, packs into one word widened to int64."""
+    b = np.asarray(bits)
+    k = schedule.steps
+    if b.shape[-1] != k:
         raise ValueError("train length does not match schedule")
-    total = b @ schedule.weights()
+    width = 8 if k <= 8 else 16
+    if k < width:
+        b = np.concatenate([np.zeros(b.shape[:-1] + (width - k,), dtype=b.dtype), b], axis=-1)
+    words = np.packbits(b.reshape(-1)).view(f">u{width // 8}")   # big-endian words
+    total = words.reshape(b.shape[:-1]).astype(np.int64)
+    if schedule.signed:                 # the sign step weighs -2^(K-1)
+        total -= (total >> (k - 1)) << k
     return int(total) if total.ndim == 0 else total
 
 

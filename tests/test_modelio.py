@@ -18,6 +18,7 @@ from stemc.modelio import (
     save_model,
     save_quantized_model,
 )
+from stemc.quantizer import build_quantized_network
 from stemc.refengine import int_forward
 
 
@@ -123,6 +124,14 @@ class TestQuantizedRoundtrip:
         q3 = load_quantized_model(tmp_path / "q2.json")
         assert q3.sparsity == [{"layer": "fc1", "rot": 1, "drlo": 2}]
 
+    def test_sparsity_rows_not_capped_by_k(self, tmp_path, cnn_bundle):
+        """The tuner's candidates do not depend on K, so a K=4 manifest may
+        cut 4 bits or round off 3."""
+        q = build_quantized_network(cnn_bundle.model, cnn_bundle.stats, k=4, acc_bits=10)
+        q.sparsity = [{"layer": "conv1", "drlo": 4}, {"layer": "pool2", "rot": 3, "drlo": 0}]
+        save_quantized_model(q, tmp_path / "q.json")
+        assert load_quantized_model(tmp_path / "q.json").sparsity == q.sparsity
+
     def test_wrong_manifest_type(self, tmp_path, mlp_bundle):
         save_model(fixtures.make_mlp(), tmp_path / "f.json")
         save_quantized_model(mlp_bundle.qnet, tmp_path / "q.json")
@@ -172,6 +181,21 @@ BOTH_TYPES = [
 ]
 
 
+_HIDDEN = "'layer' must be a hidden layer, of ['conv1', 'pool1', 'conv2', 'pool2']"
+SPARSITY_ROWS = [
+    ("no-layer", [{"rot": 1}], _HIDDEN),
+    ("unknown-layer", [{"layer": "conv9", "drlo": 1}], _HIDDEN),
+    ("output-layer", [{"layer": "fc", "drlo": 1}], _HIDDEN),
+    ("flatten-layer", [{"layer": "flat", "rot": 1}], _HIDDEN),
+    ("duplicate", [{"layer": "conv1", "rot": 1}, {"layer": "conv1", "drlo": 2}],
+     "a second row for 'conv1'"),
+    ("rot-negative", [{"layer": "conv1", "rot": -1}], "'rot' must be an integer in [0, 16]"),
+    ("rot-string", [{"layer": "pool1", "rot": "1"}], "'rot' must be an integer in [0, 16]"),
+    ("drlo-99", [{"layer": "conv2", "drlo": 99}], "'drlo' must be an integer in [0, 16]"),
+    ("unknown-key", [{"layer": "conv1", "rott": 1}], "keys must be 'layer', 'rot' and 'drlo'"),
+]
+
+
 @pytest.mark.parametrize("model_type,edit,match", [
     pytest.param(t, edit, match, id=f"{t}-{case}")
     for t in ("float", "quantized") for case, edit, match in BOTH_TYPES
@@ -183,6 +207,11 @@ BOTH_TYPES = [
                  "layer 'conv2': missing m0", id="quantized-no-m0"),
     pytest.param("quantized", lambda d: _entry(d, "fc").update(bias_scheme="bogus"),
                  "layer 'fc': bias scheme 'bogus'", id="quantized-bad-bias-scheme"),
+] + [
+    pytest.param("quantized", lambda d, rows=rows: d.update(sparsity=rows),
+                 f"m.json: sparsity row #{len(rows) - 1} {rows[-1]!r}: {match}",
+                 id=f"quantized-sparsity-{case}")
+    for case, rows, match in SPARSITY_ROWS
 ])
 def test_malformed_manifest_raises(tmp_path, cnn_bundle, model_type, edit, match):
     path = tmp_path / "m.json"
@@ -301,15 +330,6 @@ class TestDataset:
         ds = load_dataset(tmp_path / "d.ds")
         assert ds.labels.shape == (5, 3)
         assert np.array_equal(ds.labels, y)
-
-    def test_iteration(self, tmp_path, rng):
-        x = rng.random((4, 6)).astype(np.float32)
-        y = np.arange(4, dtype=np.int32)
-        save_dataset(tmp_path / "d.ds", x, y)
-        pairs = list(load_dataset(tmp_path / "d.ds"))
-        assert len(pairs) == 4
-        assert np.array_equal(pairs[2][0], x[2])
-        assert pairs[2][1] == 2
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "d.ds").write_bytes(b"XXXX" + b"\0" * 32)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stemc import fixtures, metrics, netsim
+from stemc import cli, fixtures, metrics, netsim
 from stemc.fixedpoint import from_real
-from stemc.modelio import INPUT_NAME, FloatModel, LayerDesc, infer_shapes, pool_out_hw
+from stemc.modelio import (INPUT_NAME, FloatModel, LayerDesc, infer_shapes, pool_out_hw,
+                           save_dataset, save_quantized_model)
 from stemc.netsim import (
     CachedRun,
     HardwareProfile,
@@ -31,8 +32,8 @@ from stemc.netsim import (
 )
 from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
 from stemc.refengine import int_forward
-from stemc.sparsity import LayerSparsity, SparsityPlan, tune_hybrid
-from stemc.stem import StemState, WireSchedule, decode_train, encode_planes
+from stemc.sparsity import LayerSparsity, SparsityPlan, rot, tune_hybrid
+from stemc.stem import StemState, WireSchedule, decode_train, encode_planes, generate_train
 
 
 def _quantized(model, n=24, seed=5, lo=0.0, hi=1.0, **kw):
@@ -446,6 +447,7 @@ def run_pipeline_per_block(snet, x_int) -> PipelineResult:
     """
     k = snet.k
     xb = _as_batch(x_int, snet.input_shape)
+    xb = xb.reshape(xb.shape[0], -1)
     n_samples = xb.shape[0]
     n_stages = snet.n_stages
     input_planes = encode_planes(xb, k, signed=True)
@@ -492,7 +494,7 @@ def run_pipeline_per_block(snet, x_int) -> PipelineResult:
             sums = pop.step_sum(rows, [phis[src] for src in pop.inputs])
             v, sat = _integrate_block(pop, sums, snet.acc_bits)
             saturations += sat
-            emitted[(pop.name, s)] = pop.emit(v, k)[0]
+            emitted[(pop.name, s)] = pop.emit(v, k, snet.plan.for_layer(pop.name))[0]
             for src in pop.inputs:
                 release(src, s)
         s_out = block - (reader_stage - 1)
@@ -756,55 +758,99 @@ class TestCapacity:
         report = check_capacity(snet, HardwareProfile(acc_bits=8))
         assert any("accumulator" in v for v in report.violations)
 
-    def test_checked_only_when_strict(self, mlp_bundle, monkeypatch):
+    @staticmethod
+    def _run_args(tmp_path, bundle, qnet) -> list[str]:
+        """`run` arguments for `qnet` on the first samples of `bundle`."""
+        save_quantized_model(qnet, tmp_path / "q.json")
+        save_dataset(tmp_path / "d.ds", bundle.ds.inputs[:8], bundle.ds.labels[:8])
+        return ["run", str(tmp_path / "q.json"), str(tmp_path / "d.ds")]
+
+    def test_checked_only_when_strict(self, mlp_bundle, monkeypatch, tmp_path):
         calls = []
         monkeypatch.setattr(netsim, "check_capacity",
                             lambda *args: calls.append(args) or check_capacity(*args))
-        compile_network(mlp_bundle.qnet)
+        args = self._run_args(tmp_path, mlp_bundle, mlp_bundle.qnet)
+        assert cli.main(args) == 0
         assert calls == []
-        compile_network(mlp_bundle.qnet, strict_capacity=True)
+        assert cli.main(args + ["--strict-capacity"]) == 0
         assert len(calls) == 1
 
-    def test_strict_compile_raises(self, mlp_bundle):
-        with pytest.raises(ValueError, match="capacity"):
-            compile_network(mlp_bundle.qnet,
-                            profile=HardwareProfile(max_fanin=20),
-                            strict_capacity=True)
+    def test_strict_compile_raises(self, mlp_bundle, tmp_path, capsys):
+        """A 32-bit accumulator exceeds the default profile: `check_capacity`
+        reports it, and `run --strict-capacity` fails with it."""
+        q = build_quantized_network(mlp_bundle.model, mlp_bundle.stats, acc_bits=32)
+        assert check_capacity(compile_network(q)).violations == [
+            "accumulator width 32 exceeds profile 16"]
+        args = self._run_args(tmp_path, mlp_bundle, q)
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        assert cli.main(args + ["--strict-capacity"]) == 2
+        assert capsys.readouterr().err == (
+            "error: capacity check failed: accumulator width 32 exceeds profile 16\n")
+
+
+def _emitted(snet, x) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per hidden population, (the train it emits in ``run_batch``, the train
+    of its V under its setting in ``snet.plan``). V is decoded from a run in
+    which only that population's setting is the identity."""
+    got = run_batch(snet, x, record_trains=True).trains
+    unsigned = WireSchedule(snet.k, signed=False)
+    out = {}
+    for pop in snet.populations[:-1]:
+        s = snet.plan.for_layer(pop.name)
+        exact = run_batch(with_plan(snet, snet.plan.replaced(pop.name, LayerSparsity())), x,
+                          record_trains=True)
+        v = decode_train(exact.trains[pop.name], unsigned)
+        want = generate_train(rot(v, s.rot_bits, snet.k), snet.k,
+                              suppress_below=s.drlo_bits)
+        out[pop.name] = (got[pop.name], want)
+    return out
 
 
 class TestPlanPrecedence:
+    """Settings live only in ``snet.plan``; each check reads them there and
+    checks the emitted trains against them."""
+
     def test_embedded_manifest_used_by_default(self, mlp_bundle):
         q = copy.deepcopy(mlp_bundle.qnet)
         q.sparsity = [{"layer": "fc1", "rot": 1, "drlo": 1}]
         snet = compile_network(q)
-        pop = {p.name: p for p in snet.populations}
-        assert pop["fc1"].sparsity == LayerSparsity(1, 1)
+        assert snet.plan.for_layer("fc1") == LayerSparsity(1, 1)
+        got, want = _emitted(snet, mlp_bundle.x_int[:16])["fc1"]
+        assert np.array_equal(got, want)
+        assert not got[..., -1].any()                # drlo 1 silences the last step
 
     def test_argument_overrides_manifest(self, mlp_bundle):
         q = copy.deepcopy(mlp_bundle.qnet)
         q.sparsity = [{"layer": "fc1", "rot": 1, "drlo": 1}]
         snet = compile_network(q, plan=SparsityPlan.identity())
-        pop = {p.name: p for p in snet.populations}
-        assert pop["fc1"].sparsity.is_identity()
+        assert snet.plan.for_layer("fc1").is_identity()
+        got, want = _emitted(snet, mlp_bundle.x_int[:16])["fc1"]
+        assert np.array_equal(got, want)
+        assert got[..., -1].any()
 
     def test_output_layer_never_sparsified(self, mlp_bundle):
         plan = SparsityPlan({"fc3": LayerSparsity(3, 4)})
         snet = compile_network(mlp_bundle.qnet, plan=plan)
-        assert snet.output.sparsity.is_identity()
+        assert snet.plan.for_layer("fc3") == LayerSparsity(3, 4)
+        x = mlp_bundle.x_int[:16]
+        got = run_batch(snet, x, record_trains=True)
+        want = run_batch(compile_network(mlp_bundle.qnet, plan=SparsityPlan.identity()), x,
+                         record_trains=True)
+        assert np.array_equal(got.trains["fc3"], want.trains["fc3"])
+        assert np.array_equal(got.outputs, want.outputs)
 
     def test_with_plan_matches_fresh_compile(self, cnn_bundle):
         base = compile_network(cnn_bundle.qnet, plan=SparsityPlan.identity())
         plan = SparsityPlan({"conv1": LayerSparsity(1, 2), "pool2": LayerSparsity(2, 0)})
         derived = with_plan(base, plan)
         fresh = compile_network(cnn_bundle.qnet, plan=plan)
-        assert derived.plan is plan
-        assert ([p.sparsity for p in derived.populations]
-                == [p.sparsity for p in fresh.populations])
-        assert all(p.sparsity.is_identity() for p in base.populations)
-        assert all(getattr(d, f) is getattr(b, f)
-                   for d, b in zip(derived.populations, base.populations)
-                   for f in ("dense_w", "gather_idx", "conv_w"))
+        assert derived.plan is plan and fresh.plan is plan
+        assert base.plan.is_identity()
+        assert derived.populations is base.populations       # nothing copied
         x = cnn_bundle.x_int[:32]
+        for got, want in _emitted(derived, x).values():
+            assert np.array_equal(got, want)
         a, b = run_batch(derived, x), run_batch(fresh, x)
         assert np.array_equal(a.outputs, b.outputs)
         assert a.traces == b.traces
@@ -862,6 +908,54 @@ class TestCachedRun:
             assert np.array_equal(cache.outputs, want.outputs)
             assert cache.layer_traces == want.traces
 
+    def test_rerun_needs_an_exact_train(self, cnn_bundle):
+        """Only an identity train is V's digits, so a population that ran
+        under another setting, or the signed output, cannot be re-run."""
+        snet = compile_network(cnn_bundle.qnet, plan=SparsityPlan.identity())
+        cache = CachedRun(snet, cnn_bundle.x_int[:8])
+        cache.adopt(cache.rerun("conv1", LayerSparsity(1, 2)))
+        with pytest.raises(ValueError, match="'conv1'"):
+            cache.rerun("conv1", LayerSparsity(0, 1))
+        with pytest.raises(ValueError, match=repr(snet.output.name)):
+            cache.rerun(snet.output.name, LayerSparsity(0, 1))
+        tuned = CachedRun(with_plan(snet, SparsityPlan({"pool1": LayerSparsity(0, 1)})),
+                          cnn_bundle.x_int[:8])
+        with pytest.raises(ValueError, match="'pool1'"):
+            tuned.rerun("pool1", LayerSparsity(1, 0))
+        tuned.rerun("conv2", LayerSparsity(1, 0))       # still identity: allowed
+
+    def test_run_batch_peak_memory(self):
+        """A 256-sample run_batch of a cnn28-shaped model keeps one window's
+        trains, not its int64 V as well."""
+        model = _cnn28_shaped()
+        x = fixtures.class_inputs(np.random.default_rng(6), 256, model.input_shape)
+        stats = calibrate(model, x[:32])
+        q = build_quantized_network(model, stats)
+        x_int = quantize_tensor(x, q.input_params)[0].astype(np.int16)
+        snet = compile_network(q)
+        tracemalloc.start()
+        try:
+            run_batch(snet, x_int)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 27 * 2**20, peak / 2**20
+
+
+def _cnn28_shaped(seed: int = 28) -> FloatModel:
+    """1x28x28: conv 1->16, pool 2, conv 16->32, pool 2, fc 1568->10."""
+    rng = np.random.default_rng(seed)
+    model = FloatModel(name="cnn28-shaped", input_shape=(1, 28, 28), layers=[
+        fixtures._conv("conv1", "input", 1, 16, rng, 0.45),
+        fixtures._pool("pool1", "conv1"),
+        fixtures._conv("conv2", "pool1", 16, 32, rng, 0.12),
+        fixtures._pool("pool2", "conv2"),
+        LayerDesc(name="flat", kind="flatten", attrs={}, inputs=["pool2"]),
+        fixtures._fc("fc", "flat", 1568, 10, rng, 0.06, relu=False),
+    ])
+    infer_shapes(model)
+    return model
+
 
 def _unprotected(qnet, name):
     """`qnet` with layer `name`'s overflow protection dropped (M0 = 1)."""
@@ -895,7 +989,6 @@ def _every_result(q, x, y) -> list[tuple[str, object]]:
         cache.adopt(run)
         for label, r in ((f"rerun {name}", run), (f"adopt {name}", cache)):
             got += [(f"{label} outputs", r.outputs), (f"{label} traces", r.layer_traces)]
-            got += [(f"{label} value {n}", v) for n, v in r.values.items()]
             got += [(f"{label} train {n}", tr) for n, tr in r.trains.items()]
     got.append(("tune", tune_hybrid(q, x, y, accuracy_budget=1.0)))
     return got

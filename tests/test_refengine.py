@@ -26,7 +26,7 @@ from stemc.refengine import (
     float_forward,
     int_forward,
 )
-from test_netsim import _skip_join_model
+from test_netsim import _cnn28_shaped, _skip_join_model
 
 
 def _fc_layer(name, src, w, m_hat=1.0, m0=1.0, m1=None, bias=None,
@@ -118,21 +118,6 @@ def _calibrate_reference(model, inputs) -> RangeStats:
 def _bits(ranges: dict) -> dict:
     """Ranges as raw float64 bytes, so -0.0 and 0.0 differ."""
     return {name: np.array(r, dtype=np.float64).tobytes() for name, r in ranges.items()}
-
-
-def _cnn28_shaped(seed: int = 28) -> FloatModel:
-    """1x28x28: conv 1->16, pool 2, conv 16->32, pool 2, fc 1568->10."""
-    rng = np.random.default_rng(seed)
-    model = FloatModel(name="cnn28-shaped", input_shape=(1, 28, 28), layers=[
-        fx._conv("conv1", "input", 1, 16, rng, 0.45),
-        fx._pool("pool1", "conv1"),
-        fx._conv("conv2", "pool1", 16, 32, rng, 0.12),
-        fx._pool("pool2", "conv2"),
-        LayerDesc(name="flat", kind="flatten", attrs={}, inputs=["pool2"]),
-        fx._fc("fc", "flat", 1568, 10, rng, 0.06, relu=False),
-    ])
-    infer_shapes(model)
-    return model
 
 
 def _traced_peak(fn, *args) -> int:
