@@ -96,18 +96,17 @@ def cmd_quantize(args) -> int:
 def cmd_run(args) -> int:
     if args.dump_spikes and args.mode != "sim":
         raise ValueError(f"--dump-spikes needs --mode sim, not --mode {args.mode}")
-    if args.strict_capacity and args.mode == "oracle":
-        raise ValueError("--strict-capacity needs --mode sim or pipeline, not --mode oracle")
+    profile = None if args.hw_profile is None else netsim.HardwareProfile.load(args.hw_profile)
     qnet = load_quantized_model(args.model)
+    snet = None if args.mode == "oracle" and profile is None else netsim.compile_network(qnet)
+    if profile is not None and (violations := netsim.check_capacity(snet, profile)):
+        raise ValueError("capacity check failed: " + "; ".join(violations))
     ds, x_int = _load_inputs(qnet, args.data)
     n = x_int.shape[0]
     traces = trains = steps = total_steps = None
     if args.mode == "oracle":
         outputs, saturations = _oracle(qnet, x_int, args.oracle_mode)
     else:
-        snet = netsim.compile_network(qnet)
-        if args.strict_capacity and (violations := netsim.check_capacity(snet).violations):
-            raise ValueError("capacity check failed: " + "; ".join(violations))
         res = netsim.run_batch(snet, x_int, record_trains=bool(args.dump_spikes))
         outputs, traces, trains = res.outputs, res.traces, res.trains
         saturations = sum(t.saturations for t in traces)
@@ -244,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--oracle-mode", choices=INT_MODES, default="hw")
     r.add_argument("--report", help="directory for layers.csv + summary.json")
     r.add_argument("--dump-spikes", help="file for run-length spike dumps (sim mode)")
-    r.add_argument("--strict-capacity", action="store_true")
+    r.add_argument("--hw-profile", metavar="FILE",
+                   help="JSON limits of the target chip; exit 2 if the network exceeds one")
     r.add_argument("--include-io-layers", action="store_true",
                    help="count first/last layer synapses in SOP totals")
     r.set_defaults(func=cmd_run)

@@ -53,8 +53,9 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,13 +82,36 @@ PIPELINE_WINDOW = 80
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    """Per-chip limits the compiled network is checked against."""
+    """Limits of the target chip, as the user states them; none is built in.
+    A field left at None is not stated and not checked."""
 
-    acc_bits: int = 16
-    weight_bits: int = 8
-    max_fanin: int = 1024
-    neurons_per_core: int = 1024
-    cores: int = 128
+    acc_bits: int | None = None
+    weight_bits: int | None = None
+    max_fanin: int | None = None
+    neurons_per_core: int | None = None
+    cores: int | None = None
+
+    @classmethod
+    def load(cls, path: str | Path) -> "HardwareProfile":
+        """The profile in the JSON object at `path`. Its keys must be field
+        names, each with a positive integer, and ``cores`` needs
+        ``neurons_per_core``. A fault is a ValueError naming the file and the
+        key, where there is one."""
+        try:
+            doc = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read hardware profile {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: hardware profile is not a JSON object")
+        names = {f.name for f in dataclasses.fields(cls)}
+        for key, value in doc.items():
+            if key not in names:
+                raise ValueError(f"{path}: unknown hardware profile key {key!r}")
+            if type(value) is not int or value <= 0:       # bool is not a limit
+                raise ValueError(f"{path}: {key!r} must be a positive integer, not {value!r}")
+        if "cores" in doc and "neurons_per_core" not in doc:
+            raise ValueError(f"{path}: 'cores' needs 'neurons_per_core'")
+        return cls(**doc)
 
 
 @dataclass
@@ -115,7 +139,6 @@ class Population:
     bias_post: np.ndarray | None         # output-scale bias, added after M1
     v_min: int
     v_max: int
-    scale_out: float
     stage: int
     is_output: bool
 
@@ -189,10 +212,8 @@ class LayerTrace:
 @dataclass
 class RunResult:
     outputs: np.ndarray             # int64 [N, n_out], decoded output trains
-    outputs_real: np.ndarray        # outputs * S_out of the last layer
     traces: list[LayerTrace]
     steps_per_sample: int
-    n_stages: int
     trains: dict[str, np.ndarray] | None = None
 
 
@@ -333,7 +354,7 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
             m0=lyr.m0, m1=lyr.m1,
             bias_pre_scaled=bias_pre_scaled, bias_post=bias_post,
             v_min=-qnet.q_max if is_output else 0, v_max=qnet.q_max,
-            scale_out=lyr.scale_out, stage=0, is_output=is_output,
+            stage=0, is_output=is_output,
         ))
         stage[lyr.name] = 1 + max(stage[s] for s in sources)
         pops[-1].stage = stage[lyr.name]
@@ -354,46 +375,32 @@ def with_plan(snet: SpikingNetwork, plan: SparsityPlan) -> SpikingNetwork:
 # capacity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CapacityRow:
-    name: str
-    neurons: int
-    fanin: int
-    cores: int
-
-
-@dataclass
-class CapacityReport:
-    rows: list[CapacityRow]
-    total_cores: int
-    violations: list[str] = field(default_factory=list)
-
-
-def check_capacity(snet: SpikingNetwork, profile: HardwareProfile | None = None
-                   ) -> CapacityReport:
-    profile = profile or HardwareProfile()
-    rows = []
+def check_capacity(snet: SpikingNetwork, profile: HardwareProfile) -> list[str]:
+    """Every way `snet` exceeds a limit that `profile` states, one string
+    each, naming the population (the network, for the accumulator width and
+    the core count) and the limit. A limit the profile leaves unstated is not
+    checked. Cores are counted only when it states ``neurons_per_core``: each
+    population takes ceil(neurons / neurons_per_core) cores of its own."""
     violations = []
-    if snet.acc_bits > profile.acc_bits:
+    if profile.acc_bits is not None and snet.acc_bits > profile.acc_bits:
         violations.append(
             f"accumulator width {snet.acc_bits} exceeds profile {profile.acc_bits}")
-    w_hi = (1 << (profile.weight_bits - 1)) - 1
     for pop in snet.populations:
-        cores = math.ceil(pop.n_out / profile.neurons_per_core)
-        rows.append(CapacityRow(pop.name, pop.n_out, pop.fanin, cores))
-        if pop.fanin > profile.max_fanin:
+        if profile.max_fanin is not None and pop.fanin > profile.max_fanin:
             violations.append(
                 f"{pop.name}: fan-in {pop.fanin} exceeds {profile.max_fanin}")
-        # pool taps weigh 1; a residual join holds no weights
-        w = pop.conv_w if pop.dense_w is None else pop.dense_w
-        wmax = 1 if pop.form == "pool" else 0 if w is None else int(np.abs(w).max())
-        if wmax > w_hi:
-            violations.append(
-                f"{pop.name}: weight magnitude {wmax} exceeds {profile.weight_bits}-bit range")
-    total = sum(r.cores for r in rows)
-    if total > profile.cores:
-        violations.append(f"network needs {total} cores, profile has {profile.cores}")
-    return CapacityReport(rows=rows, total_cores=total, violations=violations)
+        if profile.weight_bits is not None:
+            # pool taps weigh 1; a residual join holds no weights
+            w = pop.conv_w if pop.dense_w is None else pop.dense_w
+            wmax = 1 if pop.form == "pool" else 0 if w is None else int(np.abs(w).max())
+            if wmax.bit_length() + 1 > profile.weight_bits:   # signed bits wmax needs
+                violations.append(f"{pop.name}: weight magnitude {wmax} exceeds "
+                                  f"{profile.weight_bits}-bit range")
+    if profile.neurons_per_core is not None and profile.cores is not None:
+        cores = sum(-(-p.n_out // profile.neurons_per_core) for p in snet.populations)
+        if cores > profile.cores:
+            violations.append(f"network needs {cores} cores, profile has {profile.cores}")
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +536,8 @@ def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
         del run                     # freed before the next window's run is built
     return RunResult(
         outputs=outputs,
-        outputs_real=outputs.astype(np.float64) * snet.output.scale_out,
         traces=[_trace(pop, counts, saturations[pop.name]) for pop in snet.populations],
         steps_per_sample=k * (snet.n_stages + 1),
-        n_stages=snet.n_stages,
         trains=kept,
     )
 
@@ -635,7 +640,6 @@ class PipelineTiming:
 @dataclass
 class PipelineResult:
     outputs: np.ndarray
-    outputs_real: np.ndarray
     timing: PipelineTiming
     saturations: int                # accumulator clamps over every stage and sample
 
@@ -679,7 +683,6 @@ def run_pipeline(snet: SpikingNetwork, x_int: np.ndarray) -> PipelineResult:
     res = run_batch(snet, x_int)
     return PipelineResult(
         outputs=res.outputs,
-        outputs_real=res.outputs_real,
         timing=pipeline_timing(snet, res.outputs.shape[0]),
         saturations=sum(t.saturations for t in res.traces),
     )

@@ -75,10 +75,6 @@ def quantize_tensor(t: np.ndarray, params: QuantParams) -> tuple[np.ndarray, int
     return q.astype(np.int64), clamped
 
 
-def dequantize(q: np.ndarray, params: QuantParams) -> np.ndarray:
-    return np.asarray(q, dtype=np.float64) * params.scale
-
-
 # ---------------------------------------------------------------------------
 # quantized network containers
 # ---------------------------------------------------------------------------

@@ -161,10 +161,21 @@ class TestRun:
         assert name == "input" and (sample, step) == ("0", "0")
         assert rle_decode(runs, 36).shape == (36,)
 
-    def test_strict_capacity_flag(self, tree):
-        rc = cli.main(["run", str(tree / "mlp.q.json"),
-                       str(tree / "fx" / "mlp" / "eval.ds"), "--strict-capacity"])
-        assert rc == 0                               # defaults fit easily
+    def test_strict_capacity_flag(self, tree, capsys):
+        """A profile the network fits changes nothing a run prints or writes."""
+        profile = tree / "fits.json"
+        profile.write_text(json.dumps({"acc_bits": 16, "weight_bits": 8, "max_fanin": 1024,
+                                       "neurons_per_core": 1024, "cores": 128}))
+        for mode in ("sim", "pipeline", "oracle"):
+            report = tree / f"fits-{mode}"
+            args = ["run", str(tree / "mlp.q.json"), str(tree / "fx" / "mlp" / "eval.ds"),
+                    "--mode", mode, "--report", str(report)]
+            capsys.readouterr()
+            assert cli.main(args) == 0
+            want = capsys.readouterr().out, {f.name: f.read_bytes() for f in report.iterdir()}
+            assert cli.main(args + ["--hw-profile", str(profile)]) == 0
+            got = capsys.readouterr().out, {f.name: f.read_bytes() for f in report.iterdir()}
+            assert got == want
 
 
 class TestTune:
@@ -259,12 +270,49 @@ class TestErrors:
         assert not dump.exists()
 
     def test_strict_capacity_needs_simulator(self, tree, capsys):
-        rc = cli.main(["run", str(tree / "mlp.q.json"),
-                       str(tree / "fx" / "mlp" / "eval.ds"), "--mode", "oracle",
-                       "--strict-capacity"])
+        """Every mode, the oracle too, fails on a profile the network exceeds,
+        with one line naming every population and limit, and writes no report."""
+        profile = tree / "exceeded.json"
+        profile.write_text(json.dumps({"acc_bits": 12, "weight_bits": 2, "max_fanin": 12}))
+        want = ("error: capacity check failed: accumulator width 16 exceeds profile 12; "
+                + "; ".join(f"{name}: fan-in {fanin} exceeds 12; "
+                            f"{name}: weight magnitude 127 exceeds 2-bit range"
+                            for name, fanin in (("fc1", 36), ("fc2", 24), ("fc3", 16)))
+                + "\n")
+        for mode in ("sim", "pipeline", "oracle"):
+            report = tree / f"exceeded-{mode}"
+            rc = cli.main(["run", str(tree / "mlp.q.json"),
+                           str(tree / "fx" / "mlp" / "eval.ds"), "--mode", mode,
+                           "--hw-profile", str(profile), "--report", str(report)])
+            assert rc == 2
+            assert capsys.readouterr().err == want
+            assert not report.exists()
+
+    @pytest.mark.parametrize("text,key", [
+        (None, None),
+        ("{acc_bits: 16", None),
+        ("[16]", None),
+        ('{"acc_width": 16}', "acc_width"),
+        ('{"acc_bits": true}', "acc_bits"),
+        ('{"acc_bits": 0}', "acc_bits"),
+        ('{"acc_bits": "16"}', "acc_bits"),
+        ('{"cores": 4}', "cores"),
+    ], ids=["unreadable", "not-json", "not-object", "unknown-key", "bool", "zero",
+            "string", "cores-alone"])
+    def test_bad_hw_profile_exits_2(self, tree, capsys, text, key):
+        profile = tree / "bad-profile.json"
+        profile.unlink(missing_ok=True)
+        if text is not None:
+            profile.write_text(text)
+        report = tree / "bad-profile-report"
+        rc = cli.main(["run", str(tree / "mlp.q.json"), str(tree / "fx" / "mlp" / "eval.ds"),
+                       "--hw-profile", str(profile), "--report", str(report)])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: --strict-capacity needs --mode sim or pipeline, not --mode oracle\n")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(profile) in err
+        assert key is None or repr(key) in err
+        assert not report.exists()
 
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import tracemalloc
 
@@ -53,12 +54,6 @@ class TestOracleEquivalence:
         got = run_batch(snet, bundle.x_int)
         want, _ = int_forward(bundle.qnet, bundle.x_int, mode="hw")
         assert np.array_equal(got.outputs, want)
-
-    def test_real_outputs_are_scaled(self, mlp_bundle):
-        snet = compile_network(mlp_bundle.qnet)
-        res = run_batch(snet, mlp_bundle.x_int[:4])
-        want = res.outputs * mlp_bundle.qnet.output_layer.scale_out
-        assert np.allclose(res.outputs_real, want)
 
     def test_unbatched_sample(self, mlp_bundle):
         snet = compile_network(mlp_bundle.qnet)
@@ -328,7 +323,7 @@ class TestRandomGeometry:
         pop = snet.populations[0]
         assert pop.form == "conv"
         assert not pop.conv_w[0, 5:10].any()
-        assert check_capacity(snet, HardwareProfile(weight_bits=3)).violations == []
+        assert check_capacity(snet, HardwareProfile(weight_bits=3)) == []
         row = np.ones((1, 128), dtype=np.uint8)
         assert np.array_equal(pop.step_sum([row], [1]), _synapse_walk(qnet, pop, [row], 1))
 
@@ -513,7 +508,6 @@ def run_pipeline_per_block(snet, x_int) -> PipelineResult:
     )
     return PipelineResult(
         outputs=out_acc,
-        outputs_real=out_acc.astype(np.float64) * out_pop.scale_out,
         timing=timing,
         saturations=saturations,
     )
@@ -616,7 +610,6 @@ class TestPipelineWindow:
         got = run_pipeline(snet, x)
         want = run_pipeline_per_block(snet, x)
         assert np.array_equal(got.outputs, want.outputs)
-        assert np.array_equal(got.outputs_real, want.outputs_real)
         assert got.timing == want.timing
         assert got.saturations == want.saturations
 
@@ -725,38 +718,46 @@ class TestSaturationParity:
 
 class TestCapacity:
     def test_default_profile_fits_fixtures(self, mlp_bundle, cnn_bundle):
+        """An empty profile checks nothing; one that states each fixture's own
+        widths, fan-in and neuron count is met."""
         for bundle in (mlp_bundle, cnn_bundle):
             snet = compile_network(bundle.qnet)
-            assert check_capacity(snet).violations == []
+            assert check_capacity(snet, HardwareProfile()) == []
+            own = HardwareProfile(
+                acc_bits=snet.acc_bits, weight_bits=8,
+                max_fanin=max(p.fanin for p in snet.populations),
+                neurons_per_core=max(p.n_out for p in snet.populations),
+                cores=len(snet.populations))
+            assert check_capacity(snet, own) == []
 
     def test_rows_and_cores(self, mlp_bundle):
         snet = compile_network(mlp_bundle.qnet)
-        report = check_capacity(snet, HardwareProfile(neurons_per_core=16))
-        by_name = {r.name: r for r in report.rows}
-        assert by_name["fc1"].neurons == 24
-        assert by_name["fc1"].fanin == 36
-        assert by_name["fc1"].cores == 2
-        assert report.total_cores == 2 + 1 + 1
+        fc1 = snet.populations[0]
+        assert (fc1.name, fc1.n_out, fc1.fanin) == ("fc1", 24, 36)
+        # fc1 takes 2 cores of 16 neurons, fc2 and fc3 one each
+        assert check_capacity(snet, HardwareProfile(neurons_per_core=16, cores=3)) == [
+            "network needs 4 cores, profile has 3"]
+        assert check_capacity(snet, HardwareProfile(neurons_per_core=16, cores=4)) == []
 
     def test_fanin_violation(self, mlp_bundle):
         snet = compile_network(mlp_bundle.qnet)
-        report = check_capacity(snet, HardwareProfile(max_fanin=20))
-        assert any("fan-in" in v for v in report.violations)
+        violations = check_capacity(snet, HardwareProfile(max_fanin=20))
+        assert "fc1: fan-in 36 exceeds 20" in violations
 
     def test_core_budget_violation(self, mlp_bundle):
         snet = compile_network(mlp_bundle.qnet)
-        report = check_capacity(snet, HardwareProfile(neurons_per_core=4, cores=2))
-        assert any("cores" in v for v in report.violations)
+        violations = check_capacity(snet, HardwareProfile(neurons_per_core=4, cores=2))
+        assert any("cores" in v for v in violations)
 
     def test_weight_width_violation(self, mlp_bundle):
         snet = compile_network(mlp_bundle.qnet)
-        report = check_capacity(snet, HardwareProfile(weight_bits=2))
-        assert any("weight magnitude" in v for v in report.violations)
+        violations = check_capacity(snet, HardwareProfile(weight_bits=2))
+        assert any("weight magnitude" in v for v in violations)
 
     def test_accumulator_width_violation(self, mlp_bundle):
         snet = compile_network(mlp_bundle.qnet)
-        report = check_capacity(snet, HardwareProfile(acc_bits=8))
-        assert any("accumulator" in v for v in report.violations)
+        violations = check_capacity(snet, HardwareProfile(acc_bits=8))
+        assert any("accumulator" in v for v in violations)
 
     @staticmethod
     def _run_args(tmp_path, bundle, qnet) -> list[str]:
@@ -765,26 +766,35 @@ class TestCapacity:
         save_dataset(tmp_path / "d.ds", bundle.ds.inputs[:8], bundle.ds.labels[:8])
         return ["run", str(tmp_path / "q.json"), str(tmp_path / "d.ds")]
 
+    @staticmethod
+    def _profile(tmp_path, limits: dict) -> list[str]:
+        """`--hw-profile` arguments for a file holding `limits`."""
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(limits))
+        return ["--hw-profile", str(path)]
+
     def test_checked_only_when_strict(self, mlp_bundle, monkeypatch, tmp_path):
         calls = []
         monkeypatch.setattr(netsim, "check_capacity",
                             lambda *args: calls.append(args) or check_capacity(*args))
         args = self._run_args(tmp_path, mlp_bundle, mlp_bundle.qnet)
         assert cli.main(args) == 0
+        assert cli.main(args + ["--mode", "oracle"]) == 0
         assert calls == []
-        assert cli.main(args + ["--strict-capacity"]) == 0
+        assert cli.main(args + self._profile(tmp_path, {})) == 0
         assert len(calls) == 1
 
     def test_strict_compile_raises(self, mlp_bundle, tmp_path, capsys):
-        """A 32-bit accumulator exceeds the default profile: `check_capacity`
-        reports it, and `run --strict-capacity` fails with it."""
+        """A 32-bit accumulator runs with no profile and with one that states
+        32 bits; a profile of 16 bits rejects it."""
         q = build_quantized_network(mlp_bundle.model, mlp_bundle.stats, acc_bits=32)
-        assert check_capacity(compile_network(q)).violations == [
+        assert check_capacity(compile_network(q), HardwareProfile(acc_bits=16)) == [
             "accumulator width 32 exceeds profile 16"]
         args = self._run_args(tmp_path, mlp_bundle, q)
         assert cli.main(args) == 0
+        assert cli.main(args + self._profile(tmp_path, {"acc_bits": 32})) == 0
         capsys.readouterr()
-        assert cli.main(args + ["--strict-capacity"]) == 2
+        assert cli.main(args + self._profile(tmp_path, {"acc_bits": 16})) == 2
         assert capsys.readouterr().err == (
             "error: capacity check failed: accumulator width 32 exceeds profile 16\n")
 

@@ -13,7 +13,6 @@ from stemc.quantizer import (
     calibrate,
     calibrate_bias,
     calibration_report,
-    dequantize,
     derive_scale,
     quantize_tensor,
 )
@@ -99,11 +98,6 @@ class TestScales:
         q, clamped = quantize_tensor(np.array([1.4, 1.5, -1.5, 200.0]), p)
         assert q.tolist() == [1, 2, -2, 127]
         assert clamped == 1
-
-    def test_dequantize_inverts_scale(self):
-        p = QuantParams(scale=0.5 / 127)
-        q, _ = quantize_tensor(np.array([0.25]), p)
-        assert dequantize(q, p) == pytest.approx([0.25], abs=p.scale)
 
     def test_scale_chain_consistency(self, mlp_bundle):
         q = mlp_bundle.qnet
