@@ -12,6 +12,13 @@ integer weights and, for conv and pool layers, its geometry:
   [oc, c*kh*kw] weight rows (the gather is shared by every output channel);
 * avgpool - a gather-sum; residual-add - the identity.
 
+Wire values. A train is the binary code of the integer it carries, so every
+wire is kept as that integer, one int16 per neuron and sample: a hidden
+population emits ``drlo(rot(V))`` under its sparsity setting, the output
+population its signed V. A spike count is the popcount of a value's K low
+bits. The 0/1 step planes exist only inside the population step that reads
+them (``_planes``), and in the trains that ``run_batch`` records for a dump.
+
 The K-plane kernel. Step sums are linear in the spike planes, so
 ``Population.step_sum`` takes a layer's K bit planes at once, as
 [N, K, n_in] rows with the per-step wire weights phi broadcast over the step
@@ -26,8 +33,8 @@ each other.
 
 The population step. Every run hands each population's samples to one step,
 ``_population_step``, which works through them in sample blocks: each sample
-block's step sums, K-step scan and emission are written into the
-population's V and train before the next one starts. A sample block holds as
+block's planes, step sums, K-step scan and emission are written into the
+population's values before the next one starts. A sample block holds as
 many samples as keep its int64 step sums (8*K bytes per output neuron), or a
 conv's float64 gathered patches if those are larger, within BLOCK_BYTES, and
 at least one. Sample blocks split only the batch axis, so they change no
@@ -36,8 +43,8 @@ integer, trace or saturation count.
 One executor. ``CachedRun`` is the only code that runs a network over
 samples: it takes every population in topological order through one
 population step, under the setting ``snet.plan`` gives it, and keeps, per
-population, the emitted train, the train's per-neuron spike counts (taken
-once, when it is emitted) and the saturation count. Every trace's SOP and
+population, the emitted values, their per-neuron spike counts (taken once,
+when they are emitted) and the saturation count. Every trace's SOP and
 spike fields are derived from those counts. ``run_batch`` is one CachedRun
 per PIPELINE_WINDOW samples, summing their counts and saturations, so no
 sample block is larger than the window; one sample occupies the network for
@@ -62,8 +69,8 @@ import numpy as np
 
 from .fixedpoint import FixedMult, apply
 from .modelio import INPUT_NAME, conv_out_hw, pool_out_hw
-from .sparsity import LayerSparsity, SparsityPlan, rot
-from .stem import StemState, WireSchedule, decode_train, encode_planes, generate_train
+from .sparsity import LayerSparsity, SparsityPlan, drlo, rot
+from .stem import StemState, WireSchedule, check_encodable, encode_planes
 from . import metrics
 
 # Spike planes are 0/1, so a float64 synaptic sum is exact while every
@@ -175,12 +182,11 @@ class Population:
         return out.astype(np.int64).reshape(lead + (self.n_out,))
 
     def emit(self, v: np.ndarray, k: int, setting: LayerSparsity) -> np.ndarray:
-        """Output train of the clamped values; a hidden layer's is thinned by `setting`."""
-        if self.is_output:
-            return encode_planes(v, k, signed=True)
-        if setting.rot_bits:
-            v = rot(v, setting.rot_bits, k)
-        return generate_train(v, k, suppress_below=setting.drlo_bits)
+        """The int16 values the trains of clamped int64 `v` carry: a hidden
+        layer's rounded off and cut by `setting`, the output layer's `v`."""
+        if not (self.is_output or setting.is_identity()):
+            v = drlo(rot(v, setting.rot_bits, k), setting.drlo_bits)
+        return v.astype(np.int16)
 
 
 @dataclass
@@ -211,10 +217,10 @@ class LayerTrace:
 
 @dataclass
 class RunResult:
-    outputs: np.ndarray             # int64 [N, n_out], decoded output trains
+    outputs: np.ndarray             # int64 [N, n_out], the output values
     traces: list[LayerTrace]
     steps_per_sample: int
-    trains: dict[str, np.ndarray] | None = None
+    trains: dict[str, np.ndarray] | None = None   # uint8 [N, n, K] per wire
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +431,14 @@ def _wire_phis(snet: SpikingNetwork) -> dict[str, np.ndarray]:
             for name, sg in signed.items()}
 
 
-def _planes(trains: list[np.ndarray]) -> list[np.ndarray]:
-    """[N, n, K] trains as the [N, K, n] step planes `step_sum` takes."""
-    return [np.swapaxes(tr, -1, -2) for tr in trains]
+def _planes(values: np.ndarray, k: int) -> np.ndarray:
+    """The trains of int16 [N, n] wire values as the uint8 [N, K, n] step
+    planes `step_sum` takes: plane t is bit K-1-t (the arithmetic shift gives
+    a signed wire's two's-complement bits; its phis carry the sign weight)."""
+    planes = np.empty((values.shape[0], k, values.shape[1]), dtype=np.uint8)
+    for t in range(k):
+        np.bitwise_and(values >> (k - 1 - t), 1, out=planes[:, t], casting="unsafe")
+    return planes
 
 
 def _integrate_block(pop: Population, sums: np.ndarray, acc_bits: int
@@ -458,36 +469,34 @@ def _block_samples(pop: Population, k: int) -> int:
     return max(1, BLOCK_BYTES // (8 * k * width))
 
 
-def _population_step(pop: Population, trains: list[np.ndarray], phis: list,
+def _population_step(pop: Population, values: list[np.ndarray], phis: list,
                      acc_bits: int, k: int, setting: LayerSparsity
                      ) -> tuple[np.ndarray, int]:
     """One population over m samples, in sample blocks of ``_block_samples``.
 
-    `trains` are the [m, n_in, K] input trains of pop's branches and `phis`
-    their per-step wire weights. Each sample block's synaptic sums, K-step
-    scan and emission under `setting` fill its rows of the output train.
-    Returns (train uint8 [m, n_out, K], saturation count).
+    `values` are the int16 [m, n_in] wire values of pop's branches and `phis`
+    their per-step wire weights. Each sample block's step planes, synaptic
+    sums, K-step scan and emission under `setting` fill its rows of the
+    output. Returns (values int16 [m, n_out], saturation count).
     """
-    m = trains[0].shape[0]
-    train = np.empty((m, pop.n_out, k), dtype=np.uint8)
+    m = values[0].shape[0]
+    out = np.empty((m, pop.n_out), dtype=np.int16)
     saturations = 0
     size = _block_samples(pop, k)
     for lo in range(0, m, size):
         hi = min(lo + size, m)
-        sums = pop.step_sum(_planes([tr[lo:hi] for tr in trains]), phis)
+        sums = pop.step_sum([_planes(vals[lo:hi], k) for vals in values], phis)
         v, sat = _integrate_block(pop, sums, acc_bits)
-        train[lo:hi] = pop.emit(v, k, setting)
+        out[lo:hi] = pop.emit(v, k, setting)
         saturations += sat
-    return train, saturations
+    return out, saturations
 
 
-def _spike_counts(train: np.ndarray) -> np.ndarray:
-    """Per-neuron spike counts of [N, n, K] trains, summed over the batch and
-    the K steps: int64 [n]. The batch sum runs first, over contiguous rows;
-    each of its int32 entries is at most N."""
-    n, n_neurons, k = train.shape
-    per_step = train.reshape(n, n_neurons * k).sum(axis=0, dtype=np.int32)
-    return per_step.reshape(n_neurons, k).sum(axis=1, dtype=np.int64)
+def _spike_counts(values: np.ndarray, k: int) -> np.ndarray:
+    """Per-neuron spike counts of the trains of int16 [N, n] wire values: the
+    popcount of each value's K low bits, summed over the batch, int64 [n]."""
+    bits = values.view(np.uint16) & np.uint16((1 << k) - 1)
+    return np.bitwise_count(bits).sum(axis=0, dtype=np.int64)
 
 
 def _trace(pop: Population, counts: dict[str, np.ndarray], saturations: int) -> LayerTrace:
@@ -511,8 +520,9 @@ def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
     windows and its trace is built once, from the sums. The window changes no
     result, since a sample's integers do not depend on which samples share
     it; only one window's run is held at a time, so host memory is bounded by
-    PIPELINE_WINDOW samples of every train plus one step's BLOCK_BYTES. With
-    `record_trains` every train is also kept whole.
+    PIPELINE_WINDOW samples of every wire's values plus one step's
+    BLOCK_BYTES. With `record_trains` every train is also kept whole, encoded
+    from each window's values.
     """
     k = snet.k
     xb = _as_batch(x_int, snet.input_shape)
@@ -529,7 +539,7 @@ def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
         for name, c in run.counts.items():
             counts[name] += c
             if kept is not None:
-                kept[name][lo:hi] = run.trains[name]
+                kept[name][lo:hi] = encode_planes(run.values[name], k, signed=True)
         for name, sat in run.saturations.items():
             saturations[name] += sat
         outputs[lo:hi] = run.outputs
@@ -548,44 +558,44 @@ class CachedRun:
     depends on it.
 
     This is the only code that runs a network over samples; ``run_batch`` is
-    one CachedRun per window. Every population keeps its emitted train with
-    per-neuron spike counts, and its saturation count; ``layer_traces``
-    derives the traces from the counts with the ``_trace`` of ``run_batch``.
-    ``rerun`` re-emits one population under another sparsity setting and
-    re-runs only the populations downstream of it; every other train, count
-    and saturation is read from this cache. ``adopt`` makes such a rerun the
-    cached state.
+    one CachedRun per window. Every wire keeps its int16 [N, n] values with
+    per-neuron spike counts, and every population its saturation count;
+    ``layer_traces`` derives the traces from the counts with the ``_trace`` of
+    ``run_batch``. ``rerun`` re-emits one population under another sparsity
+    setting and re-runs only the populations downstream of it; every other
+    value, count and saturation is read from this cache. ``adopt`` makes such
+    a rerun the cached state.
     """
 
     def __init__(self, snet: SpikingNetwork, x_int: np.ndarray):
         self.snet = snet
         self._phis = _wire_phis(snet)
-        self.trains: dict[str, np.ndarray] = {}
+        self.values: dict[str, np.ndarray] = {}
         self.counts: dict[str, np.ndarray] = {}
         self.saturations: dict[str, int] = {}
         x = _as_batch(x_int, snet.input_shape)
-        self._store(INPUT_NAME, encode_planes(x.reshape(x.shape[0], -1), snet.k, signed=True))
+        check_encodable(x, snet.k, signed=True)
+        self._store(INPUT_NAME, x.reshape(x.shape[0], -1).astype(np.int16))
         for pop in snet.populations:
             self._run(pop)
 
-    def _store(self, name: str, train: np.ndarray) -> None:
-        """Keep an emitted train and its spike counts under `name`."""
-        self.trains[name] = train
-        self.counts[name] = _spike_counts(train)
+    def _store(self, name: str, values: np.ndarray) -> None:
+        """Keep a wire's int16 values and their spike counts under `name`."""
+        self.values[name] = values
+        self.counts[name] = _spike_counts(values, self.snet.k)
 
     def _run(self, pop: Population) -> None:
-        """Run `pop` over the batch from the cached trains, under its setting
-        in the plan; keep its train and saturation count."""
-        train, self.saturations[pop.name] = _population_step(
-            pop, [self.trains[s] for s in pop.inputs], [self._phis[s] for s in pop.inputs],
+        """Run `pop` over the batch from the cached values, under its setting
+        in the plan; keep its values and saturation count."""
+        values, self.saturations[pop.name] = _population_step(
+            pop, [self.values[s] for s in pop.inputs], [self._phis[s] for s in pop.inputs],
             self.snet.acc_bits, self.snet.k, self.snet.plan.for_layer(pop.name))
-        self._store(pop.name, train)
+        self._store(pop.name, values)
 
     @property
     def outputs(self) -> np.ndarray:
-        """Decoded output trains, int64 [N, n_out]."""
-        return decode_train(self.trains[self.snet.output.name],
-                            WireSchedule(self.snet.k, signed=True))
+        """The output population's values, int64 [N, n_out]."""
+        return self.values[self.snet.output.name].astype(np.int64)
 
     @property
     def layer_traces(self) -> list[LayerTrace]:
@@ -596,19 +606,20 @@ class CachedRun:
     def rerun(self, name: str, setting: LayerSparsity) -> "CachedRun":
         """This run with hidden population `name` emitting under `setting`.
 
-        `name` must have run under the identity setting: hidden V lies in
-        [0, q_max], so its train is V's binary digits and decodes to the
-        exact V. The result's maps are copies of this run's, with new entries
-        for `name` and every population downstream of it.
+        `name` must have run under the identity setting, so that its cached
+        values are its exact V in [0, q_max]. They are widened to int64
+        before ``rot``, which can overflow int16 at K=16. The result's maps
+        are copies of this run's, with new entries for `name` and every
+        population downstream of it.
         """
         pop = next(p for p in self.snet.populations if p.name == name)
         if pop.is_output or not self.snet.plan.for_layer(name).is_identity():
-            raise ValueError(f"cannot re-run {name!r}: its train is not V's exact digits")
+            raise ValueError(f"cannot re-run {name!r}: its values are not its exact V")
         child = copy.copy(self)
         child.snet = with_plan(self.snet, self.snet.plan.replaced(name, setting))
-        child.trains, child.counts, child.saturations = (
-            dict(self.trains), dict(self.counts), dict(self.saturations))
-        v = decode_train(self.trains[name], WireSchedule(self.snet.k, signed=False))
+        child.values, child.counts, child.saturations = (
+            dict(self.values), dict(self.counts), dict(self.saturations))
+        v = self.values[name].astype(np.int64)
         child._store(name, pop.emit(v, self.snet.k, setting))
         changed = {name}
         for q in child.snet.populations:
@@ -619,8 +630,8 @@ class CachedRun:
 
     def adopt(self, child: "CachedRun") -> None:
         """Make `child`, a ``rerun`` of this run, the cached state."""
-        self.snet, self.trains, self.counts, self.saturations = (
-            child.snet, child.trains, child.counts, child.saturations)
+        self.snet, self.values, self.counts, self.saturations = (
+            child.snet, child.values, child.counts, child.saturations)
 
 
 # ---------------------------------------------------------------------------

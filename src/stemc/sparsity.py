@@ -138,11 +138,10 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
     The network runs once in full, into a ``netsim.CachedRun`` of the
     accepted plan. A candidate at layer l is measured by re-emitting l's
     values under the candidate and re-running only the layers downstream of
-    l; upstream trains and SOP counts come from the cache. The values are
-    decoded from l's cached train, which is exact because l has not been
-    tuned yet: under the identity setting a hidden train is V's binary
-    digits. The winning candidate's rerun becomes the cache for the next
-    layer, and no more than two reruns are held at a time.
+    l; upstream values and SOP counts come from the cache. l's cached
+    values are its exact V because l has not been tuned yet, so it ran
+    under the identity setting. The winning candidate's rerun becomes the
+    cache for the next layer, and no more than two reruns are held at a time.
 
     Returns a TuneResult; the plan never degrades accuracy beyond the budget
     on the calibration inputs and falls back to identity per layer when every

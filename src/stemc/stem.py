@@ -1,4 +1,4 @@
-"""Bit-serial spiking neuron model: decode, scaled integration, encode.
+"""Bit-serial spiking neuron model: wire format, scaled integration.
 
 A value is transmitted over K time steps as a binary spike train carrying its
 two's-complement bits most-significant-first: the bit at position p is on the
@@ -13,9 +13,10 @@ accumulate into a saturating n-bit integrator U. After the K-th step the
 integrator is rescheduled into the output value domain by M1, the bias is
 added, and the clamped result V is emitted as a fresh train: at step t the
 neuron fires iff V >= 2^(K-1-t), subtracting the threshold when it does.
-This greedy emission gives exactly the binary digits of min(V, 2^K - 1),
-which ``generate_train`` extracts directly, so a following layer decodes
-any V in [0, 2^(K-1)-1] unchanged.
+This greedy emission gives exactly the binary digits of V for any V in
+[0, 2^(K-1)-1], so a train is the integer it carries: the simulator keeps
+that integer and takes its bits (``encode_planes``) only where a train is
+read or dumped.
 
 Negative values (final-layer logits) are emitted as signed two's-complement
 trains directly; threshold emission is only defined for V >= 0.
@@ -62,38 +63,22 @@ def encode_integer(q: int, k: int, signed: bool) -> np.ndarray:
     return np.array([(u >> (k - 1 - t)) & 1 for t in range(k)], dtype=np.uint8)
 
 
-def encode_planes(values: np.ndarray, k: int, signed: bool) -> np.ndarray:
-    """Vectorized encode. Output shape = values.shape + (k,), step-major last axis."""
-    v = np.asarray(values, dtype=np.int64)
+def check_encodable(values: np.ndarray, k: int, signed: bool) -> None:
+    """Raise ValueError unless every value fits a K-step wire."""
     lo = -(1 << (k - 1)) if signed else 0
     hi = (1 << (k - 1)) - 1
-    if v.size and (int(v.min()) < lo or int(v.max()) > hi):
+    if values.size and (int(values.min()) < lo or int(values.max()) > hi):
         raise ValueError(f"values outside encodable range [{lo}, {hi}]")
-    return _msb_first(v & ((1 << k) - 1), k)
 
 
-def _msb_first(u: np.ndarray, k: int) -> np.ndarray:
-    """The k low bits of each 0 <= u < 2^k (k <= 16), most significant first:
-    uint8 u.shape + (k,), from the bytes of u << (16 - k) as big-endian uint16."""
-    words = (u[..., None] << (16 - k)).astype(">u2").view(np.uint8)
+def encode_planes(values: np.ndarray, k: int, signed: bool) -> np.ndarray:
+    """Vectorized encode: the k low bits of each value's two's complement, most
+    significant first, as uint8 values.shape + (k,), from the bytes of
+    u << (16 - k) as big-endian uint16."""
+    v = np.asarray(values, dtype=np.int64)
+    check_encodable(v, k, signed)
+    words = ((v & ((1 << k) - 1))[..., None] << (16 - k)).astype(">u2").view(np.uint8)
     return np.unpackbits(words, axis=-1, count=k)
-
-
-def decode_train(bits: np.ndarray, schedule: WireSchedule) -> int | np.ndarray:
-    """Sum of phi(t) * bit(t) of 0/1 trains, the inverse of ``_msb_first``: each
-    train, led by zero steps to whole bytes, packs into one word widened to int64."""
-    b = np.asarray(bits)
-    k = schedule.steps
-    if b.shape[-1] != k:
-        raise ValueError("train length does not match schedule")
-    width = 8 if k <= 8 else 16
-    if k < width:
-        b = np.concatenate([np.zeros(b.shape[:-1] + (width - k,), dtype=b.dtype), b], axis=-1)
-    words = np.packbits(b.reshape(-1)).view(f">u{width // 8}")   # big-endian words
-    total = words.reshape(b.shape[:-1]).astype(np.int64)
-    if schedule.signed:                 # the sign step weighs -2^(K-1)
-        total -= (total >> (k - 1)) << k
-    return int(total) if total.ndim == 0 else total
 
 
 class StemState:
@@ -107,10 +92,6 @@ class StemState:
         self.acc_bits = acc_bits
         self.u = np.zeros((batch, n_neurons), dtype=np.int64)
         self.saturations = 0
-
-    def integrate(self, step_sums: np.ndarray, m0: FixedMult) -> None:
-        """One decode step: U <- saturate(U + round(M0 * I_t))."""
-        self.add_raw(apply(m0, step_sums))
 
     def add_raw(self, addend: np.ndarray) -> None:
         """Saturating add of a precomputed integer (M0-rounded step sum or bias)."""
@@ -127,18 +108,3 @@ class StemState:
         """V = clamp(round(M1 * U) + bias, v_min, v_max)."""
         v = apply(m1, self.u) + bias_post
         return np.clip(v, v_min, v_max)
-
-
-def generate_train(v: np.ndarray, k: int, suppress_below: int = 0) -> np.ndarray:
-    """Greedy MSB-first emission of non-negative values.
-
-    The train is the binary digits of min(v, 2^K - 1), MSB first: what the
-    step-by-step greedy walk (kept in the tests as the reference) emits.
-    suppress_below > 0 zeroes the bits below that position (the spikes of the
-    last `suppress_below` steps). Output shape = v.shape + (k,).
-    """
-    v = np.asarray(v, dtype=np.int64)
-    if v.size and int(v.min()) < 0:
-        raise ValueError("threshold emission is defined for non-negative values")
-    kept = (1 << k) - (1 << min(max(suppress_below, 0), k))   # bits [suppress_below, k)
-    return _msb_first(np.minimum(v, (1 << k) - 1) & kept, k)

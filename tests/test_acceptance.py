@@ -15,7 +15,7 @@ from stemc.fixedpoint import FixedMult, apply, from_real
 from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
 from stemc.refengine import int_forward
 from stemc.sparsity import LayerSparsity, SparsityPlan, drlo, rot, tune_hybrid
-from stemc.stem import WireSchedule, decode_train, encode_integer, generate_train
+from stemc.stem import WireSchedule, encode_integer, encode_planes
 
 
 def _report(n: int, name: str, ok: bool, detail: str = "") -> None:
@@ -59,13 +59,11 @@ def test_criterion_1_bit_exact_equivalence(mlp_bundle, cnn_bundle, residual_bund
 
 def test_criterion_2_wire_format():
     t0 = time.perf_counter()
-    signed = WireSchedule(8, signed=True)
-    unsigned = WireSchedule(8, signed=False)
-    ok = all(decode_train(encode_integer(q, 8, True), signed) == q
-             for q in range(-128, 128))
-    ok &= all(decode_train(encode_integer(v, 8, False), unsigned) == v
-              for v in range(128))
-    ok &= all(np.array_equal(generate_train(np.array(v), 8),
+    signed = WireSchedule(8, signed=True).weights()
+    unsigned = WireSchedule(8, signed=False).weights()
+    ok = all(encode_integer(q, 8, True) @ signed == q for q in range(-128, 128))
+    ok &= all(encode_integer(v, 8, False) @ unsigned == v for v in range(128))
+    ok &= all(np.array_equal(encode_planes(np.array(v), 8, False),
                              encode_integer(v, 8, False))
               for v in range(128))
     dt = time.perf_counter() - t0
@@ -76,9 +74,8 @@ def test_criterion_2_wire_format():
 def test_criterion_3_spike_thinning_example():
     after_rot = rot(83, 2, 8)
     after_cut = drlo(after_rot, 3)
-    spikes_before = int(generate_train(np.array(83), 8).sum())
-    spikes_after = int(generate_train(np.array(after_rot), 8,
-                                      suppress_below=3).sum())
+    spikes_before = int(encode_planes(np.array(83), 8, False).sum())
+    spikes_after = int(encode_planes(np.array(after_cut), 8, False).sum())
     ok = (after_rot, after_cut, spikes_before, spikes_after) == (84, 80, 4, 2)
     _report(3, "round-off + low-bit drop thins the train", ok,
             f"83 -> {after_rot} -> {after_cut}, spikes {spikes_before} -> {spikes_after}")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stemc import cli, fixtures, metrics, netsim
-from stemc.fixedpoint import from_real
+from stemc.fixedpoint import apply, from_real
 from stemc.modelio import (INPUT_NAME, FloatModel, LayerDesc, infer_shapes, pool_out_hw,
                            save_dataset, save_quantized_model)
 from stemc.netsim import (
@@ -33,8 +33,8 @@ from stemc.netsim import (
 )
 from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
 from stemc.refengine import int_forward
-from stemc.sparsity import LayerSparsity, SparsityPlan, rot, tune_hybrid
-from stemc.stem import StemState, WireSchedule, decode_train, encode_planes, generate_train
+from stemc.sparsity import LayerSparsity, SparsityPlan, drlo, rot, tune_hybrid
+from stemc.stem import StemState, WireSchedule, encode_planes
 
 
 def _quantized(model, n=24, seed=5, lo=0.0, hi=1.0, **kw):
@@ -54,6 +54,24 @@ class TestOracleEquivalence:
         got = run_batch(snet, bundle.x_int)
         want, _ = int_forward(bundle.qnet, bundle.x_int, mode="hw")
         assert np.array_equal(got.outputs, want)
+
+    @pytest.mark.parametrize("k,acc_bits", [(8, 16), (12, 32)])
+    @pytest.mark.parametrize("fixture", sorted(fixtures.FIXTURES))
+    def test_every_layer_equals_oracle(self, fixture, k, acc_bits):
+        """Each wire's cached values are the oracle's integers, and its counts
+        are the spikes of those values' trains."""
+        builder, lo, hi = fixtures.FIXTURES[fixture]
+        qnet, x = _quantized(builder(), n=32, lo=lo, hi=hi, k=k, acc_bits=acc_bits)
+        run = CachedRun(compile_network(qnet, plan=SparsityPlan.identity()), x)
+        _, record = int_forward(qnet, x, mode="hw")
+        assert np.array_equal(run.values[INPUT_NAME], x.reshape(x.shape[0], -1))
+        for name, values in run.values.items():
+            assert values.dtype == np.int16 and values.ndim == 2, name
+            if name != INPUT_NAME:
+                want = record.layers[name].post.reshape(x.shape[0], -1)
+                assert np.array_equal(values, want), name
+            spikes = encode_planes(values, k, True).sum(axis=(0, 2))
+            assert np.array_equal(run.counts[name], spikes), name
 
     def test_unbatched_sample(self, mlp_bundle):
         snet = compile_network(mlp_bundle.qnet)
@@ -384,6 +402,18 @@ class TestKPlaneKernel:
                 step = pop.step_sum([rows[:, t]], [int(self.PHIS[t])])
                 assert np.array_equal(block[:, t], step)
 
+    @pytest.mark.parametrize("k", [2, 8, 16])
+    def test_planes_are_the_trains(self, k, rng):
+        """Plane t of a wire's values is step t of their signed trains."""
+        lo, hi = -(1 << (k - 1)), (1 << (k - 1)) - 1
+        edges = [lo, lo + 1, -1, 0, 1, hi]
+        values = np.concatenate([edges, rng.integers(lo, hi + 1, size=42)])
+        values = values.astype(np.int16).reshape(4, 12)
+        planes = _planes(values, k)
+        assert planes.dtype == np.uint8
+        want = np.swapaxes(encode_planes(values, k, signed=True), 1, 2)
+        assert np.array_equal(planes, want)
+
     def test_wide_fanin_at_max_weights_exact(self, widefan_bundle):
         snet = compile_network(widefan_bundle.qnet)
         pop, w = snet.populations[0], widefan_bundle.qnet.layers[0].weights.astype(np.int64)
@@ -423,7 +453,8 @@ class TestKPlaneKernel:
 
 
 # Reference pipeline driver: the clock advances one K-step block at a time,
-# each active stage integrates its one sample, and trains are really buffered.
+# each active stage integrates its one sample, and trains are really buffered
+# (as the values they carry).
 # ``run_pipeline`` counts its timing from the stage numbers and must agree
 # with it on every field.
 
@@ -445,7 +476,7 @@ def run_pipeline_per_block(snet, x_int) -> PipelineResult:
     xb = xb.reshape(xb.shape[0], -1)
     n_samples = xb.shape[0]
     n_stages = snet.n_stages
-    input_planes = encode_planes(xb, k, signed=True)
+    input_values = xb.astype(np.int16)
 
     consumers: dict[str, int] = {INPUT_NAME: 0}
     for pop in snet.populations:
@@ -461,14 +492,13 @@ def run_pipeline_per_block(snet, x_int) -> PipelineResult:
     emitted: dict[tuple[str, int], np.ndarray] = {}
     reads: dict[tuple[str, int], int] = {}
     out_acc = np.zeros((n_samples, out_pop.n_out), dtype=np.int64)
-    out_sched = WireSchedule(k, signed=True)
     peak = 0
     last_active = -1
     saturations = 0
 
     def fetch(src: str, s: int) -> np.ndarray:
         if src == INPUT_NAME:
-            return input_planes[s]
+            return input_values[s]
         return emitted[(src, s)]
 
     def release(src: str, s: int) -> None:
@@ -485,7 +515,7 @@ def run_pipeline_per_block(snet, x_int) -> PipelineResult:
             if not 0 <= s < n_samples:
                 continue
             last_active = block
-            rows = _planes([fetch(src, s)[None] for src in pop.inputs])
+            rows = [_planes(fetch(src, s)[None], k) for src in pop.inputs]
             sums = pop.step_sum(rows, [phis[src] for src in pop.inputs])
             v, sat = _integrate_block(pop, sums, snet.acc_bits)
             saturations += sat
@@ -495,7 +525,7 @@ def run_pipeline_per_block(snet, x_int) -> PipelineResult:
         s_out = block - (reader_stage - 1)
         if 0 <= s_out < n_samples:
             last_active = block
-            out_acc[s_out] = decode_train(fetch(out_pop.name, s_out), out_sched)
+            out_acc[s_out] = fetch(out_pop.name, s_out)
             release(out_pop.name, s_out)
         peak = max(peak, len(emitted))
 
@@ -697,12 +727,12 @@ class TestSaturationParity:
         # saturating scan, against integrating step by step
         snet = compile_network(_unprotected(widefan_bundle.qnet, "fc"))
         pop, x = snet.populations[0], _as_batch(widefan_bundle.x_int, snet.input_shape)
-        sums = pop.step_sum(_planes([encode_planes(x, snet.k, signed=True)]),
+        sums = pop.step_sum([_planes(x.astype(np.int16), snet.k)],
                             [_wire_phis(snet)[INPUT_NAME]])
         v, saturations = _integrate_block(pop, sums, snet.acc_bits)
         state = StemState(pop.n_out, snet.acc_bits, batch=x.shape[0])
         for step in range(snet.k):
-            state.integrate(sums[:, step], pop.m0)
+            state.add_raw(apply(pop.m0, sums[:, step]))
         if pop.bias_pre_scaled is not None:
             state.add_raw(pop.bias_pre_scaled[None, :])
         want = state.finalize(pop.m1, 0 if pop.bias_post is None else pop.bias_post,
@@ -804,15 +834,15 @@ def _emitted(snet, x) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     of its V under its setting in ``snet.plan``). V is decoded from a run in
     which only that population's setting is the identity."""
     got = run_batch(snet, x, record_trains=True).trains
-    unsigned = WireSchedule(snet.k, signed=False)
+    unsigned = WireSchedule(snet.k, signed=False).weights()
     out = {}
     for pop in snet.populations[:-1]:
         s = snet.plan.for_layer(pop.name)
         exact = run_batch(with_plan(snet, snet.plan.replaced(pop.name, LayerSparsity())), x,
                           record_trains=True)
-        v = decode_train(exact.trains[pop.name], unsigned)
-        want = generate_train(rot(v, s.rot_bits, snet.k), snet.k,
-                              suppress_below=s.drlo_bits)
+        v = exact.trains[pop.name] @ unsigned
+        want = encode_planes(drlo(rot(v, s.rot_bits, snet.k), s.drlo_bits), snet.k,
+                             signed=False)
         out[pop.name] = (got[pop.name], want)
     return out
 
@@ -934,9 +964,9 @@ class TestCachedRun:
             tuned.rerun("pool1", LayerSparsity(1, 0))
         tuned.rerun("conv2", LayerSparsity(1, 0))       # still identity: allowed
 
-    def test_run_batch_peak_memory(self):
-        """A 256-sample run_batch of a cnn28-shaped model keeps one window's
-        trains, not its int64 V as well."""
+    @staticmethod
+    def _peak(runner) -> int:
+        """Traced peak bytes of `runner` on 256 samples of a cnn28-shaped model."""
         model = _cnn28_shaped()
         x = fixtures.class_inputs(np.random.default_rng(6), 256, model.input_shape)
         stats = calibrate(model, x[:32])
@@ -945,11 +975,60 @@ class TestCachedRun:
         snet = compile_network(q)
         tracemalloc.start()
         try:
-            run_batch(snet, x_int)
-            peak = tracemalloc.get_traced_memory()[1]
+            runner(snet, x_int)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 27 * 2**20, peak / 2**20
+
+    def test_run_batch_peak_memory(self):
+        """run_batch keeps one window's int16 wire values, and each
+        population step's planes only for a sample block."""
+        peak = self._peak(run_batch)
+        assert peak <= 16 * 2**20, peak / 2**20
+
+    def test_cached_run_peak_memory(self):
+        """The tuner's whole-batch cache holds one int16 per neuron and sample,
+        not K bytes."""
+        peak = self._peak(CachedRun)
+        assert peak <= 48 * 2**20, peak / 2**20
+
+    def test_rerun_at_k16_widens_before_rot(self):
+        """At K=16, q_max + 2^(r-1) overflows int16, so ``rerun`` must widen
+        the cached V before ``rot``: every rerun equals a fresh run."""
+        qnet, _ = _quantized(fixtures.make_mlp(), n=24, k=16, acc_bits=32)
+        x = np.random.default_rng(16).integers(-(1 << 15), 1 << 15,
+                                               size=(32,) + qnet.input_shape)
+        snet = compile_network(qnet, plan=SparsityPlan.identity())
+        cache = CachedRun(snet, x)
+        hidden = [p.name for p in snet.populations if not p.is_output]
+        assert any(int(cache.values[name].max()) == qnet.q_max for name in hidden)
+        for name in hidden:
+            setting = LayerSparsity(3, 2)
+            run = cache.rerun(name, setting)
+            want = CachedRun(with_plan(snet, snet.plan.replaced(name, setting)), x)
+            assert run.values.keys() == want.values.keys()
+            for wire, values in want.values.items():
+                assert np.array_equal(run.values[wire], values), wire
+                assert np.array_equal(run.counts[wire], want.counts[wire]), wire
+            assert np.array_equal(run.outputs, want.outputs)
+            assert run.layer_traces == want.layer_traces
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_input_range_checked(self, k):
+        """The input wire is signed: [-2^(K-1), 2^(K-1)-1] runs, and one past
+        either end is rejected."""
+        qnet, _ = _quantized(fixtures.make_mlp(), n=24, k=k, acc_bits=32)
+        snet = compile_network(qnet)
+        lo, hi = -(1 << (k - 1)), (1 << (k - 1)) - 1
+        x = np.zeros((2,) + qnet.input_shape, dtype=np.int64)
+        x[0, 0], x[1, -1] = lo, hi
+        run_batch(snet, x)
+        CachedRun(snet, x)
+        for bad in (hi + 1, lo - 1):
+            x[1, 0] = bad
+            for runner in (run_batch, CachedRun):
+                with pytest.raises(ValueError, match="outside encodable range"):
+                    runner(snet, x)
 
 
 def _cnn28_shaped(seed: int = 28) -> FloatModel:
@@ -999,7 +1078,7 @@ def _every_result(q, x, y) -> list[tuple[str, object]]:
         cache.adopt(run)
         for label, r in ((f"rerun {name}", run), (f"adopt {name}", cache)):
             got += [(f"{label} outputs", r.outputs), (f"{label} traces", r.layer_traces)]
-            got += [(f"{label} train {n}", tr) for n, tr in r.trains.items()]
+            got += [(f"{label} values {n}", v) for n, v in r.values.items()]
     got.append(("tune", tune_hybrid(q, x, y, accuracy_budget=1.0)))
     return got
 

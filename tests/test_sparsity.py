@@ -17,7 +17,7 @@ from stemc.sparsity import (
     rot,
     tune_hybrid,
 )
-from stemc.stem import generate_train
+from stemc.stem import encode_planes
 
 
 class TestRot:
@@ -94,14 +94,14 @@ class TestSpikeThinning:
         after_rot = rot(83, 2, 8)
         assert after_rot == 84
         assert drlo(after_rot, 3) == 80
-        before = int(generate_train(np.array(83), 8).sum())
-        after = int(generate_train(np.array(after_rot), 8, suppress_below=3).sum())
+        before = int(encode_planes(np.array(83), 8, signed=False).sum())
+        after = int(encode_planes(drlo(after_rot, 3), 8, signed=False).sum())
         assert (before, after) == (4, 2)
 
     def test_never_adds_spikes_on_average(self):
         vals = np.arange(128)
-        dense = generate_train(vals, 8).sum()
-        thin = generate_train(drlo(vals, 2), 8).sum()
+        dense = encode_planes(vals, 8, signed=False).sum()
+        thin = encode_planes(drlo(vals, 2), 8, signed=False).sum()
         assert thin <= dense
 
 

@@ -2,19 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stemc.fixedpoint import FixedMult, from_real
-from stemc.stem import (
-    StemState,
-    WireSchedule,
-    decode_train,
-    encode_integer,
-    encode_planes,
-    generate_train,
-)
+from stemc.fixedpoint import FixedMult, apply, from_real
+from stemc.sparsity import drlo
+from stemc.stem import StemState, WireSchedule, encode_integer, encode_planes
 
 
 # Single-step reference oracles: the simulator integrates whole K-step
-# blocks, these walk one step at a time.
+# blocks, these walk one step at a time. A train decodes as the dot product
+# of its bits with the schedule's weights.
 
 
 def accumulate_step(
@@ -33,7 +28,7 @@ def accumulate_step(
     phi = schedule.weight(step)
     wide = spikes.astype(np.int64) @ weights.T.astype(np.int64)
     step_sums = phi * wide
-    state.integrate(step_sums, m0)
+    state.add_raw(apply(m0, step_sums))
     return step_sums
 
 
@@ -78,14 +73,14 @@ class TestEncodeDecode:
     def test_signed_roundtrip_exhaustive(self):
         sched = WireSchedule(8, signed=True)
         for q in range(-128, 128):
-            assert decode_train(encode_integer(q, 8, signed=True), sched) == q
+            assert encode_integer(q, 8, signed=True) @ sched.weights() == q
 
     def test_unsigned_roundtrip_exhaustive(self):
         sched = WireSchedule(8, signed=False)
         for q in range(0, 128):
             bits = encode_integer(q, 8, signed=False)
             assert bits[0] == 0          # sign-position step stays silent
-            assert decode_train(bits, sched) == q
+            assert bits @ sched.weights() == q
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -119,16 +114,12 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             encode_planes(np.array([300]), 8, signed=False)
 
-    def test_decode_length_mismatch(self):
-        with pytest.raises(ValueError):
-            decode_train(np.zeros(7), WireSchedule(8, signed=False))
-
     @given(st.integers(min_value=2, max_value=12),
            st.integers(min_value=0, max_value=4000))
     def test_roundtrip_any_k(self, k, q):
         q = q % (1 << (k - 1))
         sched = WireSchedule(k, signed=False)
-        assert decode_train(encode_integer(q, k, signed=False), sched) == q
+        assert encode_integer(q, k, signed=False) @ sched.weights() == q
 
     def test_decode_linearity(self, rng):
         # decode(a) + decode(b) == decode over the union of spikes (disjoint)
@@ -136,12 +127,15 @@ class TestEncodeDecode:
         bits = rng.integers(0, 2, size=(40, 8)).astype(np.uint8)
         brute = np.array(
             [sum(sched.weight(t) * int(b[t]) for t in range(8)) for b in bits])
-        assert np.array_equal(decode_train(bits, sched), brute)
+        assert np.array_equal(bits @ sched.weights(), brute)
 
 
 class TestGeneration:
+    """A hidden population emits V in [0, 2^(K-1)-1], cut by drlo, and its
+    train is that value's code: ``encode_planes(drlo(v, c), k, signed=False)``."""
+
     def test_83_emission(self):
-        assert generate_train(np.array(83), 8).tolist() == [0, 1, 0, 1, 0, 0, 1, 1]
+        assert encode_planes(np.array(83), 8, signed=False).tolist() == [0, 1, 0, 1, 0, 0, 1, 1]
 
     def test_threshold_walk(self):
         v = 83
@@ -155,21 +149,21 @@ class TestGeneration:
     def test_exhaustive_binary_expansion(self):
         sched = WireSchedule(8, signed=False)
         for v in range(0, 128):
-            bits = generate_train(np.array(v), 8)
-            assert decode_train(bits, sched) == v
+            bits = encode_planes(np.array(v), 8, signed=False)
+            assert bits @ sched.weights() == v
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            generate_train(np.array([-1]), 8)
+            encode_planes(np.array([-1]), 8, signed=False)
         with pytest.raises(ValueError):
             generate_step(-1, 8, 0)
 
     @given(st.integers(min_value=2, max_value=16), st.data())
     def test_matches_greedy_walk(self, k, data):
-        # v up to 2^(k+1) - 1 (the walk saturates at all ones), every suppression
-        vs = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << (k + 1)) - 1),
-                                max_size=12))
-        vs += [0, (1 << (k - 1)) - 1, (1 << k) - 1, 1 << k, (1 << (k + 1)) - 1]
+        # every emittable v, every suppression
+        hi = (1 << (k - 1)) - 1
+        vs = data.draw(st.lists(st.integers(min_value=0, max_value=hi), max_size=12))
+        vs += [0, 1, hi - 1, hi]
         for suppress in range(k + 1):
             want = []
             for v in vs:
@@ -178,19 +172,19 @@ class TestGeneration:
                     spike, v = generate_step(v, k, t)
                     bits.append(spike if k - 1 - t >= suppress else 0)
                 want.append(bits)
-            got = generate_train(np.array(vs), k, suppress_below=suppress)
+            got = encode_planes(drlo(np.array(vs), suppress), k, signed=False)
             assert got.dtype == np.uint8
             assert got.tolist() == want
 
     def test_suppression_zeroes_low_bits(self):
         sched = WireSchedule(8, signed=False)
         for v in (84, 83, 127, 7, 0):
-            bits = generate_train(np.array(v), 8, suppress_below=3)
-            assert decode_train(bits, sched) == v & ~0b111
+            bits = encode_planes(drlo(np.array(v), 3), 8, signed=False)
+            assert bits @ sched.weights() == v & ~0b111
 
     def test_suppression_only_masks_emission(self):
-        full = generate_train(np.array(100), 8)
-        cut = generate_train(np.array(100), 8, suppress_below=2)
+        full = encode_planes(np.array(100), 8, signed=False)
+        cut = encode_planes(drlo(np.array(100), 2), 8, signed=False)
         assert np.array_equal(full[..., :6], cut[..., :6])
         assert cut[..., 6:].sum() == 0
 
@@ -222,11 +216,11 @@ class TestStemState:
     def test_integrate_saturates_and_counts(self):
         state = StemState(1, acc_bits=8, batch=1)
         m0 = from_real(1.0)
-        state.integrate(np.array([[100]]), m0)
-        state.integrate(np.array([[100]]), m0)
+        state.add_raw(apply(m0, np.array([[100]])))
+        state.add_raw(apply(m0, np.array([[100]])))
         assert state.u.tolist() == [[127]]
         assert state.saturations == 1
-        state.integrate(np.array([[-300]]), m0)
+        state.add_raw(apply(m0, np.array([[-300]])))
         assert state.u.tolist() == [[-128]]
         assert state.saturations == 2
 
@@ -241,6 +235,6 @@ class TestStemState:
         # U accumulates round(m0 * I_t) per step
         state = StemState(1, acc_bits=16)
         m0 = from_real(0.5)
-        state.integrate(np.array([[7]]), m0)    # round(3.5) -> 4
-        state.integrate(np.array([[-7]]), m0)   # round(-3.5) -> -4
+        state.add_raw(apply(m0, np.array([[7]])))    # round(3.5) -> 4
+        state.add_raw(apply(m0, np.array([[-7]])))   # round(-3.5) -> -4
         assert state.u.tolist() == [[0]]
