@@ -19,26 +19,44 @@ population its signed V. A spike count is the popcount of a value's K low
 bits. The 0/1 step planes exist only inside the population step that reads
 them (``_planes``), and in the trains that ``run_batch`` records for a dump.
 
-The K-plane kernel. Step sums are linear in the spike planes, so
-``Population.step_sum`` takes a layer's K bit planes at once, as
-[N, K, n_in] rows with the per-step wire weights phi broadcast over the step
-axis, and computes all of them in one float64 BLAS matmul. The result is
-exact: the planes are 0/1, so every partial sum is an integer of magnitude
-at most sum|w| of one neuron, and ``compile_network`` rejects any layer where
-that reaches 2^53. The elementwise M0 rounding runs once per block too; only
-the saturating adds run in sequence, a K-step ``StemState.add_raw`` scan.
-None of this is the
-shifted-slice convolution of the reference oracle, so the two sides check
-each other.
+The step kernel. Step sums are linear in the spike planes, so
+``Population.step_sum`` takes a layer's live step planes at once, as
+[N, steps, n_in] rows with the per-step wire weights phi broadcast over the
+step axis, and computes all of them in one BLAS matmul. The result is exact:
+the planes are 0/1, so every partial sum is an integer of magnitude at most
+sum|w| of one neuron. ``compile_network`` stores the weights as float32 when
+every neuron's sum|w| is below 2^24, as float64 below 2^53, and rejects a
+layer where it reaches 2^53. None of this is the shifted-slice convolution of
+the reference oracle, so the two sides check each other.
+
+Live steps. A population reads only the steps of its input trains that can
+spike, which the wires' signedness and the plan decide, never the data
+(``_live_steps``). A hidden wire carries V in [0, q_max] with
+q_max < 2^(K-1), so it never spikes at step 0; one that ``drlo`` cuts by c
+never spikes in its last c steps (``rot`` clamps to q_max, so it cuts none).
+A population reads steps [1, K - c), c the smallest cut among its producers,
+or all K if a branch is the signed network input; at K <= c + 1 it reads
+none. A skipped step would add round(M0 * 0) = 0 to U, so skipping it
+changes no integer and no saturation count.
+
+Integration. The M0 rounding is elementwise, so it runs once per block.
+``compile_network`` marks a population ``clamp_free`` when value(M0) times
+``quantizer.prefix_bound`` (the largest running prefix of a neuron's step
+sums, plus a product-scheme bias, over every input its wires can carry) plus
+(K+1)/2 fits the n-bit accumulator, checked exactly from the manifest's own
+constants. The quantizer picks M0 so that this holds, and then no running
+sum of U can reach the clamp, so U is the sum of the rounded steps. Any
+other population (an M0 from elsewhere) takes the step-by-step
+``StemState.add_raw`` saturating scan, which counts every clamp.
 
 The population step. Every run hands each population's samples to one step,
 ``_population_step``, which works through them in sample blocks: each sample
-block's planes, step sums, K-step scan and emission are written into the
+block's planes, step sums, integration and emission are written into the
 population's values before the next one starts. A sample block holds as
-many samples as keep its int64 step sums (8*K bytes per output neuron), or a
-conv's float64 gathered patches if those are larger, within BLOCK_BYTES, and
-at least one. Sample blocks split only the batch axis, so they change no
-integer, trace or saturation count.
+many samples as keep, over its live steps, its int64 step sums (8 bytes per
+output neuron), or a conv's gathered patches if those are larger, within
+BLOCK_BYTES, and at least one. Sample blocks split only the batch axis, so
+they change no integer, trace or saturation count.
 
 One executor. ``CachedRun`` is the only code that runs a network over
 samples: it takes every population in topological order through one
@@ -63,18 +81,23 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .fixedpoint import FixedMult, apply
 from .modelio import INPUT_NAME, conv_out_hw, pool_out_hw
+from .quantizer import prefix_bound
 from .sparsity import LayerSparsity, SparsityPlan, drlo, rot
 from .stem import StemState, WireSchedule, check_encodable, encode_planes
 from . import metrics
 
-# Spike planes are 0/1, so a float64 synaptic sum is exact while every
-# neuron's sum|w| stays below 2^53 (all partial sums are smaller integers).
+# Spike planes are 0/1, so every partial synaptic sum is an integer no larger
+# than the neuron's sum|w|: a float sum is exact while that stays below
+# 2^(mantissa bits + 1). Weights are stored as float32 below
+# FLOAT32_SUM_LIMIT, as float64 below EXACT_SUM_LIMIT, and rejected above.
+FLOAT32_SUM_LIMIT = 1 << 24
 EXACT_SUM_LIMIT = 1 << 53
 
 # Bytes of step sums (or conv patches) a population step holds per sample
@@ -134,16 +157,17 @@ class Population:
                                     # counted from the form's index tables
     # synapses, in the execution form (see the module docstring)
     form: str                       # "dense" | "conv" | "pool" | "identity"
-    dense_w: np.ndarray | None      # dense: float64 [n_out, n_in]
+    dense_w: np.ndarray | None      # dense: float32/64 [n_out, n_in]
     gather_idx: np.ndarray | None   # tap-major gather: conv [F, n_pos] into the
                                     # padded input, pool [F, n_out]; int64
-    conv_w: np.ndarray | None       # conv: float64 [oc, F], zero on a tap that
-                                    # is silent at every position
+    conv_w: np.ndarray | None       # conv: float32/64 [oc, F], zero on a tap
+                                    # that is silent at every position
     # constants
     m0: FixedMult
     m1: FixedMult
     bias_pre_scaled: np.ndarray | None   # round(M0 * q_b), injected into U
     bias_post: np.ndarray | None         # output-scale bias, added after M1
+    clamp_free: bool                # no running sum of U can reach the clamp
     v_min: int
     v_max: int
     stage: int
@@ -154,8 +178,8 @@ class Population:
 
         Each rows[i] is a uint8 [..., n_in] spike array of input branch i and
         each phis[i] broadcasts against [..., n_out]: a scalar for one step,
-        ``WireSchedule.weights()[:, None]`` for the K planes [N, K, n_in] of a
-        whole block. Returns int64 [..., n_out].
+        rows of ``WireSchedule.weights()[:, None]`` for the planes
+        [N, steps, n_in] of a whole block. Returns int64 [..., n_out].
         """
         total = None
         for row, phi in zip(rows, phis):
@@ -172,10 +196,10 @@ class Population:
             taps = np.take(row, self.gather_idx, axis=-1)      # [..., F, n_out]
             return taps.sum(axis=-2, dtype=np.int64)
         if self.form == "dense":
-            x = row.reshape(-1, row.shape[-1]).astype(np.float64)
+            x = row.reshape(-1, row.shape[-1]).astype(self.dense_w.dtype)
             return (x @ self.dense_w.T).astype(np.int64).reshape(lead + (self.n_out,))
         # conv: one gathered patch per output position, shared by all channels
-        padded = np.zeros((math.prod(lead), row.shape[-1] + 1), dtype=np.float64)
+        padded = np.zeros((math.prod(lead), row.shape[-1] + 1), dtype=self.conv_w.dtype)
         padded[:, :-1] = row.reshape(padded.shape[0], -1)  # last slot: silent 0
         patches = np.take(padded, self.gather_idx, axis=1) # [M, F, n_pos]
         out = np.matmul(self.conv_w, patches)              # [M, oc, n_pos]
@@ -249,8 +273,9 @@ def _conv_table(in_shape, attrs) -> tuple[np.ndarray, int, int]:
     return idx, oh * ow, silent
 
 
-def _conv_form(in_shape, attrs, weights):
-    """(form, dense_w, gather_idx, conv_w, fanin, fanout) of a conv layer.
+def _conv_form(in_shape, attrs, weights, dtype):
+    """(form, dense_w, gather_idx, conv_w, fanin, fanout) of a conv layer,
+    its weights stored as `dtype`.
     Neuron o*n_pos + p reads row p of the geometry's index table with channel
     o's weights; its synapses are the taps that fall inside the input, so an
     input's fan-out is its count among the real taps times out_channels."""
@@ -259,10 +284,10 @@ def _conv_form(in_shape, attrs, weights):
     real = idx != silent
     fanin = int(real.sum(axis=1).max())
     fanout = np.bincount(idx[real], minlength=silent) * oc
-    wrow = weights.astype(np.float64).reshape(oc, -1)                 # (ic,dy,dx)
+    wrow = weights.astype(dtype).reshape(oc, -1)                      # (ic,dy,dx)
     if silent <= 4 * idx.shape[1]:           # small conv: dense matrix
         # padding taps land in the silent column, which the view leaves out
-        dense = np.zeros((oc, n_pos, silent + 1), dtype=np.float64)
+        dense = np.zeros((oc, n_pos, silent + 1), dtype=dtype)
         dense[:, np.arange(n_pos)[:, None], idx] = wrow[:, None, :]
         return "dense", dense.reshape(oc * n_pos, -1)[:, :silent], None, None, fanin, fanout
     conv_w = np.asfortranarray(np.where(real.any(axis=0), wrow, 0.0))
@@ -301,6 +326,11 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
     Sparsity settings are taken from `plan` when given, else from the plan
     embedded in the network manifest, else no sparsification. Stage numbers
     (pipeline depth) are 1 + the deepest producer; flatten is transparent.
+    Two facts are proved here from the integer weights, the manifest's M0 and
+    the signedness of the branches, never from data: a population is
+    ``clamp_free`` when value(M0) * ``quantizer.prefix_bound`` + (K+1)/2 fits
+    the accumulator, and its weights are float32 when every neuron's sum|w|
+    is below FLOAT32_SUM_LIMIT.
     """
     qnet.validate()
     if plan is None:
@@ -311,6 +341,7 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
     stage: dict[str, int] = {INPUT_NAME: 0}
     pops: list[Population] = []
     last = qnet.layers[-1]
+    acc_hi = (1 << (qnet.acc_bits - 1)) - 1
     for lyr in qnet.layers:
         shapes[lyr.name] = lyr.out_shape
         if lyr.kind == "flatten":
@@ -321,13 +352,15 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
         in_shapes = [shapes[s] for s in lyr.inputs]   # pre-flatten consumer view
         n_out = int(np.prod(lyr.out_shape))
 
-        if _max_weight_sum(lyr.weights) >= EXACT_SUM_LIMIT:
+        weight_sum = _max_weight_sum(lyr.weights)
+        if weight_sum >= EXACT_SUM_LIMIT:
             raise ValueError(
                 f"layer {lyr.name!r}: a neuron's sum of |weights| reaches 2^53, "
                 f"so float64 synaptic sums would not be exact")
+        dtype = np.float32 if weight_sum < FLOAT32_SUM_LIMIT else np.float64
         dense_w = gather_idx = conv_w = None
         if lyr.kind == "fully-connected":
-            form, dense_w, fanin = "dense", lyr.weights.astype(np.float64), lyr.weights.shape[1]
+            form, dense_w, fanin = "dense", lyr.weights.astype(dtype), lyr.weights.shape[1]
             fanouts = [np.full(fanin, n_out, dtype=np.int64)]
         elif lyr.kind == "residual-add":
             form, fanin = "identity", 2
@@ -338,7 +371,7 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
             fanouts = [np.bincount(gather_idx.ravel(), minlength=math.prod(in_shapes[0]))]
         else:
             form, dense_w, gather_idx, conv_w, fanin, fanout = _conv_form(
-                in_shapes[0], lyr.attrs, lyr.weights)
+                in_shapes[0], lyr.attrs, lyr.weights, dtype)
             fanouts = [fanout]
 
         bias_pre_scaled = bias_post = None
@@ -350,6 +383,10 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
                 bias_pre_scaled = apply(lyr.m0, b)
             else:
                 bias_post = b
+        bound = prefix_bound(lyr, lyr.weights,
+                             lyr.bias if lyr.bias_scheme == "product" else None,
+                             INPUT_NAME in sources, qnet.k)
+        clamp_free = abs(lyr.m0.value()) * bound + Fraction(qnet.k + 1, 2) <= acc_hi
 
         is_output = lyr is last
         pops.append(Population(
@@ -358,7 +395,7 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
             fanin=fanin, fanouts=fanouts,
             form=form, dense_w=dense_w, gather_idx=gather_idx, conv_w=conv_w,
             m0=lyr.m0, m1=lyr.m1,
-            bias_pre_scaled=bias_pre_scaled, bias_post=bias_post,
+            bias_pre_scaled=bias_pre_scaled, bias_post=bias_post, clamp_free=clamp_free,
             v_min=-qnet.q_max if is_output else 0, v_max=qnet.q_max,
             stage=0, is_output=is_output,
         ))
@@ -431,26 +468,47 @@ def _wire_phis(snet: SpikingNetwork) -> dict[str, np.ndarray]:
             for name, sg in signed.items()}
 
 
-def _planes(values: np.ndarray, k: int) -> np.ndarray:
-    """The trains of int16 [N, n] wire values as the uint8 [N, K, n] step
-    planes `step_sum` takes: plane t is bit K-1-t (the arithmetic shift gives
-    a signed wire's two's-complement bits; its phis carry the sign weight)."""
-    planes = np.empty((values.shape[0], k, values.shape[1]), dtype=np.uint8)
-    for t in range(k):
-        np.bitwise_and(values >> (k - 1 - t), 1, out=planes[:, t], casting="unsafe")
+def _live_steps(snet: SpikingNetwork, pop: Population) -> range:
+    """The steps of pop's input trains that can carry a spike under
+    ``snet.plan``; every other step of every branch is silent.
+
+    A hidden wire carries V in [0, q_max], q_max < 2^(K-1), so it never spikes
+    at step 0, and one cut by ``drlo`` c never spikes in its last c steps
+    (``rot`` clamps to q_max, so it cuts none). A population reading the
+    signed network input reads every step.
+    """
+    if INPUT_NAME in pop.inputs:
+        return range(snet.k)
+    cut = min(snet.plan.for_layer(s).drlo_bits for s in pop.inputs)
+    return range(1, max(1, snet.k - cut))
+
+
+def _planes(values: np.ndarray, k: int, steps: range | None = None) -> np.ndarray:
+    """The trains of int16 [N, n] wire values at `steps` (all K by default)
+    as the uint8 [N, len(steps), n] step planes `step_sum` takes: the plane
+    of step t is bit K-1-t (the arithmetic shift gives a signed wire's
+    two's-complement bits; its phis carry the sign weight)."""
+    steps = range(k) if steps is None else steps
+    planes = np.empty((values.shape[0], len(steps), values.shape[1]), dtype=np.uint8)
+    for j, t in enumerate(steps):
+        np.bitwise_and(values >> (k - 1 - t), 1, out=planes[:, j], casting="unsafe")
     return planes
 
 
 def _integrate_block(pop: Population, sums: np.ndarray, acc_bits: int
                      ) -> tuple[np.ndarray, int]:
-    """K-step saturating scan of a block's step sums [N, K, n_out], then the
-    bias and the M1 rescale; returns (clamped V, saturation count). The M0
-    rounding is elementwise, so it runs once on the whole block."""
-    n, k = sums.shape[:2]
+    """U from a block's step sums [N, steps, n_out], then the bias and the M1
+    rescale; returns (clamped V, saturation count). The M0 rounding is
+    elementwise, so it runs once on the whole block. A ``clamp_free``
+    population's U is the sum of the rounded steps, since no running sum can
+    reach the clamp; any other takes the step-by-step saturating scan."""
     incs = apply(pop.m0, sums)
-    state = StemState(pop.n_out, acc_bits, batch=n)
-    for step in range(k):
-        state.add_raw(incs[:, step])
+    state = StemState(pop.n_out, acc_bits, batch=sums.shape[0])
+    if pop.clamp_free:
+        state.u = incs.sum(axis=1)
+    else:
+        for step in range(incs.shape[1]):
+            state.add_raw(incs[:, step])
     if pop.bias_pre_scaled is not None:
         state.add_raw(pop.bias_pre_scaled[None, :])
     v = state.finalize(pop.m1, 0 if pop.bias_post is None else pop.bias_post,
@@ -458,34 +516,37 @@ def _integrate_block(pop: Population, sums: np.ndarray, acc_bits: int
     return v, state.saturations
 
 
-def _block_samples(pop: Population, k: int) -> int:
-    """Samples per sample block of a population step: the step sums take 8*K
-    bytes per output neuron and sample, a conv's float64 patches 8*K per
-    entry of its [F, n_pos] gather; a sample block holds BLOCK_BYTES of the
-    larger, and at least one sample."""
-    width = pop.n_out
+def _block_samples(pop: Population, steps: int) -> int:
+    """Samples per sample block of a population step that reads `steps`
+    live steps. Per sample and step, the step sums take 8 bytes per output
+    neuron, a conv's gathered patches one weight itemsize per entry of its
+    [F, n_pos] gather; a sample block holds BLOCK_BYTES of the larger, and at
+    least one sample."""
+    width = 8 * pop.n_out
     if pop.form == "conv":
-        width = max(width, pop.gather_idx.size)
-    return max(1, BLOCK_BYTES // (8 * k * width))
+        width = max(width, pop.conv_w.itemsize * pop.gather_idx.size)
+    return max(1, BLOCK_BYTES // (max(steps, 1) * width))
 
 
 def _population_step(pop: Population, values: list[np.ndarray], phis: list,
-                     acc_bits: int, k: int, setting: LayerSparsity
+                     acc_bits: int, k: int, steps: range, setting: LayerSparsity
                      ) -> tuple[np.ndarray, int]:
     """One population over m samples, in sample blocks of ``_block_samples``.
 
     `values` are the int16 [m, n_in] wire values of pop's branches and `phis`
-    their per-step wire weights. Each sample block's step planes, synaptic
-    sums, K-step scan and emission under `setting` fill its rows of the
-    output. Returns (values int16 [m, n_out], saturation count).
+    their [K, 1] per-step wire weights; only the live `steps` are read, since
+    a silent step adds round(M0 * 0) = 0 to U. Each sample block's step
+    planes, synaptic sums, integration and emission under `setting` fill its
+    rows of the output. Returns (values int16 [m, n_out], saturation count).
     """
     m = values[0].shape[0]
     out = np.empty((m, pop.n_out), dtype=np.int16)
     saturations = 0
-    size = _block_samples(pop, k)
+    size = _block_samples(pop, len(steps))
+    phis = [phi[steps.start:steps.stop] for phi in phis]
     for lo in range(0, m, size):
         hi = min(lo + size, m)
-        sums = pop.step_sum([_planes(vals[lo:hi], k) for vals in values], phis)
+        sums = pop.step_sum([_planes(vals[lo:hi], k, steps) for vals in values], phis)
         v, sat = _integrate_block(pop, sums, acc_bits)
         out[lo:hi] = pop.emit(v, k, setting)
         saturations += sat
@@ -585,11 +646,13 @@ class CachedRun:
         self.counts[name] = _spike_counts(values, self.snet.k)
 
     def _run(self, pop: Population) -> None:
-        """Run `pop` over the batch from the cached values, under its setting
+        """Run `pop` over the batch from the cached values, reading the steps
+        its producers' settings leave live and emitting under its own setting
         in the plan; keep its values and saturation count."""
         values, self.saturations[pop.name] = _population_step(
             pop, [self.values[s] for s in pop.inputs], [self._phis[s] for s in pop.inputs],
-            self.snet.acc_bits, self.snet.k, self.snet.plan.for_layer(pop.name))
+            self.snet.acc_bits, self.snet.k, _live_steps(self.snet, pop),
+            self.snet.plan.for_layer(pop.name))
         self._store(pop.name, values)
 
     @property

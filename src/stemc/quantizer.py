@@ -247,22 +247,25 @@ def calibrate(model: FloatModel, data) -> RangeStats:
 # network construction
 # ---------------------------------------------------------------------------
 
-def _prefix_bound(lyr, weights_q: np.ndarray | None, bias_pre: np.ndarray | None,
-                  signed: bool, k: int) -> int:
+def prefix_bound(lyr, weights_q: np.ndarray | None, bias_pre: np.ndarray | None,
+                 signed: bool, k: int) -> int:
     """Largest |P| (and |P + b| for a product-scheme bias b) over the output
     channels, where P is any running prefix of one neuron's per-step sums.
 
-    Each input's prefix lies in [x_lo, q_max]: x_lo = -2^(K-1) on the signed
-    network input (its first step carries the sign weight), 0 otherwise. So
-    P lies in [x_lo*sum(w+) + q_max*sum(w-), q_max*sum(w+) + x_lo*sum(w-)].
-    Pool and join taps have unit weights.
+    Each input's prefix lies in [x_lo, q_max]: x_lo = -2^(K-1) if a branch is
+    the signed network input (its first step carries the sign weight), 0
+    otherwise. So P lies in [x_lo*sum(w+) + q_max*sum(w-),
+    q_max*sum(w+) + x_lo*sum(w-)]. Pool and join taps have unit weights.
+    The ends are Python ints, so the bound is exact for any integer weights
+    whose per-channel sums fit int64. ``build_quantized_network`` picks M0
+    from it, and ``netsim.compile_network`` re-checks M0 against it.
     """
     q_max = (1 << (k - 1)) - 1
     x_lo = -(1 << (k - 1)) if signed else 0
     if weights_q is not None:
         w = weights_q.astype(np.int64).reshape(weights_q.shape[0], -1)
-        pos = np.where(w > 0, w, 0).sum(axis=1)
-        neg = np.where(w < 0, w, 0).sum(axis=1)
+        pos = np.where(w > 0, w, 0).sum(axis=1).astype(object)
+        neg = np.where(w < 0, w, 0).sum(axis=1).astype(object)
     elif lyr.kind == "avgpool2d":
         kh, kw = lyr.attrs["kernel"]
         pos, neg = kh * kw, 0
@@ -272,8 +275,9 @@ def _prefix_bound(lyr, weights_q: np.ndarray | None, bias_pre: np.ndarray | None
     p_hi = q_max * pos + x_lo * neg
     ends = [p_lo, p_hi]
     if bias_pre is not None:
-        ends += [p_lo + bias_pre, p_hi + bias_pre]
-    return max(int(np.abs(e).max()) for e in ends)
+        b = np.asarray(bias_pre).astype(object)
+        ends += [p_lo + b, p_hi + b]
+    return max(int(np.max(np.abs(e))) for e in ends)
 
 
 def _i_max(bound: int, m_hat: FixedMult, k: int, acc_bits: int) -> int:
@@ -372,8 +376,9 @@ def build_quantized_network(model: FloatModel, stats: RangeStats, k: int = 8,
             bias_q = bias_q.astype(np.int32)
 
         bias_pre = bias_q if scheme == "product" else None
-        i_max = _i_max(_prefix_bound(lyr, weights_q, bias_pre,
-                                     signed[lyr.inputs[0]], k), m_hat, k, acc_bits)
+        bound = prefix_bound(lyr, weights_q, bias_pre,
+                             any(signed[s] for s in lyr.inputs), k)
+        i_max = _i_max(bound, m_hat, k, acc_bits)
         m0 = from_real(hi_acc / i_max)
         m1 = from_real(float(Fraction(m_hat.value()) / Fraction(m0.value())))
 

@@ -2,13 +2,14 @@ import copy
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stemc import cli, fixtures, metrics, netsim
-from stemc.fixedpoint import apply, from_real
+from stemc.fixedpoint import FixedMult, apply, from_real
 from stemc.modelio import (INPUT_NAME, FloatModel, LayerDesc, infer_shapes, pool_out_hw,
                            save_dataset, save_quantized_model)
 from stemc.netsim import (
@@ -20,6 +21,7 @@ from stemc.netsim import (
     _as_batch,
     _conv_table,
     _integrate_block,
+    _live_steps,
     _planes,
     _wire_phis,
     check_capacity,
@@ -31,7 +33,7 @@ from stemc.netsim import (
     run_pipeline,
     with_plan,
 )
-from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
+from stemc.quantizer import build_quantized_network, calibrate, prefix_bound, quantize_tensor
 from stemc.refengine import int_forward
 from stemc.sparsity import LayerSparsity, SparsityPlan, drlo, rot, tune_hybrid
 from stemc.stem import StemState, WireSchedule, encode_planes
@@ -254,7 +256,7 @@ def _skip_join_model() -> FloatModel:
     return model
 
 
-def _one_layer_qnet(in_shape, kind, attrs, weights=None):
+def _one_layer_qnet(in_shape, kind, attrs, weights=None, **quant_kwargs):
     """A quantized network of one layer reading the input whose integer
     weights are exactly `weights`."""
     lyr = LayerDesc(name="layer", kind=kind, attrs=attrs, inputs=[INPUT_NAME])
@@ -262,7 +264,7 @@ def _one_layer_qnet(in_shape, kind, attrs, weights=None):
         lyr.weights = (weights / 127.0).astype(np.float32)
     model = FloatModel(name=kind, input_shape=in_shape, layers=[lyr])
     infer_shapes(model)
-    qnet, _ = _quantized(model, n=4)
+    qnet, _ = _quantized(model, n=4, **quant_kwargs)
     if weights is not None:
         qnet.layers[0].weights = weights.astype(np.int8)
     return qnet
@@ -413,6 +415,7 @@ class TestKPlaneKernel:
         assert planes.dtype == np.uint8
         want = np.swapaxes(encode_planes(values, k, signed=True), 1, 2)
         assert np.array_equal(planes, want)
+        assert np.array_equal(_planes(values, k, range(1, k - 1)), want[:, 1:k - 1])
 
     def test_wide_fanin_at_max_weights_exact(self, widefan_bundle):
         snet = compile_network(widefan_bundle.qnet)
@@ -453,13 +456,28 @@ class TestKPlaneKernel:
 
 
 # Reference pipeline driver: the clock advances one K-step block at a time,
-# each active stage integrates its one sample, and trains are really buffered
-# (as the values they carry).
-# ``run_pipeline`` counts its timing from the stage numbers and must agree
-# with it on every field.
+# each active stage integrates its one sample over all K planes with the
+# step-by-step saturating scan, and trains are really buffered (as the values
+# they carry). ``run_pipeline`` counts its timing from the stage numbers and
+# must agree with it on every field; it skips silent steps and sums where the
+# accumulator cannot clamp, and the reference does neither.
 
 
-def run_pipeline_per_block(snet, x_int) -> PipelineResult:
+def _scan(pop, sums, acc_bits) -> tuple[np.ndarray, int]:
+    """(V, saturations) of step sums [N, steps, n_out] integrated one step
+    at a time in the saturating accumulator, whether or not pop is
+    clamp-free."""
+    state = StemState(pop.n_out, acc_bits, batch=sums.shape[0])
+    for step in range(sums.shape[1]):
+        state.add_raw(apply(pop.m0, sums[:, step]))
+    if pop.bias_pre_scaled is not None:
+        state.add_raw(pop.bias_pre_scaled[None, :])
+    v = state.finalize(pop.m1, 0 if pop.bias_post is None else pop.bias_post,
+                       pop.v_min, pop.v_max)
+    return v, state.saturations
+
+
+def run_pipeline_per_block(snet, x_int, wires=None) -> PipelineResult:
     """Stream a batch through the staged network on one global clock.
 
     Stage l integrates sample s during block l-1+s, global steps
@@ -469,7 +487,9 @@ def run_pipeline_per_block(snet, x_int) -> PipelineResult:
     a stage reads in block b was emitted by the end of block b-1. Emitted
     trains are buffered until every consumer (a shortcut's join may lag) has
     read them; the buffer peak is taken at each block's end, the only step at
-    which trains are emitted or released.
+    which trains are emitted or released. With `wires`, a dict, each
+    population's emitted values [N, n_out] and saturation count are stored in
+    it as a pair under its name.
     """
     k = snet.k
     xb = _as_batch(x_int, snet.input_shape)
@@ -495,6 +515,8 @@ def run_pipeline_per_block(snet, x_int) -> PipelineResult:
     peak = 0
     last_active = -1
     saturations = 0
+    values = {p.name: np.zeros((n_samples, p.n_out), dtype=np.int16) for p in snet.populations}
+    pop_saturations = dict.fromkeys(values, 0)
 
     def fetch(src: str, s: int) -> np.ndarray:
         if src == INPUT_NAME:
@@ -517,9 +539,11 @@ def run_pipeline_per_block(snet, x_int) -> PipelineResult:
             last_active = block
             rows = [_planes(fetch(src, s)[None], k) for src in pop.inputs]
             sums = pop.step_sum(rows, [phis[src] for src in pop.inputs])
-            v, sat = _integrate_block(pop, sums, snet.acc_bits)
+            v, sat = _scan(pop, sums, snet.acc_bits)
             saturations += sat
-            emitted[(pop.name, s)] = pop.emit(v, k, snet.plan.for_layer(pop.name))[0]
+            pop_saturations[pop.name] += sat
+            emitted[(pop.name, s)] = values[pop.name][s] = pop.emit(
+                v, k, snet.plan.for_layer(pop.name))[0]
             for src in pop.inputs:
                 release(src, s)
         s_out = block - (reader_stage - 1)
@@ -531,6 +555,8 @@ def run_pipeline_per_block(snet, x_int) -> PipelineResult:
 
     if emitted:
         raise RuntimeError("pipeline finished with undrained state")
+    if wires is not None:
+        wires.update({name: (values[name], pop_saturations[name]) for name in values})
     timing = PipelineTiming(
         k=k, n_stages=n_stages, n_samples=n_samples,
         total_steps=k * (last_active + 1), buffered_train_peak=peak,
@@ -727,23 +753,260 @@ class TestSaturationParity:
         # saturating scan, against integrating step by step
         snet = compile_network(_unprotected(widefan_bundle.qnet, "fc"))
         pop, x = snet.populations[0], _as_batch(widefan_bundle.x_int, snet.input_shape)
+        assert not pop.clamp_free
         sums = pop.step_sum([_planes(x.astype(np.int16), snet.k)],
                             [_wire_phis(snet)[INPUT_NAME]])
         v, saturations = _integrate_block(pop, sums, snet.acc_bits)
-        state = StemState(pop.n_out, snet.acc_bits, batch=x.shape[0])
-        for step in range(snet.k):
-            state.add_raw(apply(pop.m0, sums[:, step]))
-        if pop.bias_pre_scaled is not None:
-            state.add_raw(pop.bias_pre_scaled[None, :])
-        want = state.finalize(pop.m1, 0 if pop.bias_post is None else pop.bias_post,
-                              pop.v_min, pop.v_max)
-        assert saturations == state.saturations > 0
+        want, want_saturations = _scan(pop, sums, snet.acc_bits)
+        assert saturations == want_saturations > 0
         assert np.array_equal(v, want)
 
     def test_calibrated_network_does_not_saturate(self, widefan_bundle):
         snet = compile_network(widefan_bundle.qnet)
         got = run_batch(snet, widefan_bundle.x_int)
         assert sum(t.saturations for t in got.traces) == 0
+
+
+@pytest.fixture(scope="session")
+def at_k():
+    """at_k(name, k): (qnet, 8 inputs) of fixture `name` quantized at train
+    length K, with a 16-bit accumulator (32-bit at K=16), built once per
+    session."""
+    built = {}
+
+    def build(name: str, k: int):
+        if (name, k) not in built:
+            builder, lo, hi = fixtures.FIXTURES[name]
+            built[name, k] = _quantized(builder(), n=8, lo=lo, hi=hi, k=k,
+                                        acc_bits=32 if k == 16 else 16)
+        return built[name, k]
+
+    return build
+
+
+def _assert_same_run(run: CachedRun, want: CachedRun):
+    """Every value, count, saturation, output and trace of two runs agree."""
+    assert run.values.keys() == want.values.keys()
+    for wire, values in want.values.items():
+        assert np.array_equal(run.values[wire], values), wire
+        assert np.array_equal(run.counts[wire], want.counts[wire]), wire
+    assert run.saturations == want.saturations
+    assert np.array_equal(run.outputs, want.outputs)
+    assert run.layer_traces == want.layer_traces
+
+
+class TestLiveSteps:
+    """A population reads only the steps its producers can spike in: not
+    step 0 of a hidden wire, nor the last c steps of one cut by drlo c."""
+
+    @pytest.mark.parametrize("fixture,k,plan,want", [
+        ("residual", 8, {"conv_a": (0, 1), "conv_b": (2, 3)},
+         {"conv_a": range(8), "conv_b": range(1, 7), "join": range(1, 7), "fc": range(1, 8)}),
+        ("mlp", 8, {"fc1": (3, 0), "fc2": (0, 5)},
+         {"fc1": range(8), "fc2": range(1, 8), "fc3": range(1, 3)}),
+        ("mlp", 4, {"fc1": (0, 3), "fc2": (1, 5)},
+         {"fc1": range(4), "fc2": range(1, 1), "fc3": range(1, 1)}),
+        ("mlp", 2, {"fc1": (0, 1)}, {"fc1": range(2), "fc2": range(1, 1), "fc3": range(1, 2)}),
+    ], ids=["join-cuts-differ", "rot-cuts-none", "k4-none-live", "k2-none-live"])
+    def test_live_ranges(self, at_k, fixture, k, plan, want):
+        qnet, _ = at_k(fixture, k)
+        snet = compile_network(qnet, plan=SparsityPlan(
+            {name: LayerSparsity(*rd) for name, rd in plan.items()}))
+        assert {p.name: _live_steps(snet, p) for p in snet.populations} == want
+
+    @settings(max_examples=100)
+    @example(fixture="residual", k=8, settings_=[(0, 1), (2, 3), (0, 0)], unprotect=None)
+    @example(fixture="residual", k=8, settings_=[(1, 2), (0, 5), (3, 1)], unprotect=1)
+    @example(fixture="mlp", k=4, settings_=[(0, 3), (1, 5)], unprotect=1)
+    @example(fixture="cnn", k=2, settings_=[(0, 1), (0, 0), (2, 3), (0, 2)], unprotect=None)
+    @example(fixture="bias-stress", k=16, settings_=[(3, 17)], unprotect=0)
+    @given(fixture=st.sampled_from(sorted(fixtures.FIXTURES)),
+           k=st.sampled_from([2, 4, 8, 16]),
+           settings_=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 17)),
+                              min_size=5, max_size=5),
+           unprotect=st.sampled_from([None, 0, 1]))
+    def test_cached_run_equals_every_step_reference(self, at_k, fixture, k, settings_,
+                                                    unprotect):
+        """Under a random plan (drlo taken mod K+2, so 0 to K+1) and,
+        optionally, one layer's overflow protection dropped, every wire's
+        values and counts and every population's saturations and trace equal
+        the per-block reference, which reads all K planes and scans every
+        step."""
+        qnet, x = at_k(fixture, k)
+        layers = [lyr.name for lyr in qnet.layers if lyr.kind != "flatten"]
+        if unprotect is not None:
+            qnet = _unprotected(qnet, layers[unprotect])
+        plan = SparsityPlan({name: LayerSparsity(r, d % (k + 2))
+                             for name, (r, d) in zip(layers[:-1], settings_)})
+        snet = compile_network(qnet, plan=plan)
+        run = CachedRun(snet, x)
+        wires = {}
+        ref = run_pipeline_per_block(snet, x, wires)
+        assert np.array_equal(run.outputs, ref.outputs)
+        counts = {INPUT_NAME: encode_planes(x.reshape(x.shape[0], -1), k, True).sum(axis=(0, 2))}
+        for pop in snet.populations:
+            values, saturations = wires[pop.name]
+            assert np.array_equal(run.values[pop.name], values), pop.name
+            assert run.saturations[pop.name] == saturations, pop.name
+            counts[pop.name] = encode_planes(values, k, True).sum(axis=(0, 2))
+        for name, c in counts.items():
+            assert np.array_equal(run.counts[name], c), name
+        for pop, trace in zip(snet.populations, run.layer_traces):
+            ins = [counts[s] for s in pop.inputs]
+            assert trace == netsim.LayerTrace(
+                name=pop.name, kind=pop.kind,
+                sops=sum(metrics.count_sops(c, fo) for c, fo in zip(ins, pop.fanouts)),
+                spikes_in=sum(int(c.sum()) for c in ins),
+                spikes_out=int(counts[pop.name].sum()),
+                saturations=wires[pop.name][1], neurons=pop.n_out)
+
+    @pytest.mark.parametrize("fixture", sorted(fixtures.FIXTURES))
+    def test_rerun_with_no_live_steps(self, at_k, fixture):
+        """A rerun that cuts K-1 or more steps leaves its single-branch
+        readers no live step, and equals a fresh run under the plan."""
+        k = 4
+        qnet, x = at_k(fixture, k)
+        snet = compile_network(qnet, plan=SparsityPlan.identity())
+        cache = CachedRun(snet, x)
+        for pop in snet.populations[:-1]:
+            readers = [q for q in snet.populations if q.inputs == [pop.name]]
+            for cut in (k - 1, k, k + 1):
+                setting = LayerSparsity(1, cut)
+                run = cache.rerun(pop.name, setting)
+                assert all(len(_live_steps(run.snet, q)) == 0 for q in readers)
+                _assert_same_run(run, CachedRun(
+                    with_plan(snet, snet.plan.replaced(pop.name, setting)), x))
+
+
+class TestClampFree:
+    """A population is clamp-free when value(M0) * prefix_bound + (K+1)/2
+    fits the accumulator; its U is then the sum of its rounded steps."""
+
+    WIDE_FANIN = (fixtures.make_wide_fanin, 0.0, 1.0)
+
+    @pytest.mark.parametrize("k,acc_bits", [(8, 16), (12, 32), (4, 10), (16, 32)])
+    @pytest.mark.parametrize("fixture", sorted(fixtures.FIXTURES) + ["wide-fanin"])
+    def test_quantized_populations_are_clamp_free(self, fixture, k, acc_bits):
+        builder, lo, hi = {**fixtures.FIXTURES, "wide-fanin": self.WIDE_FANIN}[fixture]
+        qnet, _ = _quantized(builder(), lo=lo, hi=hi, k=k, acc_bits=acc_bits)
+        assert all(p.clamp_free for p in compile_network(qnet).populations)
+
+    @pytest.mark.parametrize("bundle,name", [("widefan_bundle", "fc"),
+                                             ("residual_bundle", "conv_b")])
+    def test_unprotected_population_scans(self, bundle, name, request):
+        b = request.getfixturevalue(bundle)
+        snet = compile_network(_unprotected(b.qnet, name))
+        assert [p.name for p in snet.populations if not p.clamp_free] == [name]
+        assert sum(t.saturations for t in run_batch(snet, b.x_int).traces) > 0
+
+    @staticmethod
+    def _extreme_inputs(kind, attrs, in_shape, weights, k) -> tuple[np.ndarray, list]:
+        """Per neuron, the two inputs at the ends of its prefix range (q_max on
+        its positive synapses and -2^(K-1) on its negative ones, and the
+        reverse), int16 [2 * n_out, n_in], and the sums P that each neuron
+        reaches on its own two inputs, [upper ends, lower ends]."""
+        idx, w, n_padded, _ = _build_table(kind, attrs, in_shape, weights)
+        q_max, x_lo = (1 << (k - 1)) - 1, -(1 << (k - 1))
+        rows = np.arange(idx.shape[0])[:, None]
+        ends = []
+        for up, down in ((q_max, x_lo), (x_lo, q_max)):
+            x = np.zeros((idx.shape[0], n_padded), dtype=np.int64)
+            x[rows, idx] = np.where(w > 0, up, np.where(w < 0, down, 0))
+            x[:, -1] = 0                                       # silent slot
+            ends.append(x)
+        sums = [(x[rows, idx] * w).sum(axis=1) for x in ends]
+        x = np.concatenate(ends)[:, :-1].astype(np.int16)
+        return x, sums
+
+    @settings(max_examples=100)
+    @example(layer=((1, 3, 3), "conv2d", {"in_channels": 1, "out_channels": 1, "kernel": [3, 3],
+                                          "stride": 1, "padding": 0},
+                    np.full((1, 1, 3, 3), 100)),
+             k=8, acc_bits=16, bias=[30000], factor=Fraction(9, 8), ulps=0)
+    @example(layer=_SMALL_CONV, k=4, acc_bits=10, bias=[-2000], factor=Fraction(1), ulps=1)
+    @example(layer=_LARGE_CONV, k=16, acc_bits=24, bias=None, factor=Fraction(1), ulps=0)
+    @given(layer=_conv_or_pool(), k=st.integers(2, 16), acc_bits=st.integers(0, 24),
+           bias=st.none() | st.lists(st.integers(-(1 << 15) + 1, (1 << 15) - 1),
+                                     min_size=3, max_size=3),
+           factor=st.sampled_from([Fraction(n, 16) for n in (8, 16, 17, 18, 20, 24, 32)]),
+           ulps=st.integers(-2, 2))
+    def test_scan_never_clamps_at_the_bound(self, layer, k, acc_bits, bias, factor, ulps):
+        """M0 is drawn a few units of its last place around `factor` times the
+        edge of the bound, on either side. On the inputs that reach each
+        neuron's prefix bound, a clamp-free population's scan counts no
+        saturation and its U equals the sum of the rounded steps; every
+        population's integration equals the scan."""
+        in_shape, kind, attrs, weights = layer
+        acc_bits = max(acc_bits, k + 2)
+        qnet = _one_layer_qnet(in_shape, kind, attrs, weights, k=k, acc_bits=acc_bits)
+        lyr = qnet.layers[0]
+        if kind == "conv2d" and bias is not None:
+            lyr.bias = np.resize(np.array(bias, dtype=np.int32), attrs["out_channels"])
+            lyr.bias_scheme, lyr.bias_width = "product", 16
+        x, ends = self._extreme_inputs(kind, attrs, in_shape, lyr.weights, k)
+        b = 0
+        if lyr.bias is not None:
+            b = np.repeat(lyr.bias.astype(np.int64), x.shape[0] // 2 // len(lyr.bias))
+        reach = max(int(np.abs(e).max()) for e in ends + [ends[0] + b, ends[1] + b])
+        hi = (1 << (acc_bits - 1)) - 1
+        if reach:                                  # M0 around the bound's edge
+            edge = (hi - Fraction(k + 1, 2)) / reach * factor
+            shift = 30 - math.floor(math.log2(edge))
+            lyr.m0 = FixedMult(math.floor(edge * (1 << shift)) + ulps, shift)
+        else:
+            lyr.m0 = from_real(1.0)
+        lyr.m1 = from_real(float(lyr.m_hat.value() / lyr.m0.value()))
+        snet = compile_network(qnet)
+        pop = snet.populations[0]
+        bound = prefix_bound(lyr, lyr.weights, lyr.bias, True, k)
+        assert pop.clamp_free == (lyr.m0.value() * bound + Fraction(k + 1, 2) <= hi)
+        if pop.clamp_free:
+            assert lyr.m0.value() * reach + Fraction(k + 1, 2) <= hi
+
+        sums = pop.step_sum([_planes(x, k)], [_wire_phis(snet)[INPUT_NAME]])
+        incs = apply(pop.m0, sums)
+        state = StemState(pop.n_out, acc_bits, batch=x.shape[0])
+        for step in range(k):
+            state.add_raw(incs[:, step])
+        if pop.bias_pre_scaled is not None:
+            state.add_raw(pop.bias_pre_scaled[None, :])
+        if pop.clamp_free:
+            assert state.saturations == 0
+            want = incs.sum(axis=1) + (0 if pop.bias_pre_scaled is None else pop.bias_pre_scaled)
+            assert np.array_equal(state.u, want)
+        v, saturations = _integrate_block(pop, sums, acc_bits)
+        want_v, want_saturations = _scan(pop, sums, acc_bits)
+        assert saturations == want_saturations == state.saturations
+        assert np.array_equal(v, want_v)
+
+
+class TestSumPrecision:
+    @pytest.mark.parametrize("weight_sum,dtype", [((1 << 24) - 1, np.float32),
+                                                  ((1 << 24) + 1, np.float64)],
+                             ids=["2^24-1", "2^24+1"])
+    def test_float32_only_below_2_pow_24(self, weight_sum, dtype):
+        """127 x 132,104 synapses plus one more: a sum|w| of 2^24 - 1
+        compiles to float32 and 2^24 + 1, which float32 rounds to 2^24, to
+        float64; both sum all-ones planes and the signed input's -2^(K-1)
+        exactly."""
+        n = 132105
+        w = np.full((1, n), 127, dtype=np.int64)
+        w[0, -1] = weight_sum - 127 * (n - 1)
+        qnet = _one_layer_qnet((n,), "fully-connected",
+                               {"in_features": n, "out_features": 1}, w)
+        snet = compile_network(qnet)
+        pop, k = snet.populations[0], snet.k
+        assert pop.dense_w.dtype == dtype
+        phi = _wire_phis(snet)[INPUT_NAME]
+        ones = np.ones((2, k, n), dtype=np.uint8)
+        assert np.array_equal(pop.step_sum([ones], [phi]),
+                              np.broadcast_to(weight_sum * phi, (2, k, 1)))
+        x = np.full((1, n), -(1 << (k - 1)), dtype=np.int16)
+        sums = pop.step_sum([_planes(x, k)], [phi])
+        assert sums[0, 0, 0] == -(1 << (k - 1)) * weight_sum
+        assert not sums[0, 1:].any()
+        want, _ = int_forward(qnet, x, mode="hw")
+        assert np.array_equal(run_batch(snet, x).outputs, want)
 
 
 class TestCapacity:
@@ -1004,14 +1267,8 @@ class TestCachedRun:
         assert any(int(cache.values[name].max()) == qnet.q_max for name in hidden)
         for name in hidden:
             setting = LayerSparsity(3, 2)
-            run = cache.rerun(name, setting)
-            want = CachedRun(with_plan(snet, snet.plan.replaced(name, setting)), x)
-            assert run.values.keys() == want.values.keys()
-            for wire, values in want.values.items():
-                assert np.array_equal(run.values[wire], values), wire
-                assert np.array_equal(run.counts[wire], want.counts[wire]), wire
-            assert np.array_equal(run.outputs, want.outputs)
-            assert run.layer_traces == want.layer_traces
+            _assert_same_run(cache.rerun(name, setting), CachedRun(
+                with_plan(snet, snet.plan.replaced(name, setting)), x))
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_input_range_checked(self, k):
@@ -1109,13 +1366,13 @@ class TestPopulationBlocks:
     def _split(self, q, block_bytes, monkeypatch) -> list[int]:
         """Set BLOCK_BYTES ("one-sample", or the default halved until some
         population's last block of N samples is partial); returns the
-        populations' block sizes."""
-        pops = compile_network(q).populations
-        k = q.k
+        populations' block sizes under the identity plan."""
+        snet = compile_network(q, plan=SparsityPlan.identity())
 
         def sizes(b):
             monkeypatch.setattr(netsim, "BLOCK_BYTES", b)
-            return [netsim._block_samples(p, k) for p in pops]
+            return [netsim._block_samples(p, len(netsim._live_steps(snet, p)))
+                    for p in snet.populations]
 
         if block_bytes == "one-sample":
             return sizes(1)
@@ -1170,7 +1427,7 @@ class TestPopulationBlocks:
         original = Population.step_sum
 
         def counting(self, rows, phis):
-            assert rows[0].shape[0] <= netsim._block_samples(self, snet.k)
+            assert rows[0].shape[0] <= netsim._block_samples(self, rows[0].shape[1])
             calls.append(self.name)
             return original(self, rows, phis)
 
