@@ -14,6 +14,6 @@ Everything downstream of quantization is integer-only and deterministic.
 
 __version__ = "0.1.0"
 
-from .fixedpoint import FixedMult, from_real, apply, saturate
+from .fixedpoint import FixedMult, from_real, apply
 
-__all__ = ["FixedMult", "from_real", "apply", "saturate", "__version__"]
+__all__ = ["FixedMult", "from_real", "apply", "__version__"]

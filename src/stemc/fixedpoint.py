@@ -64,9 +64,6 @@ class FixedMult:
     def real(self) -> float:
         return self.mantissa / (1 << self.shift)
 
-    def is_normalized(self) -> bool:
-        return self.mantissa == 0 or NORM_LOW <= abs(self.mantissa) < NORM_HIGH
-
 
 def from_real(r: float) -> FixedMult:
     """Freeze a real constant, |r| < 2^31, with relative error < 2^-30.
@@ -162,19 +159,9 @@ def _apply_wide(m: FixedMult, xi: np.ndarray) -> np.ndarray:
     return res
 
 
-def saturate(x: int, width: int) -> tuple[int, bool]:
-    """Clamp x to the signed `width`-bit range; flag whether clamping fired."""
-    lo = -(1 << (width - 1))
-    hi = (1 << (width - 1)) - 1
-    if x < lo:
-        return lo, True
-    if x > hi:
-        return hi, True
-    return int(x), False
-
-
 def saturate_array(x: np.ndarray, width: int) -> tuple[np.ndarray, int]:
-    """Vectorized saturate: (clamped array, clamp events); x itself if in range."""
+    """Clamp x to the signed `width`-bit range: (clamped array, clamp
+    events), x itself if every value is in range."""
     lo = -(1 << (width - 1))
     hi = (1 << (width - 1)) - 1
     if x.size == 0 or (lo <= int(x.min()) and int(x.max()) <= hi):

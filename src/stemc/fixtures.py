@@ -123,22 +123,6 @@ def make_bias_stress(seed: int = 17) -> FloatModel:
     return m
 
 
-def make_wide_fanin(seed: int = 19, n_in: int = 512, n_out: int = 8) -> FloatModel:
-    """Single layer, every weight at the maximum magnitude: the worst case
-    for per-step accumulation when all inputs spike together."""
-    rng = np.random.default_rng(seed)
-    w = np.full((n_out, n_in), 0.2, dtype=np.float32)
-    m = FloatModel(name="wide-fanin", input_shape=(n_in,), layers=[
-        LayerDesc(name="fc", kind="fully-connected",
-                  attrs={"in_features": n_in, "out_features": n_out},
-                  inputs=["input"], weights=w,
-                  bias=rng.uniform(-0.01, 0.01, size=n_out).astype(np.float32),
-                  activation="none"),
-    ])
-    infer_shapes(m)
-    return m
-
-
 # ---------------------------------------------------------------------------
 # synthetic data
 # ---------------------------------------------------------------------------

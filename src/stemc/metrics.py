@@ -10,9 +10,11 @@ out_channels, so edge pixels under padding cost less. SOP totals are
 input-dependent; multiply-accumulate (MAC) counts of the quantized reference
 are analytic and input-independent.
 
-Energy uses the standard 45nm per-op figures: a 32-bit MAC at 0.23 pJ and an
-accumulate-only op at 0.03 pJ; totals are reported in microjoules. The
-spiking side wins exactly when SOPs < (0.23/0.03) x MACs.
+Energy uses the 45nm per-op figures of Horowitz, "Computing's energy problem"
+(ISSCC 2014): a MAC costs 0.23 pJ, an 8-bit multiply (0.2 pJ) plus an 8-bit
+add (0.03 pJ), and an accumulate-only op 0.03 pJ, an 8-bit add. Totals are
+reported in microjoules. The spiking side wins exactly when
+SOPs < (0.23/0.03) x MACs.
 """
 
 from __future__ import annotations

@@ -55,16 +55,8 @@ class ModelFormatError(ValueError):
     """Malformed manifest, blob, or dataset file."""
 
 
-@dataclass
-class TensorBlob:
-    """A raw tensor: dtype + shape + the array itself."""
-
-    dtype: str
-    shape: tuple[int, ...]
-    data: np.ndarray
-
-
-def read_blob(path: Path, dtype: str, shape: tuple[int, ...]) -> TensorBlob:
+def read_blob(path: Path, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The `dtype` array of `shape` in the headerless blob at `path`."""
     if not path.exists():
         raise ModelFormatError(f"referenced blob does not exist: {path}")
     raw = path.read_bytes()
@@ -75,8 +67,7 @@ def read_blob(path: Path, dtype: str, shape: tuple[int, ...]) -> TensorBlob:
             f"blob {path.name}: {len(raw)} bytes, expected {expected} "
             f"for shape {tuple(shape)} of {dtype}"
         )
-    data = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
-    return TensorBlob(dtype, tuple(shape), data)
+    return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
 
 
 def write_blob(path: Path, array: np.ndarray, dtype: str) -> None:
@@ -141,6 +132,16 @@ def pool_out_hw(h: int, w: int, attrs: dict) -> tuple[int, int]:
     kh, kw = attrs["kernel"]
     s = int(attrs.get("stride", kh))
     return (h - kh) // s + 1, (w - kw) // s + 1
+
+
+def check_batch(x, input_shape: tuple[int, ...]) -> np.ndarray:
+    """`x` as an array, which must be a batch [N, *input_shape]; a ValueError
+    names the expected shape otherwise."""
+    x = np.asarray(x)
+    if x.shape[1:] != tuple(input_shape):
+        dims = ", ".join(str(d) for d in input_shape)
+        raise ValueError(f"input shape {x.shape} is not a batch of shape (N, {dims})")
+    return x
 
 
 def infer_shapes(model: FloatModel) -> None:
@@ -370,7 +371,7 @@ def _read_manifest(path: str | Path, fmt: _Format, net_cls: type[FloatModel],
             if wshape is None:
                 raise ModelFormatError(f"layer {name!r}: kind {kind!r} takes no {what}")
             shape = wshape if what == "weights" else wshape[:1]
-            blobs.append(read_blob(path.parent / fname, dtype, shape).data)
+            blobs.append(read_blob(path.parent / fname, dtype, shape))
         layers.append(layer_cls(
             name=name, kind=kind, attrs=attrs, inputs=list(inputs),
             weights=blobs[0], bias=blobs[1],

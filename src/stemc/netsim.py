@@ -46,8 +46,9 @@ sums, plus a product-scheme bias, over every input its wires can carry) plus
 (K+1)/2 fits the n-bit accumulator, checked exactly from the manifest's own
 constants. The quantizer picks M0 so that this holds, and then no running
 sum of U can reach the clamp, so U is the sum of the rounded steps. Any
-other population (an M0 from elsewhere) takes the step-by-step
-``StemState.add_raw`` saturating scan, which counts every clamp.
+other population (an M0 from elsewhere) takes the step-by-step saturating
+scan (``fixedpoint.saturate_array`` after each add), which counts every
+clamp.
 
 The population step. Every run hands each population's samples to one step,
 ``_population_step``, which works through them in sample blocks: each sample
@@ -86,11 +87,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .fixedpoint import FixedMult, apply
-from .modelio import INPUT_NAME, conv_out_hw, pool_out_hw
+from .fixedpoint import FixedMult, apply, saturate_array
+from .modelio import INPUT_NAME, check_batch, conv_out_hw, pool_out_hw
 from .quantizer import prefix_bound
 from .sparsity import LayerSparsity, SparsityPlan, drlo, rot
-from .stem import StemState, WireSchedule, check_encodable, encode_planes
+from .stem import WireSchedule, check_encodable
 from . import metrics
 
 # Spike planes are 0/1, so every partial synaptic sum is an integer no larger
@@ -150,7 +151,6 @@ class Population:
     kind: str
     inputs: list[str]               # producer names, flatten resolved away
     in_shapes: list[tuple[int, ...]]
-    out_shape: tuple[int, ...]
     n_out: int
     fanin: int                      # real synapses of the busiest neuron
     fanouts: list[np.ndarray]       # per branch: synapses per input neuron,
@@ -391,7 +391,7 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
         is_output = lyr is last
         pops.append(Population(
             name=lyr.name, kind=lyr.kind, inputs=sources,
-            in_shapes=in_shapes, out_shape=lyr.out_shape, n_out=n_out,
+            in_shapes=in_shapes, n_out=n_out,
             fanin=fanin, fanouts=fanouts,
             form=form, dense_w=dense_w, gather_idx=gather_idx, conv_w=conv_w,
             m0=lyr.m0, m1=lyr.m1,
@@ -450,17 +450,6 @@ def check_capacity(snet: SpikingNetwork, profile: HardwareProfile) -> list[str]:
 # batch driver
 # ---------------------------------------------------------------------------
 
-def _as_batch(x: np.ndarray, input_shape) -> np.ndarray:
-    """A sample or batch as a batch [N, *input_shape], in the dtype it came in
-    (each window is widened where it is encoded)."""
-    x = np.asarray(x)
-    if x.shape == tuple(input_shape):
-        return x[None, ...]
-    if x.shape[1:] != tuple(input_shape):
-        raise ValueError(f"input shape {x.shape} does not match {input_shape}")
-    return x
-
-
 def _wire_phis(snet: SpikingNetwork) -> dict[str, np.ndarray]:
     """Per producer, the K per-step decode weights of its train as [K, 1]."""
     signed = {INPUT_NAME: True} | {p.name: p.is_output for p in snet.populations}
@@ -501,19 +490,25 @@ def _integrate_block(pop: Population, sums: np.ndarray, acc_bits: int
     rescale; returns (clamped V, saturation count). The M0 rounding is
     elementwise, so it runs once on the whole block. A ``clamp_free``
     population's U is the sum of the rounded steps, since no running sum can
-    reach the clamp; any other takes the step-by-step saturating scan."""
+    reach the clamp; any other takes the step-by-step saturating scan. A
+    product-scheme bias is a saturating add to U, an output-scheme bias is
+    added after M1, and V is clamped to [v_min, v_max]."""
     incs = apply(pop.m0, sums)
-    state = StemState(pop.n_out, acc_bits, batch=sums.shape[0])
+    saturations = 0
     if pop.clamp_free:
-        state.u = incs.sum(axis=1)
+        u = incs.sum(axis=1)
     else:
+        u = np.zeros((sums.shape[0], pop.n_out), dtype=np.int64)
         for step in range(incs.shape[1]):
-            state.add_raw(incs[:, step])
+            u, events = saturate_array(u + incs[:, step], acc_bits)
+            saturations += events
     if pop.bias_pre_scaled is not None:
-        state.add_raw(pop.bias_pre_scaled[None, :])
-    v = state.finalize(pop.m1, 0 if pop.bias_post is None else pop.bias_post,
-                       pop.v_min, pop.v_max)
-    return v, state.saturations
+        u, events = saturate_array(u + pop.bias_pre_scaled, acc_bits)
+        saturations += events
+    v = apply(pop.m1, u)
+    if pop.bias_post is not None:
+        v = v + pop.bias_post
+    return np.clip(v, pop.v_min, pop.v_max), saturations
 
 
 def _block_samples(pop: Population, steps: int) -> int:
@@ -582,11 +577,11 @@ def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
     result, since a sample's integers do not depend on which samples share
     it; only one window's run is held at a time, so host memory is bounded by
     PIPELINE_WINDOW samples of every wire's values plus one step's
-    BLOCK_BYTES. With `record_trains` every train is also kept whole, encoded
-    from each window's values.
+    BLOCK_BYTES. With `record_trains` every train is also kept whole, as
+    uint8 [N, n, K], from each window's step planes.
     """
     k = snet.k
-    xb = _as_batch(x_int, snet.input_shape)
+    xb = check_batch(x_int, snet.input_shape)
     n = xb.shape[0]
     counts = {INPUT_NAME: np.zeros(math.prod(snet.input_shape), dtype=np.int64)}
     counts |= {p.name: np.zeros(p.n_out, dtype=np.int64) for p in snet.populations}
@@ -600,7 +595,7 @@ def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
         for name, c in run.counts.items():
             counts[name] += c
             if kept is not None:
-                kept[name][lo:hi] = encode_planes(run.values[name], k, signed=True)
+                kept[name][lo:hi] = _planes(run.values[name], k).transpose(0, 2, 1)
         for name, sat in run.saturations.items():
             saturations[name] += sat
         outputs[lo:hi] = run.outputs
@@ -624,8 +619,7 @@ class CachedRun:
     ``layer_traces`` derives the traces from the counts with the ``_trace`` of
     ``run_batch``. ``rerun`` re-emits one population under another sparsity
     setting and re-runs only the populations downstream of it; every other
-    value, count and saturation is read from this cache. ``adopt`` makes such
-    a rerun the cached state.
+    value, count and saturation is read from this cache.
     """
 
     def __init__(self, snet: SpikingNetwork, x_int: np.ndarray):
@@ -634,7 +628,7 @@ class CachedRun:
         self.values: dict[str, np.ndarray] = {}
         self.counts: dict[str, np.ndarray] = {}
         self.saturations: dict[str, int] = {}
-        x = _as_batch(x_int, snet.input_shape)
+        x = check_batch(x_int, snet.input_shape)
         check_encodable(x, snet.k, signed=True)
         self._store(INPUT_NAME, x.reshape(x.shape[0], -1).astype(np.int16))
         for pop in snet.populations:
@@ -690,11 +684,6 @@ class CachedRun:
                 child._run(q)
                 changed.add(q.name)
         return child
-
-    def adopt(self, child: "CachedRun") -> None:
-        """Make `child`, a ``rerun`` of this run, the cached state."""
-        self.snet, self.values, self.counts, self.saturations = (
-            child.snet, child.values, child.counts, child.saturations)
 
 
 # ---------------------------------------------------------------------------

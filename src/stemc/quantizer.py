@@ -14,11 +14,11 @@ fixed-point constants:
   the activation domain. value(m0) * value(m1) tracks value(m_hat) to better
   than 2^-29 relative.
 
-Biases are stored under one of two schemes, decided per layer by an overflow
-check at `bias_check_width` bits: "product" keeps the bias at S_w*S_in scale
-and injects it into the accumulator before rescaling; "output" requantizes it
-to S_out at max(8, K) bits and adds it after m1 (the fallback for biases too
-large for the product scale).
+Biases are stored as int32 under one of two schemes, decided per layer by an
+overflow check at `bias_check_width` bits (2 to 32): "product" keeps the
+bias at S_w*S_in scale and injects it into the accumulator before
+rescaling; "output" requantizes it to S_out at max(8, K) bits and adds it
+after m1 (the fallback for biases too large for the product scale).
 
 I_max bounds every running prefix of a neuron's per-step weighted sums over
 every value the input wires can carry: [0, q_max] on hidden wires,
@@ -75,6 +75,12 @@ def quantize_tensor(t: np.ndarray, params: QuantParams) -> tuple[np.ndarray, int
     return q.astype(np.int64), clamped
 
 
+def _check_bias_width(what: str, width) -> None:
+    """A bias width must lie in [2, 32]: the bias blob stores int32."""
+    if not 2 <= width <= 32:
+        raise ValueError(f"{what} {width!r} outside [2, 32]: biases are stored as int32")
+
+
 # ---------------------------------------------------------------------------
 # quantized network containers
 # ---------------------------------------------------------------------------
@@ -118,6 +124,7 @@ class QuantizedNetwork(FloatModel):
             raise ValueError(f"train length K={self.k} outside [2, 16]")
         if self.acc_bits < self.k:
             raise ValueError(f"accumulator width {self.acc_bits} < K={self.k}")
+        _check_bias_width("bias check width", self.bias_check_width)
         super().validate()   # topology, shapes, activation tagging
         scale_of = {INPUT_NAME: self.input_scale}
         for lyr in self.layers:
@@ -144,6 +151,7 @@ class QuantizedNetwork(FloatModel):
                 if lyr.bias_scheme not in ("product", "output") or lyr.bias_width is None:
                     raise ValueError(f"layer {lyr.name!r}: bias scheme {lyr.bias_scheme!r}"
                                      f" or width {lyr.bias_width!r} is not valid")
+                _check_bias_width(f"layer {lyr.name!r}: bias width", lyr.bias_width)
                 limit = (1 << (lyr.bias_width - 1)) - 1
                 if int(np.abs(lyr.bias).max()) > limit:
                     raise ValueError(
@@ -228,16 +236,14 @@ def calibrate_bias(bias: np.ndarray | None, scale_w: float, scale_in: float,
     return "output" if int(np.abs(q).max()) > limit else "product"
 
 
-def calibrate(model: FloatModel, data) -> RangeStats:
-    """One float pass: per-tensor min/max of the post-activation values.
+def calibrate(model: FloatModel, inputs: np.ndarray) -> RangeStats:
+    """One float pass over a batch [N, *input_shape]: per-tensor min/max of
+    the post-activation values.
 
     Both branches of a residual join are unified onto one range, so they
     share an output scale.
     """
-    inputs = getattr(data, "inputs", data)
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.shape == tuple(model.input_shape):
-        inputs = inputs[None, ...]
     _, ranges = refengine.float_forward(model, inputs)
     return RangeStats((float(inputs.min()), float(inputs.max())),
                       _unify_residual_ranges(model, ranges), inputs.shape[0])
@@ -308,6 +314,7 @@ def build_quantized_network(model: FloatModel, stats: RangeStats, k: int = 8,
         raise ValueError(f"train length K={k} outside [2, 16]")
     if acc_bits < k:
         raise ValueError(f"accumulator width {acc_bits} < K={k}")
+    _check_bias_width("bias check width", bias_check_width)
     infer_shapes(model)
     q_max = (1 << (k - 1)) - 1
     hi_acc = (1 << (acc_bits - 1)) - 1

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fixedpoint import apply, saturate_array
-from .modelio import INPUT_NAME, conv_out_hw, pool_out_hw
+from .modelio import INPUT_NAME, check_batch, conv_out_hw, pool_out_hw
 from .stem import WireSchedule, encode_planes
 
 # A convolution's float64 partial sums are integers of magnitude at most
@@ -63,15 +63,6 @@ class LayerActivation:
 @dataclass
 class ActivationRecord:
     layers: dict[str, LayerActivation] = field(default_factory=dict)
-
-
-def _ensure_batch(x: np.ndarray, input_shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x)
-    if x.shape == tuple(input_shape):
-        return x[None, ...], True
-    if x.shape[1:] == tuple(input_shape):
-        return x, False
-    raise ValueError(f"input shape {x.shape} does not match model input {input_shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +138,17 @@ def _linear(kind: str, attrs: dict, weights: np.ndarray | None,
 # ---------------------------------------------------------------------------
 
 def float_forward(model, x: np.ndarray) -> tuple[np.ndarray, dict[str, tuple[float, float]]]:
-    """Float64 forward pass. Hidden fc/conv layers apply bias then ReLU.
+    """Float64 forward pass of a batch x [N, *input_shape]. Hidden fc/conv
+    layers apply bias then ReLU.
 
-    Returns (outputs, ranges): ranges[layer] is the (min, max) of that layer's
-    post-activation over the batch. Only live tensors are kept: each one is
-    dropped once its last reader has run. The pool division, bias add and
-    ReLU work in place on the array the layer's own ``_linear`` call
+    Returns (outputs [N, n_out], ranges): ranges[layer] is the (min, max) of
+    that layer's post-activation over the batch. Only live tensors are kept:
+    each one is dropped once its last reader has run. The pool division, bias
+    add and ReLU work in place on the array the layer's own ``_linear`` call
     allocated; flatten returns a view of its input, so it is never written.
     x itself is never written; it is copied only if it is not float64.
     """
-    xb, single = _ensure_batch(x, model.input_shape)
-    tensors = {INPUT_NAME: np.asarray(xb, dtype=np.float64)}
+    tensors = {INPUT_NAME: np.asarray(check_batch(x, model.input_shape), dtype=np.float64)}
     last_read = {src: i for i, lyr in enumerate(model.layers) for src in lyr.inputs}
     ranges = {}
     for i, lyr in enumerate(model.layers):
@@ -176,8 +167,7 @@ def float_forward(model, x: np.ndarray) -> tuple[np.ndarray, dict[str, tuple[flo
             if last_read[src] == i:
                 tensors.pop(src, None)    # a join may read one tensor twice
         tensors[lyr.name] = y
-    out2 = y.reshape(y.shape[0], -1)
-    return (out2[0] if single else out2), ranges
+    return y.reshape(y.shape[0], -1), ranges
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +192,7 @@ def int_forward(qnet, x_int: np.ndarray,
 
     Args:
         qnet: QuantizedNetwork (constants already frozen).
-        x_int: quantized input, shape == input_shape or [N, *input_shape].
+        x_int: quantized input batch [N, *input_shape].
         mode: "direct", "wide" or "hw" (see module docstring).
 
     Returns:
@@ -210,8 +200,7 @@ def int_forward(qnet, x_int: np.ndarray,
     """
     if mode not in INT_MODES:
         raise ValueError(f"mode must be one of {INT_MODES}")
-    xb, single = _ensure_batch(x_int, qnet.input_shape)
-    xb = xb.astype(np.int64)
+    xb = check_batch(x_int, qnet.input_shape).astype(np.int64)
     k = qnet.k
     q_max = (1 << (k - 1)) - 1
     signed = signedness(qnet)
@@ -265,7 +254,7 @@ def int_forward(qnet, x_int: np.ndarray,
         record.layers[lyr.name] = LayerActivation(pre_rec, post2, sat)
         tensors[lyr.name] = post
         out = post2
-    return (out[0] if single else out), record
+    return out, record
 
 
 def _w64(lyr) -> np.ndarray | None:

@@ -96,9 +96,6 @@ class SparsityPlan:
     def for_layer(self, name: str) -> LayerSparsity:
         return self.entries.get(name, LayerSparsity())
 
-    def is_identity(self) -> bool:
-        return all(s.is_identity() for s in self.entries.values())
-
     def replaced(self, name: str, setting: LayerSparsity) -> "SparsityPlan":
         new = dict(self.entries)
         new[name] = setting
@@ -132,7 +129,7 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
         inputs_int: quantized calibration inputs [N, *input_shape].
         labels: int class labels [N].
         accuracy_budget: max tolerated accuracy drop vs the unsparsified run
-            (fraction of samples, e.g. 0.015).
+            (fraction of samples in [0, 1], e.g. 0.015).
         include_io: count first/last layer synaptic ops as well.
 
     The network runs once in full, into a ``netsim.CachedRun`` of the
@@ -147,6 +144,8 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
     on the calibration inputs and falls back to identity per layer when every
     candidate overshoots.
     """
+    if not 0.0 <= accuracy_budget <= 1.0:          # also rejects nan
+        raise ValueError(f"accuracy budget {accuracy_budget!r} is not a fraction in [0, 1]")
     from . import netsim   # local import: netsim depends on this module
     from .metrics import sop_total
 
@@ -183,7 +182,7 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
         if best is not None:
             _, setting, run, sops, acc = best
             if run is not None:
-                cache.adopt(run)
+                cache = run
             cur_sops, cur_acc = sops, acc
             steps.append(TuneStep(name, setting, sops, acc))
     plan = cache.snet.plan

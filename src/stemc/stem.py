@@ -1,4 +1,4 @@
-"""Bit-serial spiking neuron model: wire format, scaled integration.
+"""Bit-serial wire format: the per-step decode weights of a train and its bits.
 
 A value is transmitted over K time steps as a binary spike train carrying its
 two's-complement bits most-significant-first: the bit at position p is on the
@@ -14,9 +14,9 @@ integrator is rescheduled into the output value domain by M1, the bias is
 added, and the clamped result V is emitted as a fresh train: at step t the
 neuron fires iff V >= 2^(K-1-t), subtracting the threshold when it does.
 This greedy emission gives exactly the binary digits of V for any V in
-[0, 2^(K-1)-1], so a train is the integer it carries: the simulator keeps
-that integer and takes its bits (``encode_planes``) only where a train is
-read or dumped.
+[0, 2^(K-1)-1], so a train is the integer it carries, and
+``encode_planes`` gives its bits. The integration is ``netsim``'s, and
+independently ``refengine``'s.
 
 Negative values (final-layer logits) are emitted as signed two's-complement
 trains directly; threshold emission is only defined for V >= 0.
@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fixedpoint import FixedMult, apply, saturate_array
 
 
 @dataclass(frozen=True)
@@ -53,16 +51,6 @@ class WireSchedule:
         return np.array([self.weight(t) for t in range(self.steps)], dtype=np.int64)
 
 
-def encode_integer(q: int, k: int, signed: bool) -> np.ndarray:
-    """Two's-complement spike train of q, MSB first. Returns uint8[k]."""
-    lo = -(1 << (k - 1)) if signed else 0
-    hi = (1 << (k - 1)) - 1
-    if not lo <= q <= hi:
-        raise ValueError(f"value {q} outside encodable range [{lo}, {hi}]")
-    u = q & ((1 << k) - 1)
-    return np.array([(u >> (k - 1 - t)) & 1 for t in range(k)], dtype=np.uint8)
-
-
 def check_encodable(values: np.ndarray, k: int, signed: bool) -> None:
     """Raise ValueError unless every value fits a K-step wire."""
     lo = -(1 << (k - 1)) if signed else 0
@@ -72,39 +60,10 @@ def check_encodable(values: np.ndarray, k: int, signed: bool) -> None:
 
 
 def encode_planes(values: np.ndarray, k: int, signed: bool) -> np.ndarray:
-    """Vectorized encode: the k low bits of each value's two's complement, most
-    significant first, as uint8 values.shape + (k,), from the bytes of
-    u << (16 - k) as big-endian uint16."""
+    """The trains of `values`: the k low bits of each value's two's
+    complement, most significant first, as uint8 values.shape + (k,), from
+    the bytes of u << (16 - k) as big-endian uint16."""
     v = np.asarray(values, dtype=np.int64)
     check_encodable(v, k, signed)
     words = ((v & ((1 << k) - 1))[..., None] << (16 - k)).astype(">u2").view(np.uint8)
     return np.unpackbits(words, axis=-1, count=k)
-
-
-class StemState:
-    """Saturating accumulator bank for one population (batched over samples).
-
-    The integrator is an ``acc_bits``-wide signed integer per neuron; every
-    clamp is counted as a saturation event.
-    """
-
-    def __init__(self, n_neurons: int, acc_bits: int, batch: int = 1):
-        self.acc_bits = acc_bits
-        self.u = np.zeros((batch, n_neurons), dtype=np.int64)
-        self.saturations = 0
-
-    def add_raw(self, addend: np.ndarray) -> None:
-        """Saturating add of a precomputed integer (M0-rounded step sum or bias)."""
-        self.u, events = saturate_array(self.u + addend, self.acc_bits)
-        self.saturations += events
-
-    def finalize(
-        self,
-        m1: FixedMult,
-        bias_post: np.ndarray | int,
-        v_min: int,
-        v_max: int,
-    ) -> np.ndarray:
-        """V = clamp(round(M1 * U) + bias, v_min, v_max)."""
-        v = apply(m1, self.u) + bias_post
-        return np.clip(v, v_min, v_max)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from stemc import fixtures as fx
+from stemc.modelio import FloatModel, LayerDesc, infer_shapes
 from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
 
 settings.register_profile(
@@ -12,6 +13,33 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def encode_integer(q: int, k: int, signed: bool) -> np.ndarray:
+    """Scalar reference for ``stem.encode_planes``: the two's-complement
+    spike train of q, MSB first, one bit at a time. Returns uint8[k]."""
+    lo = -(1 << (k - 1)) if signed else 0
+    hi = (1 << (k - 1)) - 1
+    if not lo <= q <= hi:
+        raise ValueError(f"value {q} outside encodable range [{lo}, {hi}]")
+    u = q & ((1 << k) - 1)
+    return np.array([(u >> (k - 1 - t)) & 1 for t in range(k)], dtype=np.uint8)
+
+
+def make_wide_fanin(seed: int = 19, n_in: int = 512, n_out: int = 8) -> FloatModel:
+    """Single layer, every weight at the maximum magnitude: the worst case
+    for per-step accumulation when all inputs spike together."""
+    rng = np.random.default_rng(seed)
+    w = np.full((n_out, n_in), 0.2, dtype=np.float32)
+    m = FloatModel(name="wide-fanin", input_shape=(n_in,), layers=[
+        LayerDesc(name="fc", kind="fully-connected",
+                  attrs={"in_features": n_in, "out_features": n_out},
+                  inputs=["input"], weights=w,
+                  bias=rng.uniform(-0.01, 0.01, size=n_out).astype(np.float32),
+                  activation="none"),
+    ])
+    infer_shapes(m)
+    return m
 
 
 class Bundle:
@@ -62,7 +90,7 @@ def deep_mlp_bundle():
 @pytest.fixture(scope="session")
 def widefan_bundle():
     # worst-case per-step accumulation: all weights at max magnitude
-    return _bundle(fx.make_wide_fanin, 0.0, 1.0, 40, 45)
+    return _bundle(make_wide_fanin, 0.0, 1.0, 40, 45)
 
 
 @pytest.fixture

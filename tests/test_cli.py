@@ -323,6 +323,27 @@ class TestErrors:
             cli.main(["tune-sparsity", str(tree / "mlp.q.json"),
                       str(tree / "fx" / "mlp" / "eval.ds")])
 
+    @pytest.mark.parametrize("budget", ["-0.5", "nan", "1.5"])
+    def test_budget_outside_0_1_exits_2(self, tree, capsys, budget):
+        out = tree / f"tuned-{budget}.q.json"
+        rc = cli.main(["tune-sparsity", str(tree / "mlp.q.json"),
+                       str(tree / "fx" / "mlp" / "eval.ds"), "--budget", budget,
+                       "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: accuracy budget {float(budget)!r} is not a fraction in [0, 1]\n")
+        assert not out.exists()
+
+    def test_bias_bits_beyond_int32_exits_2(self, tree, capsys):
+        d = tree / "fx" / "mlp"
+        out = tree / "bias33.q.json"
+        rc = cli.main(["quantize", str(d / "model.json"), str(d / "calib.ds"),
+                       "--bias-bits", "33", "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: bias check width 33 outside [2, 32]: biases are stored as int32\n")
+        assert not out.exists()
+
 
 class TestLogging:
     def test_only_the_documented_records(self, tree, caplog):

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import make_wide_fanin
 from stemc import cli, fixtures, metrics, netsim
-from stemc.fixedpoint import FixedMult, apply, from_real
+from stemc.fixedpoint import FixedMult, apply, from_real, saturate_array
 from stemc.modelio import (INPUT_NAME, FloatModel, LayerDesc, infer_shapes, pool_out_hw,
                            save_dataset, save_quantized_model)
 from stemc.netsim import (
@@ -18,7 +20,6 @@ from stemc.netsim import (
     PipelineResult,
     PipelineTiming,
     Population,
-    _as_batch,
     _conv_table,
     _integrate_block,
     _live_steps,
@@ -34,9 +35,9 @@ from stemc.netsim import (
     with_plan,
 )
 from stemc.quantizer import build_quantized_network, calibrate, prefix_bound, quantize_tensor
-from stemc.refengine import int_forward
+from stemc.refengine import float_forward, int_forward
 from stemc.sparsity import LayerSparsity, SparsityPlan, drlo, rot, tune_hybrid
-from stemc.stem import StemState, WireSchedule, encode_planes
+from stemc.stem import WireSchedule, encode_planes
 
 
 def _quantized(model, n=24, seed=5, lo=0.0, hi=1.0, **kw):
@@ -75,10 +76,21 @@ class TestOracleEquivalence:
             spikes = encode_planes(values, k, True).sum(axis=(0, 2))
             assert np.array_equal(run.counts[name], spikes), name
 
-    def test_unbatched_sample(self, mlp_bundle):
-        snet = compile_network(mlp_bundle.qnet)
-        res = run_batch(snet, mlp_bundle.x_int[0])
-        assert res.outputs.shape == (1, 10)
+    @pytest.mark.parametrize("entry", ["run_batch", "CachedRun", "int_forward",
+                                       "float_forward", "calibrate"])
+    def test_unbatched_sample_rejected(self, mlp_bundle, entry):
+        """Every entry point takes a batch [N, *input_shape] only, and names
+        that shape when it is handed one sample."""
+        b = mlp_bundle
+        call = {
+            "run_batch": lambda: run_batch(compile_network(b.qnet), b.x_int[0]),
+            "CachedRun": lambda: CachedRun(compile_network(b.qnet), b.x_int[0]),
+            "int_forward": lambda: int_forward(b.qnet, b.x_int[0]),
+            "float_forward": lambda: float_forward(b.model, b.ds.inputs[0]),
+            "calibrate": lambda: calibrate(b.model, b.ds.inputs[0]),
+        }[entry]
+        with pytest.raises(ValueError, match=re.escape("batch of shape (N, 36)")):
+            call()
 
     def test_wrong_shape_rejected(self, mlp_bundle):
         snet = compile_network(mlp_bundle.qnet)
@@ -463,18 +475,27 @@ class TestKPlaneKernel:
 # accumulator cannot clamp, and the reference does neither.
 
 
-def _scan(pop, sums, acc_bits) -> tuple[np.ndarray, int]:
-    """(V, saturations) of step sums [N, steps, n_out] integrated one step
+def _scan_u(pop, sums, acc_bits) -> tuple[np.ndarray, int]:
+    """(U, saturations) of step sums [N, steps, n_out] integrated one step
     at a time in the saturating accumulator, whether or not pop is
-    clamp-free."""
-    state = StemState(pop.n_out, acc_bits, batch=sums.shape[0])
-    for step in range(sums.shape[1]):
-        state.add_raw(apply(pop.m0, sums[:, step]))
+    clamp-free, then a product-scheme bias added the same way."""
+    u = np.zeros((sums.shape[0], pop.n_out), dtype=np.int64)
+    saturations = 0
+    adds = [apply(pop.m0, sums[:, step]) for step in range(sums.shape[1])]
     if pop.bias_pre_scaled is not None:
-        state.add_raw(pop.bias_pre_scaled[None, :])
-    v = state.finalize(pop.m1, 0 if pop.bias_post is None else pop.bias_post,
-                       pop.v_min, pop.v_max)
-    return v, state.saturations
+        adds.append(pop.bias_pre_scaled[None, :])
+    for add in adds:
+        u, events = saturate_array(u + add, acc_bits)
+        saturations += events
+    return u, saturations
+
+
+def _scan(pop, sums, acc_bits) -> tuple[np.ndarray, int]:
+    """(V, saturations): ``_scan_u``'s U rescaled by M1, an output-scheme
+    bias added and the result clamped to [v_min, v_max]."""
+    u, saturations = _scan_u(pop, sums, acc_bits)
+    v = apply(pop.m1, u) + (0 if pop.bias_post is None else pop.bias_post)
+    return np.clip(v, pop.v_min, pop.v_max), saturations
 
 
 def run_pipeline_per_block(snet, x_int, wires=None) -> PipelineResult:
@@ -492,8 +513,7 @@ def run_pipeline_per_block(snet, x_int, wires=None) -> PipelineResult:
     it as a pair under its name.
     """
     k = snet.k
-    xb = _as_batch(x_int, snet.input_shape)
-    xb = xb.reshape(xb.shape[0], -1)
+    xb = np.asarray(x_int).reshape(len(x_int), -1)
     n_samples = xb.shape[0]
     n_stages = snet.n_stages
     input_values = xb.astype(np.int16)
@@ -752,7 +772,7 @@ class TestSaturationParity:
         # one M0 rounding of the whole [N, K, n_out] block, then the
         # saturating scan, against integrating step by step
         snet = compile_network(_unprotected(widefan_bundle.qnet, "fc"))
-        pop, x = snet.populations[0], _as_batch(widefan_bundle.x_int, snet.input_shape)
+        pop, x = snet.populations[0], widefan_bundle.x_int
         assert not pop.clamp_free
         sums = pop.step_sum([_planes(x.astype(np.int16), snet.k)],
                             [_wire_phis(snet)[INPUT_NAME]])
@@ -765,6 +785,72 @@ class TestSaturationParity:
         snet = compile_network(widefan_bundle.qnet)
         got = run_batch(snet, widefan_bundle.x_int)
         assert sum(t.saturations for t in got.traces) == 0
+
+
+def _neuron(m0=1.0, m1=1.0, bias_pre=None, bias_post=None, clamp_free=False,
+            v_min=0) -> Population:
+    """A hand-built one-neuron population with one synapse of weight 3."""
+    return Population(
+        name="n", kind="fully-connected", inputs=[INPUT_NAME], in_shapes=[(1,)], n_out=1,
+        fanin=1, fanouts=[np.ones(1, dtype=np.int64)], form="dense",
+        dense_w=np.array([[3.0]], dtype=np.float32), gather_idx=None, conv_w=None,
+        m0=from_real(m0), m1=from_real(m1),
+        bias_pre_scaled=None if bias_pre is None else np.array([bias_pre]),
+        bias_post=None if bias_post is None else np.array([bias_post]),
+        clamp_free=clamp_free, v_min=v_min, v_max=127, stage=1, is_output=False)
+
+
+def _steps(*values) -> np.ndarray:
+    """One sample's step sums [1, steps, 1]."""
+    return np.array(values, dtype=np.int64).reshape(1, -1, 1)
+
+
+def _integrated(pop, sums, acc_bits) -> tuple[list, int]:
+    """``_integrate_block``'s (V as a list, saturation count)."""
+    v, saturations = _integrate_block(pop, sums, acc_bits)
+    return v.tolist(), saturations
+
+
+class TestIntegrateBlock:
+    """Worked values of one neuron's U and V through ``_integrate_block``,
+    on the saturating scan and, where nothing clamps, on the plain sum."""
+
+    def test_accumulate_single_synapse(self):
+        # the weight-3 synapse spiking at the phi=4 step (step 5 of K=8) adds 12
+        pop = _neuron()
+        phi = WireSchedule(8, signed=False).weights()[5:6, None]
+        sums = pop.step_sum([np.ones((1, 1, 1), dtype=np.uint8)], [phi])
+        assert sums.tolist() == [[[12]]]
+        assert _integrated(pop, sums, 16) == ([[12]], 0)
+
+    @pytest.mark.parametrize("clamp_free", [False, True])
+    def test_finalize_worked_value(self, clamp_free):
+        # M1 = 2 on U = 41, plus an output-scheme bias of 1
+        pop = _neuron(m1=2.0, bias_post=1, clamp_free=clamp_free)
+        assert _integrated(pop, _steps(41), 16) == ([[83]], 0)
+
+    def test_finalize_clamps(self):
+        sums = np.concatenate([_steps(300), _steps(-5)])
+        assert _integrated(_neuron(), sums, 16) == ([[127], [0]], 0)
+
+    def test_integrate_saturates_and_counts(self):
+        # an 8-bit U: 100 + 100 clamps at 127, then 127 - 300 at -128
+        pop = _neuron(v_min=-127)
+        assert _integrated(pop, _steps(100, 100), 8) == ([[127]], 1)
+        assert _integrated(pop, _steps(100, 100, -300), 8) == ([[-127]], 2)
+
+    @pytest.mark.parametrize("clamp_free", [False, True])
+    def test_bias_add_saturates(self, clamp_free):
+        # a product-scheme bias is a saturating add on either path
+        pop = _neuron(bias_pre=50, clamp_free=clamp_free)
+        assert _integrated(pop, _steps(120), 8) == ([[127]], 1)
+
+    @pytest.mark.parametrize("clamp_free", [False, True])
+    def test_scaled_integration(self, clamp_free):
+        # U accumulates round(M0 * I_t) per step: round(3.5) = 4, round(-3.5) = -4
+        pop = _neuron(m0=0.5, clamp_free=clamp_free, v_min=-127)
+        assert _integrated(pop, _steps(7, -7), 16) == ([[0]], 0)
+        assert _integrated(pop, _steps(7), 16) == ([[4]], 0)
 
 
 @pytest.fixture(scope="session")
@@ -882,7 +968,7 @@ class TestClampFree:
     """A population is clamp-free when value(M0) * prefix_bound + (K+1)/2
     fits the accumulator; its U is then the sum of its rounded steps."""
 
-    WIDE_FANIN = (fixtures.make_wide_fanin, 0.0, 1.0)
+    WIDE_FANIN = (make_wide_fanin, 0.0, 1.0)
 
     @pytest.mark.parametrize("k,acc_bits", [(8, 16), (12, 32), (4, 10), (16, 32)])
     @pytest.mark.parametrize("fixture", sorted(fixtures.FIXTURES) + ["wide-fanin"])
@@ -964,19 +1050,15 @@ class TestClampFree:
             assert lyr.m0.value() * reach + Fraction(k + 1, 2) <= hi
 
         sums = pop.step_sum([_planes(x, k)], [_wire_phis(snet)[INPUT_NAME]])
-        incs = apply(pop.m0, sums)
-        state = StemState(pop.n_out, acc_bits, batch=x.shape[0])
-        for step in range(k):
-            state.add_raw(incs[:, step])
-        if pop.bias_pre_scaled is not None:
-            state.add_raw(pop.bias_pre_scaled[None, :])
+        u, scan_saturations = _scan_u(pop, sums, acc_bits)
         if pop.clamp_free:
-            assert state.saturations == 0
-            want = incs.sum(axis=1) + (0 if pop.bias_pre_scaled is None else pop.bias_pre_scaled)
-            assert np.array_equal(state.u, want)
+            assert scan_saturations == 0
+            want = apply(pop.m0, sums).sum(axis=1)
+            assert np.array_equal(u, want + (0 if pop.bias_pre_scaled is None
+                                             else pop.bias_pre_scaled))
         v, saturations = _integrate_block(pop, sums, acc_bits)
         want_v, want_saturations = _scan(pop, sums, acc_bits)
-        assert saturations == want_saturations == state.saturations
+        assert saturations == want_saturations == scan_saturations
         assert np.array_equal(v, want_v)
 
 
@@ -1149,7 +1231,7 @@ class TestPlanPrecedence:
         derived = with_plan(base, plan)
         fresh = compile_network(cnn_bundle.qnet, plan=plan)
         assert derived.plan is plan and fresh.plan is plan
-        assert base.plan.is_identity()
+        assert base.plan.to_manifest() == []
         assert derived.populations is base.populations       # nothing copied
         x = cnn_bundle.x_int[:32]
         for got, want in _emitted(derived, x).values():
@@ -1203,20 +1285,19 @@ class TestCachedRun:
             want = run_batch(with_plan(base, plan), x)
             assert np.array_equal(run.outputs, want.outputs)
             assert run.layer_traces == want.traces
-            # the rerun leaves the cache as it was until it is adopted
+            assert run.snet.plan.entries == plan.entries
+            # the rerun leaves the cache as it was; it becomes the cache the
+            # next rerun starts from, as in the tuner
             assert np.array_equal(cache.outputs, before.outputs)
             assert cache.layer_traces == before.traces
-            cache.adopt(run)
-            assert cache.snet.plan.entries == plan.entries
-            assert np.array_equal(cache.outputs, want.outputs)
-            assert cache.layer_traces == want.traces
+            cache = run
 
     def test_rerun_needs_an_exact_train(self, cnn_bundle):
         """Only an identity train is V's digits, so a population that ran
         under another setting, or the signed output, cannot be re-run."""
         snet = compile_network(cnn_bundle.qnet, plan=SparsityPlan.identity())
         cache = CachedRun(snet, cnn_bundle.x_int[:8])
-        cache.adopt(cache.rerun("conv1", LayerSparsity(1, 2)))
+        cache = cache.rerun("conv1", LayerSparsity(1, 2))
         with pytest.raises(ValueError, match="'conv1'"):
             cache.rerun("conv1", LayerSparsity(0, 1))
         with pytest.raises(ValueError, match=repr(snet.output.name)):
@@ -1315,9 +1396,9 @@ def _unprotected(qnet, name):
 
 def _every_result(q, x, y) -> list[tuple[str, object]]:
     """(label, value) of everything the run functions report on (q, x, y):
-    run_batch with trains, CachedRun reruns and adoptions, the tuner and the
-    pipeline, each under the identity plan and rot 1/drlo 2 on every hidden
-    layer."""
+    run_batch with trains, CachedRun reruns (each the cache of the next), the
+    tuner and the pipeline, each under the identity plan and rot 1/drlo 2 on
+    every hidden layer."""
     base = compile_network(q, plan=SparsityPlan.identity())
     thin = _thinning_plan(base)
     got = []
@@ -1331,11 +1412,10 @@ def _every_result(q, x, y) -> list[tuple[str, object]]:
                 (f"{label} pipeline saturations", pipe.saturations)]
     cache = CachedRun(base, x)
     for name, setting in thin.entries.items():
-        run = cache.rerun(name, setting)
-        cache.adopt(run)
-        for label, r in ((f"rerun {name}", run), (f"adopt {name}", cache)):
-            got += [(f"{label} outputs", r.outputs), (f"{label} traces", r.layer_traces)]
-            got += [(f"{label} values {n}", v) for n, v in r.values.items()]
+        cache = cache.rerun(name, setting)
+        got += [(f"rerun {name} outputs", cache.outputs),
+                (f"rerun {name} traces", cache.layer_traces)]
+        got += [(f"rerun {name} values {n}", v) for n, v in cache.values.items()]
     got.append(("tune", tune_hybrid(q, x, y, accuracy_budget=1.0)))
     return got
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stemc.fixedpoint import FixedMult, from_real
+from conftest import make_wide_fanin
+from stemc.fixedpoint import NORM_HIGH, NORM_LOW, FixedMult, from_real
 from stemc.quantizer import (
     QuantParams,
     build_quantized_network,
@@ -167,6 +168,29 @@ class TestBiasScheme:
         assert q.layer("fc2").bias_scheme == "product"
         assert q.layer("fc2").bias_width == 16
 
+    @pytest.mark.parametrize("bits", [1, 16, 32, 33, 40])
+    def test_check_width_within_the_int32_blob(self, bits):
+        """fc1's weights (|w| <= 1e-6) put its bias of 1.0 near 1.6e10 on the
+        product scale, which fits a 40-bit check but not the int32 blob. A
+        check width outside [2, 32] is rejected; within it the bias falls
+        back to the output scheme and runs as the oracle does."""
+        rng = np.random.default_rng(3)
+        model = _fc_model([(rng.uniform(-1e-6, 1e-6, size=(4, 6)), [1.0] * 4),
+                           (rng.uniform(-1.0, 1.0, size=(3, 4)), None)], 6)
+        x = rng.uniform(0.0, 1.0, size=(16, 6))
+        stats = calibrate(model, x)
+        if not 2 <= bits <= 32:
+            with pytest.raises(ValueError, match="int32"):
+                build_quantized_network(model, stats, bias_check_width=bits)
+            return
+        qnet = build_quantized_network(model, stats, bias_check_width=bits)
+        lyr = qnet.layer("fc1")
+        assert (lyr.bias_scheme, lyr.bias_width) == ("output", 8)
+        assert lyr.bias.dtype == np.int32 and int(lyr.bias.min()) > 0
+        x_int, _ = quantize_tensor(x, qnet.input_params)
+        sim = netsim.run_batch(netsim.compile_network(qnet), x_int)
+        assert np.array_equal(sim.outputs, int_forward(qnet, x_int, mode="hw")[0])
+
 
 class TestMeasurement:
     def test_calibrated_bound_holds(self, mlp_bundle, bias_bundle):
@@ -234,7 +258,7 @@ class TestStaticBound:
     @pytest.mark.parametrize("k,acc_bits", [(8, 16), (12, 32)])
     @pytest.mark.parametrize("which", sorted(fixtures.FIXTURES) + ["wide-fanin"])
     def test_full_range_random_inputs(self, which, k, acc_bits):
-        builder, lo, hi = fixtures.FIXTURES.get(which, (fixtures.make_wide_fanin, 0.0, 1.0))
+        builder, lo, hi = fixtures.FIXTURES.get(which, (make_wide_fanin, 0.0, 1.0))
         model = builder()
         ds = fixtures.labeled_dataset(model, 32, 8, lo, hi)
         qnet = build_quantized_network(model, calibrate(model, ds.inputs),
@@ -291,6 +315,17 @@ class TestValidate:
         with pytest.raises(ValueError, match="does not match producer"):
             q.validate()
 
+    @pytest.mark.parametrize("where,width", [("network", 1), ("network", 33),
+                                             ("layer", 40)])
+    def test_bias_width_beyond_the_int32_blob_rejected(self, mlp_bundle, where, width):
+        q = copy.deepcopy(mlp_bundle.qnet)
+        if where == "network":
+            q.bias_check_width = width
+        else:
+            q.layers[0].bias_width = width
+        with pytest.raises(ValueError, match=f"{width} outside \\[2, 32\\]: .*int32"):
+            q.validate()
+
     def test_builder_rejects_bad_widths(self, mlp_bundle):
         with pytest.raises(ValueError):
             build_quantized_network(mlp_bundle.model, mlp_bundle.stats, k=1)
@@ -341,7 +376,7 @@ class TestCalibrate:
 
     def test_single_sample_input_accepted(self):
         model = fixtures.make_mlp()
-        stats = calibrate(model, np.full(model.input_shape, 0.5))
+        stats = calibrate(model, np.full((1,) + model.input_shape, 0.5))
         assert stats.samples == 1
         qnet = build_quantized_network(model, stats)
         assert all(qnet.layer(n).i_max >= 1 for n in ("fc1", "fc2", "fc3"))
@@ -372,7 +407,7 @@ class TestCalibrate:
         model = _fc_model([(np.zeros((2, 2)), bias), ([[1.0, -0.5], [0.25, 1.0]], None)], 2)
         x = np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2))
         qnet = build_quantized_network(model, calibrate(model, x), k=8, acc_bits=acc_bits)
-        assert qnet.layer("fc1").m1.is_normalized()
+        assert NORM_LOW <= abs(qnet.layer("fc1").m1.mantissa) < NORM_HIGH
         x_int, _ = quantize_tensor(x, qnet.input_params)
         sim = netsim.run_batch(netsim.compile_network(qnet), x_int)
         hw, record = int_forward(qnet, x_int, mode="hw")

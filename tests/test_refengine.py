@@ -20,7 +20,6 @@ from stemc.refengine import (
     ActivationRecord,
     LayerActivation,
     _conv2d,
-    _ensure_batch,
     _linear,
     _pool_sum,
     float_forward,
@@ -79,8 +78,7 @@ def _float_forward_record(model, x):
     """The record-keeping float pass ``float_forward`` replaced: every
     layer's pre- and post-activation kept for the whole batch, each op on a
     fresh array. Reference for the bit-identity and memory tests."""
-    xb, single = _ensure_batch(x, model.input_shape)
-    tensors = {INPUT_NAME: xb.astype(np.float64)}
+    tensors = {INPUT_NAME: np.asarray(x, dtype=np.float64)}
     record = ActivationRecord()
     out = None
     for lyr in model.layers:
@@ -95,8 +93,7 @@ def _float_forward_record(model, x):
         record.layers[lyr.name] = LayerActivation(pre, post)
         tensors[lyr.name] = post
         out = post
-    out2 = out.reshape(out.shape[0], -1)
-    return (out2[0] if single else out2), record
+    return out.reshape(out.shape[0], -1), record
 
 
 def _record_ranges(record) -> dict:
@@ -107,8 +104,6 @@ def _record_ranges(record) -> dict:
 def _calibrate_reference(model, inputs) -> RangeStats:
     """``calibrate`` over the record-keeping reference pass."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.shape == tuple(model.input_shape):
-        inputs = inputs[None, ...]
     _, record = _float_forward_record(model, inputs)
     return RangeStats((float(inputs.min()), float(inputs.max())),
                       _unify_residual_ranges(model, _record_ranges(record)),
@@ -265,12 +260,6 @@ class TestModeAgreement:
         with pytest.raises(ValueError, match="mode"):
             int_forward(mlp_bundle.qnet, mlp_bundle.x_int[:1], mode="fast")
 
-    def test_unbatched_sample(self, mlp_bundle):
-        batched, _ = int_forward(mlp_bundle.qnet, mlp_bundle.x_int[:1])
-        single, _ = int_forward(mlp_bundle.qnet, mlp_bundle.x_int[0])
-        assert single.ndim == 1
-        assert np.array_equal(single, batched[0])
-
     def test_wrong_input_shape_rejected(self, mlp_bundle):
         with pytest.raises(ValueError, match="input"):
             int_forward(mlp_bundle.qnet, np.zeros((3, 7)))
@@ -317,10 +306,6 @@ class TestLinearPieces:
         want = through("conv1").reshape(3, 4, 4, 2, 4, 2).mean(axis=(3, 5))
         assert np.allclose(through("pool1").reshape(want.shape), want)
 
-    def test_float_forward_single_sample(self, mlp_bundle):
-        out, _ = float_forward(mlp_bundle.model, mlp_bundle.ds.inputs[0])
-        assert out.shape == (10,)
-
 
 # (builder, input lo, input hi): every fixture, a deep stack and a join that
 # reads a shortcut over two stages and one producer twice
@@ -335,15 +320,12 @@ class TestFloatPass:
     """``float_forward`` keeps only live tensors and works in place; its
     outputs and ranges must equal the record-keeping reference bit for bit."""
 
-    @pytest.mark.parametrize("n", [None, 1, 7, 300])
+    @pytest.mark.parametrize("n", [1, 7, 300])
     @pytest.mark.parametrize("name", sorted(FLOAT_MODELS))
     def test_bit_identical_to_reference(self, name, n):
         builder, lo, hi = FLOAT_MODELS[name]
         model = builder()
-        x = fx.class_inputs(np.random.default_rng(5), 1 if n is None else n,
-                            model.input_shape, lo=lo, hi=hi)
-        if n is None:                       # one unbatched sample
-            x = x[0]
+        x = fx.class_inputs(np.random.default_rng(5), n, model.input_shape, lo=lo, hi=hi)
         out, ranges = float_forward(model, x)
         want, record = _float_forward_record(model, x)
         assert out.dtype == want.dtype and out.shape == want.shape

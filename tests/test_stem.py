@@ -2,34 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stemc.fixedpoint import FixedMult, apply, from_real
+from conftest import encode_integer
 from stemc.sparsity import drlo
-from stemc.stem import StemState, WireSchedule, encode_integer, encode_planes
+from stemc.stem import WireSchedule, encode_planes
 
 
-# Single-step reference oracles: the simulator integrates whole K-step
-# blocks, these walk one step at a time. A train decodes as the dot product
-# of its bits with the schedule's weights.
-
-
-def accumulate_step(
-    state: StemState,
-    spikes: np.ndarray,
-    weights: np.ndarray,
-    m0: FixedMult,
-    schedule: WireSchedule,
-    step: int,
-) -> np.ndarray:
-    """Reference single-step decode for a dense weight matrix.
-
-    spikes: uint8[batch, n_in] row at `step`; weights: int[n_out, n_in].
-    Returns the wide per-neuron step sum I_t that was integrated.
-    """
-    phi = schedule.weight(step)
-    wide = spikes.astype(np.int64) @ weights.T.astype(np.int64)
-    step_sums = phi * wide
-    state.add_raw(apply(m0, step_sums))
-    return step_sums
+# Single-step reference oracle: the simulator emits a whole train from the
+# value it carries, this walks one threshold step at a time. A train decodes
+# as the dot product of its bits with the schedule's weights.
 
 
 def generate_step(v: int, k: int, step: int) -> tuple[int, int]:
@@ -187,54 +167,3 @@ class TestGeneration:
         cut = encode_planes(drlo(np.array(100), 2), 8, signed=False)
         assert np.array_equal(full[..., :6], cut[..., :6])
         assert cut[..., 6:].sum() == 0
-
-
-class TestStemState:
-    def test_accumulate_single_synapse(self):
-        # one weight-3 synapse spiking at the phi=4 step adds 12 to U
-        state = StemState(1, acc_bits=16)
-        sched = WireSchedule(8, signed=False)
-        spikes = np.array([[1]], dtype=np.uint8)
-        step = 5                     # k-1-step == bit position 2 -> phi 4
-        sums = accumulate_step(state, spikes, np.array([[3]]), from_real(1.0),
-                               sched, step)
-        assert sums.tolist() == [[12]]
-        assert state.u.tolist() == [[12]]
-
-    def test_finalize_worked_value(self):
-        state = StemState(1, acc_bits=16)
-        state.u[:] = 41
-        v = state.finalize(from_real(2.0), 1, 0, 127)
-        assert v.tolist() == [[83]]
-
-    def test_finalize_clamps(self):
-        state = StemState(2, acc_bits=16)
-        state.u[:] = np.array([300, -5])
-        v = state.finalize(from_real(1.0), 0, 0, 127)
-        assert v.tolist() == [[127, 0]]
-
-    def test_integrate_saturates_and_counts(self):
-        state = StemState(1, acc_bits=8, batch=1)
-        m0 = from_real(1.0)
-        state.add_raw(apply(m0, np.array([[100]])))
-        state.add_raw(apply(m0, np.array([[100]])))
-        assert state.u.tolist() == [[127]]
-        assert state.saturations == 1
-        state.add_raw(apply(m0, np.array([[-300]])))
-        assert state.u.tolist() == [[-128]]
-        assert state.saturations == 2
-
-    def test_add_raw_saturates(self):
-        state = StemState(1, acc_bits=8)
-        state.u[:] = 120
-        state.add_raw(np.array([[50]]))
-        assert state.u.tolist() == [[127]]
-        assert state.saturations == 1
-
-    def test_scaled_integration(self):
-        # U accumulates round(m0 * I_t) per step
-        state = StemState(1, acc_bits=16)
-        m0 = from_real(0.5)
-        state.add_raw(apply(m0, np.array([[7]])))    # round(3.5) -> 4
-        state.add_raw(apply(m0, np.array([[-7]])))   # round(-3.5) -> -4
-        assert state.u.tolist() == [[0]]
