@@ -63,9 +63,9 @@ def _oracle(qnet, x_int: np.ndarray, mode: str) -> tuple[np.ndarray, int]:
     bounded: (outputs, saturations summed over every layer and window)."""
     outputs, saturations = [], 0
     for lo in range(0, x_int.shape[0], netsim.PIPELINE_WINDOW):
-        out, record = int_forward(qnet, x_int[lo:lo + netsim.PIPELINE_WINDOW], mode=mode)
+        out, layers = int_forward(qnet, x_int[lo:lo + netsim.PIPELINE_WINDOW], mode=mode)
         outputs.append(out)
-        saturations += sum(a.saturations for a in record.layers.values())
+        saturations += sum(a.saturations for a in layers.values())
     return np.concatenate(outputs), saturations
 
 
@@ -74,6 +74,9 @@ def _oracle(qnet, x_int: np.ndarray, mode: str) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 def cmd_make_fixtures(args) -> int:
+    for flag, count in (("--calib", args.calib), ("--eval", args.eval)):
+        if count < 1:
+            raise ValueError(f"{flag} must be at least 1, not {count}")
     written = write_fixture_tree(args.dir, calib_n=args.calib, eval_n=args.eval,
                                  seed=args.seed)
     for d in written:
@@ -103,12 +106,12 @@ def cmd_run(args) -> int:
         raise ValueError("capacity check failed: " + "; ".join(violations))
     ds, x_int = _load_inputs(qnet, args.data)
     n = x_int.shape[0]
-    traces = trains = steps = total_steps = None
+    traces = values = steps = total_steps = None
     if args.mode == "oracle":
         outputs, saturations = _oracle(qnet, x_int, args.oracle_mode)
     else:
-        res = netsim.run_batch(snet, x_int, record_trains=bool(args.dump_spikes))
-        outputs, traces, trains = res.outputs, res.traces, res.trains
+        res = netsim.run_batch(snet, x_int, record_values=bool(args.dump_spikes))
+        outputs, traces, values = res.outputs, res.traces, res.values
         saturations = sum(t.saturations for t in traces)
         if args.mode == "pipeline":
             timing = netsim.pipeline_timing(snet, n)
@@ -159,8 +162,8 @@ def cmd_run(args) -> int:
             metrics.write_layer_csv(out / "layers.csv", traces)
         metrics.write_summary(out / "summary.json", summary)
         print(f"report in {out}")
-    if trains is not None:
-        netsim.dump_spike_trains(args.dump_spikes, trains)
+    if values is not None:
+        netsim.dump_spike_trains(args.dump_spikes, values, snet.k)
         print(f"spike trains in {args.dump_spikes}")
     return 0
 

@@ -489,6 +489,9 @@ def load_dataset(path: str | Path) -> Dataset:
         )
     inputs = np.frombuffer(raw, dtype="<f4", count=n_in, offset=offset)
     inputs = inputs.reshape((count,) + tuple(dims)).copy()
+    if (bad := int(np.count_nonzero(~np.isfinite(inputs)))):
+        raise ModelFormatError(
+            f"{path.name}: {bad} of {inputs.size} input values are not finite")
     labels = np.frombuffer(raw, dtype="<i4", count=count * label_width,
                            offset=offset + 4 * n_in)
     labels = labels.reshape(count, label_width).copy()

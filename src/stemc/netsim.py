@@ -17,7 +17,8 @@ wire is kept as that integer, one int16 per neuron and sample: a hidden
 population emits ``drlo(rot(V))`` under its sparsity setting, the output
 population its signed V. A spike count is the popcount of a value's K low
 bits. The 0/1 step planes exist only inside the population step that reads
-them (``_planes``), and in the trains that ``run_batch`` records for a dump.
+them (``_planes``), and in ``dump_spike_trains``, which unpacks the values
+that ``run_batch`` records for a dump.
 
 The step kernel. Step sums are linear in the spike planes, so
 ``Population.step_sum`` takes a layer's live step planes at once, as
@@ -91,7 +92,7 @@ from .fixedpoint import FixedMult, apply, saturate_array
 from .modelio import INPUT_NAME, check_batch, conv_out_hw, pool_out_hw
 from .quantizer import prefix_bound
 from .sparsity import LayerSparsity, SparsityPlan, drlo, rot
-from .stem import WireSchedule, check_encodable
+from .stem import check_encodable, step_weights
 from . import metrics
 
 # Spike planes are 0/1, so every partial synaptic sum is an integer no larger
@@ -151,6 +152,7 @@ class Population:
     kind: str
     inputs: list[str]               # producer names, flatten resolved away
     in_shapes: list[tuple[int, ...]]
+    phis: list[np.ndarray]          # per branch: its wire's step weights, [K, 1]
     n_out: int
     fanin: int                      # real synapses of the busiest neuron
     fanouts: list[np.ndarray]       # per branch: synapses per input neuron,
@@ -178,8 +180,8 @@ class Population:
 
         Each rows[i] is a uint8 [..., n_in] spike array of input branch i and
         each phis[i] broadcasts against [..., n_out]: a scalar for one step,
-        rows of ``WireSchedule.weights()[:, None]`` for the planes
-        [N, steps, n_in] of a whole block. Returns int64 [..., n_out].
+        rows of ``Population.phis`` for the planes [N, steps, n_in] of a
+        whole block. Returns int64 [..., n_out].
         """
         total = None
         for row, phi in zip(rows, phis):
@@ -244,7 +246,7 @@ class RunResult:
     outputs: np.ndarray             # int64 [N, n_out], the output values
     traces: list[LayerTrace]
     steps_per_sample: int
-    trains: dict[str, np.ndarray] | None = None   # uint8 [N, n, K] per wire
+    values: dict[str, np.ndarray] | None = None   # int16 [N, n] per wire
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +392,9 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
 
         is_output = lyr is last
         pops.append(Population(
-            name=lyr.name, kind=lyr.kind, inputs=sources,
-            in_shapes=in_shapes, n_out=n_out,
+            name=lyr.name, kind=lyr.kind, inputs=sources, in_shapes=in_shapes,
+            phis=[step_weights(qnet.k, s == INPUT_NAME)[:, None] for s in sources],
+            n_out=n_out,
             fanin=fanin, fanouts=fanouts,
             form=form, dense_w=dense_w, gather_idx=gather_idx, conv_w=conv_w,
             m0=lyr.m0, m1=lyr.m1,
@@ -449,13 +452,6 @@ def check_capacity(snet: SpikingNetwork, profile: HardwareProfile) -> list[str]:
 # ---------------------------------------------------------------------------
 # batch driver
 # ---------------------------------------------------------------------------
-
-def _wire_phis(snet: SpikingNetwork) -> dict[str, np.ndarray]:
-    """Per producer, the K per-step decode weights of its train as [K, 1]."""
-    signed = {INPUT_NAME: True} | {p.name: p.is_output for p in snet.populations}
-    return {name: WireSchedule(snet.k, sg).weights()[:, None]
-            for name, sg in signed.items()}
-
 
 def _live_steps(snet: SpikingNetwork, pop: Population) -> range:
     """The steps of pop's input trains that can carry a spike under
@@ -523,14 +519,14 @@ def _block_samples(pop: Population, steps: int) -> int:
     return max(1, BLOCK_BYTES // (max(steps, 1) * width))
 
 
-def _population_step(pop: Population, values: list[np.ndarray], phis: list,
-                     acc_bits: int, k: int, steps: range, setting: LayerSparsity
+def _population_step(pop: Population, values: list[np.ndarray], acc_bits: int,
+                     k: int, steps: range, setting: LayerSparsity
                      ) -> tuple[np.ndarray, int]:
     """One population over m samples, in sample blocks of ``_block_samples``.
 
-    `values` are the int16 [m, n_in] wire values of pop's branches and `phis`
-    their [K, 1] per-step wire weights; only the live `steps` are read, since
-    a silent step adds round(M0 * 0) = 0 to U. Each sample block's step
+    `values` are the int16 [m, n_in] wire values of pop's branches; only the
+    live `steps` of their trains are read, weighted by ``pop.phis``, since a
+    silent step adds round(M0 * 0) = 0 to U. Each sample block's step
     planes, synaptic sums, integration and emission under `setting` fill its
     rows of the output. Returns (values int16 [m, n_out], saturation count).
     """
@@ -538,7 +534,7 @@ def _population_step(pop: Population, values: list[np.ndarray], phis: list,
     out = np.empty((m, pop.n_out), dtype=np.int16)
     saturations = 0
     size = _block_samples(pop, len(steps))
-    phis = [phi[steps.start:steps.stop] for phi in phis]
+    phis = [phi[steps.start:steps.stop] for phi in pop.phis]
     for lo in range(0, m, size):
         hi = min(lo + size, m)
         sums = pop.step_sum([_planes(vals[lo:hi], k, steps) for vals in values], phis)
@@ -568,7 +564,7 @@ def _trace(pop: Population, counts: dict[str, np.ndarray], saturations: int) -> 
 
 
 def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
-              record_trains: bool = False) -> RunResult:
+              record_values: bool = False) -> RunResult:
     """Bit-serial execution of a batch: one ``CachedRun`` per PIPELINE_WINDOW
     samples.
 
@@ -577,17 +573,16 @@ def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
     result, since a sample's integers do not depend on which samples share
     it; only one window's run is held at a time, so host memory is bounded by
     PIPELINE_WINDOW samples of every wire's values plus one step's
-    BLOCK_BYTES. With `record_trains` every train is also kept whole, as
-    uint8 [N, n, K], from each window's step planes.
+    BLOCK_BYTES. With `record_values` every wire's int16 [N, n] values are
+    also kept whole, for ``dump_spike_trains``.
     """
-    k = snet.k
     xb = check_batch(x_int, snet.input_shape)
     n = xb.shape[0]
     counts = {INPUT_NAME: np.zeros(math.prod(snet.input_shape), dtype=np.int64)}
     counts |= {p.name: np.zeros(p.n_out, dtype=np.int64) for p in snet.populations}
     saturations = {p.name: 0 for p in snet.populations}
-    kept = ({name: np.empty((n, c.size, k), dtype=np.uint8) for name, c in counts.items()}
-            if record_trains else None)
+    kept = ({name: np.empty((n, c.size), dtype=np.int16) for name, c in counts.items()}
+            if record_values else None)
     outputs = np.empty((n, snet.output.n_out), dtype=np.int64)
     for lo in range(0, n, PIPELINE_WINDOW):
         hi = min(lo + PIPELINE_WINDOW, n)
@@ -595,7 +590,7 @@ def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
         for name, c in run.counts.items():
             counts[name] += c
             if kept is not None:
-                kept[name][lo:hi] = _planes(run.values[name], k).transpose(0, 2, 1)
+                kept[name][lo:hi] = run.values[name]
         for name, sat in run.saturations.items():
             saturations[name] += sat
         outputs[lo:hi] = run.outputs
@@ -603,8 +598,8 @@ def run_batch(snet: SpikingNetwork, x_int: np.ndarray,
     return RunResult(
         outputs=outputs,
         traces=[_trace(pop, counts, saturations[pop.name]) for pop in snet.populations],
-        steps_per_sample=k * (snet.n_stages + 1),
-        trains=kept,
+        steps_per_sample=snet.k * (snet.n_stages + 1),
+        values=kept,
     )
 
 
@@ -624,7 +619,6 @@ class CachedRun:
 
     def __init__(self, snet: SpikingNetwork, x_int: np.ndarray):
         self.snet = snet
-        self._phis = _wire_phis(snet)
         self.values: dict[str, np.ndarray] = {}
         self.counts: dict[str, np.ndarray] = {}
         self.saturations: dict[str, int] = {}
@@ -644,9 +638,8 @@ class CachedRun:
         its producers' settings leave live and emitting under its own setting
         in the plan; keep its values and saturation count."""
         values, self.saturations[pop.name] = _population_step(
-            pop, [self.values[s] for s in pop.inputs], [self._phis[s] for s in pop.inputs],
-            self.snet.acc_bits, self.snet.k, _live_steps(self.snet, pop),
-            self.snet.plan.for_layer(pop.name))
+            pop, [self.values[s] for s in pop.inputs], self.snet.acc_bits, self.snet.k,
+            _live_steps(self.snet, pop), self.snet.plan.for_layer(pop.name))
         self._store(pop.name, values)
 
     @property
@@ -692,12 +685,8 @@ class CachedRun:
 
 @dataclass
 class PipelineTiming:
-    k: int
-    n_stages: int
-    n_samples: int
     total_steps: int
     buffered_train_peak: int
-    stage_of: dict[str, int]
 
 
 @dataclass
@@ -732,10 +721,8 @@ def pipeline_timing(snet: SpikingNetwork, n_samples: int) -> PipelineTiming:
         live[pop.stage - 1:pop.stage - 1 + n_samples] += 1
         live[last_read[pop.name]:last_read[pop.name] + n_samples] -= 1
     return PipelineTiming(
-        k=snet.k, n_stages=snet.n_stages, n_samples=n_samples,
         total_steps=snet.k * (snet.n_stages + n_samples),
         buffered_train_peak=int(np.cumsum(live).max()),
-        stage_of={p.name: p.stage for p in snet.populations},
     )
 
 
@@ -780,11 +767,12 @@ def rle_decode(text: str, length: int) -> np.ndarray:
     return out
 
 
-def dump_spike_trains(path: str | Path, trains: dict[str, np.ndarray]) -> None:
-    """One line per (layer, sample, step): `name sample step <runs>`."""
+def dump_spike_trains(path: str | Path, values: dict[str, np.ndarray], k: int) -> None:
+    """One line per (wire, sample, step): `name sample step <runs>`, the
+    step's spikes across the wire's neurons, from its int16 [N, n] values."""
     with open(path, "w") as fh:
-        for name, planes in trains.items():
-            flat = planes.reshape(planes.shape[0], -1, planes.shape[-1])
-            for s in range(flat.shape[0]):
-                for t in range(flat.shape[2]):
-                    fh.write(f"{name} {s} {t} {rle_encode(flat[s, :, t])}\n")
+        for name, vals in values.items():
+            planes = _planes(vals, k)                       # [N, K, n]
+            for s in range(planes.shape[0]):
+                for t in range(k):
+                    fh.write(f"{name} {s} {t} {rle_encode(planes[s, t])}\n")

@@ -153,7 +153,7 @@ class QuantizedNetwork(FloatModel):
                                      f" or width {lyr.bias_width!r} is not valid")
                 _check_bias_width(f"layer {lyr.name!r}: bias width", lyr.bias_width)
                 limit = (1 << (lyr.bias_width - 1)) - 1
-                if int(np.abs(lyr.bias).max()) > limit:
+                if int(np.abs(lyr.bias.astype(np.int64)).max()) > limit:
                     raise ValueError(
                         f"layer {lyr.name!r}: bias exceeds declared "
                         f"{lyr.bias_width}-bit width"

@@ -19,7 +19,10 @@ against. It runs in three modes:
   configured width, with every clamp counted. This is the mode the spiking
   simulator must reproduce integer-for-integer.
 
-All three share the FixedMult rounding primitive; the linear algebra here is
+The modes differ only in how a layer forms U (``direct``: the one-shot sum
+plus a product-scheme bias; ``wide``, ``hw``: ``_plane_walk``) and share one
+tail, clip(apply(M, U) + output-scheme bias), M being M_hat or M1. All three
+share the FixedMult rounding primitive; the linear algebra here is
 deliberately organized differently from the simulator's, so the two sides
 are independent implementations of the same contract.
 
@@ -39,13 +42,13 @@ derivations of the same contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fixedpoint import apply, saturate_array
 from .modelio import INPUT_NAME, check_batch, conv_out_hw, pool_out_hw
-from .stem import WireSchedule, encode_planes
+from .stem import encode_planes, step_weights
 
 # A convolution's float64 partial sums are integers of magnitude at most
 # max|x| * sum|w| of one output channel; below 2^53 they are all exact.
@@ -58,11 +61,6 @@ class LayerActivation:
     pre: np.ndarray       # accumulator-domain integers (or the direct-mode sum)
     post: np.ndarray      # layer output in its own value domain
     saturations: int = 0
-
-
-@dataclass
-class ActivationRecord:
-    layers: dict[str, LayerActivation] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +125,7 @@ def _linear(kind: str, attrs: dict, weights: np.ndarray | None,
     if kind == "avgpool2d":
         return _pool_sum(xs[0], attrs)
     if kind == "residual-add":
-        return xs[0] + xs[1]
+        return sum(xs[1:], xs[0])     # a join's branches, or one of them
     if kind == "flatten":
         return xs[0].reshape(xs[0].shape[0], -1)
     raise ValueError(f"unknown kind {kind!r}")
@@ -186,8 +184,8 @@ def signedness(net) -> dict[str, bool]:
     return signed
 
 
-def int_forward(qnet, x_int: np.ndarray,
-                mode: str = "hw") -> tuple[np.ndarray, ActivationRecord]:
+def int_forward(qnet, x_int: np.ndarray, mode: str = "hw"
+                ) -> tuple[np.ndarray, dict[str, LayerActivation]]:
     """Integer forward pass of a quantized network.
 
     Args:
@@ -196,22 +194,22 @@ def int_forward(qnet, x_int: np.ndarray,
         mode: "direct", "wide" or "hw" (see module docstring).
 
     Returns:
-        (outputs [N, n_out] int64, ActivationRecord)
+        (outputs [N, n_out] int64, {layer name: LayerActivation})
     """
     if mode not in INT_MODES:
         raise ValueError(f"mode must be one of {INT_MODES}")
     xb = check_batch(x_int, qnet.input_shape).astype(np.int64)
-    k = qnet.k
+    n, k = xb.shape[0], qnet.k
     q_max = (1 << (k - 1)) - 1
     signed = signedness(qnet)
     tensors: dict[str, np.ndarray] = {INPUT_NAME: xb}
-    record = ActivationRecord()
+    layers: dict[str, LayerActivation] = {}
     out = None
     for lyr in qnet.layers:
         xs = [tensors[s] for s in lyr.inputs]
         if lyr.kind == "flatten":
-            post = xs[0].reshape(xs[0].shape[0], -1)
-            record.layers[lyr.name] = LayerActivation(post, post)
+            post = xs[0].reshape(n, -1)
+            layers[lyr.name] = LayerActivation(post, post)
             tensors[lyr.name] = post
             out = post
             continue
@@ -223,7 +221,6 @@ def int_forward(qnet, x_int: np.ndarray,
                 raise ValueError(
                     f"layer {lyr.name!r}: max|x| * sum|w| of one output channel "
                     f"reaches 2^53, so float64 convolution sums would not be exact")
-        lo, hi = (-q_max, q_max) if lyr is qnet.layers[-1] else (0, q_max)
         bias_pre = bias_post = None
         if lyr.bias is not None:
             b = lyr.bias.astype(np.int64)
@@ -235,26 +232,22 @@ def int_forward(qnet, x_int: np.ndarray,
                 bias_post = b
 
         if mode == "direct":
-            s = _linear(lyr.kind, lyr.attrs, _w64(lyr), xs)
-            s2 = s.reshape(s.shape[0], -1)
+            u = _linear(lyr.kind, lyr.attrs, _w64(lyr), xs).reshape(n, -1)
             if bias_pre is not None:
-                s2 = s2 + bias_pre
-            v = apply(lyr.m_hat, s2)
-            if bias_post is not None:
-                v = v + bias_post
-            post2 = np.clip(v, lo, hi)
-            pre_rec, sat = s2, 0
+                u = u + bias_pre
+            m, sat = lyr.m_hat, 0
         else:
-            post2, pre_rec, sat = _scaled_layer(
-                lyr, xs, [signed[s] for s in lyr.inputs], k, qnet.acc_bits,
-                lo, hi, bias_pre, bias_post,
-                emulate=(mode == "hw"))
-
-        post = post2.reshape((post2.shape[0],) + lyr.out_shape)
-        record.layers[lyr.name] = LayerActivation(pre_rec, post2, sat)
-        tensors[lyr.name] = post
-        out = post2
-    return out, record
+            u, sat = _plane_walk(lyr, xs, [signed[s] for s in lyr.inputs], k,
+                                 qnet.acc_bits if mode == "hw" else None, bias_pre)
+            m = lyr.m1
+        v = apply(m, u)
+        if bias_post is not None:
+            v = v + bias_post
+        lo = -q_max if lyr is qnet.layers[-1] else 0
+        out = np.clip(v, lo, q_max)
+        layers[lyr.name] = LayerActivation(u, out, sat)
+        tensors[lyr.name] = out.reshape((n,) + lyr.out_shape)
+    return out, layers
 
 
 def _w64(lyr) -> np.ndarray | None:
@@ -267,35 +260,23 @@ def _max_weight_sum(weights: np.ndarray) -> int:
     return int(w.sum(axis=1).max())
 
 
-def _scaled_layer(lyr, xs, xsigned, k, acc_bits, lo, hi, bias_pre, bias_post,
-                  emulate: bool):
-    """Bit-plane walk of one layer: per-step M0 rounding, final M1 rescale."""
+def _plane_walk(lyr, xs, xsigned, k, acc_bits, bias_pre) -> tuple[np.ndarray, int]:
+    """(U, saturations) of one layer by the bit-plane walk: per wire step,
+    the M0-rounded sum over branches of phi times the layer's linear map of
+    the branch's 0/1 plane, then M0 times a product-scheme bias, each added
+    to U as it is formed. U saturates at `acc_bits` with every clamp
+    counted, or is unbounded when `acc_bits` is None."""
     n = xs[0].shape[0]
     planes = [encode_planes(x.reshape(n, -1), k, sg) for x, sg in zip(xs, xsigned)]
-    schedules = [WireSchedule(k, sg) for sg in xsigned]
+    phis = [step_weights(k, sg) for sg in xsigned]
     w = _w64(lyr)
-    u = 0
-    saturations = 0
-    for step in range(k):
-        step_sum = None
-        for x, pl, sched in zip(xs, planes, schedules):
-            row = pl[..., step].reshape(x.shape)        # uint8 0/1 plane
-            if lyr.kind == "residual-add":
-                part = row.astype(np.int64)   # unit weights, one synapse per branch
-            else:
-                part = _linear(lyr.kind, lyr.attrs, w, [row])
-            part = sched.weight(step) * part.reshape(n, -1)
-            step_sum = part if step_sum is None else step_sum + part
-        u = u + apply(lyr.m0, step_sum)
-        if emulate:
-            u, ev = saturate_array(u, acc_bits)
-            saturations += ev
-    if bias_pre is not None:
-        u = u + apply(lyr.m0, bias_pre)
-        if emulate:
-            u, ev = saturate_array(u, acc_bits)
-            saturations += ev
-    v = apply(lyr.m1, u)
-    if bias_post is not None:
-        v = v + bias_post
-    return np.clip(v, lo, hi), u, saturations
+    u, saturations = 0, 0
+    for t in range(k + (bias_pre is not None)):      # step k adds the bias
+        u = u + apply(lyr.m0, bias_pre if t == k else sum(
+            phi[t] * _linear(lyr.kind, lyr.attrs, w, [pl[..., t].reshape(x.shape)]
+                             ).reshape(n, -1)
+            for x, pl, phi in zip(xs, planes, phis)))
+        if acc_bits is not None:
+            u, events = saturate_array(u, acc_bits)
+            saturations += events
+    return u, saturations

@@ -8,14 +8,14 @@ step t by
     phi(t) = -2^(K-1)   if the train is signed and t == 0 (sign bit)
              +2^(K-1-t) otherwise
 
-and the weighted per-step sums, scaled by the overflow-protection constant M0,
-accumulate into a saturating n-bit integrator U. After the K-th step the
-integrator is rescheduled into the output value domain by M1, the bias is
-added, and the clamped result V is emitted as a fresh train: at step t the
-neuron fires iff V >= 2^(K-1-t), subtracting the threshold when it does.
-This greedy emission gives exactly the binary digits of V for any V in
-[0, 2^(K-1)-1], so a train is the integer it carries, and
-``encode_planes`` gives its bits. The integration is ``netsim``'s, and
+(``step_weights`` gives all K as one array), and the weighted per-step sums,
+scaled by the overflow-protection constant M0, accumulate into a saturating
+n-bit integrator U. After the K-th step the integrator is rescheduled into
+the output value domain by M1, the bias is added, and the clamped result V
+is emitted as a fresh train: at step t the neuron fires iff V >= 2^(K-1-t),
+subtracting the threshold when it does. This greedy emission gives exactly
+the binary digits of V for any V in [0, 2^(K-1)-1], so a train is the
+integer it carries, and ``encode_planes`` gives its bits. The integration is ``netsim``'s, and
 independently ``refengine``'s.
 
 Negative values (final-layer logits) are emitted as signed two's-complement
@@ -24,31 +24,15 @@ trains directly; threshold emission is only defined for V >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class WireSchedule:
-    """Per-step decode weights of a K-step bit-serial wire."""
-
-    steps: int          # K
-    signed: bool
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.steps <= 16:
-            raise ValueError(f"train length {self.steps} outside [2, 16]")
-
-    def weight(self, step: int) -> int:
-        if not 0 <= step < self.steps:
-            raise ValueError(f"step {step} outside [0, {self.steps})")
-        if self.signed and step == 0:
-            return -(1 << (self.steps - 1))
-        return 1 << (self.steps - 1 - step)
-
-    def weights(self) -> np.ndarray:
-        return np.array([self.weight(t) for t in range(self.steps)], dtype=np.int64)
+def step_weights(k: int, signed: bool) -> np.ndarray:
+    """The K per-step decode weights phi(t) of a wire, int64 [K]."""
+    phi = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+    if signed:
+        phi[0] = -phi[0]
+    return phi
 
 
 def check_encodable(values: np.ndarray, k: int, signed: bool) -> None:

@@ -16,7 +16,7 @@ from stemc.fixedpoint import FixedMult, apply, from_real
 from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
 from stemc.refengine import int_forward
 from stemc.sparsity import LayerSparsity, SparsityPlan, drlo, rot, tune_hybrid
-from stemc.stem import WireSchedule, encode_planes
+from stemc.stem import encode_planes, step_weights
 
 
 def _report(n: int, name: str, ok: bool, detail: str = "") -> None:
@@ -27,8 +27,8 @@ def _report(n: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _saturations(record) -> int:
-    return sum(a.saturations for a in record.layers.values())
+def _saturations(layers) -> int:
+    return sum(a.saturations for a in layers.values())
 
 
 def _deep(depth: int, n: int, k: int = 8):
@@ -60,8 +60,8 @@ def test_criterion_1_bit_exact_equivalence(mlp_bundle, cnn_bundle, residual_bund
 
 def test_criterion_2_wire_format():
     t0 = time.perf_counter()
-    signed = WireSchedule(8, signed=True).weights()
-    unsigned = WireSchedule(8, signed=False).weights()
+    signed = step_weights(8, signed=True)
+    unsigned = step_weights(8, signed=False)
     ok = all(encode_integer(q, 8, True) @ signed == q for q in range(-128, 128))
     ok &= all(encode_integer(v, 8, False) @ unsigned == v for v in range(128))
     ok &= all(np.array_equal(encode_planes(np.array(v), 8, False),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stemc import cli, netsim
-from stemc.modelio import load_quantized_model, save_dataset
+from stemc.modelio import load_dataset, load_quantized_model, save_dataset
 from stemc.netsim import rle_decode
 
 
@@ -257,6 +257,34 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert err == f"error: {empty}: dataset holds no samples\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["quantize", "{tree}/fx/mlp/model.json", "{bad}", "-o", "{tree}/nan.q.json"],
+        ["run", "{tree}/mlp.q.json", "{bad}", "--mode", "sim"],
+        ["run", "{tree}/mlp.q.json", "{bad}", "--mode", "pipeline"],
+        ["run", "{tree}/mlp.q.json", "{bad}", "--mode", "oracle"],
+        ["compare", "{tree}/mlp.q.json", "{bad}"],
+        ["tune-sparsity", "{tree}/mlp.q.json", "{bad}", "--budget", "0.05"],
+    ], ids=["quantize", "run-sim", "run-pipeline", "run-oracle", "compare", "tune"])
+    def test_non_finite_input_exits_2(self, tree, capsys, argv):
+        ds = load_dataset(tree / "fx" / "mlp" / "eval.ds")
+        inputs = ds.inputs[:5].copy()
+        inputs[2, 7] = np.nan
+        bad = tree / "nan.ds"
+        save_dataset(bad, inputs, ds.labels[:5])
+        rc = cli.main([a.format(tree=tree, bad=bad) for a in argv])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: nan.ds: 1 of 180 input values are not finite\n")
+
+    @pytest.mark.parametrize("flag,count", [("--calib", "0"), ("--eval", "0"),
+                                            ("--calib", "-3"), ("--eval", "-1")])
+    def test_make_fixtures_count_below_1_exits_2(self, tmp_path, capsys, flag, count):
+        out = tmp_path / "fx"
+        rc = cli.main(["make-fixtures", str(out), flag, count])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, not {count}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["pipeline", "oracle"])
     def test_dump_spikes_needs_sim_mode(self, tree, capsys, mode):

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import struct
@@ -131,6 +132,17 @@ class TestQuantizedRoundtrip:
         q.sparsity = [{"layer": "conv1", "drlo": 4}, {"layer": "pool2", "rot": 3, "drlo": 0}]
         save_quantized_model(q, tmp_path / "q.json")
         assert load_quantized_model(tmp_path / "q.json").sparsity == q.sparsity
+
+    def test_int32_min_bias_rejected(self, tmp_path, mlp_bundle):
+        """|-2^31| does not fit int32, so the width check must widen first."""
+        q = copy.deepcopy(mlp_bundle.qnet)
+        fc2 = q.layer("fc2")
+        assert (fc2.bias_scheme, fc2.bias_width) == ("product", 16)
+        fc2.bias[0] = -(1 << 31)
+        save_quantized_model(q, tmp_path / "q.json")
+        with pytest.raises(ModelFormatError,
+                           match="layer 'fc2': bias exceeds declared 16-bit width"):
+            load_quantized_model(tmp_path / "q.json")
 
     def test_wrong_manifest_type(self, tmp_path, mlp_bundle):
         save_model(fixtures.make_mlp(), tmp_path / "f.json")
@@ -357,6 +369,14 @@ class TestDataset:
         with pytest.raises(ModelFormatError, match="label count"):
             save_dataset(tmp_path / "d.ds", rng.random((4, 6)),
                          np.zeros(3, dtype=np.int32))
+
+    def test_non_finite_inputs_rejected(self, tmp_path, rng):
+        x = rng.random((5, 36)).astype(np.float32)
+        x[1, 3], x[2, 0], x[4, 35] = np.nan, np.inf, -np.inf
+        save_dataset(tmp_path / "d.ds", x, np.zeros(5, dtype=np.int32))
+        with pytest.raises(ModelFormatError,
+                           match=re.escape("d.ds: 3 of 180 input values are not finite")):
+            load_dataset(tmp_path / "d.ds")
 
     def test_version_rejected(self, tmp_path, rng):
         x = rng.random((2, 3)).astype(np.float32)

@@ -24,7 +24,6 @@ from stemc.netsim import (
     _integrate_block,
     _live_steps,
     _planes,
-    _wire_phis,
     check_capacity,
     compile_network,
     dump_spike_trains,
@@ -37,7 +36,7 @@ from stemc.netsim import (
 from stemc.quantizer import build_quantized_network, calibrate, prefix_bound, quantize_tensor
 from stemc.refengine import float_forward, int_forward
 from stemc.sparsity import LayerSparsity, SparsityPlan, drlo, rot, tune_hybrid
-from stemc.stem import WireSchedule, encode_planes
+from stemc.stem import encode_planes, step_weights
 
 
 def _quantized(model, n=24, seed=5, lo=0.0, hi=1.0, **kw):
@@ -66,12 +65,12 @@ class TestOracleEquivalence:
         builder, lo, hi = fixtures.FIXTURES[fixture]
         qnet, x = _quantized(builder(), n=32, lo=lo, hi=hi, k=k, acc_bits=acc_bits)
         run = CachedRun(compile_network(qnet, plan=SparsityPlan.identity()), x)
-        _, record = int_forward(qnet, x, mode="hw")
+        _, layers = int_forward(qnet, x, mode="hw")
         assert np.array_equal(run.values[INPUT_NAME], x.reshape(x.shape[0], -1))
         for name, values in run.values.items():
             assert values.dtype == np.int16 and values.ndim == 2, name
             if name != INPUT_NAME:
-                want = record.layers[name].post.reshape(x.shape[0], -1)
+                want = layers[name].post.reshape(x.shape[0], -1)
                 assert np.array_equal(values, want), name
             spikes = encode_planes(values, k, True).sum(axis=(0, 2))
             assert np.array_equal(run.counts[name], spikes), name
@@ -104,6 +103,51 @@ class TestOracleEquivalence:
         want, _ = int_forward(qnet, x_int, mode="hw")
         assert np.array_equal(got.outputs, want)
         assert got.steps_per_sample == 6 * (snet.n_stages + 1)
+
+
+def _signed_join_qnet(k: int, acc_bits: int):
+    """A two-conv residual network whose join is rewired after quantization
+    to read the signed network input and conv_b, with the input, conv_a's
+    input and conv_b's output put on one scale."""
+    rng = np.random.default_rng(22)
+    model = FloatModel(name="signed-join", input_shape=(2, 6, 6), layers=[
+        fixtures._conv("conv_a", "input", 2, 2, rng, 0.45),
+        fixtures._conv("conv_b", "conv_a", 2, 2, rng, 0.30),
+        LayerDesc(name="join", kind="residual-add", attrs={}, inputs=["conv_b", "conv_a"]),
+        LayerDesc(name="flat", kind="flatten", attrs={}, inputs=["join"]),
+        fixtures._fc("fc", "flat", 72, 10, rng, 0.35, relu=False),
+    ])
+    infer_shapes(model)
+    qnet, _ = _quantized(model, k=k, acc_bits=acc_bits)
+    qnet.input_scale = qnet.layer("conv_a").scale_in = qnet.layer("conv_b").scale_out
+    qnet.layer("join").inputs = [INPUT_NAME, "conv_b"]
+    qnet.validate()
+    return qnet
+
+
+class TestSignedJoin:
+    """A join of the signed network input and a hidden wire weights each
+    branch's steps by that branch's own wire."""
+
+    @pytest.mark.parametrize("k,acc_bits", [(8, 16), (12, 32)])
+    def test_full_range_matches_hw(self, k, acc_bits):
+        qnet = _signed_join_qnet(k, acc_bits)
+        snet = compile_network(qnet)
+        join = next(p for p in snet.populations if p.name == "join")
+        assert join.inputs == [INPUT_NAME, "conv_b"]
+        assert join.phis[0].ravel().tolist() == step_weights(k, signed=True).tolist()
+        assert join.phis[1].ravel().tolist() == step_weights(k, signed=False).tolist()
+        rng = np.random.default_rng(k)
+        x = rng.integers(-(1 << (k - 1)), 1 << (k - 1), size=(300, 2, 6, 6))
+        # a third of the samples sit on the ends of the wire range
+        x[::3] = rng.choice([-(1 << (k - 1)), 0, qnet.q_max], size=x[::3].shape)
+        run = CachedRun(snet, x)
+        want, layers = int_forward(qnet, x, mode="hw")
+        assert np.array_equal(run.outputs, want)
+        for pop in snet.populations:
+            assert np.array_equal(run.values[pop.name], layers[pop.name].post), pop.name
+            assert run.saturations[pop.name] == layers[pop.name].saturations, pop.name
+        assert layers["join"].post.any()
 
 
 # Reference synapse table: every neuron's synapses listed one by one, input
@@ -327,7 +371,7 @@ class TestRandomGeometry:
         pop = compile_network(qnet).populations[0]
         planes = np.random.default_rng(seed).integers(
             0, 2, size=(2, k, math.prod(in_shape)), dtype=np.uint8)
-        phi = WireSchedule(k, signed=True).weights()[:, None]
+        phi = step_weights(k, signed=True)[:, None]
         got = pop.step_sum([planes], [phi])
         assert np.array_equal(got, _synapse_walk(qnet, pop, [planes], phi))
         idx, _, n_in_padded, fanin = _build_table(kind, attrs, in_shape, qnet.layers[0].weights)
@@ -377,7 +421,7 @@ class TestRandomGeometry:
 
 
 class TestKPlaneKernel:
-    PHIS = WireSchedule(8, signed=True).weights()        # sign step first
+    PHIS = step_weights(8, signed=True)                  # sign step first
 
     def _check(self, qnet, pop, rng):
         rows = [rng.integers(0, 2, size=(2, 8, int(np.prod(shape))), dtype=np.uint8)
@@ -525,7 +569,6 @@ def run_pipeline_per_block(snet, x_int, wires=None) -> PipelineResult:
             consumers[src] += 1
     consumers[snet.output.name] += 1            # the external reader
 
-    phis = _wire_phis(snet)
     out_pop = snet.output
     reader_stage = out_pop.stage + 1            # decodes the final train
 
@@ -558,7 +601,8 @@ def run_pipeline_per_block(snet, x_int, wires=None) -> PipelineResult:
                 continue
             last_active = block
             rows = [_planes(fetch(src, s)[None], k) for src in pop.inputs]
-            sums = pop.step_sum(rows, [phis[src] for src in pop.inputs])
+            sums = pop.step_sum(rows, [step_weights(k, src == INPUT_NAME)[:, None]
+                                       for src in pop.inputs])
             v, sat = _scan(pop, sums, snet.acc_bits)
             saturations += sat
             pop_saturations[pop.name] += sat
@@ -577,11 +621,7 @@ def run_pipeline_per_block(snet, x_int, wires=None) -> PipelineResult:
         raise RuntimeError("pipeline finished with undrained state")
     if wires is not None:
         wires.update({name: (values[name], pop_saturations[name]) for name in values})
-    timing = PipelineTiming(
-        k=k, n_stages=n_stages, n_samples=n_samples,
-        total_steps=k * (last_active + 1), buffered_train_peak=peak,
-        stage_of={p.name: p.stage for p in snet.populations},
-    )
+    timing = PipelineTiming(total_steps=k * (last_active + 1), buffered_train_peak=peak)
     return PipelineResult(
         outputs=out_acc,
         timing=timing,
@@ -609,7 +649,8 @@ class TestPipeline:
         assert np.array_equal(res.outputs, seq.outputs)
         # the shortcut train outlives one block, so something must buffer
         assert res.timing.buffered_train_peak >= 2
-        assert res.timing.stage_of == {"conv_a": 1, "conv_b": 2, "join": 3, "fc": 4}
+        assert {p.name: p.stage for p in snet.populations} == {
+            "conv_a": 1, "conv_b": 2, "join": 3, "fc": 4}
 
     def test_cnn_stages(self, cnn_bundle):
         snet = compile_network(cnn_bundle.qnet)
@@ -742,8 +783,8 @@ class TestSaturationParity:
         lyr.m1 = lyr.m_hat            # product still equals m_hat exactly
         q.validate()
         x = widefan_bundle.x_int
-        want, rec = int_forward(q, x, mode="hw")
-        oracle_sat = sum(a.saturations for a in rec.layers.values())
+        want, layers = int_forward(q, x, mode="hw")
+        oracle_sat = sum(a.saturations for a in layers.values())
         assert oracle_sat > 0
         snet = compile_network(q)
         got = run_batch(snet, x)
@@ -774,8 +815,7 @@ class TestSaturationParity:
         snet = compile_network(_unprotected(widefan_bundle.qnet, "fc"))
         pop, x = snet.populations[0], widefan_bundle.x_int
         assert not pop.clamp_free
-        sums = pop.step_sum([_planes(x.astype(np.int16), snet.k)],
-                            [_wire_phis(snet)[INPUT_NAME]])
+        sums = pop.step_sum([_planes(x.astype(np.int16), snet.k)], pop.phis)
         v, saturations = _integrate_block(pop, sums, snet.acc_bits)
         want, want_saturations = _scan(pop, sums, snet.acc_bits)
         assert saturations == want_saturations > 0
@@ -791,7 +831,8 @@ def _neuron(m0=1.0, m1=1.0, bias_pre=None, bias_post=None, clamp_free=False,
             v_min=0) -> Population:
     """A hand-built one-neuron population with one synapse of weight 3."""
     return Population(
-        name="n", kind="fully-connected", inputs=[INPUT_NAME], in_shapes=[(1,)], n_out=1,
+        name="n", kind="fully-connected", inputs=[INPUT_NAME], in_shapes=[(1,)],
+        phis=[step_weights(8, signed=True)[:, None]], n_out=1,
         fanin=1, fanouts=[np.ones(1, dtype=np.int64)], form="dense",
         dense_w=np.array([[3.0]], dtype=np.float32), gather_idx=None, conv_w=None,
         m0=from_real(m0), m1=from_real(m1),
@@ -818,7 +859,7 @@ class TestIntegrateBlock:
     def test_accumulate_single_synapse(self):
         # the weight-3 synapse spiking at the phi=4 step (step 5 of K=8) adds 12
         pop = _neuron()
-        phi = WireSchedule(8, signed=False).weights()[5:6, None]
+        phi = step_weights(8, signed=False)[5:6, None]
         sums = pop.step_sum([np.ones((1, 1, 1), dtype=np.uint8)], [phi])
         assert sums.tolist() == [[[12]]]
         assert _integrated(pop, sums, 16) == ([[12]], 0)
@@ -1049,7 +1090,7 @@ class TestClampFree:
         if pop.clamp_free:
             assert lyr.m0.value() * reach + Fraction(k + 1, 2) <= hi
 
-        sums = pop.step_sum([_planes(x, k)], [_wire_phis(snet)[INPUT_NAME]])
+        sums = pop.step_sum([_planes(x, k)], pop.phis)
         u, scan_saturations = _scan_u(pop, sums, acc_bits)
         if pop.clamp_free:
             assert scan_saturations == 0
@@ -1079,7 +1120,7 @@ class TestSumPrecision:
         snet = compile_network(qnet)
         pop, k = snet.populations[0], snet.k
         assert pop.dense_w.dtype == dtype
-        phi = _wire_phis(snet)[INPUT_NAME]
+        phi = step_weights(k, signed=True)[:, None]
         ones = np.ones((2, k, n), dtype=np.uint8)
         assert np.array_equal(pop.step_sum([ones], [phi]),
                               np.broadcast_to(weight_sum * phi, (2, k, 1)))
@@ -1174,18 +1215,22 @@ class TestCapacity:
             "error: capacity check failed: accumulator width 32 exceeds profile 16\n")
 
 
+def _trains(res, k) -> dict[str, np.ndarray]:
+    """The uint8 [N, n, K] trains of every wire a ``record_values`` run kept."""
+    return {name: encode_planes(v, k, signed=True) for name, v in res.values.items()}
+
+
 def _emitted(snet, x) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per hidden population, (the train it emits in ``run_batch``, the train
-    of its V under its setting in ``snet.plan``). V is decoded from a run in
+    of its V under its setting in ``snet.plan``). V is read from a run in
     which only that population's setting is the identity."""
-    got = run_batch(snet, x, record_trains=True).trains
-    unsigned = WireSchedule(snet.k, signed=False).weights()
+    got = _trains(run_batch(snet, x, record_values=True), snet.k)
     out = {}
     for pop in snet.populations[:-1]:
         s = snet.plan.for_layer(pop.name)
         exact = run_batch(with_plan(snet, snet.plan.replaced(pop.name, LayerSparsity())), x,
-                          record_trains=True)
-        v = exact.trains[pop.name] @ unsigned
+                          record_values=True)
+        v = exact.values[pop.name].astype(np.int64)
         want = encode_planes(drlo(rot(v, s.rot_bits, snet.k), s.drlo_bits), snet.k,
                              signed=False)
         out[pop.name] = (got[pop.name], want)
@@ -1219,10 +1264,10 @@ class TestPlanPrecedence:
         snet = compile_network(mlp_bundle.qnet, plan=plan)
         assert snet.plan.for_layer("fc3") == LayerSparsity(3, 4)
         x = mlp_bundle.x_int[:16]
-        got = run_batch(snet, x, record_trains=True)
+        got = run_batch(snet, x, record_values=True)
         want = run_batch(compile_network(mlp_bundle.qnet, plan=SparsityPlan.identity()), x,
-                         record_trains=True)
-        assert np.array_equal(got.trains["fc3"], want.trains["fc3"])
+                         record_values=True)
+        assert np.array_equal(got.values["fc3"], want.values["fc3"])
         assert np.array_equal(got.outputs, want.outputs)
 
     def test_with_plan_matches_fresh_compile(self, cnn_bundle):
@@ -1258,13 +1303,14 @@ class TestSpikeCounts:
         snet = compile_network(b.qnet, plan=SparsityPlan.identity())
         if thinned:
             snet = with_plan(snet, _thinning_plan(snet))
-        res = run_batch(snet, b.x_int[:32], record_trains=True)
+        res = run_batch(snet, b.x_int[:32], record_values=True)
+        trains = _trains(res, snet.k)
         for pop, t in zip(snet.populations, res.traces):
-            ins = [res.trains[s] for s in pop.inputs]
+            ins = [trains[s] for s in pop.inputs]
             assert t.spikes_in == sum(int(tr.sum()) for tr in ins)
             assert t.sops == sum(metrics.count_sops(tr.sum(axis=(0, 2)), fo)
                                  for tr, fo in zip(ins, pop.fanouts))
-            assert t.spikes_out == int(res.trains[pop.name].sum())
+            assert t.spikes_out == int(trains[pop.name].sum())
             assert (t.name, t.kind, t.neurons) == (pop.name, pop.kind, pop.n_out)
 
 
@@ -1396,16 +1442,16 @@ def _unprotected(qnet, name):
 
 def _every_result(q, x, y) -> list[tuple[str, object]]:
     """(label, value) of everything the run functions report on (q, x, y):
-    run_batch with trains, CachedRun reruns (each the cache of the next), the
+    run_batch with wire values, CachedRun reruns (each the cache of the next), the
     tuner and the pipeline, each under the identity plan and rot 1/drlo 2 on
     every hidden layer."""
     base = compile_network(q, plan=SparsityPlan.identity())
     thin = _thinning_plan(base)
     got = []
     for label, snet in (("identity", base), ("thin", with_plan(base, thin))):
-        res = run_batch(snet, x, record_trains=True)
+        res = run_batch(snet, x, record_values=True)
         got += [(f"{label} batch outputs", res.outputs), (f"{label} batch traces", res.traces)]
-        got += [(f"{label} batch train {n}", tr) for n, tr in res.trains.items()]
+        got += [(f"{label} batch values {n}", v) for n, v in res.values.items()]
         pipe = run_pipeline(snet, x)
         got += [(f"{label} pipeline outputs", pipe.outputs),
                 (f"{label} pipeline timing", pipe.timing),
@@ -1541,20 +1587,20 @@ class TestSpikeDumps:
 
     def test_dump_file_parses_back(self, tmp_path, mlp_bundle):
         snet = compile_network(mlp_bundle.qnet)
-        res = run_batch(snet, mlp_bundle.x_int[:2], record_trains=True)
+        res = run_batch(snet, mlp_bundle.x_int[:2], record_values=True)
         path = tmp_path / "spikes.txt"
-        dump_spike_trains(path, res.trains)
+        dump_spike_trains(path, res.values, snet.k)
         rebuilt = {}
         for line in path.read_text().splitlines():
             name, sample, step, runs = (line.split(" ", 3) + [""])[:4]
             rebuilt.setdefault(name, {})[(int(sample), int(step))] = runs
-        for name, planes in res.trains.items():
-            flat = planes.reshape(planes.shape[0], -1, planes.shape[-1])
-            for s in range(flat.shape[0]):
-                for t in range(flat.shape[2]):
-                    got = rle_decode(rebuilt[name][(s, t)], flat.shape[1])
-                    assert np.array_equal(got, flat[s, :, t])
+        assert len(rebuilt) == len(snet.populations) + 1
+        for name, trains in _trains(res, snet.k).items():
+            for s in range(trains.shape[0]):
+                for t in range(snet.k):
+                    got = rle_decode(rebuilt[name][(s, t)], trains.shape[1])
+                    assert np.array_equal(got, trains[s, :, t])
 
     def test_trains_not_recorded_by_default(self, mlp_bundle):
         snet = compile_network(mlp_bundle.qnet)
-        assert run_batch(snet, mlp_bundle.x_int[:1]).trains is None
+        assert run_batch(snet, mlp_bundle.x_int[:1]).values is None

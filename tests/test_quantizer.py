@@ -21,11 +21,11 @@ from stemc import fixtures, netsim
 from stemc.fixedpoint import apply
 from stemc.modelio import FloatModel, LayerDesc, infer_shapes
 from stemc.refengine import int_forward
-from stemc.stem import WireSchedule, encode_planes
+from stemc.stem import encode_planes, step_weights
 
 
-def _record_saturations(record) -> int:
-    return sum(act.saturations for act in record.layers.values())
+def _record_saturations(layers) -> int:
+    return sum(act.saturations for act in layers.values())
 
 
 def _fc_model(layers, n_in: int) -> FloatModel:
@@ -58,9 +58,9 @@ def _wire_values(k: int, signed: bool, n_in: int) -> np.ndarray:
 def _step_sums(lyr, x: np.ndarray, k: int, signed: bool) -> np.ndarray:
     """Per-step weighted sums I_t of an fc layer, shape [K, N, n_out]."""
     planes = encode_planes(x, k, signed).astype(np.int64)
-    sched = WireSchedule(k, signed)
+    phi = step_weights(k, signed)
     w = lyr.weights.astype(np.int64)
-    return np.stack([sched.weight(t) * (planes[..., t] @ w.T) for t in range(k)])
+    return np.stack([phi[t] * (planes[..., t] @ w.T) for t in range(k)])
 
 
 def _u_prefixes(lyr, x: np.ndarray, k: int, signed: bool) -> np.ndarray:
@@ -198,13 +198,13 @@ class TestMeasurement:
         for bundle in (mlp_bundle, bias_bundle):
             q = bundle.qnet
             x_cal = bundle.x_int[:64]
-            _, record = int_forward(q, x_cal, mode="hw")
-            assert _record_saturations(record) == 0
+            _, layers = int_forward(q, x_cal, mode="hw")
+            assert _record_saturations(layers) == 0
             x, signed = x_cal, True
             for lyr in q.layers:
                 prefixes = np.cumsum(_step_sums(lyr, x, q.k, signed), axis=0)
                 assert lyr.i_max >= int(np.abs(prefixes).max())
-                x, signed = record.layers[lyr.name].post, False
+                x, signed = layers[lyr.name].post, False
 
 
 # (weights, bias) of fc1 and fc2; inputs run in [-1, 1], so at K=4 a bias of
@@ -277,9 +277,10 @@ class TestStaticBound:
 class TestValidate:
     def test_k_out_of_range(self, mlp_bundle):
         q = copy.deepcopy(mlp_bundle.qnet)
-        q.k = 1
-        with pytest.raises(ValueError, match="train length"):
-            q.validate()
+        for k in (1, 17):
+            q.k = k
+            with pytest.raises(ValueError, match="train length"):
+                q.validate()
 
     def test_accumulator_narrower_than_k(self, mlp_bundle):
         q = copy.deepcopy(mlp_bundle.qnet)

@@ -17,7 +17,6 @@ from stemc.quantizer import (
     quantize_tensor,
 )
 from stemc.refengine import (
-    ActivationRecord,
     LayerActivation,
     _conv2d,
     _linear,
@@ -79,7 +78,7 @@ def _float_forward_record(model, x):
     layer's pre- and post-activation kept for the whole batch, each op on a
     fresh array. Reference for the bit-identity and memory tests."""
     tensors = {INPUT_NAME: np.asarray(x, dtype=np.float64)}
-    record = ActivationRecord()
+    record = {}
     out = None
     for lyr in model.layers:
         xs = [tensors[s] for s in lyr.inputs]
@@ -90,7 +89,7 @@ def _float_forward_record(model, x):
         if lyr.bias is not None:
             pre = pre + lyr.bias.reshape((1, -1) + (1,) * (pre.ndim - 2))
         post = np.maximum(pre, 0.0) if lyr.activation == "relu" else pre
-        record.layers[lyr.name] = LayerActivation(pre, post)
+        record[lyr.name] = LayerActivation(pre, post)
         tensors[lyr.name] = post
         out = post
     return out.reshape(out.shape[0], -1), record
@@ -98,7 +97,7 @@ def _float_forward_record(model, x):
 
 def _record_ranges(record) -> dict:
     return {name: (float(act.post.min()), float(act.post.max()))
-            for name, act in record.layers.items()}
+            for name, act in record.items()}
 
 
 def _calibrate_reference(model, inputs) -> RangeStats:
@@ -152,8 +151,8 @@ class TestWorkedExamples:
             _fc_layer("fc1", "input", [[2, -3]], bias=[4], scheme="product"),
             _fc_layer("fc2", "fc1", [[1]]),
         ], (2,))
-        out, record = int_forward(net, np.array([[5, 7]]), mode="hw")
-        assert record.layers["fc1"].post.tolist() == [[0]]
+        out, layers = int_forward(net, np.array([[5, 7]]), mode="hw")
+        assert layers["fc1"].post.tolist() == [[0]]
         assert out.tolist() == [[0]]
 
     def test_output_bias_after_rescale(self):
@@ -184,8 +183,8 @@ class TestModeAgreement:
         bundle = request.getfixturevalue(f"{which}_bundle")
         x = bundle.x_int[:32]
         wide, _ = int_forward(bundle.qnet, x, mode="wide")
-        hw, rec = int_forward(bundle.qnet, x, mode="hw")
-        assert sum(a.saturations for a in rec.layers.values()) == 0
+        hw, layers = int_forward(bundle.qnet, x, mode="hw")
+        assert sum(a.saturations for a in layers.values()) == 0
         assert np.array_equal(wide, hw)
 
     def test_direct_close_to_hw(self, mlp_bundle):
@@ -210,9 +209,9 @@ class TestModeAgreement:
             qnet = build_quantized_network(bundle.model, stats, k=k,
                                            acc_bits=acc_bits)
         x_int, _ = quantize_tensor(bundle.ds.inputs[:48], qnet.input_params)
-        _, record = int_forward(qnet, x_int, mode="wide")
+        _, layers = int_forward(qnet, x_int, mode="wide")
         post = {"input": x_int.astype(np.int64)}
-        post.update({name: act.post for name, act in record.layers.items()})
+        post.update({name: act.post for name, act in layers.items()})
         for lyr in qnet.layers:
             if lyr.kind == "flatten":
                 continue
@@ -230,7 +229,7 @@ class TestModeAgreement:
                 total = total + b
                 r += 1
             m, shift = lyr.m0.mantissa, lyr.m0.shift
-            u = record.layers[lyr.name].pre.astype(object)
+            u = layers[lyr.name].pre.astype(object)
             err = np.abs(u * (1 << shift) - total.astype(object) * m)
             assert int(err.max()) <= r * (1 << (shift - 1)), lyr.name
 
@@ -241,8 +240,8 @@ class TestModeAgreement:
         net = _conv_qnet(w, (2, 1, 1), k=2, acc_bits=56)
         x = np.array([[[[-1]], [[0]]]])                 # sign plane carries it
         for mode in ("wide", "hw"):                     # just below: accepted
-            _, rec = int_forward(net, x, mode=mode)
-            assert rec.layers["conv"].pre.tolist() == [[-big]], mode
+            _, layers = int_forward(net, x, mode=mode)
+            assert layers["conv"].pre.tolist() == [[-big]], mode
         w[0, 1] = 1                                     # sum|w| = 2^53
         for mode in ("wide", "hw"):
             with pytest.raises(ValueError, match="2\\^53"):
@@ -251,8 +250,8 @@ class TestModeAgreement:
     def test_direct_conv_bound_scales_with_input(self):
         w = np.full((1, 1, 1, 1), 1 << 51, dtype=np.int64)
         net = _conv_qnet(w, (1, 1, 1))
-        _, rec = int_forward(net, np.array([[[[3]]]]), mode="direct")
-        assert rec.layers["conv"].pre.tolist() == [[3 << 51]]
+        _, layers = int_forward(net, np.array([[[[3]]]]), mode="direct")
+        assert layers["conv"].pre.tolist() == [[3 << 51]]
         with pytest.raises(ValueError, match="2\\^53"):       # 4 * 2^51
             int_forward(net, np.array([[[[-4]]]]), mode="direct")
 

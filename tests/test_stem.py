@@ -4,12 +4,12 @@ from hypothesis import given, strategies as st
 
 from conftest import encode_integer
 from stemc.sparsity import drlo
-from stemc.stem import WireSchedule, encode_planes
+from stemc.stem import encode_planes, step_weights
 
 
 # Single-step reference oracle: the simulator emits a whole train from the
 # value it carries, this walks one threshold step at a time. A train decodes
-# as the dot product of its bits with the schedule's weights.
+# as the dot product of its bits with the wire's step weights.
 
 
 def generate_step(v: int, k: int, step: int) -> tuple[int, int]:
@@ -22,24 +22,25 @@ def generate_step(v: int, k: int, step: int) -> tuple[int, int]:
     return 0, v
 
 
-class TestWireSchedule:
+def phi(t: int, k: int, signed: bool) -> int:
+    """The paper's step weight: -2^(K-1) at a signed wire's first step,
+    else 2^(K-1-t)."""
+    return -(1 << (k - 1)) if signed and t == 0 else 1 << (k - 1 - t)
+
+
+class TestStepWeights:
     def test_signed_weights(self):
-        s = WireSchedule(8, signed=True)
-        assert s.weights().tolist() == [-128, 64, 32, 16, 8, 4, 2, 1]
+        assert step_weights(8, signed=True).tolist() == [-128, 64, 32, 16, 8, 4, 2, 1]
 
     def test_unsigned_weights(self):
-        s = WireSchedule(8, signed=False)
-        assert s.weights().tolist() == [128, 64, 32, 16, 8, 4, 2, 1]
+        assert step_weights(8, signed=False).tolist() == [128, 64, 32, 16, 8, 4, 2, 1]
 
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            WireSchedule(1, signed=False)
-        with pytest.raises(ValueError):
-            WireSchedule(17, signed=True)
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            WireSchedule(8, signed=False).weight(8)
+    @pytest.mark.parametrize("k", range(2, 17))
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_every_k_matches_formula(self, k, signed):
+        got = step_weights(k, signed)
+        assert got.dtype == np.int64
+        assert got.tolist() == [phi(t, k, signed) for t in range(k)]
 
 
 class TestEncodeDecode:
@@ -51,16 +52,16 @@ class TestEncodeDecode:
         assert encode_integer(-1, 8, signed=True).tolist() == [1] * 8
 
     def test_signed_roundtrip_exhaustive(self):
-        sched = WireSchedule(8, signed=True)
+        weights = step_weights(8, signed=True)
         for q in range(-128, 128):
-            assert encode_integer(q, 8, signed=True) @ sched.weights() == q
+            assert encode_integer(q, 8, signed=True) @ weights == q
 
     def test_unsigned_roundtrip_exhaustive(self):
-        sched = WireSchedule(8, signed=False)
+        weights = step_weights(8, signed=False)
         for q in range(0, 128):
             bits = encode_integer(q, 8, signed=False)
             assert bits[0] == 0          # sign-position step stays silent
-            assert bits @ sched.weights() == q
+            assert bits @ weights == q
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -98,16 +99,14 @@ class TestEncodeDecode:
            st.integers(min_value=0, max_value=4000))
     def test_roundtrip_any_k(self, k, q):
         q = q % (1 << (k - 1))
-        sched = WireSchedule(k, signed=False)
-        assert encode_integer(q, k, signed=False) @ sched.weights() == q
+        assert encode_integer(q, k, signed=False) @ step_weights(k, signed=False) == q
 
     def test_decode_linearity(self, rng):
         # decode(a) + decode(b) == decode over the union of spikes (disjoint)
-        sched = WireSchedule(8, signed=True)
         bits = rng.integers(0, 2, size=(40, 8)).astype(np.uint8)
         brute = np.array(
-            [sum(sched.weight(t) * int(b[t]) for t in range(8)) for b in bits])
-        assert np.array_equal(bits @ sched.weights(), brute)
+            [sum(phi(t, 8, True) * int(b[t]) for t in range(8)) for b in bits])
+        assert np.array_equal(bits @ step_weights(8, signed=True), brute)
 
 
 class TestGeneration:
@@ -127,10 +126,10 @@ class TestGeneration:
         assert v == 0
 
     def test_exhaustive_binary_expansion(self):
-        sched = WireSchedule(8, signed=False)
+        weights = step_weights(8, signed=False)
         for v in range(0, 128):
             bits = encode_planes(np.array(v), 8, signed=False)
-            assert bits @ sched.weights() == v
+            assert bits @ weights == v
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -157,10 +156,10 @@ class TestGeneration:
             assert got.tolist() == want
 
     def test_suppression_zeroes_low_bits(self):
-        sched = WireSchedule(8, signed=False)
+        weights = step_weights(8, signed=False)
         for v in (84, 83, 127, 7, 0):
             bits = encode_planes(drlo(np.array(v), 3), 8, signed=False)
-            assert bits @ sched.weights() == v & ~0b111
+            assert bits @ weights == v & ~0b111
 
     def test_suppression_only_masks_emission(self):
         full = encode_planes(np.array(100), 8, signed=False)
