@@ -77,6 +77,8 @@ def cmd_make_fixtures(args) -> int:
     for flag, count in (("--calib", args.calib), ("--eval", args.eval)):
         if count < 1:
             raise ValueError(f"{flag} must be at least 1, not {count}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, not {args.seed}")
     written = write_fixture_tree(args.dir, calib_n=args.calib, eval_n=args.eval,
                                  seed=args.seed)
     for d in written:

@@ -472,26 +472,26 @@ def _unpack_header(fmt: str, raw: bytes, offset: int, name: str) -> tuple:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    path = Path(path)
-    raw = path.read_bytes()
+    """The dataset at `path`; every error names the path as given."""
+    raw = Path(path).read_bytes()
     if raw[:4] != DATASET_MAGIC:
-        raise ModelFormatError(f"{path.name}: not a dataset file")
-    ver, count, ndim, label_width = _unpack_header("<IIII", raw, 4, path.name)
+        raise ModelFormatError(f"{path}: not a dataset file")
+    ver, count, ndim, label_width = _unpack_header("<IIII", raw, 4, path)
     if ver != FORMAT_VERSION:
-        raise ModelFormatError(f"{path.name}: dataset version {ver} not supported")
-    dims = _unpack_header(f"<{ndim}I", raw, 20, path.name)
+        raise ModelFormatError(f"{path}: dataset version {ver} not supported")
+    dims = _unpack_header(f"<{ndim}I", raw, 20, path)
     offset = 20 + 4 * ndim
     n_in = count * int(np.prod(dims)) if ndim else count
     expected = offset + 4 * n_in + 4 * count * label_width
     if len(raw) != expected:
         raise ModelFormatError(
-            f"{path.name}: {len(raw)} bytes, expected {expected} from header"
+            f"{path}: {len(raw)} bytes, expected {expected} from header"
         )
     inputs = np.frombuffer(raw, dtype="<f4", count=n_in, offset=offset)
     inputs = inputs.reshape((count,) + tuple(dims)).copy()
     if (bad := int(np.count_nonzero(~np.isfinite(inputs)))):
         raise ModelFormatError(
-            f"{path.name}: {bad} of {inputs.size} input values are not finite")
+            f"{path}: {bad} of {inputs.size} input values are not finite")
     labels = np.frombuffer(raw, dtype="<i4", count=count * label_width,
                            offset=offset + 4 * n_in)
     labels = labels.reshape(count, label_width).copy()

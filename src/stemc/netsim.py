@@ -16,19 +16,22 @@ Wire values. A train is the binary code of the integer it carries, so every
 wire is kept as that integer, one int16 per neuron and sample: a hidden
 population emits ``drlo(rot(V))`` under its sparsity setting, the output
 population its signed V. A spike count is the popcount of a value's K low
-bits. The 0/1 step planes exist only inside the population step that reads
-them (``_planes``), and in ``dump_spike_trains``, which unpacks the values
+bits. The 0/1 step bits exist only inside the population step that reads
+them, and in ``dump_spike_trains``, which unpacks (``_planes``) the values
 that ``run_batch`` records for a dump.
 
-The step kernel. Step sums are linear in the spike planes, so
-``Population.step_sum`` takes a layer's live step planes at once, as
-[N, steps, n_in] rows with the per-step wire weights phi broadcast over the
-step axis, and computes all of them in one BLAS matmul. The result is exact:
-the planes are 0/1, so every partial sum is an integer of magnitude at most
-sum|w| of one neuron. ``compile_network`` stores the weights as float32 when
-every neuron's sum|w| is below 2^24, as float64 below 2^53, and rejects a
-layer where it reaches 2^53. None of this is the shifted-slice convolution of
-the reference oracle, so the two sides check each other.
+The step kernel. ``Population.step_sum`` takes a sample block's int16 wire
+values and returns the unweighted synaptic sum S of every live step, per
+neuron, laid out step-major. A dense form unpacks the live step planes and
+sums them all in one BLAS matmul. A conv or pool form gathers the block's
+wire values once (the padding slot holds 0, whose bits are all 0), then
+unpacks each live step's bits from the gathered values and multiplies (conv)
+or adds (pool) them. The result is exact: the planes are 0/1, so every
+partial sum is an integer of magnitude at most sum|w| of one neuron.
+``compile_network`` stores the weights as float32 when every neuron's sum|w|
+is below 2^24, as float64 below 2^53, and rejects a layer where it reaches
+2^53. None of this is the shifted-slice convolution of the reference oracle,
+so the two sides check each other.
 
 Live steps. A population reads only the steps of its input trains that can
 spike, which the wires' signedness and the plan decide, never the data
@@ -40,24 +43,34 @@ or all K if a branch is the signed network input; at K <= c + 1 it reads
 none. A skipped step would add round(M0 * 0) = 0 to U, so skipping it
 changes no integer and no saturation count.
 
-Integration. The M0 rounding is elementwise, so it runs once per block.
+Integration. Step t adds round(M0 * phi_t * S) to U, phi_t the wire's step
+weight. One phi serves every branch of a join: it is signed where a branch
+is the network input, and the unsigned weights differ only at step 0, where
+a hidden wire never spikes. S is an integer in [-B, B], B the largest
+sum|w| of a neuron (a pool's tap count, a join's branch count), so
+``compile_network`` tabulates every increment of every readable step with
+``fixedpoint.apply`` itself (``_m0_table``) wherever that table fits
+BLOCK_BYTES, and the population reads its increments from it; any other
+population rounds its step sums with ``apply``, once per step.
 ``compile_network`` marks a population ``clamp_free`` when value(M0) times
 ``quantizer.prefix_bound`` (the largest running prefix of a neuron's step
 sums, plus a product-scheme bias, over every input its wires can carry) plus
 (K+1)/2 fits the n-bit accumulator, checked exactly from the manifest's own
 constants. The quantizer picks M0 so that this holds, and then no running
-sum of U can reach the clamp, so U is the sum of the rounded steps. Any
+sum of U can reach the clamp, so U is the sum of the increments. Any
 other population (an M0 from elsewhere) takes the step-by-step saturating
 scan (``fixedpoint.saturate_array`` after each add), which counts every
 clamp.
 
 The population step. Every run hands each population's samples to one step,
 ``_population_step``, which works through them in sample blocks: each sample
-block's planes, step sums, integration and emission are written into the
+block's step sums, integration and emission are written into the
 population's values before the next one starts. A sample block holds as
 many samples as keep, over its live steps, its int64 step sums (8 bytes per
-output neuron), or a conv's gathered patches if those are larger, within
-BLOCK_BYTES, and at least one. Sample blocks split only the batch axis, so
+output neuron), or a conv's float patches of every live step if those are
+larger, within BLOCK_BYTES, and at least one (a conv in fact holds one
+step's float patches at a time, plus the block's gathered int16 values,
+half a float patch in size). Sample blocks split only the batch axis, so
 they change no integer, trace or saturation count.
 
 One executor. ``CachedRun`` is the only code that runs a network over
@@ -152,7 +165,8 @@ class Population:
     kind: str
     inputs: list[str]               # producer names, flatten resolved away
     in_shapes: list[tuple[int, ...]]
-    phis: list[np.ndarray]          # per branch: its wire's step weights, [K, 1]
+    phi: np.ndarray                 # step weights of its wires, int64 [K]: signed
+                                    # if a branch is the network input
     n_out: int
     fanin: int                      # real synapses of the busiest neuron
     fanouts: list[np.ndarray]       # per branch: synapses per input neuron,
@@ -167,6 +181,8 @@ class Population:
     # constants
     m0: FixedMult
     m1: FixedMult
+    m0_table: np.ndarray | None     # round(M0 * phi_t * s) of every step sum s of
+                                    # every readable step t (see _m0_table), or None
     bias_pre_scaled: np.ndarray | None   # round(M0 * q_b), injected into U
     bias_post: np.ndarray | None         # output-scale bias, added after M1
     clamp_free: bool                # no running sum of U can reach the clamp
@@ -175,37 +191,52 @@ class Population:
     stage: int
     is_output: bool
 
-    def step_sum(self, rows: list[np.ndarray], phis: list) -> np.ndarray:
-        """Wide synaptic sums of wire steps: sum over branches of phi * (row @ W).
+    def step_sum(self, values: list[np.ndarray], steps: range) -> np.ndarray:
+        """Unweighted synaptic sums of a block's live steps: per sample, step
+        and neuron, the sum over branches of w * spike.
 
-        Each rows[i] is a uint8 [..., n_in] spike array of input branch i and
-        each phis[i] broadcasts against [..., n_out]: a scalar for one step,
-        rows of ``Population.phis`` for the planes [N, steps, n_in] of a
-        whole block. Returns int64 [..., n_out].
+        values[i] holds the int16 [m, n_in] wire values of input branch i,
+        whose spike at step t of the K = len(phi) is bit K-1-t (see
+        ``_planes``). Returns int64 [m, len(steps), n_out], laid out
+        step-major so that each step's [m, n_out] sums are contiguous; phi
+        and M0 weight them in ``_integrate_block``.
         """
-        total = None
-        for row, phi in zip(rows, phis):
-            part = phi * self._synapse_sum(np.asarray(row))
-            total = part if total is None else total + part
-        return total
+        total = self._synapse_sum(values[0], steps)
+        for vals in values[1:]:
+            total += self._synapse_sum(vals, steps)
+        return total.transpose(1, 0, 2)
 
-    def _synapse_sum(self, row: np.ndarray) -> np.ndarray:
-        """Per neuron, the sum of w * spike over its synapses (before phi), int64."""
-        lead = row.shape[:-1]
-        if self.form == "identity":
-            return row.astype(np.int64)        # unit weight, one synapse each
+    def _synapse_sum(self, values: np.ndarray, steps: range) -> np.ndarray:
+        """Per step and neuron, the sum of w * spike over the synapses of one
+        branch, int64 [len(steps), m, n_out]."""
+        m, k = values.shape[0], self.phi.size
+        if self.form in ("identity", "dense"):
+            planes = _planes(values, k, steps).transpose(1, 0, 2)     # [steps, m, n_in]
+            if self.form == "identity":
+                return planes.astype(np.int64)                         # unit weights
+            x = planes.reshape(-1, planes.shape[-1]).astype(self.dense_w.dtype)
+            return (x @ self.dense_w.T).astype(np.int64).reshape(len(steps), m, self.n_out)
+        # conv and pool: gather the block's values once, then unpack each
+        # step's bits from the gathered values (the silent slot holds 0)
         if self.form == "pool":
-            taps = np.take(row, self.gather_idx, axis=-1)      # [..., F, n_out]
-            return taps.sum(axis=-2, dtype=np.int64)
-        if self.form == "dense":
-            x = row.reshape(-1, row.shape[-1]).astype(self.dense_w.dtype)
-            return (x @ self.dense_w.T).astype(np.int64).reshape(lead + (self.n_out,))
-        # conv: one gathered patch per output position, shared by all channels
-        padded = np.zeros((math.prod(lead), row.shape[-1] + 1), dtype=self.conv_w.dtype)
-        padded[:, :-1] = row.reshape(padded.shape[0], -1)  # last slot: silent 0
-        patches = np.take(padded, self.gather_idx, axis=1) # [M, F, n_pos]
-        out = np.matmul(self.conv_w, patches)              # [M, oc, n_pos]
-        return out.astype(np.int64).reshape(lead + (self.n_out,))
+            taps = np.take(values, self.gather_idx, axis=1)           # [m, F, n_out]
+            count = np.int16 if self.fanin < 1 << 15 else np.int64    # spikes of F taps
+        else:
+            padded = np.zeros((m, values.shape[1] + 1), dtype=np.int16)
+            padded[:, :-1] = values
+            taps = np.take(padded, self.gather_idx, axis=1)           # [m, F, n_pos]
+            patch = np.empty(taps.shape, dtype=self.conv_w.dtype)
+        bits = np.empty_like(taps)
+        out = np.empty((len(steps), m, self.n_out), dtype=np.int64)
+        for j, t in enumerate(steps):
+            np.right_shift(taps, k - 1 - t, out=bits)
+            np.bitwise_and(bits, 1, out=bits)
+            if self.form == "pool":
+                out[j] = bits.sum(axis=1, dtype=count)
+            else:   # one patch per output position, shared by all channels
+                patch[...] = bits
+                out[j] = np.matmul(self.conv_w, patch).reshape(m, self.n_out)
+        return out
 
     def emit(self, v: np.ndarray, k: int, setting: LayerSparsity) -> np.ndarray:
         """The int16 values the trains of clamped int64 `v` carry: a hidden
@@ -318,6 +349,30 @@ def _max_weight_sum(weights: np.ndarray | None) -> int:
     return int(w.sum(axis=1).max())
 
 
+def _m0_table(m0: FixedMult, phi: np.ndarray, bound: int) -> np.ndarray | None:
+    """Every rounded step increment of a population whose step sums lie in
+    [-bound, bound]: row t holds ``apply(m0, phi_t * s)`` at column s, a
+    negative s at column s + 2*bound + 1 (where a negative index reads).
+
+    There is a row for every step a population can read: steps 1 to K-1 if
+    phi is unsigned, since a hidden wire never spikes at step 0, and all K
+    if it is signed, so the table holds the last rows of the K steps. It is
+    built one row at a time, in the narrowest of int16/int32/int64 that holds
+    the largest increment, and is None where it would take more than
+    BLOCK_BYTES."""
+    rows = phi if phi[0] < 0 else phi[1:]
+    top = abs(apply(m0, int(abs(rows).max()) * bound))
+    dtype = next((d for d in (np.int16, np.int32, np.int64) if top <= np.iinfo(d).max), None)
+    if dtype is None or rows.size * (2 * bound + 1) * np.dtype(dtype).itemsize > BLOCK_BYTES:
+        return None
+    sums = np.arange(2 * bound + 1, dtype=np.int64)
+    sums[bound + 1:] -= 2 * bound + 1                  # 0 .. bound, -bound .. -1
+    table = np.empty((rows.size, sums.size), dtype=dtype)
+    for row, p in zip(table, rows.tolist()):
+        row[:] = apply(m0, p * sums)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # compilation
 # ---------------------------------------------------------------------------
@@ -332,7 +387,8 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
     the signedness of the branches, never from data: a population is
     ``clamp_free`` when value(M0) * ``quantizer.prefix_bound`` + (K+1)/2 fits
     the accumulator, and its weights are float32 when every neuron's sum|w|
-    is below FLOAT32_SUM_LIMIT.
+    is below FLOAT32_SUM_LIMIT. Its M0 table (``_m0_table``) covers every
+    step sum those weights can make.
     """
     qnet.validate()
     if plan is None:
@@ -361,20 +417,24 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
                 f"so float64 synaptic sums would not be exact")
         dtype = np.float32 if weight_sum < FLOAT32_SUM_LIMIT else np.float64
         dense_w = gather_idx = conv_w = None
+        sum_bound = weight_sum          # largest |step sum| of one neuron
         if lyr.kind == "fully-connected":
             form, dense_w, fanin = "dense", lyr.weights.astype(dtype), lyr.weights.shape[1]
             fanouts = [np.full(fanin, n_out, dtype=np.int64)]
         elif lyr.kind == "residual-add":
             form, fanin = "identity", 2
             fanouts = [np.ones(math.prod(shape), dtype=np.int64) for shape in in_shapes]
+            sum_bound = len(sources)
         elif lyr.kind == "avgpool2d":
             form, gather_idx = "pool", _pool_gather(in_shapes[0], lyr.attrs)
-            fanin = gather_idx.shape[0]
+            fanin = sum_bound = gather_idx.shape[0]
             fanouts = [np.bincount(gather_idx.ravel(), minlength=math.prod(in_shapes[0]))]
         else:
             form, dense_w, gather_idx, conv_w, fanin, fanout = _conv_form(
                 in_shapes[0], lyr.attrs, lyr.weights, dtype)
             fanouts = [fanout]
+        # a hidden wire never spikes at step 0, so one phi serves every branch
+        phi = step_weights(qnet.k, INPUT_NAME in sources)
 
         bias_pre_scaled = bias_post = None
         if lyr.bias is not None:
@@ -393,11 +453,10 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
         is_output = lyr is last
         pops.append(Population(
             name=lyr.name, kind=lyr.kind, inputs=sources, in_shapes=in_shapes,
-            phis=[step_weights(qnet.k, s == INPUT_NAME)[:, None] for s in sources],
-            n_out=n_out,
+            phi=phi, n_out=n_out,
             fanin=fanin, fanouts=fanouts,
             form=form, dense_w=dense_w, gather_idx=gather_idx, conv_w=conv_w,
-            m0=lyr.m0, m1=lyr.m1,
+            m0=lyr.m0, m1=lyr.m1, m0_table=_m0_table(lyr.m0, phi, sum_bound),
             bias_pre_scaled=bias_pre_scaled, bias_post=bias_post, clamp_free=clamp_free,
             v_min=-qnet.q_max if is_output else 0, v_max=qnet.q_max,
             stage=0, is_output=is_output,
@@ -470,33 +529,38 @@ def _live_steps(snet: SpikingNetwork, pop: Population) -> range:
 
 def _planes(values: np.ndarray, k: int, steps: range | None = None) -> np.ndarray:
     """The trains of int16 [N, n] wire values at `steps` (all K by default)
-    as the uint8 [N, len(steps), n] step planes `step_sum` takes: the plane
+    as uint8 [N, len(steps), n] step planes, laid out step-major: the plane
     of step t is bit K-1-t (the arithmetic shift gives a signed wire's
-    two's-complement bits; its phis carry the sign weight)."""
+    two's-complement bits; its phi carries the sign weight)."""
     steps = range(k) if steps is None else steps
-    planes = np.empty((values.shape[0], len(steps), values.shape[1]), dtype=np.uint8)
+    planes = np.empty((len(steps),) + values.shape, dtype=np.uint8)
     for j, t in enumerate(steps):
-        np.bitwise_and(values >> (k - 1 - t), 1, out=planes[:, j], casting="unsafe")
-    return planes
+        np.bitwise_and(values >> (k - 1 - t), 1, out=planes[j], casting="unsafe")
+    return planes.transpose(1, 0, 2)
 
 
-def _integrate_block(pop: Population, sums: np.ndarray, acc_bits: int
+def _integrate_block(pop: Population, sums: np.ndarray, steps: range, acc_bits: int
                      ) -> tuple[np.ndarray, int]:
-    """U from a block's step sums [N, steps, n_out], then the bias and the M1
-    rescale; returns (clamped V, saturation count). The M0 rounding is
-    elementwise, so it runs once on the whole block. A ``clamp_free``
-    population's U is the sum of the rounded steps, since no running sum can
+    """U from a block's unweighted step sums [N, len(steps), n_out] at
+    `steps`, then the bias and the M1 rescale; returns (clamped V, saturation
+    count). Step t's increment round(M0 * phi_t * S) is read from its row of
+    ``pop.m0_table`` (a negative S indexes from the row's end), or rounded by
+    ``apply`` where the population has no table. A ``clamp_free``
+    population's U is the sum of the increments, since no running sum can
     reach the clamp; any other takes the step-by-step saturating scan. A
     product-scheme bias is a saturating add to U, an output-scheme bias is
     added after M1, and V is clamped to [v_min, v_max]."""
-    incs = apply(pop.m0, sums)
+    u = np.zeros((sums.shape[0], pop.n_out), dtype=np.int64)
     saturations = 0
-    if pop.clamp_free:
-        u = incs.sum(axis=1)
-    else:
-        u = np.zeros((sums.shape[0], pop.n_out), dtype=np.int64)
-        for step in range(incs.shape[1]):
-            u, events = saturate_array(u + incs[:, step], acc_bits)
+    for j, t in enumerate(steps):
+        if pop.m0_table is None:
+            inc = apply(pop.m0, pop.phi[t] * sums[:, j])
+        else:
+            inc = pop.m0_table[t - pop.phi.size][sums[:, j]]     # rows end at step K-1
+        if pop.clamp_free:
+            u += inc
+        else:
+            u, events = saturate_array(u + inc, acc_bits)
             saturations += events
     if pop.bias_pre_scaled is not None:
         u, events = saturate_array(u + pop.bias_pre_scaled, acc_bits)
@@ -510,9 +574,10 @@ def _integrate_block(pop: Population, sums: np.ndarray, acc_bits: int
 def _block_samples(pop: Population, steps: int) -> int:
     """Samples per sample block of a population step that reads `steps`
     live steps. Per sample and step, the step sums take 8 bytes per output
-    neuron, a conv's gathered patches one weight itemsize per entry of its
-    [F, n_pos] gather; a sample block holds BLOCK_BYTES of the larger, and at
-    least one sample."""
+    neuron, a conv's patches one weight itemsize per entry of its [F, n_pos]
+    gather; a sample block holds BLOCK_BYTES of the larger, and at least one
+    sample. A conv in fact unpacks one step's patches at a time from the
+    block's gathered int16 values, half a float patch in size."""
     width = 8 * pop.n_out
     if pop.form == "conv":
         width = max(width, pop.conv_w.itemsize * pop.gather_idx.size)
@@ -525,20 +590,19 @@ def _population_step(pop: Population, values: list[np.ndarray], acc_bits: int,
     """One population over m samples, in sample blocks of ``_block_samples``.
 
     `values` are the int16 [m, n_in] wire values of pop's branches; only the
-    live `steps` of their trains are read, weighted by ``pop.phis``, since a
-    silent step adds round(M0 * 0) = 0 to U. Each sample block's step
-    planes, synaptic sums, integration and emission under `setting` fill its
-    rows of the output. Returns (values int16 [m, n_out], saturation count).
+    live `steps` of their trains are read, since a silent step adds
+    round(M0 * 0) = 0 to U. Each sample block's synaptic sums, integration
+    and emission under `setting` fill its rows of the output. Returns
+    (values int16 [m, n_out], saturation count).
     """
     m = values[0].shape[0]
     out = np.empty((m, pop.n_out), dtype=np.int16)
     saturations = 0
     size = _block_samples(pop, len(steps))
-    phis = [phi[steps.start:steps.stop] for phi in pop.phis]
     for lo in range(0, m, size):
         hi = min(lo + size, m)
-        sums = pop.step_sum([_planes(vals[lo:hi], k, steps) for vals in values], phis)
-        v, sat = _integrate_block(pop, sums, acc_bits)
+        sums = pop.step_sum([vals[lo:hi] for vals in values], steps)
+        v, sat = _integrate_block(pop, sums, steps, acc_bits)
         out[lo:hi] = pop.emit(v, k, setting)
         saturations += sat
     return out, saturations

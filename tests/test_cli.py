@@ -275,7 +275,24 @@ class TestErrors:
         rc = cli.main([a.format(tree=tree, bad=bad) for a in argv])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: nan.ds: 1 of 180 input values are not finite\n")
+            f"error: {bad}: 1 of 180 input values are not finite\n")
+
+    def test_dataset_error_names_the_path_as_given(self, tree, capsys, monkeypatch):
+        """Every fixture's eval set is called eval.ds, so an error must name
+        the directory too: here a relative path, printed as typed."""
+        ds = load_dataset(tree / "fx" / "cnn" / "eval.ds")
+        inputs = ds.inputs[:4].copy()
+        inputs[1, 0, 2, 3] = np.nan
+        (tree / "work" / "cnn").mkdir(parents=True)
+        save_dataset(tree / "work" / "cnn" / "bad.ds", inputs, ds.labels[:4])
+        rc = cli.main(["quantize", str(tree / "fx" / "cnn" / "model.json"),
+                       str(tree / "fx" / "cnn" / "calib.ds"), "-o", str(tree / "cnn.q.json")])
+        assert rc == 0
+        monkeypatch.chdir(tree)
+        capsys.readouterr()
+        assert cli.main(["run", "cnn.q.json", "work/cnn/bad.ds"]) == 2
+        assert capsys.readouterr().err == (
+            "error: work/cnn/bad.ds: 1 of 256 input values are not finite\n")
 
     @pytest.mark.parametrize("flag,count", [("--calib", "0"), ("--eval", "0"),
                                             ("--calib", "-3"), ("--eval", "-1")])
@@ -284,6 +301,14 @@ class TestErrors:
         rc = cli.main(["make-fixtures", str(out), flag, count])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {flag} must be at least 1, not {count}\n"
+        assert not out.exists()
+
+    def test_make_fixtures_negative_seed_exits_2(self, tmp_path, capsys):
+        """A negative seed is rejected before any file is written."""
+        out = tmp_path / "fx"
+        rc = cli.main(["make-fixtures", str(out), "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative, not -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["pipeline", "oracle"])

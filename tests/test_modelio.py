@@ -374,9 +374,10 @@ class TestDataset:
         x = rng.random((5, 36)).astype(np.float32)
         x[1, 3], x[2, 0], x[4, 35] = np.nan, np.inf, -np.inf
         save_dataset(tmp_path / "d.ds", x, np.zeros(5, dtype=np.int32))
+        path = tmp_path / "d.ds"
         with pytest.raises(ModelFormatError,
-                           match=re.escape("d.ds: 3 of 180 input values are not finite")):
-            load_dataset(tmp_path / "d.ds")
+                           match=re.escape(f"{path}: 3 of 180 input values are not finite")):
+            load_dataset(path)
 
     def test_version_rejected(self, tmp_path, rng):
         x = rng.random((2, 3)).astype(np.float32)
@@ -386,3 +387,33 @@ class TestDataset:
         (tmp_path / "d.ds").write_bytes(bytes(raw))
         with pytest.raises(ModelFormatError, match="version"):
             load_dataset(tmp_path / "d.ds")
+
+    @pytest.mark.parametrize("fault,message", [
+        ("magic", "not a dataset file"),
+        ("version", "dataset version 9 not supported"),
+        ("header", "36 bytes, expected at least 40 for the header"),
+        ("size", "52 bytes, expected 56 from header"),
+        ("non-finite", "1 of 6 input values are not finite"),
+    ])
+    def test_errors_name_the_path_as_given(self, tmp_path, monkeypatch, fault, message):
+        """Every load error names the path as the caller gave it, directory
+        included: many datasets share a file name."""
+        x = np.arange(6, dtype=np.float32).reshape(2, 3)
+        if fault == "non-finite":
+            x[1, 2] = np.nan
+        (tmp_path / "sub").mkdir()
+        save_dataset(tmp_path / "sub" / "d.ds", x, np.zeros(2, dtype=np.int32))
+        raw = bytearray((tmp_path / "sub" / "d.ds").read_bytes())
+        if fault == "magic":
+            raw[:4] = b"XXXX"
+        elif fault == "version":
+            raw[4] = 9
+        elif fault == "header":
+            raw[12:16] = struct.pack("<I", 5)     # 5 dims: the header needs 40 bytes
+            raw = raw[:36]
+        elif fault == "size":
+            raw = raw[:-4]
+        (tmp_path / "sub" / "d.ds").write_bytes(bytes(raw))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ModelFormatError, match=f"^{re.escape('sub/d.ds: ' + message)}$"):
+            load_dataset("sub/d.ds")

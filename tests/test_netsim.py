@@ -135,8 +135,8 @@ class TestSignedJoin:
         snet = compile_network(qnet)
         join = next(p for p in snet.populations if p.name == "join")
         assert join.inputs == [INPUT_NAME, "conv_b"]
-        assert join.phis[0].ravel().tolist() == step_weights(k, signed=True).tolist()
-        assert join.phis[1].ravel().tolist() == step_weights(k, signed=False).tolist()
+        # conv_b never spikes at step 0, so the input's signed weights serve both
+        assert join.phi.tolist() == step_weights(k, signed=True).tolist()
         rng = np.random.default_rng(k)
         x = rng.integers(-(1 << (k - 1)), 1 << (k - 1), size=(300, 2, 6, 6))
         # a third of the samples sit on the ends of the wire range
@@ -195,25 +195,32 @@ def _synapse_table(lyr, in_shape) -> tuple[np.ndarray, np.ndarray]:
     return _build_table(lyr.kind, lyr.attrs, in_shape, lyr.weights)[:2]
 
 
-def _synapse_walk(qnet, pop: Population, rows: list[np.ndarray], phi) -> np.ndarray:
-    """Brute force: per row and neuron, phi times the sum of w * spike over
-    every synapse of the reference table, over all branches. rows[i] is a
-    uint8 [..., n_in] spike array of branch i and phi broadcasts against
-    [..., n_out] as in ``step_sum``. Returns int64 [..., n_out]."""
+def _synapse_walk(qnet, pop: Population, values: list[np.ndarray], k: int,
+                  steps: range) -> np.ndarray:
+    """Brute force: per sample, step and neuron, the sum of w * spike over
+    every synapse of the reference table, over all branches, as
+    ``step_sum`` takes it. values[i] holds the int16 [m, n_in] wire values of
+    branch i; their spikes are read from ``stem.encode_planes``. Returns
+    int64 [m, len(steps), n_out]."""
     lyr = qnet.layer(pop.name)
-    lead = rows[0].shape[:-1]
     tables = [[a.tolist() for a in _synapse_table(lyr, shape)] for shape in pop.in_shapes]
-    phis = np.broadcast_to(np.asarray(phi, dtype=np.int64), lead + (1,)).reshape(-1).tolist()
-    flat = [row.reshape(-1, row.shape[-1]).tolist() for row in rows]
-    out = np.zeros((len(phis), pop.n_out), dtype=np.int64)
-    for m, p in enumerate(phis):
-        branches = [spikes[m] + [0] for spikes in flat]          # + silent slot
-        for j in range(pop.n_out):
-            acc = 0
-            for bits, (idx, w) in zip(branches, tables):
-                acc += sum(wf * bits[i] for wf, i in zip(w[j], idx[j]))
-            out[m, j] = p * acc
-    return out.reshape(lead + (pop.n_out,))
+    trains = [encode_planes(v, k, signed=True)[..., steps.start:steps.stop] for v in values]
+    m = values[0].shape[0]
+    out = np.zeros((m, len(steps), pop.n_out), dtype=np.int64)
+    for s in range(m):
+        for j in range(len(steps)):
+            branches = [train[s, :, j].tolist() + [0] for train in trains]   # + silent slot
+            for o in range(pop.n_out):
+                out[s, j, o] = sum(sum(wf * bits[i] for wf, i in zip(w[o], idx[o]))
+                                   for bits, (idx, w) in zip(branches, tables))
+    return out
+
+
+def _random_values(rng, k: int, m: int, shape) -> np.ndarray:
+    """int16 [m, prod(shape)] values drawn over the whole signed K-step wire
+    range, so that every step's bits are random."""
+    return rng.integers(-(1 << (k - 1)), 1 << (k - 1), size=(m, math.prod(shape)),
+                        dtype=np.int16)
 
 
 def _pop(qnet, name) -> Population:
@@ -223,10 +230,9 @@ def _pop(qnet, name) -> Population:
 class TestGatherTables:
     def test_conv_table_vs_synapse_walk(self, cnn_bundle, rng):
         pop = _pop(cnn_bundle.qnet, "conv2")
-        n_in = int(np.prod(pop.in_shapes[0]))
-        row = rng.integers(0, 2, size=(2, n_in), dtype=np.uint8)
-        got = pop.step_sum([row], [32])
-        assert np.array_equal(got, _synapse_walk(cnn_bundle.qnet, pop, [row], 32))
+        values = _random_values(rng, 8, 2, pop.in_shapes[0])
+        got = pop.step_sum([values], range(2, 3))
+        assert np.array_equal(got, _synapse_walk(cnn_bundle.qnet, pop, [values], 8, range(2, 3)))
 
     def test_padded_conv_edges_stay_silent(self, cnn_bundle):
         pop, lyr = _pop(cnn_bundle.qnet, "conv1"), cnn_bundle.qnet.layer("conv1")
@@ -235,17 +241,16 @@ class TestGatherTables:
         silent = n_in_padded - 1
         assert (idx == silent).any()             # padding=1 creates halo slots
         assert (pop.gather_idx == silent).any()
-        # an all-ones spike row must not pick up anything from the halo
-        row = np.ones((1, silent), dtype=np.uint8)
-        got = pop.step_sum([row], [1])
-        assert np.array_equal(got, _synapse_walk(cnn_bundle.qnet, pop, [row], 1))
+        # all-ones spike rows (the value -1) must not pick up anything from the halo
+        values = np.full((1, silent), -1, dtype=np.int16)
+        got = pop.step_sum([values], range(7, 8))
+        assert np.array_equal(got, _synapse_walk(cnn_bundle.qnet, pop, [values], 8, range(7, 8)))
 
     def test_pool_table_vs_synapse_walk(self, cnn_bundle, rng):
         pop = _pop(cnn_bundle.qnet, "pool1")
-        n_in = int(np.prod(pop.in_shapes[0]))
-        row = rng.integers(0, 2, size=(3, n_in), dtype=np.uint8)
-        got = pop.step_sum([row], [-128])
-        assert np.array_equal(got, _synapse_walk(cnn_bundle.qnet, pop, [row], -128))
+        values = _random_values(rng, 8, 3, pop.in_shapes[0])
+        got = pop.step_sum([values], range(0, 1))
+        assert np.array_equal(got, _synapse_walk(cnn_bundle.qnet, pop, [values], 8, range(0, 1)))
         assert pop.fanin == 4
 
     def test_fc_stays_dense(self, mlp_bundle):
@@ -367,13 +372,11 @@ class TestRandomGeometry:
     @given(layer=_conv_or_pool(), k=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
     def test_step_sum_and_fanin_match_table(self, layer, k, seed):
         in_shape, kind, attrs, weights = layer
-        qnet = _one_layer_qnet(in_shape, kind, attrs, weights)
+        qnet = _one_layer_qnet(in_shape, kind, attrs, weights, k=k, acc_bits=32)
         pop = compile_network(qnet).populations[0]
-        planes = np.random.default_rng(seed).integers(
-            0, 2, size=(2, k, math.prod(in_shape)), dtype=np.uint8)
-        phi = step_weights(k, signed=True)[:, None]
-        got = pop.step_sum([planes], [phi])
-        assert np.array_equal(got, _synapse_walk(qnet, pop, [planes], phi))
+        values = _random_values(np.random.default_rng(seed), k, 2, in_shape)
+        got = pop.step_sum([values], range(k))
+        assert np.array_equal(got, _synapse_walk(qnet, pop, [values], k, range(k)))
         idx, _, n_in_padded, fanin = _build_table(kind, attrs, in_shape, qnet.layers[0].weights)
         assert pop.fanin == fanin
         # one table row per neuron, so a conv's rows repeat per output channel
@@ -400,8 +403,9 @@ class TestRandomGeometry:
         assert pop.form == "conv"
         assert not pop.conv_w[0, 5:10].any()
         assert check_capacity(snet, HardwareProfile(weight_bits=3)) == []
-        row = np.ones((1, 128), dtype=np.uint8)
-        assert np.array_equal(pop.step_sum([row], [1]), _synapse_walk(qnet, pop, [row], 1))
+        values = np.full((1, 128), -1, dtype=np.int16)              # every bit set
+        assert np.array_equal(pop.step_sum([values], range(snet.k)),
+                              _synapse_walk(qnet, pop, [values], snet.k, range(snet.k)))
 
     def test_large_conv_compiles_in_small_memory(self):
         """cnn28's conv2 (16 -> 32 channels on 14x14, padding 1): its
@@ -421,14 +425,11 @@ class TestRandomGeometry:
 
 
 class TestKPlaneKernel:
-    PHIS = step_weights(8, signed=True)                  # sign step first
-
     def _check(self, qnet, pop, rng):
-        rows = [rng.integers(0, 2, size=(2, 8, int(np.prod(shape))), dtype=np.uint8)
-                for shape in pop.in_shapes]
-        got = pop.step_sum(rows, [self.PHIS[:, None]] * len(rows))
+        values = [_random_values(rng, 8, 2, shape) for shape in pop.in_shapes]
+        got = pop.step_sum(values, range(8))
         assert got.dtype == np.int64
-        assert np.array_equal(got, _synapse_walk(qnet, pop, rows, self.PHIS[:, None]))
+        assert np.array_equal(got, _synapse_walk(qnet, pop, values, 8, range(8)))
 
     @pytest.mark.parametrize("name,form", [
         ("conv1", "conv"), ("pool1", "pool"), ("conv2", "dense"), ("fc", "dense")])
@@ -453,12 +454,11 @@ class TestKPlaneKernel:
 
     def test_block_equals_per_step_calls(self, cnn_bundle, rng):
         for pop in compile_network(cnn_bundle.qnet).populations:
-            n_in = int(np.prod(pop.in_shapes[0]))
-            rows = (rng.random((3, 8, n_in)) < 0.4).astype(np.uint8)
-            block = pop.step_sum([rows], [self.PHIS[:, None]])
+            values = [_random_values(rng, 8, 3, pop.in_shapes[0])]
+            block = pop.step_sum(values, range(8))
+            assert np.array_equal(block[:, 2:6], pop.step_sum(values, range(2, 6)))
             for t in range(8):
-                step = pop.step_sum([rows[:, t]], [int(self.PHIS[t])])
-                assert np.array_equal(block[:, t], step)
+                assert np.array_equal(block[:, t:t + 1], pop.step_sum(values, range(t, t + 1)))
 
     @pytest.mark.parametrize("k", [2, 8, 16])
     def test_planes_are_the_trains(self, k, rng):
@@ -478,9 +478,10 @@ class TestKPlaneKernel:
         pop, w = snet.populations[0], widefan_bundle.qnet.layers[0].weights.astype(np.int64)
         assert int(np.abs(w).min()) == 127                 # every weight at max
         assert np.array_equal(pop.dense_w, w)
-        rows = np.ones((2, 8, 512), dtype=np.uint8)
-        got = pop.step_sum([rows], [self.PHIS[:, None]])
-        want = np.sign(w[:, 0]) * 512 * 127 * self.PHIS[:, None]
+        assert pop.m0_table is None                        # sum|w| = 65,024: too wide
+        values = np.full((2, 512), -1, dtype=np.int16)     # every input spikes at every step
+        got = pop.step_sum([values], range(8))
+        want = np.sign(w[:, 0]) * 512 * 127
         assert np.array_equal(got, np.broadcast_to(want, got.shape))
         x = widefan_bundle.x_int
         ref, _ = int_forward(widefan_bundle.qnet, x, mode="hw")
@@ -600,9 +601,9 @@ def run_pipeline_per_block(snet, x_int, wires=None) -> PipelineResult:
             if not 0 <= s < n_samples:
                 continue
             last_active = block
-            rows = [_planes(fetch(src, s)[None], k) for src in pop.inputs]
-            sums = pop.step_sum(rows, [step_weights(k, src == INPUT_NAME)[:, None]
-                                       for src in pop.inputs])
+            # each branch's step sums weighted by its own wire's step weights
+            sums = sum(step_weights(k, src == INPUT_NAME)[:, None]
+                       * pop.step_sum([fetch(src, s)[None]], range(k)) for src in pop.inputs)
             v, sat = _scan(pop, sums, snet.acc_bits)
             saturations += sat
             pop_saturations[pop.name] += sat
@@ -813,11 +814,11 @@ class TestSaturationParity:
         # one M0 rounding of the whole [N, K, n_out] block, then the
         # saturating scan, against integrating step by step
         snet = compile_network(_unprotected(widefan_bundle.qnet, "fc"))
-        pop, x = snet.populations[0], widefan_bundle.x_int
+        pop, x, k = snet.populations[0], widefan_bundle.x_int, snet.k
         assert not pop.clamp_free
-        sums = pop.step_sum([_planes(x.astype(np.int16), snet.k)], pop.phis)
-        v, saturations = _integrate_block(pop, sums, snet.acc_bits)
-        want, want_saturations = _scan(pop, sums, snet.acc_bits)
+        sums = pop.step_sum([x.astype(np.int16)], range(k))
+        v, saturations = _integrate_block(pop, sums, range(k), snet.acc_bits)
+        want, want_saturations = _scan(pop, pop.phi[:, None] * sums, snet.acc_bits)
         assert saturations == want_saturations > 0
         assert np.array_equal(v, want)
 
@@ -828,14 +829,16 @@ class TestSaturationParity:
 
 
 def _neuron(m0=1.0, m1=1.0, bias_pre=None, bias_post=None, clamp_free=False,
-            v_min=0) -> Population:
-    """A hand-built one-neuron population with one synapse of weight 3."""
+            v_min=0, phi=None) -> Population:
+    """A hand-built one-neuron population with one synapse of weight 3 and no
+    M0 table. Its K=8 steps each weigh 1 unless `phi` is given, so a step sum
+    is that step's input to the M0 rounding."""
     return Population(
         name="n", kind="fully-connected", inputs=[INPUT_NAME], in_shapes=[(1,)],
-        phis=[step_weights(8, signed=True)[:, None]], n_out=1,
+        phi=np.ones(8, dtype=np.int64) if phi is None else phi, n_out=1,
         fanin=1, fanouts=[np.ones(1, dtype=np.int64)], form="dense",
         dense_w=np.array([[3.0]], dtype=np.float32), gather_idx=None, conv_w=None,
-        m0=from_real(m0), m1=from_real(m1),
+        m0=from_real(m0), m1=from_real(m1), m0_table=None,
         bias_pre_scaled=None if bias_pre is None else np.array([bias_pre]),
         bias_post=None if bias_post is None else np.array([bias_post]),
         clamp_free=clamp_free, v_min=v_min, v_max=127, stage=1, is_output=False)
@@ -847,8 +850,16 @@ def _steps(*values) -> np.ndarray:
 
 
 def _integrated(pop, sums, acc_bits) -> tuple[list, int]:
-    """``_integrate_block``'s (V as a list, saturation count)."""
-    v, saturations = _integrate_block(pop, sums, acc_bits)
+    """``_integrate_block``'s (V as a list, saturation count) of step sums
+    at the last steps, checked to be the same with the increments read from
+    an M0 table that covers them."""
+    steps = range(8 - sums.shape[1], 8)
+    v, saturations = _integrate_block(pop, sums, steps, acc_bits)
+    tabled = copy.copy(pop)
+    tabled.m0_table = netsim._m0_table(pop.m0, pop.phi, int(np.abs(sums).max()))
+    assert tabled.m0_table is not None
+    table_v, table_saturations = _integrate_block(tabled, sums, steps, acc_bits)
+    assert np.array_equal(table_v, v) and table_saturations == saturations
     return v.tolist(), saturations
 
 
@@ -858,11 +869,11 @@ class TestIntegrateBlock:
 
     def test_accumulate_single_synapse(self):
         # the weight-3 synapse spiking at the phi=4 step (step 5 of K=8) adds 12
-        pop = _neuron()
-        phi = step_weights(8, signed=False)[5:6, None]
-        sums = pop.step_sum([np.ones((1, 1, 1), dtype=np.uint8)], [phi])
-        assert sums.tolist() == [[[12]]]
-        assert _integrated(pop, sums, 16) == ([[12]], 0)
+        pop = _neuron(phi=step_weights(8, signed=True))
+        sums = pop.step_sum([np.array([[4]], dtype=np.int16)], range(5, 6))
+        assert sums.tolist() == [[[3]]]
+        v, saturations = _integrate_block(pop, sums, range(5, 6), 16)
+        assert (v.tolist(), saturations) == ([[12]], 0)
 
     @pytest.mark.parametrize("clamp_free", [False, True])
     def test_finalize_worked_value(self, clamp_free):
@@ -892,6 +903,115 @@ class TestIntegrateBlock:
         pop = _neuron(m0=0.5, clamp_free=clamp_free, v_min=-127)
         assert _integrated(pop, _steps(7, -7), 16) == ([[0]], 0)
         assert _integrated(pop, _steps(7), 16) == ([[4]], 0)
+
+
+def _sum_bound(lyr) -> int:
+    """The largest |step sum| of one neuron of `lyr`: its largest sum|w|, a
+    pool's tap count, a join's branch count."""
+    if lyr.kind == "avgpool2d":
+        return math.prod(lyr.attrs["kernel"])
+    if lyr.kind == "residual-add":
+        return len(lyr.inputs)
+    return int(np.abs(lyr.weights.astype(np.int64)).reshape(lyr.weights.shape[0], -1)
+               .sum(axis=1).max())
+
+
+def _conv_wide_fc_model() -> FloatModel:
+    """A gathered conv (2 -> 2 channels on 16x16) feeding a fully-connected
+    layer of make_wide_fanin's size: 512 inputs, every weight at the
+    maximum, so its step sums reach 65,024."""
+    rng = np.random.default_rng(31)
+    model = FloatModel(name="conv-wide-fc", input_shape=(2, 16, 16), layers=[
+        fixtures._conv("conv", "input", 2, 2, rng, 0.4),
+        LayerDesc(name="flat", kind="flatten", attrs={}, inputs=["conv"]),
+        make_wide_fanin().layers[0],
+    ])
+    model.layers[-1].inputs = ["flat"]
+    infer_shapes(model)
+    return model
+
+
+class TestM0Table:
+    """A population whose table of rounded increments fits BLOCK_BYTES reads
+    them from it; any other rounds with ``apply``. Both give the integers of
+    the oracle."""
+
+    @pytest.mark.parametrize("k,acc_bits", [(8, 16), (4, 10), (8, 48)])
+    @pytest.mark.parametrize("fixture", sorted(fixtures.FIXTURES))
+    def test_every_entry_is_the_rounded_increment(self, fixture, k, acc_bits):
+        builder, lo, hi = fixtures.FIXTURES[fixture]
+        qnet, _ = _quantized(builder(), lo=lo, hi=hi, k=k, acc_bits=acc_bits)
+        dtypes = [np.int16, np.int32, np.int64]
+        tabulated = []
+        for pop in compile_network(qnet).populations:
+            bound = _sum_bound(qnet.layer(pop.name))
+            steps = range(k) if pop.phi[0] < 0 else range(1, k)     # the readable ones
+            top = abs(apply(pop.m0, int(abs(pop.phi[steps.start])) * bound))
+            dtype = next(d for d in dtypes if top <= np.iinfo(d).max)
+            fits = len(steps) * (2 * bound + 1) * np.dtype(dtype).itemsize <= netsim.BLOCK_BYTES
+            assert (pop.m0_table is not None) == fits, pop.name
+            if pop.m0_table is None:
+                continue
+            table = pop.m0_table
+            tabulated.append(table.dtype)
+            assert table.shape == (len(steps), 2 * bound + 1) and table.dtype == dtype, pop.name
+            for row, t in zip(table.tolist(), steps):
+                want = [apply(pop.m0, int(pop.phi[t]) * s) for s in range(-bound, bound + 1)]
+                assert row[-bound:] + row[:bound + 1] == want, (pop.name, t)
+        assert tabulated
+        if acc_bits == 48:                            # M0 near 2^22: the widest rows
+            assert set(tabulated) == {np.dtype(np.int64)}
+
+    @pytest.mark.parametrize("k,acc_bits", [(8, 16), (12, 32)])
+    def test_tabulated_and_untabulated_match_hw(self, k, acc_bits):
+        """On full-range inputs, the tabulated conv and the untabulated fc
+        give the oracle's values and saturations on every wire."""
+        qnet, _ = _quantized(_conv_wide_fc_model(), k=k, acc_bits=acc_bits)
+        snet = compile_network(qnet, plan=SparsityPlan.identity())
+        assert [(p.form, p.m0_table is not None) for p in snet.populations] == [
+            ("conv", True), ("dense", False)]
+        rng = np.random.default_rng(k)
+        x = rng.integers(-(1 << (k - 1)), 1 << (k - 1), size=(60, 2, 16, 16))
+        x[::3] = rng.choice([-(1 << (k - 1)), 0, qnet.q_max], size=x[::3].shape)
+        run = CachedRun(snet, x)
+        want, layers = int_forward(qnet, x, mode="hw")
+        assert np.array_equal(run.outputs, want)
+        for pop in snet.populations:
+            assert np.array_equal(run.values[pop.name],
+                                  layers[pop.name].post.reshape(x.shape[0], -1)), pop.name
+            assert run.saturations[pop.name] == layers[pop.name].saturations, pop.name
+
+    @settings(max_examples=12)
+    @given(rot=st.integers(0, 3), drlo=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+    def test_tabulated_and_untabulated_match_reference(self, rot, drlo, seed):
+        """Under a random plan, every wire's values and saturations equal the
+        all-K-plane reference, which rounds every step with ``apply``."""
+        qnet, _ = _quantized(_conv_wide_fc_model(), k=8, acc_bits=16)
+        snet = compile_network(qnet, plan=SparsityPlan({"conv": LayerSparsity(rot, drlo)}))
+        x = np.random.default_rng(seed).integers(-128, 128, size=(12, 2, 16, 16))
+        run = CachedRun(snet, x)
+        wires = {}
+        run_pipeline_per_block(snet, x, wires)
+        for pop in snet.populations:
+            values, saturations = wires[pop.name]
+            assert np.array_equal(run.values[pop.name], values), pop.name
+            assert run.saturations[pop.name] == saturations, pop.name
+
+    def test_hand_set_m0_scans_table_increments(self, residual_bundle):
+        """With M0 = 1, the tabulated conv_b is not clamp-free: its
+        saturating scan adds table increments, clamps, and counts the
+        oracle's saturations."""
+        qnet = _unprotected(residual_bundle.qnet, "conv_b")
+        snet = compile_network(qnet)
+        conv_b = next(p for p in snet.populations if p.name == "conv_b")
+        assert conv_b.m0_table is not None and not conv_b.clamp_free
+        x = residual_bundle.x_int
+        run = CachedRun(snet, x)
+        want, layers = int_forward(qnet, x, mode="hw")
+        assert np.array_equal(run.outputs, want)
+        assert run.saturations["conv_b"] == layers["conv_b"].saturations > 0
+        for pop in snet.populations:
+            assert run.saturations[pop.name] == layers[pop.name].saturations, pop.name
 
 
 @pytest.fixture(scope="session")
@@ -1090,15 +1210,16 @@ class TestClampFree:
         if pop.clamp_free:
             assert lyr.m0.value() * reach + Fraction(k + 1, 2) <= hi
 
-        sums = pop.step_sum([_planes(x, k)], pop.phis)
-        u, scan_saturations = _scan_u(pop, sums, acc_bits)
+        sums = pop.step_sum([x], range(k))
+        weighted = pop.phi[:, None] * sums
+        u, scan_saturations = _scan_u(pop, weighted, acc_bits)
         if pop.clamp_free:
             assert scan_saturations == 0
-            want = apply(pop.m0, sums).sum(axis=1)
+            want = apply(pop.m0, weighted).sum(axis=1)
             assert np.array_equal(u, want + (0 if pop.bias_pre_scaled is None
                                              else pop.bias_pre_scaled))
-        v, saturations = _integrate_block(pop, sums, acc_bits)
-        want_v, want_saturations = _scan(pop, sums, acc_bits)
+        v, saturations = _integrate_block(pop, sums, range(k), acc_bits)
+        want_v, want_saturations = _scan(pop, weighted, acc_bits)
         assert saturations == want_saturations == scan_saturations
         assert np.array_equal(v, want_v)
 
@@ -1120,13 +1241,13 @@ class TestSumPrecision:
         snet = compile_network(qnet)
         pop, k = snet.populations[0], snet.k
         assert pop.dense_w.dtype == dtype
-        phi = step_weights(k, signed=True)[:, None]
-        ones = np.ones((2, k, n), dtype=np.uint8)
-        assert np.array_equal(pop.step_sum([ones], [phi]),
-                              np.broadcast_to(weight_sum * phi, (2, k, 1)))
+        assert pop.m0_table is None and pop.phi[0] == -(1 << (k - 1))
+        ones = np.full((2, n), -1, dtype=np.int16)          # every bit set
+        assert np.array_equal(pop.step_sum([ones], range(k)),
+                              np.full((2, k, 1), weight_sum))
         x = np.full((1, n), -(1 << (k - 1)), dtype=np.int16)
-        sums = pop.step_sum([_planes(x, k)], [phi])
-        assert sums[0, 0, 0] == -(1 << (k - 1)) * weight_sum
+        sums = pop.step_sum([x], range(k))
+        assert sums[0, 0, 0] == weight_sum
         assert not sums[0, 1:].any()
         want, _ = int_forward(qnet, x, mode="hw")
         assert np.array_equal(run_batch(snet, x).outputs, want)
@@ -1530,8 +1651,8 @@ class TestPopulationBlocks:
         saturated = []
         original = netsim._integrate_block
 
-        def counting(pop, sums, acc_bits):
-            v, sat = original(pop, sums, acc_bits)
+        def counting(pop, sums, steps, acc_bits):
+            v, sat = original(pop, sums, steps, acc_bits)
             saturated.append(sat)
             return v, sat
 
@@ -1552,10 +1673,10 @@ class TestPopulationBlocks:
         calls = []
         original = Population.step_sum
 
-        def counting(self, rows, phis):
-            assert rows[0].shape[0] <= netsim._block_samples(self, rows[0].shape[1])
+        def counting(self, values, steps):
+            assert values[0].shape[0] <= netsim._block_samples(self, len(steps))
             calls.append(self.name)
-            return original(self, rows, phis)
+            return original(self, values, steps)
 
         monkeypatch.setattr(Population, "step_sum", counting)
         run_batch(snet, b.x_int)
