@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fixedpoint import FixedMult, from_real
+from .fixedpoint import NORM_HIGH, FixedMult, from_real
 from .modelio import INPUT_NAME, FloatModel, LayerDesc, ModelFormatError, infer_shapes
 from . import refengine
 
@@ -294,7 +294,10 @@ def _i_max(bound: int, m_hat: FixedMult, k: int, acc_bits: int) -> int:
     than 1 to value(M0) * bound; the extra 1 in the room absorbs it.
     I_max is also at least hi / (m_hat * 2^31), so that m1 = m_hat / M0 stays
     within from_real's normalized range when the bound is tiny (a layer whose
-    weights are all zero has bound 0). A larger I_max only lowers M0.
+    weights are all zero has bound 0), and large enough that the float
+    hi / I_max stays below 2^31 - 1/2, so M0 rounds to a mantissa below 2^31
+    (a join at m_hat = 1 with a wide accumulator meets this edge). A larger
+    I_max only lowers M0.
     """
     hi = (1 << (acc_bits - 1)) - 1
     room2 = 2 * hi - (k + 1) - 2          # twice hi - (K+1)/2 - 1
@@ -303,7 +306,11 @@ def _i_max(bound: int, m_hat: FixedMult, k: int, acc_bits: int) -> int:
             f"accumulator width {acc_bits} leaves no room for the rounding "
             f"drift of K={k} steps; use at least {acc_bits + 1} bits")
     floor = -(-hi // (m_hat.value() * (1 << 31))) if m_hat.mantissa else 1
-    return max(1, floor, -(-2 * bound * hi // room2))
+    rounds_in = 2 * hi // (2 * NORM_HIGH - 1) + 1      # hi / I_max < 2^31 - 1/2
+    i_max = max(1, floor, rounds_in, -(-2 * bound * hi // room2))
+    while hi / i_max >= NORM_HIGH - 0.5:     # the float quotient rounded up to it
+        i_max += 1
+    return i_max
 
 
 def build_quantized_network(model: FloatModel, stats: RangeStats, k: int = 8,

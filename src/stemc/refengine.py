@@ -27,16 +27,35 @@ deliberately organized differently from the simulator's, so the two sides
 are independent implementations of the same contract.
 
 Convolution is a stacked shifted slice: the kh*kw strided views of the padded
-input are copied into float64 columns [c*kh*kw, N*oh*ow] and multiplied by
-the [oc, c*kh*kw] weights in one BLAS matmul. Every partial sum is an integer
-of magnitude at most max|x| * sum|w| of one output channel, so the result is
-exact below 2^53; ``int_forward`` checks that bound per conv layer (with
-max|x| = 1 for the 0/1 planes of ``wide`` and ``hw``) and raises otherwise.
-The bit-plane modes convolve one plane per wire step; stacking the K planes
-would multiply the column temporary by K. Fully-connected layers stay an
-int64 matmul. ``netsim`` computes the same sums from its own compiled forms
-(dense matrices, per-position patch gathers, pool gathers); nothing here
-uses those forms or imports ``netsim``, so ``compare`` checks two
+input are copied into columns [c*kh*kw, N*oh*ow] and multiplied by the
+[oc, c*kh*kw] weights in one BLAS matmul. In ``direct`` mode (and in the
+float pass) the columns are float64 and built for at most COLS_BYTES of
+samples at a time. Every partial sum is an integer of magnitude at most
+max|x| * sum|w| of one output channel, so the result is exact below 2^53;
+``int_forward`` checks that bound per conv layer and raises otherwise.
+Fully-connected layers in ``direct`` mode are an int64 matmul.
+
+The bit-plane walk (``wide``, ``hw``) runs each layer over blocks of about
+WALK_BYTES per step: one step's int64 sums, or a conv's or fc's float plane
+columns, whichever is larger. A block's columns are built once, as int16,
+from its wire values (zero padding has no set bit), and the 0/1 plane of
+step t is ``(cols >> (K-1-t)) & 1``, the bit ``stem.encode_planes`` puts on
+the wire at step t. fc and conv planes meet the weights in a float BLAS
+matmul: float32 where every output row's sum|w| is below 2^24, float64 below
+2^53, and the layer is rejected at 2^53. The planes are 0/1, so every
+partial sum is an exact integer. A step whose planes are all zero in a block
+is skipped, decided from the data (``not plane.any()``): it would add
+apply(M0, 0) = 0 to an in-range U, so no integer and no clamp count changes.
+Every other step is rounded with ``fixedpoint.apply`` and clamped where the
+data reaches the accumulator's range.
+
+``netsim`` shares two things with this module: the wire's bit order and step
+weights (``stem``) and the rounding primitive ``fixedpoint.apply``. It
+computes the same sums from its own compiled forms (dense matrices,
+per-position patch gathers, pool gathers), reads only the steps that its
+compile-time proof leaves live, tabulates the M0 increments and skips the
+clamp scan where it proves the accumulator cannot clamp. Nothing here uses
+those forms or proofs or imports ``netsim``, so ``compare`` checks two
 derivations of the same contract.
 """
 
@@ -48,12 +67,14 @@ import numpy as np
 
 from .fixedpoint import apply, saturate_array
 from .modelio import INPUT_NAME, check_batch, conv_out_hw, pool_out_hw
-from .stem import encode_planes, step_weights
+from .stem import check_encodable, step_weights
 
 # A convolution's float64 partial sums are integers of magnitude at most
-# max|x| * sum|w| of one output channel; below 2^53 they are all exact.
+# max|x| * sum|w| of one output channel; below 2^53 they are all exact (and
+# float32 ones below 2^24).
 EXACT_SUM_LIMIT = 1 << 53
 COLS_BYTES = 8 << 20     # float64 conv columns built at once
+WALK_BYTES = 1 << 20     # one step's sums or plane columns of a walk block
 
 
 @dataclass
@@ -67,39 +88,52 @@ class LayerActivation:
 # linear pieces (shifted-slice style; the simulator gathers patches)
 # ---------------------------------------------------------------------------
 
-def _conv2d(x: np.ndarray, w: np.ndarray, attrs: dict) -> np.ndarray:
-    """Stacked shifted-slice convolution: the kh*kw strided views of the
-    padded input become float64 columns [c*kh*kw, N*oh*ow] (taps ordered
-    channel, dy, dx) and meet the [oc, c*kh*kw] weights in one matmul.
-
-    The columns are built for at most COLS_BYTES of samples at a time (one
-    matmul each), so large batches such as a labelled data pool keep a
-    bounded temporary. Integer
-    operands give integer results, exact while every partial sum stays below
-    2^53 (``int_forward`` checks that bound per layer); the result has the
-    promoted dtype of x and w.
-    """
-    n, c, h, wd = x.shape
-    oc = w.shape[0]
+def _columns(xp: np.ndarray, attrs: dict, dtype) -> np.ndarray:
+    """The stacked shifted slices of a padded input xp [c, m, h+2p, w+2p]
+    as one conv's columns [c*kh*kw, m*oh*ow] of `dtype`, taps ordered
+    channel, dy, dx."""
+    c, m, hp, wp = xp.shape
     kh, kw = attrs["kernel"]
     s = int(attrs.get("stride", 1))
     p = int(attrs.get("padding", 0))
-    oh, ow = conv_out_hw(h, wd, attrs)
-    xp = np.zeros((c, n, h + 2 * p, wd + 2 * p), dtype=x.dtype)
+    oh, ow = conv_out_hw(hp - 2 * p, wp - 2 * p, attrs)
+    cols = np.empty((c, kh, kw, m, oh, ow), dtype=dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            cols[:, dy, dx] = xp[:, :, dy:dy + s * (oh - 1) + 1:s,
+                                 dx:dx + s * (ow - 1) + 1:s]
+    return cols.reshape(c * kh * kw, m * oh * ow)
+
+
+def _padded(x: np.ndarray, attrs: dict, dtype) -> np.ndarray:
+    """x [n, c, h, w] zero-padded as [c, n, h+2p, w+2p] of `dtype`."""
+    n, c, h, wd = x.shape
+    p = int(attrs.get("padding", 0))
+    xp = np.zeros((c, n, h + 2 * p, wd + 2 * p), dtype=dtype)
     xp[:, :, p:p + h, p:p + wd] = x.transpose(1, 0, 2, 3)
+    return xp
+
+
+def _conv2d(x: np.ndarray, w: np.ndarray, attrs: dict) -> np.ndarray:
+    """Stacked shifted-slice convolution: the float64 ``_columns`` of the
+    padded input meet the [oc, c*kh*kw] weights in one matmul.
+
+    The columns are built for at most COLS_BYTES of samples at a time (one
+    matmul each), so large batches such as a labelled data pool keep a
+    bounded temporary. Integer operands give integer results, exact while
+    every partial sum stays below 2^53 (``int_forward`` checks that bound in
+    direct mode); the result has the promoted dtype of x and w.
+    """
+    n, _, h, wd = x.shape
+    oc = w.shape[0]
+    oh, ow = conv_out_hw(h, wd, attrs)
+    xp = _padded(x, attrs, x.dtype)
     wmat = w.reshape(oc, -1).astype(np.float64)
     out = np.empty((n, oc, oh, ow), dtype=np.result_type(x, w))
-    chunk = max(1, COLS_BYTES // (8 * c * kh * kw * oh * ow))
+    chunk = max(1, COLS_BYTES // (8 * wmat.shape[1] * oh * ow))
     for a in range(0, n, chunk):
-        xa = xp[:, a:a + chunk]
-        m = xa.shape[1]
-        cols = np.empty((c, kh, kw, m, oh, ow), dtype=np.float64)
-        for dy in range(kh):
-            for dx in range(kw):
-                cols[:, dy, dx] = xa[:, :, dy:dy + s * (oh - 1) + 1:s,
-                                     dx:dx + s * (ow - 1) + 1:s]
-        prod = wmat @ cols.reshape(c * kh * kw, m * oh * ow)      # [oc, m*oh*ow]
-        out[a:a + m] = prod.reshape(oc, m, oh, ow).transpose(1, 0, 2, 3)
+        prod = wmat @ _columns(xp[:, a:a + chunk], attrs, np.float64)   # [oc, m*oh*ow]
+        out[a:a + chunk] = prod.reshape(oc, -1, oh, ow).transpose(1, 0, 2, 3)
     return out
 
 
@@ -214,9 +248,8 @@ def int_forward(qnet, x_int: np.ndarray, mode: str = "hw"
             out = post
             continue
 
-        if lyr.kind == "conv2d":
-            # direct mode convolves the values, the bit-plane modes 0/1 planes
-            x_max = int(np.abs(xs[0]).max()) if mode == "direct" else 1
+        if mode == "direct" and lyr.kind == "conv2d":
+            x_max = int(np.abs(xs[0]).max())
             if x_max * _max_weight_sum(lyr.weights) >= EXACT_SUM_LIMIT:
                 raise ValueError(
                     f"layer {lyr.name!r}: max|x| * sum|w| of one output channel "
@@ -255,9 +288,64 @@ def _w64(lyr) -> np.ndarray | None:
 
 
 def _max_weight_sum(weights: np.ndarray) -> int:
-    """Largest sum|w| over the output channels of a conv weight tensor."""
+    """Largest sum|w| over the output rows (fc neurons, conv channels) of a
+    weight tensor."""
     w = np.abs(weights.astype(np.int64)).reshape(weights.shape[0], -1)
     return int(w.sum(axis=1).max())
+
+
+def _plane_weights(lyr) -> np.ndarray | None:
+    """A fc or conv layer's weights as the float rows [n_out or oc, fan-in]
+    its 0/1 planes meet: float32 while every row's sum|w| is below 2^24,
+    float64 below 2^53, so every partial sum is an exact integer."""
+    if lyr.kind not in ("fully-connected", "conv2d"):
+        return None
+    weight_sum = _max_weight_sum(lyr.weights)
+    if weight_sum >= EXACT_SUM_LIMIT:
+        raise ValueError(
+            f"layer {lyr.name!r}: sum|w| of one output reaches 2^53, so float64 "
+            f"bit-plane sums would not be exact")
+    dtype = np.float32 if weight_sum < 1 << 24 else np.float64
+    return lyr.weights.reshape(lyr.weights.shape[0], -1).astype(dtype)
+
+
+def _block_columns(lyr, x: np.ndarray) -> np.ndarray:
+    """One sample block's wire values as int16, in the layout its planes are
+    read: conv columns [c*kh*kw, m*oh*ow] built once (zero padding has no set
+    bit), otherwise the values themselves."""
+    if lyr.kind == "conv2d":
+        return _columns(_padded(x, lyr.attrs, np.int16), lyr.attrs, np.int16)
+    return x.astype(np.int16)
+
+
+def _plane_sum(lyr, w: np.ndarray | None, plane: np.ndarray, m: int,
+               phi: np.int64) -> np.ndarray:
+    """phi times the layer's linear map of one 0/1 plane of a block of m
+    samples: int64 [m, n_out]. Float sums times a power of two are exact,
+    so phi is applied before the cast."""
+    if lyr.kind == "fully-connected":
+        prod = plane.astype(w.dtype) @ w.T
+    elif lyr.kind == "conv2d":
+        prod = (w @ plane.astype(w.dtype)).reshape(w.shape[0], m, -1).transpose(1, 0, 2)
+    elif lyr.kind == "avgpool2d":
+        out = _pool_sum(plane, lyr.attrs)
+        out *= phi
+        return out.reshape(m, -1)
+    else:                                   # a join's branch
+        return np.multiply(plane, phi).reshape(m, -1)
+    out = np.empty(prod.shape, dtype=np.int64)
+    np.multiply(prod, phi, out=out, casting="unsafe")
+    return out.reshape(m, -1)
+
+
+def _sample_bytes(lyr, w: np.ndarray | None, n_out: int) -> int:
+    """Bytes per sample of a walk block: the larger of one step's int64 sums
+    and its float plane columns."""
+    per_sample = 8 * n_out
+    if w is not None:
+        positions = n_out // w.shape[0] if lyr.kind == "conv2d" else 1
+        per_sample = max(per_sample, w.itemsize * w.shape[1] * positions)
+    return per_sample
 
 
 def _plane_walk(lyr, xs, xsigned, k, acc_bits, bias_pre) -> tuple[np.ndarray, int]:
@@ -265,18 +353,47 @@ def _plane_walk(lyr, xs, xsigned, k, acc_bits, bias_pre) -> tuple[np.ndarray, in
     the M0-rounded sum over branches of phi times the layer's linear map of
     the branch's 0/1 plane, then M0 times a product-scheme bias, each added
     to U as it is formed. U saturates at `acc_bits` with every clamp
-    counted, or is unbounded when `acc_bits` is None."""
+    counted, or is unbounded when `acc_bits` is None.
+
+    The walk runs over blocks of samples. A step whose planes are all zero
+    in a block adds apply(M0, 0) = 0 to an in-range U there, so it is
+    skipped."""
     n = xs[0].shape[0]
-    planes = [encode_planes(x.reshape(n, -1), k, sg) for x, sg in zip(xs, xsigned)]
+    for x, sg in zip(xs, xsigned):
+        check_encodable(x, k, sg)
     phis = [step_weights(k, sg) for sg in xsigned]
-    w = _w64(lyr)
-    u, saturations = 0, 0
-    for t in range(k + (bias_pre is not None)):      # step k adds the bias
-        u = u + apply(lyr.m0, bias_pre if t == k else sum(
-            phi[t] * _linear(lyr.kind, lyr.attrs, w, [pl[..., t].reshape(x.shape)]
-                             ).reshape(n, -1)
-            for x, pl, phi in zip(xs, planes, phis)))
-        if acc_bits is not None:
-            u, events = saturate_array(u, acc_bits)
+    w = _plane_weights(lyr)
+    n_out = int(np.prod(lyr.out_shape))
+    block = max(1, WALK_BYTES // _sample_bytes(lyr, w, n_out))
+    bias_step = None if bias_pre is None else apply(lyr.m0, bias_pre)
+    u = np.zeros((n, n_out), dtype=np.int64)
+    saturations = 0
+    for a in range(0, n, block):
+        cols = [_block_columns(lyr, x[a:a + block]) for x in xs]
+        m = min(block, n - a)
+        ub = np.zeros((m, n_out), dtype=np.int64)
+        for t in range(k):
+            s = None
+            for c, phi in zip(cols, phis):
+                plane = (c >> (k - 1 - t)) & 1
+                if plane.any():
+                    term = _plane_sum(lyr, w, plane, m, phi[t])
+                    s = term if s is None else np.add(s, term, out=s)
+            if s is not None:
+                ub, events = _add_step(ub, apply(lyr.m0, s), acc_bits)
+                saturations += events
+        if bias_step is not None:
+            ub, events = _add_step(ub, bias_step, acc_bits)
             saturations += events
+        if ub.dtype != u.dtype:
+            u = u.astype(object)
+        u[a:a + m] = ub
     return u, saturations
+
+
+def _add_step(u: np.ndarray, inc: np.ndarray, acc_bits: int | None
+              ) -> tuple[np.ndarray, int]:
+    """(u + inc, clamp events), saturated at `acc_bits` unless it is None;
+    u is updated in place unless inc holds Python ints."""
+    u = u + inc if inc.dtype == object else np.add(u, inc, out=u)
+    return (u, 0) if acc_bits is None else saturate_array(u, acc_bits)

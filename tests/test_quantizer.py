@@ -415,6 +415,21 @@ class TestCalibrate:
         assert np.array_equal(sim.outputs, hw)
         assert _record_saturations(record) == 0
 
+    @pytest.mark.parametrize("acc_bits", [44, 45, 46, 47, 48])
+    def test_join_m0_rounds_below_2_pow_31(self, acc_bits):
+        # the join's m_hat is 1, so hi / I_max came within 1/2 of 2^31 and
+        # rounded to a mantissa of 2^31, which from_real rejected
+        model = fixtures.make_residual()
+        x = np.random.default_rng(0).uniform(0.0, 1.0, size=(16,) + model.input_shape)
+        qnet = build_quantized_network(model, calibrate(model, x), k=8, acc_bits=acc_bits)
+        assert abs(qnet.layer("join").m0.mantissa) < NORM_HIGH
+        snet = netsim.compile_network(qnet)
+        assert all(pop.clamp_free for pop in snet.populations)
+        x_int, _ = quantize_tensor(x, qnet.input_params)
+        hw, record = int_forward(qnet, x_int, mode="hw")
+        assert np.array_equal(netsim.run_batch(snet, x_int).outputs, hw)
+        assert _record_saturations(record) == 0
+
     @pytest.mark.parametrize("which", ["mlp", "cnn", "bias"])
     def test_wide_accumulator_calibrates(self, which, request):
         bundle = request.getfixturevalue(f"{which}_bundle")

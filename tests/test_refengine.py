@@ -1,12 +1,14 @@
+import copy
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stemc import fixtures as fx
-from stemc.fixedpoint import from_real
-from stemc.modelio import INPUT_NAME, FloatModel, LayerDesc, infer_shapes
+from stemc import fixtures as fx, refengine
+from stemc.fixedpoint import apply, from_real, saturate_array
+from stemc.modelio import INPUT_NAME, FloatModel, LayerDesc, conv_out_hw, infer_shapes, pool_out_hw
 from stemc.quantizer import (
     QuantizedLayer,
     QuantizedNetwork,
@@ -20,11 +22,14 @@ from stemc.refengine import (
     LayerActivation,
     _conv2d,
     _linear,
+    _plane_weights,
     _pool_sum,
+    _sample_bytes,
     float_forward,
     int_forward,
 )
-from test_netsim import _cnn28_shaped, _skip_join_model
+from stemc.stem import encode_planes, step_weights
+from test_netsim import _cnn28_shaped, _conv_or_pool, _quantized, _skip_join_model
 
 
 def _fc_layer(name, src, w, m_hat=1.0, m0=1.0, m1=None, bias=None,
@@ -114,6 +119,54 @@ def _bits(ranges: dict) -> dict:
     return {name: np.array(r, dtype=np.float64).tobytes() for name, r in ranges.items()}
 
 
+def _plane_walk_reference(lyr, xs, xsigned, k, acc_bits, bias_pre):
+    """The walk ``_plane_walk`` replaced: the whole batch at once, every
+    step's planes from ``encode_planes`` through ``_linear`` with int64
+    weights (float64 conv columns rebuilt per step, an int64 fc matmul), no
+    step skipped. Reference for the equivalence and memory tests."""
+    n = xs[0].shape[0]
+    planes = [encode_planes(x.reshape(n, -1), k, sg) for x, sg in zip(xs, xsigned)]
+    phis = [step_weights(k, sg) for sg in xsigned]
+    w = None if lyr.weights is None else lyr.weights.astype(np.int64)
+    u, saturations = 0, 0
+    for t in range(k + (bias_pre is not None)):      # step k adds the bias
+        u = u + apply(lyr.m0, bias_pre if t == k else sum(
+            phi[t] * _linear(lyr.kind, lyr.attrs, w, [pl[..., t].reshape(x.shape)]
+                             ).reshape(n, -1)
+            for x, pl, phi in zip(xs, planes, phis)))
+        if acc_bits is not None:
+            u, events = saturate_array(u, acc_bits)
+            saturations += events
+    return u, saturations
+
+
+def _int_forward_reference(qnet, x, mode="hw"):
+    """``int_forward`` over the reference walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refengine, "_plane_walk", _plane_walk_reference)
+        return int_forward(qnet, x, mode=mode)
+
+
+def _int_forward_blocks(qnet, x, mode, walk_bytes):
+    """``int_forward`` with the walk's block budget set to `walk_bytes`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refengine, "WALK_BYTES", walk_bytes)
+        return int_forward(qnet, x, mode=mode)
+
+
+def _assert_same_walk(got, want):
+    """Outputs and every layer's pre, post and saturations equal, dtypes too."""
+    (got_out, got_layers), (want_out, want_layers) = got, want
+    assert got_out.dtype == want_out.dtype and np.array_equal(got_out, want_out)
+    assert got_layers.keys() == want_layers.keys()
+    for name, act in want_layers.items():
+        for field in ("pre", "post"):
+            a, b = getattr(got_layers[name], field), getattr(act, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, field)
+            assert np.array_equal(a, b), (name, field)
+        assert got_layers[name].saturations == act.saturations, name
+
+
 def _traced_peak(fn, *args) -> int:
     tracemalloc.start()
     try:
@@ -121,6 +174,18 @@ def _traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _hand_layer(name, kind, attrs, inputs, out_shape, weights=None, bias=None,
+                scheme=None, m0=1.0, m1=1.0):
+    """A quantized layer with exactly these integer weights and constants."""
+    return QuantizedLayer(
+        name=name, kind=kind, attrs=attrs, inputs=inputs, weights=weights,
+        bias=None if bias is None else np.asarray(bias, dtype=np.int32),
+        bias_scheme=scheme, bias_width=None if bias is None else 16,
+        scale_in=1.0, scale_w=1.0, scale_out=1.0, m_hat=from_real(1.0),
+        m0=from_real(m0), m1=from_real(m1), i_max=1, out_shape=tuple(out_shape),
+    )
 
 
 def _conv_qnet(w, in_shape, k=8, acc_bits=16):
@@ -363,3 +428,191 @@ class TestFloatPass:
         peak = _traced_peak(float_forward, model, x)
         ref = _traced_peak(_float_forward_record, model, x)
         assert peak <= 0.7 * ref, (peak, ref)
+
+
+@st.composite
+def _walk_networks(draw):
+    """(qnet, int input batch, block budget) of a random hand-built network.
+
+    Either fc -> fc on a flat signed input, or a random conv or pool on a
+    signed image, optionally a same-shape 3x3 conv and the join of the two,
+    then flatten and fc. Weights are drawn at the int8 scale or 2^17 times it
+    (row sums from 2^24 up take float64); M0 up to 3 over accumulators from
+    K bits clamp; the first layer may emit only zeros, so the layers after it
+    read silent planes. The block budget makes the first layer's block b
+    samples, and the batch is 1, b - 1, b or b + 1 samples.
+    """
+    k = draw(st.integers(2, 16))
+    acc_bits = draw(st.integers(k, 40))
+    big = draw(st.booleans())
+    silent = draw(st.sampled_from([False, False, True]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 1 << 17 if big else 1
+
+    def weights(shape, drawn=None):
+        w = rng.integers(-127, 128, size=shape) if drawn is None else np.asarray(drawn)
+        return (w * scale).astype(np.int64) if big else w.astype(np.int8)
+
+    def constants(weighted, n_bias, first=False):
+        bias_scheme = draw(st.sampled_from([None, "product", "output"])) if weighted else None
+        if first and silent and bias_scheme == "output":
+            bias_scheme = None              # m1 = 0 and no output bias: all zeros
+        m1 = 0.0 if first and silent else 2.0 ** -draw(st.integers(0, 12)) / (
+            scale if weighted else 1)
+        return {"m0": draw(st.sampled_from([2.0 ** -6, 0.25, 1.0, 3.0])), "m1": m1,
+                "scheme": bias_scheme,
+                "bias": None if bias_scheme is None else rng.integers(-300, 301, size=n_bias)}
+
+    if draw(st.booleans()):
+        n_in, n_hid, n_out = (draw(st.integers(1, 12)) for _ in range(3))
+        in_shape = (n_in,)
+        layers = [
+            _hand_layer("fc1", "fully-connected", {"in_features": n_in, "out_features": n_hid},
+                        [INPUT_NAME], (n_hid,), weights((n_hid, n_in)),
+                        **constants(True, n_hid, first=True)),
+            _hand_layer("fc2", "fully-connected", {"in_features": n_hid, "out_features": n_out},
+                        ["fc1"], (n_out,), weights((n_out, n_hid)), **constants(True, n_out)),
+        ]
+    else:
+        in_shape, kind, attrs, w = draw(_conv_or_pool())
+        c, h, wd = in_shape
+        if kind == "conv2d":
+            c = attrs["out_channels"]
+            oh, ow = conv_out_hw(h, wd, attrs)
+            first = _hand_layer("l1", kind, attrs, [INPUT_NAME], (c, oh, ow), weights(None, w),
+                                **constants(True, c, first=True))
+        else:
+            oh, ow = pool_out_hw(h, wd, attrs)
+            first = _hand_layer("l1", kind, attrs, [INPUT_NAME], (c, oh, ow),
+                                **constants(False, 0, first=True))
+        layers = [first]
+        if draw(st.booleans()):
+            same = {"in_channels": c, "out_channels": c, "kernel": [3, 3], "stride": 1,
+                    "padding": 1}
+            layers += [
+                _hand_layer("l2", "conv2d", same, ["l1"], (c, oh, ow), weights((c, c, 3, 3)),
+                            **constants(True, c)),
+                _hand_layer("join", "residual-add", {}, ["l2", "l1"], (c, oh, ow),
+                            **constants(False, 0)),
+            ]
+        n_out = draw(st.integers(1, 4))
+        layers += [
+            _hand_layer("flat", "flatten", {}, [layers[-1].name], (c * oh * ow,)),
+            _hand_layer("fc", "fully-connected", {"in_features": c * oh * ow,
+                                                  "out_features": n_out},
+                        ["flat"], (n_out,), weights((n_out, c * oh * ow)),
+                        **constants(True, n_out)),
+        ]
+    qnet = _qnet(layers, in_shape, k=k, acc_bits=acc_bits)
+    b = draw(st.integers(2, 4))
+    n = draw(st.sampled_from([1, b - 1, b, b + 1]))
+    lyr = layers[0]
+    walk_bytes = b * _sample_bytes(lyr, _plane_weights(lyr), int(np.prod(lyr.out_shape)))
+    q = 1 << (k - 1)
+    return qnet, rng.integers(-q, q, size=(n,) + in_shape), walk_bytes
+
+
+class TestPlaneWalk:
+    """The blocked walk with built-once columns, float32/float64 plane sums
+    and silent steps skipped equals the whole-batch per-step reference in
+    outputs and in every layer's U, output and saturation count."""
+
+    @settings(max_examples=150)
+    @given(case=_walk_networks())
+    def test_random_networks_match_reference(self, case):
+        qnet, x, walk_bytes = case
+        for mode in ("wide", "hw"):
+            _assert_same_walk(_int_forward_blocks(qnet, x, mode, walk_bytes),
+                              _int_forward_reference(qnet, x, mode))
+
+    @pytest.mark.parametrize("which", ["mlp", "cnn", "residual", "bias"])
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_unprotected_fixtures_clamp_and_match(self, which, n, request):
+        """Every layer at M0 = 1 saturates its 16-bit accumulator; small
+        blocks split the batch."""
+        qnet = copy.deepcopy(request.getfixturevalue(f"{which}_bundle").qnet)
+        for lyr in qnet.layers:
+            if lyr.m0 is not None:
+                lyr.m0, lyr.m1 = from_real(1.0), lyr.m_hat
+        x = request.getfixturevalue(f"{which}_bundle").x_int[:n]
+        got = _int_forward_blocks(qnet, x, "hw", 2048)
+        _assert_same_walk(got, _int_forward_reference(qnet, x, "hw"))
+        assert sum(a.saturations for a in got[1].values()) > 0
+        _assert_same_walk(_int_forward_blocks(qnet, x, "wide", 2048),
+                          _int_forward_reference(qnet, x, "wide"))
+
+    @pytest.mark.parametrize("kind", ["fully-connected", "conv2d"])
+    @pytest.mark.parametrize("row,dtype", [
+        ([(1 << 24) - 2, 1], np.float32),      # sum|w| = 2^24 - 1: float32 exact
+        ([1 << 24, 1], np.float64),            # 2^24 + 1 is no float32
+        ([-(1 << 23), -(1 << 23)], np.float64),
+    ])
+    def test_float32_only_below_2_pow_24(self, kind, row, dtype):
+        w = np.array([row], dtype=np.int64)
+        if kind == "conv2d":
+            net = _conv_qnet(w.reshape(1, 2, 1, 1), (2, 1, 1), k=4, acc_bits=40)
+            x = np.array([[[[-1]], [[5]]]])
+        else:
+            net = _qnet([_hand_layer("fc", kind, {"in_features": 2, "out_features": 1},
+                                     [INPUT_NAME], (1,), w)], (2,), k=4, acc_bits=40)
+            x = np.array([[-1, 5]])
+        assert _plane_weights(net.layers[0]).dtype == dtype
+        want = -row[0] + 5 * row[1]
+        for mode in ("wide", "hw"):
+            _, layers = int_forward(net, x, mode=mode)
+            assert layers[net.layers[0].name].pre.tolist() == [[want]], mode
+
+    def test_exact_fc_bound_at_2_pow_53(self):
+        big = (1 << 53) - 1
+        w = np.array([[big, 0]], dtype=np.int64)
+        net = _qnet([_hand_layer("fc", "fully-connected", {"in_features": 2, "out_features": 1},
+                                 [INPUT_NAME], (1,), w)], (2,), k=2, acc_bits=56)
+        x = np.array([[-1, 0]])                       # sign plane carries it
+        for mode in ("wide", "hw"):                   # just below: accepted
+            _, layers = int_forward(net, x, mode=mode)
+            assert layers["fc"].pre.tolist() == [[-big]], mode
+        w[0, 1] = 1                                   # sum|w| = 2^53
+        for mode in ("wide", "hw"):
+            with pytest.raises(ValueError, match="2\\^53"):
+                int_forward(net, x, mode=mode)
+        _, layers = int_forward(net, x, mode="direct")   # an int64 matmul
+        assert layers["fc"].pre.tolist() == [[-big]]
+
+    def test_increments_beyond_int64(self):
+        """At K=16 the sign step of -1 through a weight of 2^47 sums to
+        -2^62; M0 = 3 rounds it to -3 * 2^62, which only a Python int holds,
+        and U keeps Python ints from there on, as in the reference."""
+        w = np.array([[1 << 47]], dtype=np.int64)
+        net = _qnet([_hand_layer("fc", "fully-connected", {"in_features": 1, "out_features": 1},
+                                 [INPUT_NAME], (1,), w, m0=3.0, m1=2.0 ** -40)],
+                    (1,), k=16, acc_bits=70)
+        x = np.array([[-1], [5]])
+        for mode in ("wide", "hw"):
+            got = int_forward(net, x, mode=mode)
+            assert got[1]["fc"].pre.dtype == object
+            assert got[1]["fc"].pre.tolist() == [[-3 << 47], [15 << 47]]
+            _assert_same_walk(got, _int_forward_reference(net, x, mode))
+
+    @pytest.mark.parametrize("bias", [None, [5, -9]])
+    def test_all_silent_layer(self, bias):
+        """fc2 reads only zeros: every step is skipped. Without a product
+        bias its U is still an int64 zero per sample and neuron."""
+        net = _qnet([
+            _fc_layer("fc1", "input", [[1, 2], [3, -4]], m0=1.0, m1=0.0),
+            _fc_layer("fc2", "fc1", [[7, 1], [-2, 5]], bias=bias,
+                      scheme=None if bias is None else "product"),
+        ], (2,))
+        x = np.array([[3, -5], [100, 7], [-128, 127]])
+        for mode in ("wide", "hw"):
+            got = int_forward(net, x, mode=mode)
+            u = got[1]["fc2"].pre
+            assert u.dtype == np.int64 and u.shape == (3, 2)
+            assert u.tolist() == ([[0, 0]] if bias is None else [bias]) * 3
+            _assert_same_walk(got, _int_forward_reference(net, x, mode))
+
+    def test_peak_memory_below_reference(self):
+        """One 80-sample window of a cnn28-shaped network."""
+        qnet, x = _quantized(_cnn28_shaped(), n=80)
+        peak = _traced_peak(int_forward, qnet, x)
+        ref = _traced_peak(_int_forward_reference, qnet, x)
+        assert peak < ref, (peak, ref)
