@@ -10,15 +10,17 @@
 Errors print a single `error: ...` line and exit 2; `compare` exits 1 when
 the two routes disagree. Reports carry no timestamps, so reruns are
 byte-identical. STEMC_LOG sets the log level (default WARNING): warnings
-report clamped weights or biases and all-zero value ranges during
-quantization, INFO adds the tuned plan of tune-sparsity, DEBUG adds the
-traceback of a failing command. Nothing is logged per layer or per stage.
+report clamped weights or biases, all-zero value ranges and hidden layers
+calibrated below 0 during quantization, INFO adds the tuned plan of
+tune-sparsity, DEBUG adds the traceback of a failing command. Nothing is
+logged per layer or per stage.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -151,7 +153,7 @@ def cmd_run(args) -> int:
             sops_per_sample=sops / n,
             ann_uj=est.ann_uj,
             sdann_uj=est.sdann_uj,
-            energy_ratio=est.ratio,
+            energy_ratio=est.ratio if math.isfinite(est.ratio) else None,   # no MACs
         )
         print(f"SOPs {sops} ({sops / n:.1f}/sample)  MACs {macs}/sample")
         print(f"energy {est.sdann_uj:.4f} uJ spiking vs {est.ann_uj:.4f} uJ "

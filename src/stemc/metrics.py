@@ -96,8 +96,9 @@ def write_layer_csv(path: str | Path, traces) -> None:
 
 
 def write_summary(path: str | Path, summary: dict) -> None:
-    """Stable JSON (sorted keys, no timestamps): byte-identical across runs."""
-    Path(path).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    """Stable JSON (sorted keys, no timestamps): byte-identical across runs.
+    A non-finite value raises ValueError, since strict JSON has none."""
+    Path(path).write_text(json.dumps(summary, indent=1, sort_keys=True, allow_nan=False) + "\n")
 
 
 def consolidate(paths: list[str | Path], out_csv: str | Path) -> list[dict]:

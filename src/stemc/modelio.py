@@ -229,6 +229,10 @@ def infer_shapes(model: FloatModel) -> None:
         )
     if sinks[0] is not model.layers[-1]:
         raise ModelFormatError("output layer must be the last manifest entry")
+    if sinks[0].kind == "flatten":
+        raise ModelFormatError(
+            f"layer {sinks[0].name!r}: a model may not end in a flatten "
+            "(output values are already flat)")
     # ReLU on hidden fully-connected/conv layers, nothing on the output layer.
     for lyr in model.layers:
         if lyr.kind in ("fully-connected", "conv2d") and lyr is not sinks[0]:

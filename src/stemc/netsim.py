@@ -17,21 +17,25 @@ wire is kept as that integer, one int16 per neuron and sample: a hidden
 population emits ``drlo(rot(V))`` under its sparsity setting, the output
 population its signed V. A spike count is the popcount of a value's K low
 bits. The 0/1 step bits exist only inside the population step that reads
-them, and in ``dump_spike_trains``, which unpacks (``_planes``) the values
-that ``run_batch`` records for a dump.
+them, and in ``dump_spike_trains``, which unpacks the values that
+``run_batch`` records for a dump. Both unpack with ``_planes``, the one
+function that turns wire values of any shape into step-major 0/1 planes of
+a given dtype.
 
 The step kernel. ``Population.step_sum`` takes a sample block's int16 wire
 values and returns the unweighted synaptic sum S of every live step, per
-neuron, laid out step-major. A dense form unpacks the live step planes and
-sums them all in one BLAS matmul. A conv or pool form gathers the block's
-wire values once (the padding slot holds 0, whose bits are all 0), then
-unpacks each live step's bits from the gathered values and multiplies (conv)
-or adds (pool) them. The result is exact: the planes are 0/1, so every
-partial sum is an integer of magnitude at most sum|w| of one neuron.
-``compile_network`` stores the weights as float32 when every neuron's sum|w|
-is below 2^24, as float64 below 2^53, and rejects a layer where it reaches
-2^53. None of this is the shifted-slice convolution of the reference oracle,
-so the two sides check each other.
+neuron, step-major [steps, samples, neurons] from the planes to the
+integration. The identity form's planes are its sums. A dense form unpacks
+the live step planes in its weights' dtype and sums them all in one BLAS
+matmul. A conv or pool form gathers the block's wire values once (a conv's
+padding slot holds 0, whose bits are all 0) and unpacks the gathered taps
+of every live step: a pool adds them over its taps, a conv multiplies them
+by its weight rows in one broadcast matmul. The result is exact: the planes
+are 0/1, so every partial sum is an integer of magnitude at most sum|w| of
+one neuron. ``compile_network`` stores the weights as float32 when every
+neuron's sum|w| is below 2^24, as float64 below 2^53, and rejects a layer
+where it reaches 2^53. None of this is the shifted-slice convolution of the
+reference oracle, so the two sides check each other.
 
 Live steps. A population reads only the steps of its input trains that can
 spike, which the wires' signedness and the plan decide, never the data
@@ -67,11 +71,9 @@ The population step. Every run hands each population's samples to one step,
 block's step sums, integration and emission are written into the
 population's values before the next one starts. A sample block holds as
 many samples as keep, over its live steps, its int64 step sums (8 bytes per
-output neuron), or a conv's float patches of every live step if those are
-larger, within BLOCK_BYTES, and at least one (a conv in fact holds one
-step's float patches at a time, plus the block's gathered int16 values,
-half a float patch in size). Sample blocks split only the batch axis, so
-they change no integer, trace or saturation count.
+output neuron), or a conv's float patches or a pool's tap planes of every
+live step if those are larger, within BLOCK_BYTES, and at least one. Sample blocks split only the
+batch axis, so they change no integer, trace or saturation count.
 
 One executor. ``CachedRun`` is the only code that runs a network over
 samples: it takes every population in topological order through one
@@ -164,7 +166,6 @@ class Population:
     name: str
     kind: str
     inputs: list[str]               # producer names, flatten resolved away
-    in_shapes: list[tuple[int, ...]]
     phi: np.ndarray                 # step weights of its wires, int64 [K]: signed
                                     # if a branch is the network input
     n_out: int
@@ -192,57 +193,46 @@ class Population:
     is_output: bool
 
     def step_sum(self, values: list[np.ndarray], steps: range) -> np.ndarray:
-        """Unweighted synaptic sums of a block's live steps: per sample, step
+        """Unweighted synaptic sums of a block's live steps: per step, sample
         and neuron, the sum over branches of w * spike.
 
         values[i] holds the int16 [m, n_in] wire values of input branch i,
         whose spike at step t of the K = len(phi) is bit K-1-t (see
-        ``_planes``). Returns int64 [m, len(steps), n_out], laid out
-        step-major so that each step's [m, n_out] sums are contiguous; phi
-        and M0 weight them in ``_integrate_block``.
+        ``_planes``). Returns int64 [len(steps), m, n_out], step-major like
+        the planes; phi and M0 weight each step's sums in ``_integrate_block``.
         """
         total = self._synapse_sum(values[0], steps)
         for vals in values[1:]:
             total += self._synapse_sum(vals, steps)
-        return total.transpose(1, 0, 2)
+        return total
 
     def _synapse_sum(self, values: np.ndarray, steps: range) -> np.ndarray:
         """Per step and neuron, the sum of w * spike over the synapses of one
         branch, int64 [len(steps), m, n_out]."""
         m, k = values.shape[0], self.phi.size
-        if self.form in ("identity", "dense"):
-            planes = _planes(values, k, steps).transpose(1, 0, 2)     # [steps, m, n_in]
-            if self.form == "identity":
-                return planes.astype(np.int64)                         # unit weights
-            x = planes.reshape(-1, planes.shape[-1]).astype(self.dense_w.dtype)
-            return (x @ self.dense_w.T).astype(np.int64).reshape(len(steps), m, self.n_out)
-        # conv and pool: gather the block's values once, then unpack each
-        # step's bits from the gathered values (the silent slot holds 0)
+        if self.form == "identity":                                   # unit weights
+            return _planes(values, k, steps, np.int64)
+        if self.form == "dense":
+            planes = _planes(values, k, steps, self.dense_w.dtype)    # [steps, m, n_in]
+            sums = planes.reshape(-1, values.shape[1]) @ self.dense_w.T  # one BLAS call
+            return sums.astype(np.int64).reshape(len(steps), m, self.n_out)
+        # conv and pool: gather the block's values once, then unpack the
+        # gathered taps of every live step (the silent slot holds 0)
         if self.form == "pool":
-            taps = np.take(values, self.gather_idx, axis=1)           # [m, F, n_out]
             count = np.int16 if self.fanin < 1 << 15 else np.int64    # spikes of F taps
-        else:
-            padded = np.zeros((m, values.shape[1] + 1), dtype=np.int16)
-            padded[:, :-1] = values
-            taps = np.take(padded, self.gather_idx, axis=1)           # [m, F, n_pos]
-            patch = np.empty(taps.shape, dtype=self.conv_w.dtype)
-        bits = np.empty_like(taps)
-        out = np.empty((len(steps), m, self.n_out), dtype=np.int64)
-        for j, t in enumerate(steps):
-            np.right_shift(taps, k - 1 - t, out=bits)
-            np.bitwise_and(bits, 1, out=bits)
-            if self.form == "pool":
-                out[j] = bits.sum(axis=1, dtype=count)
-            else:   # one patch per output position, shared by all channels
-                patch[...] = bits
-                out[j] = np.matmul(self.conv_w, patch).reshape(m, self.n_out)
-        return out
+            taps = np.take(values, self.gather_idx, axis=1)           # [m, F, n_out]
+            return _planes(taps, k, steps, np.int16).sum(axis=2, dtype=count).astype(np.int64)
+        padded = np.concatenate((values, np.zeros((m, 1), dtype=np.int16)), axis=1)
+        taps = np.take(padded, self.gather_idx, axis=1)               # [m, F, n_pos]
+        patches = _planes(taps, k, steps, self.conv_w.dtype)          # [steps, m, F, n_pos]
+        # one [oc, F] x [F, n_pos] product per step and sample, shared by all channels
+        return np.matmul(self.conv_w, patches).astype(np.int64).reshape(len(steps), m, self.n_out)
 
-    def emit(self, v: np.ndarray, k: int, setting: LayerSparsity) -> np.ndarray:
+    def emit(self, v: np.ndarray, setting: LayerSparsity) -> np.ndarray:
         """The int16 values the trains of clamped int64 `v` carry: a hidden
         layer's rounded off and cut by `setting`, the output layer's `v`."""
         if not (self.is_output or setting.is_identity()):
-            v = drlo(rot(v, setting.rot_bits, k), setting.drlo_bits)
+            v = drlo(rot(v, setting.rot_bits, self.phi.size), setting.drlo_bits)
         return v.astype(np.int16)
 
 
@@ -452,7 +442,7 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
 
         is_output = lyr is last
         pops.append(Population(
-            name=lyr.name, kind=lyr.kind, inputs=sources, in_shapes=in_shapes,
+            name=lyr.name, kind=lyr.kind, inputs=sources,
             phi=phi, n_out=n_out,
             fanin=fanin, fanouts=fanouts,
             form=form, dense_w=dense_w, gather_idx=gather_idx, conv_w=conv_w,
@@ -527,21 +517,21 @@ def _live_steps(snet: SpikingNetwork, pop: Population) -> range:
     return range(1, max(1, snet.k - cut))
 
 
-def _planes(values: np.ndarray, k: int, steps: range | None = None) -> np.ndarray:
-    """The trains of int16 [N, n] wire values at `steps` (all K by default)
-    as uint8 [N, len(steps), n] step planes, laid out step-major: the plane
-    of step t is bit K-1-t (the arithmetic shift gives a signed wire's
-    two's-complement bits; its phi carries the sign weight)."""
-    steps = range(k) if steps is None else steps
-    planes = np.empty((len(steps),) + values.shape, dtype=np.uint8)
+def _planes(values: np.ndarray, k: int, steps: range, dtype) -> np.ndarray:
+    """The 0/1 spikes of int16 wire values of any shape at `steps`, as
+    `dtype` [len(steps), *values.shape], one plane per step: the spike of
+    step t is bit K-1-t (the arithmetic shift gives a signed wire's
+    two's-complement bits; its phi carries the sign weight). This is the
+    only place where netsim turns wire values into spikes."""
+    planes = np.empty((len(steps),) + values.shape, dtype=dtype)
     for j, t in enumerate(steps):
         np.bitwise_and(values >> (k - 1 - t), 1, out=planes[j], casting="unsafe")
-    return planes.transpose(1, 0, 2)
+    return planes
 
 
 def _integrate_block(pop: Population, sums: np.ndarray, steps: range, acc_bits: int
                      ) -> tuple[np.ndarray, int]:
-    """U from a block's unweighted step sums [N, len(steps), n_out] at
+    """U from a block's unweighted step sums [len(steps), N, n_out] at
     `steps`, then the bias and the M1 rescale; returns (clamped V, saturation
     count). Step t's increment round(M0 * phi_t * S) is read from its row of
     ``pop.m0_table`` (a negative S indexes from the row's end), or rounded by
@@ -550,13 +540,13 @@ def _integrate_block(pop: Population, sums: np.ndarray, steps: range, acc_bits: 
     reach the clamp; any other takes the step-by-step saturating scan. A
     product-scheme bias is a saturating add to U, an output-scheme bias is
     added after M1, and V is clamped to [v_min, v_max]."""
-    u = np.zeros((sums.shape[0], pop.n_out), dtype=np.int64)
+    u = np.zeros(sums.shape[1:], dtype=np.int64)
     saturations = 0
     for j, t in enumerate(steps):
         if pop.m0_table is None:
-            inc = apply(pop.m0, pop.phi[t] * sums[:, j])
+            inc = apply(pop.m0, pop.phi[t] * sums[j])
         else:
-            inc = pop.m0_table[t - pop.phi.size][sums[:, j]]     # rows end at step K-1
+            inc = pop.m0_table[t - pop.phi.size][sums[j]]        # rows end at step K-1
         if pop.clamp_free:
             u += inc
         else:
@@ -575,18 +565,19 @@ def _block_samples(pop: Population, steps: int) -> int:
     """Samples per sample block of a population step that reads `steps`
     live steps. Per sample and step, the step sums take 8 bytes per output
     neuron, a conv's patches one weight itemsize per entry of its [F, n_pos]
-    gather; a sample block holds BLOCK_BYTES of the larger, and at least one
-    sample. A conv in fact unpacks one step's patches at a time from the
-    block's gathered int16 values, half a float patch in size."""
+    gather, a pool's int16 tap planes 2 bytes per entry of its [F, n_out]
+    gather; a sample block holds BLOCK_BYTES of the largest, and at least one
+    sample."""
     width = 8 * pop.n_out
     if pop.form == "conv":
         width = max(width, pop.conv_w.itemsize * pop.gather_idx.size)
+    elif pop.form == "pool":
+        width = max(width, 2 * pop.gather_idx.size)
     return max(1, BLOCK_BYTES // (max(steps, 1) * width))
 
 
 def _population_step(pop: Population, values: list[np.ndarray], acc_bits: int,
-                     k: int, steps: range, setting: LayerSparsity
-                     ) -> tuple[np.ndarray, int]:
+                     steps: range, setting: LayerSparsity) -> tuple[np.ndarray, int]:
     """One population over m samples, in sample blocks of ``_block_samples``.
 
     `values` are the int16 [m, n_in] wire values of pop's branches; only the
@@ -603,7 +594,7 @@ def _population_step(pop: Population, values: list[np.ndarray], acc_bits: int,
         hi = min(lo + size, m)
         sums = pop.step_sum([vals[lo:hi] for vals in values], steps)
         v, sat = _integrate_block(pop, sums, steps, acc_bits)
-        out[lo:hi] = pop.emit(v, k, setting)
+        out[lo:hi] = pop.emit(v, setting)
         saturations += sat
     return out, saturations
 
@@ -702,7 +693,7 @@ class CachedRun:
         its producers' settings leave live and emitting under its own setting
         in the plan; keep its values and saturation count."""
         values, self.saturations[pop.name] = _population_step(
-            pop, [self.values[s] for s in pop.inputs], self.snet.acc_bits, self.snet.k,
+            pop, [self.values[s] for s in pop.inputs], self.snet.acc_bits,
             _live_steps(self.snet, pop), self.snet.plan.for_layer(pop.name))
         self._store(pop.name, values)
 
@@ -734,7 +725,7 @@ class CachedRun:
         child.values, child.counts, child.saturations = (
             dict(self.values), dict(self.counts), dict(self.saturations))
         v = self.values[name].astype(np.int64)
-        child._store(name, pop.emit(v, self.snet.k, setting))
+        child._store(name, pop.emit(v, setting))
         changed = {name}
         for q in child.snet.populations:
             if changed.intersection(q.inputs):
@@ -836,7 +827,7 @@ def dump_spike_trains(path: str | Path, values: dict[str, np.ndarray], k: int) -
     step's spikes across the wire's neurons, from its int16 [N, n] values."""
     with open(path, "w") as fh:
         for name, vals in values.items():
-            planes = _planes(vals, k)                       # [N, K, n]
-            for s in range(planes.shape[0]):
+            planes = _planes(vals, k, range(k), np.uint8)   # [K, N, n]
+            for s in range(vals.shape[0]):
                 for t in range(k):
-                    fh.write(f"{name} {s} {t} {rle_encode(planes[s, t])}\n")
+                    fh.write(f"{name} {s} {t} {rle_encode(planes[t, s])}\n")

@@ -365,6 +365,9 @@ def build_quantized_network(model: FloatModel, stats: RangeStats, k: int = 8,
             scale_w = 1.0
 
         r_lo, r_hi = stats.ranges[lyr.name]
+        if r_lo < 0 and lyr is not model.layers[-1]:
+            log.warning("layer %s: calibrated minimum %g is below 0, but a hidden "
+                        "wire carries only [0, q_max]", lyr.name, r_lo)
         out_qp = derive_scale(r_hi, r_lo, q_max)
         scale_out = out_qp.scale
         m_hat = from_real(scale_in * scale_w / scale_out)

@@ -229,11 +229,15 @@ def int_forward(qnet, x_int: np.ndarray, mode: str = "hw"
 
     Returns:
         (outputs [N, n_out] int64, {layer name: LayerActivation})
+
+    In every mode, an input outside the signed K-step wire range is a
+    ValueError; every hidden value is clipped to [0, q_max].
     """
     if mode not in INT_MODES:
         raise ValueError(f"mode must be one of {INT_MODES}")
     xb = check_batch(x_int, qnet.input_shape).astype(np.int64)
     n, k = xb.shape[0], qnet.k
+    check_encodable(xb, k, signed=True)
     q_max = (1 << (k - 1)) - 1
     signed = signedness(qnet)
     tensors: dict[str, np.ndarray] = {INPUT_NAME: xb}
@@ -359,8 +363,6 @@ def _plane_walk(lyr, xs, xsigned, k, acc_bits, bias_pre) -> tuple[np.ndarray, in
     in a block adds apply(M0, 0) = 0 to an in-range U there, so it is
     skipped."""
     n = xs[0].shape[0]
-    for x, sg in zip(xs, xsigned):
-        check_encodable(x, k, sg)
     phis = [step_weights(k, sg) for sg in xsigned]
     w = _plane_weights(lyr)
     n_out = int(np.prod(lyr.out_shape))

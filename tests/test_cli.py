@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from stemc import cli, netsim
-from stemc.modelio import load_dataset, load_quantized_model, save_dataset
+from stemc.modelio import (FloatModel, LayerDesc, infer_shapes, load_dataset,
+                           load_quantized_model, save_dataset, save_model)
 from stemc.netsim import rle_decode
 
 
@@ -137,6 +138,27 @@ class TestRun:
         doc = json.loads((tree / "ro" / "summary.json").read_text())
         assert doc["mode"] == "oracle-direct"
         assert doc["total_sops"] is None             # no spikes in oracle mode
+
+    def test_summary_is_strict_json_without_macs(self, tmp_path):
+        """A network of one avgpool does no MACs, so its energy ratio has no
+        finite value: summary.json writes it as null, and stays strict JSON."""
+        model = FloatModel(name="pool-only", input_shape=(1, 4, 4), layers=[
+            LayerDesc(name="pool", kind="avgpool2d", attrs={"kernel": [2, 2]},
+                      inputs=["input"])])
+        infer_shapes(model)
+        save_model(model, tmp_path / "model.json")
+        x = np.random.default_rng(0).uniform(0, 1, size=(8, 1, 4, 4)).astype(np.float32)
+        save_dataset(tmp_path / "data.ds", x, np.zeros(8, dtype=np.int64))
+        q, data = str(tmp_path / "q.json"), str(tmp_path / "data.ds")
+        assert cli.main(["quantize", str(tmp_path / "model.json"), data, "-o", q]) == 0
+        assert cli.main(["run", q, data, "--report", str(tmp_path / "r")]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        text = (tmp_path / "r" / "summary.json").read_text()
+        doc = json.loads(text, parse_constant=reject)
+        assert doc["macs_per_sample"] == 0 and doc["energy_ratio"] is None
 
     @pytest.mark.parametrize("mode", ["sim", "oracle"])
     def test_windows_change_no_report(self, tree, mode, monkeypatch):

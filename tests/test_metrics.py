@@ -92,7 +92,9 @@ class TestFanout:
         snet = compile_network(residual_bundle.qnet)
         join = next(p for p in snet.populations if p.kind == "residual-add")
         assert len(join.fanouts) == 2           # one synapse per branch input
-        for fan, shape in zip(join.fanouts, join.in_shapes):
+        qnet = residual_bundle.qnet
+        shapes = [qnet.layer(s).out_shape for s in qnet.layer(join.name).inputs]
+        for fan, shape in zip(join.fanouts, shapes):
             assert fan.tolist() == [1] * int(np.prod(shape))
 
 

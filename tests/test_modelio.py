@@ -300,6 +300,17 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match="flatten first"):
             infer_shapes(m)
 
+    def test_model_ending_in_flatten_rejected(self):
+        """Every engine reads the last layer as the output layer, so a
+        trailing flatten would leave the real output layer hidden."""
+        m = FloatModel("bad", (1, 8, 8), [
+            LayerDesc("gap", "avgpool2d", {"kernel": [8, 8]}, ["input"]),
+            LayerDesc("flat", "flatten", {}, ["gap"]),
+        ])
+        with pytest.raises(ModelFormatError,
+                           match="layer 'flat': a model may not end in a flatten"):
+            infer_shapes(m)
+
     def test_unknown_kind(self):
         m = FloatModel("bad", (6,), [LayerDesc("x", "maxpool2d", {}, ["input"])])
         with pytest.raises(ModelFormatError, match="unknown kind"):

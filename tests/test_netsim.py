@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import re
@@ -195,23 +196,31 @@ def _synapse_table(lyr, in_shape) -> tuple[np.ndarray, np.ndarray]:
     return _build_table(lyr.kind, lyr.attrs, in_shape, lyr.weights)[:2]
 
 
+def _in_shapes(qnet, name) -> list[tuple[int, ...]]:
+    """The shape of each input branch of layer `name`, read from the
+    quantized network (a flatten's output is flat)."""
+    return [tuple(qnet.input_shape) if s == INPUT_NAME else qnet.layer(s).out_shape
+            for s in qnet.layer(name).inputs]
+
+
 def _synapse_walk(qnet, pop: Population, values: list[np.ndarray], k: int,
                   steps: range) -> np.ndarray:
-    """Brute force: per sample, step and neuron, the sum of w * spike over
+    """Brute force: per step, sample and neuron, the sum of w * spike over
     every synapse of the reference table, over all branches, as
     ``step_sum`` takes it. values[i] holds the int16 [m, n_in] wire values of
     branch i; their spikes are read from ``stem.encode_planes``. Returns
-    int64 [m, len(steps), n_out]."""
+    int64 [len(steps), m, n_out]."""
     lyr = qnet.layer(pop.name)
-    tables = [[a.tolist() for a in _synapse_table(lyr, shape)] for shape in pop.in_shapes]
+    tables = [[a.tolist() for a in _synapse_table(lyr, shape)]
+              for shape in _in_shapes(qnet, pop.name)]
     trains = [encode_planes(v, k, signed=True)[..., steps.start:steps.stop] for v in values]
     m = values[0].shape[0]
-    out = np.zeros((m, len(steps), pop.n_out), dtype=np.int64)
+    out = np.zeros((len(steps), m, pop.n_out), dtype=np.int64)
     for s in range(m):
         for j in range(len(steps)):
             branches = [train[s, :, j].tolist() + [0] for train in trains]   # + silent slot
             for o in range(pop.n_out):
-                out[s, j, o] = sum(sum(wf * bits[i] for wf, i in zip(w[o], idx[o]))
+                out[j, s, o] = sum(sum(wf * bits[i] for wf, i in zip(w[o], idx[o]))
                                    for bits, (idx, w) in zip(branches, tables))
     return out
 
@@ -230,13 +239,14 @@ def _pop(qnet, name) -> Population:
 class TestGatherTables:
     def test_conv_table_vs_synapse_walk(self, cnn_bundle, rng):
         pop = _pop(cnn_bundle.qnet, "conv2")
-        values = _random_values(rng, 8, 2, pop.in_shapes[0])
+        values = _random_values(rng, 8, 2, _in_shapes(cnn_bundle.qnet, "conv2")[0])
         got = pop.step_sum([values], range(2, 3))
         assert np.array_equal(got, _synapse_walk(cnn_bundle.qnet, pop, [values], 8, range(2, 3)))
 
     def test_padded_conv_edges_stay_silent(self, cnn_bundle):
         pop, lyr = _pop(cnn_bundle.qnet, "conv1"), cnn_bundle.qnet.layer("conv1")
-        idx, _, n_in_padded, _ = _build_table("conv2d", lyr.attrs, pop.in_shapes[0],
+        idx, _, n_in_padded, _ = _build_table("conv2d", lyr.attrs,
+                                              _in_shapes(cnn_bundle.qnet, "conv1")[0],
                                               lyr.weights)
         silent = n_in_padded - 1
         assert (idx == silent).any()             # padding=1 creates halo slots
@@ -248,7 +258,7 @@ class TestGatherTables:
 
     def test_pool_table_vs_synapse_walk(self, cnn_bundle, rng):
         pop = _pop(cnn_bundle.qnet, "pool1")
-        values = _random_values(rng, 8, 3, pop.in_shapes[0])
+        values = _random_values(rng, 8, 3, _in_shapes(cnn_bundle.qnet, "pool1")[0])
         got = pop.step_sum([values], range(0, 1))
         assert np.array_equal(got, _synapse_walk(cnn_bundle.qnet, pop, [values], 8, range(0, 1)))
         assert pop.fanin == 4
@@ -426,9 +436,9 @@ class TestRandomGeometry:
 
 class TestKPlaneKernel:
     def _check(self, qnet, pop, rng):
-        values = [_random_values(rng, 8, 2, shape) for shape in pop.in_shapes]
+        values = [_random_values(rng, 8, 2, shape) for shape in _in_shapes(qnet, pop.name)]
         got = pop.step_sum(values, range(8))
-        assert got.dtype == np.int64
+        assert got.dtype == np.int64 and got.shape == (8, 2, pop.n_out)
         assert np.array_equal(got, _synapse_walk(qnet, pop, values, 8, range(8)))
 
     @pytest.mark.parametrize("name,form", [
@@ -454,24 +464,47 @@ class TestKPlaneKernel:
 
     def test_block_equals_per_step_calls(self, cnn_bundle, rng):
         for pop in compile_network(cnn_bundle.qnet).populations:
-            values = [_random_values(rng, 8, 3, pop.in_shapes[0])]
+            values = [_random_values(rng, 8, 3, _in_shapes(cnn_bundle.qnet, pop.name)[0])]
             block = pop.step_sum(values, range(8))
-            assert np.array_equal(block[:, 2:6], pop.step_sum(values, range(2, 6)))
+            assert np.array_equal(block[2:6], pop.step_sum(values, range(2, 6)))
             for t in range(8):
-                assert np.array_equal(block[:, t:t + 1], pop.step_sum(values, range(t, t + 1)))
+                assert np.array_equal(block[t:t + 1], pop.step_sum(values, range(t, t + 1)))
 
-    @pytest.mark.parametrize("k", [2, 8, 16])
+    @pytest.mark.parametrize("k", range(2, 17))
     def test_planes_are_the_trains(self, k, rng):
-        """Plane t of a wire's values is step t of their signed trains."""
-        lo, hi = -(1 << (k - 1)), (1 << (k - 1)) - 1
-        edges = [lo, lo + 1, -1, 0, 1, hi]
-        values = np.concatenate([edges, rng.integers(lo, hi + 1, size=42)])
-        values = values.astype(np.int16).reshape(4, 12)
-        planes = _planes(values, k)
-        assert planes.dtype == np.uint8
-        want = np.swapaxes(encode_planes(values, k, signed=True), 1, 2)
-        assert np.array_equal(planes, want)
-        assert np.array_equal(_planes(values, k, range(1, k - 1)), want[:, 1:k - 1])
+        """Plane j of ``_planes(values, k, steps, dtype)`` is step steps[j] of
+        the values' trains, for every dtype a form unpacks in, a signed or
+        unsigned wire, wire values [m, n] or gathered taps [m, F, n_pos], and
+        every step range a population can read."""
+        for signed, shape in itertools.product([True, False], [(4, 12), (2, 3, 7)]):
+            lo, hi = (-(1 << (k - 1)) if signed else 0), (1 << (k - 1)) - 1
+            edges = [lo, lo + 1, 0, 1, hi - 1, hi] + ([-1] if signed else [])
+            values = rng.integers(lo, hi + 1, size=shape)
+            values.flat[:len(edges)] = edges
+            values = values.astype(np.int16)
+            want = np.moveaxis(encode_planes(values, k, signed), -1, 0)     # [K, *shape]
+            for dtype in (np.uint8, np.int16, np.int64, np.float32, np.float64):
+                for steps in (range(k), range(1, k), range(1, k - 1), range(k - 1, k)):
+                    planes = _planes(values, k, steps, dtype)
+                    assert planes.dtype == dtype and planes.shape == (len(steps),) + shape
+                    assert np.array_equal(planes, want[steps.start:steps.stop]), (signed, steps)
+
+    def test_pool_beyond_int16_counts_matches_hw(self):
+        """A 182x182 avgpool has F = 33,124 taps, more spikes than int16
+        holds, so it counts its tap planes in int64; at both ends of the
+        wire range and on random inputs it gives the oracle's values."""
+        qnet = _one_layer_qnet((1, 182, 182), "avgpool2d", {"kernel": [182, 182]},
+                               k=4, acc_bits=32)
+        snet = compile_network(qnet)
+        pop, f = snet.populations[0], 182 * 182
+        assert pop.form == "pool" and pop.fanin == f > 1 << 15
+        x = np.stack([np.full((1, 182, 182), 7), np.full((1, 182, 182), -8),
+                      np.random.default_rng(182).integers(-8, 8, size=(1, 182, 182))])
+        sums = pop.step_sum([x[:2].reshape(2, -1).astype(np.int16)], range(4))
+        assert sums[:, 0, 0].tolist() == [0, f, f, f]           # 7 = 0111
+        assert sums[:, 1, 0].tolist() == [f, 0, 0, 0]           # -8 = 1000
+        want, _ = int_forward(qnet, x, mode="hw")
+        assert np.array_equal(run_batch(snet, x).outputs, want)
 
     def test_wide_fanin_at_max_weights_exact(self, widefan_bundle):
         snet = compile_network(widefan_bundle.qnet)
@@ -521,12 +554,12 @@ class TestKPlaneKernel:
 
 
 def _scan_u(pop, sums, acc_bits) -> tuple[np.ndarray, int]:
-    """(U, saturations) of step sums [N, steps, n_out] integrated one step
+    """(U, saturations) of step sums [steps, N, n_out] integrated one step
     at a time in the saturating accumulator, whether or not pop is
     clamp-free, then a product-scheme bias added the same way."""
-    u = np.zeros((sums.shape[0], pop.n_out), dtype=np.int64)
+    u = np.zeros(sums.shape[1:], dtype=np.int64)
     saturations = 0
-    adds = [apply(pop.m0, sums[:, step]) for step in range(sums.shape[1])]
+    adds = [apply(pop.m0, step_sums) for step_sums in sums]
     if pop.bias_pre_scaled is not None:
         adds.append(pop.bias_pre_scaled[None, :])
     for add in adds:
@@ -602,13 +635,13 @@ def run_pipeline_per_block(snet, x_int, wires=None) -> PipelineResult:
                 continue
             last_active = block
             # each branch's step sums weighted by its own wire's step weights
-            sums = sum(step_weights(k, src == INPUT_NAME)[:, None]
+            sums = sum(step_weights(k, src == INPUT_NAME)[:, None, None]
                        * pop.step_sum([fetch(src, s)[None]], range(k)) for src in pop.inputs)
             v, sat = _scan(pop, sums, snet.acc_bits)
             saturations += sat
             pop_saturations[pop.name] += sat
             emitted[(pop.name, s)] = values[pop.name][s] = pop.emit(
-                v, k, snet.plan.for_layer(pop.name))[0]
+                v, snet.plan.for_layer(pop.name))[0]
             for src in pop.inputs:
                 release(src, s)
         s_out = block - (reader_stage - 1)
@@ -762,8 +795,9 @@ class TestPipelineWindow:
             assert len(mine) == -(-x.shape[0] // window)  # one call per window
 
     def test_memory_bounded_by_window(self, widefan_bundle):
-        # a dense form copies its input rows to float64, 8*K bytes per input
-        # neuron and sample: 512 inputs make that the largest temporary
+        # a dense form unpacks its input planes in its weights' dtype, 4*K
+        # bytes per input neuron and sample here: 512 inputs make that the
+        # largest temporary
         snet = compile_network(widefan_bundle.qnet)
         x = np.tile(widefan_bundle.x_int, (50, 1))               # 2000 samples
         peaks = []
@@ -811,14 +845,13 @@ class TestSaturationParity:
         assert pipe.saturations == want
 
     def test_block_scan_equals_per_step_integrate(self, widefan_bundle):
-        # one M0 rounding of the whole [N, K, n_out] block, then the
-        # saturating scan, against integrating step by step
+        # the block's saturating scan against integrating step by step
         snet = compile_network(_unprotected(widefan_bundle.qnet, "fc"))
         pop, x, k = snet.populations[0], widefan_bundle.x_int, snet.k
         assert not pop.clamp_free
         sums = pop.step_sum([x.astype(np.int16)], range(k))
         v, saturations = _integrate_block(pop, sums, range(k), snet.acc_bits)
-        want, want_saturations = _scan(pop, pop.phi[:, None] * sums, snet.acc_bits)
+        want, want_saturations = _scan(pop, pop.phi[:, None, None] * sums, snet.acc_bits)
         assert saturations == want_saturations > 0
         assert np.array_equal(v, want)
 
@@ -834,7 +867,7 @@ def _neuron(m0=1.0, m1=1.0, bias_pre=None, bias_post=None, clamp_free=False,
     M0 table. Its K=8 steps each weigh 1 unless `phi` is given, so a step sum
     is that step's input to the M0 rounding."""
     return Population(
-        name="n", kind="fully-connected", inputs=[INPUT_NAME], in_shapes=[(1,)],
+        name="n", kind="fully-connected", inputs=[INPUT_NAME],
         phi=np.ones(8, dtype=np.int64) if phi is None else phi, n_out=1,
         fanin=1, fanouts=[np.ones(1, dtype=np.int64)], form="dense",
         dense_w=np.array([[3.0]], dtype=np.float32), gather_idx=None, conv_w=None,
@@ -845,15 +878,15 @@ def _neuron(m0=1.0, m1=1.0, bias_pre=None, bias_post=None, clamp_free=False,
 
 
 def _steps(*values) -> np.ndarray:
-    """One sample's step sums [1, steps, 1]."""
-    return np.array(values, dtype=np.int64).reshape(1, -1, 1)
+    """One sample's step sums [steps, 1, 1]."""
+    return np.array(values, dtype=np.int64).reshape(-1, 1, 1)
 
 
 def _integrated(pop, sums, acc_bits) -> tuple[list, int]:
     """``_integrate_block``'s (V as a list, saturation count) of step sums
     at the last steps, checked to be the same with the increments read from
     an M0 table that covers them."""
-    steps = range(8 - sums.shape[1], 8)
+    steps = range(8 - sums.shape[0], 8)
     v, saturations = _integrate_block(pop, sums, steps, acc_bits)
     tabled = copy.copy(pop)
     tabled.m0_table = netsim._m0_table(pop.m0, pop.phi, int(np.abs(sums).max()))
@@ -882,7 +915,7 @@ class TestIntegrateBlock:
         assert _integrated(pop, _steps(41), 16) == ([[83]], 0)
 
     def test_finalize_clamps(self):
-        sums = np.concatenate([_steps(300), _steps(-5)])
+        sums = np.concatenate([_steps(300), _steps(-5)], axis=1)
         assert _integrated(_neuron(), sums, 16) == ([[127], [0]], 0)
 
     def test_integrate_saturates_and_counts(self):
@@ -1211,11 +1244,11 @@ class TestClampFree:
             assert lyr.m0.value() * reach + Fraction(k + 1, 2) <= hi
 
         sums = pop.step_sum([x], range(k))
-        weighted = pop.phi[:, None] * sums
+        weighted = pop.phi[:, None, None] * sums
         u, scan_saturations = _scan_u(pop, weighted, acc_bits)
         if pop.clamp_free:
             assert scan_saturations == 0
-            want = apply(pop.m0, weighted).sum(axis=1)
+            want = apply(pop.m0, weighted).sum(axis=0)
             assert np.array_equal(u, want + (0 if pop.bias_pre_scaled is None
                                              else pop.bias_pre_scaled))
         v, saturations = _integrate_block(pop, sums, range(k), acc_bits)
@@ -1244,11 +1277,11 @@ class TestSumPrecision:
         assert pop.m0_table is None and pop.phi[0] == -(1 << (k - 1))
         ones = np.full((2, n), -1, dtype=np.int16)          # every bit set
         assert np.array_equal(pop.step_sum([ones], range(k)),
-                              np.full((2, k, 1), weight_sum))
+                              np.full((k, 2, 1), weight_sum))
         x = np.full((1, n), -(1 << (k - 1)), dtype=np.int16)
         sums = pop.step_sum([x], range(k))
         assert sums[0, 0, 0] == weight_sum
-        assert not sums[0, 1:].any()
+        assert not sums[1:].any()
         want, _ = int_forward(qnet, x, mode="hw")
         assert np.array_equal(run_batch(snet, x).outputs, want)
 
@@ -1662,6 +1695,20 @@ class TestPopulationBlocks:
         assert got.traces == want.traces
         assert sum(sat > 0 for sat in saturated) >= 2
         assert sum(saturated) == want.traces[0].saturations
+
+    def test_pool_block_holds_its_tap_planes(self):
+        """A global average pool's int16 tap planes, 2 bytes per tap, output
+        neuron and live step, outweigh its int64 step sums: a sample block
+        holds as many samples as keep them within BLOCK_BYTES."""
+        snet = compile_network(_one_layer_qnet((64, 16, 16), "avgpool2d",
+                                               {"kernel": [16, 16]}))
+        pop = snet.populations[0]
+        steps = len(_live_steps(snet, pop))
+        per_sample = steps * 2 * pop.gather_idx.size
+        assert per_sample > steps * 8 * pop.n_out
+        size = netsim._block_samples(pop, steps)
+        assert size > 1
+        assert size * per_sample <= netsim.BLOCK_BYTES < (size + 1) * per_sample
 
     @pytest.mark.parametrize("bundle,block_bytes", [
         ("cnn_bundle", None), ("residual_bundle", netsim.BLOCK_BYTES // 4)])

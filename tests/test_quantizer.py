@@ -440,6 +440,30 @@ class TestCalibrate:
         hw, _ = int_forward(qnet, x_int, mode="hw")
         assert np.array_equal(sim.outputs, hw)
 
+    def test_hidden_layer_below_zero_warns(self, caplog):
+        """A hidden avgpool on the signed input has negative calibrated
+        values, which its wire, carrying only [0, q_max], clips: quantizing
+        names the layer and its minimum in a warning."""
+        rng = np.random.default_rng(1)
+        model = FloatModel(name="signed-pool", input_shape=(1, 4, 4), layers=[
+            LayerDesc(name="pool", kind="avgpool2d", attrs={"kernel": [2, 2]},
+                      inputs=["input"]),
+            LayerDesc(name="flat", kind="flatten", attrs={}, inputs=["pool"]),
+            LayerDesc(name="fc", kind="fully-connected",
+                      attrs={"in_features": 4, "out_features": 3}, inputs=["flat"],
+                      weights=rng.uniform(-1, 1, size=(3, 4)).astype(np.float32)),
+        ])
+        infer_shapes(model)
+        x = rng.uniform(-1, 1, size=(500, 1, 4, 4)).astype(np.float32)
+        stats = calibrate(model, x)
+        caplog.set_level("WARNING", logger="stemc")
+        build_quantized_network(model, stats)
+        r_lo = stats.ranges["pool"][0]
+        assert r_lo < 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"layer pool: calibrated minimum {r_lo:g} is below 0, but a hidden "
+            "wire carries only [0, q_max]"]
+
     def test_report_is_stable(self, mlp_bundle):
         a = calibration_report(mlp_bundle.qnet, mlp_bundle.stats)
         b = calibration_report(mlp_bundle.qnet, mlp_bundle.stats)

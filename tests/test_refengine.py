@@ -252,6 +252,16 @@ class TestModeAgreement:
         assert sum(a.saturations for a in layers.values()) == 0
         assert np.array_equal(wide, hw)
 
+    @pytest.mark.parametrize("value", [128, -129])
+    @pytest.mark.parametrize("mode", ["direct", "wide", "hw"])
+    def test_input_outside_wire_range_rejected(self, mlp_bundle, mode, value):
+        """Every mode checks the network input once against the signed K=8
+        wire range, with ``check_encodable``'s message."""
+        x = mlp_bundle.x_int[:2].copy()
+        x[1, 5] = value
+        with pytest.raises(ValueError, match=r"outside encodable range \[-128, 127\]"):
+            int_forward(mlp_bundle.qnet, x, mode=mode)
+
     def test_direct_close_to_hw(self, mlp_bundle):
         x = mlp_bundle.x_int[:64]
         direct, _ = int_forward(mlp_bundle.qnet, x, mode="direct")
