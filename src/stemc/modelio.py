@@ -241,6 +241,18 @@ def infer_shapes(model: FloatModel) -> None:
             lyr.activation = "none"
 
 
+def signed_wires(model: FloatModel) -> dict[str, bool]:
+    """Which wires carry signed trains, by name: the network input, the output
+    layer and flatten views of either; a hidden wire carries [0, q_max]. The
+    one place signedness is decided, for both engines, the quantizer and the
+    sparsity tuner."""
+    signed = {INPUT_NAME: True}
+    for lyr in model.layers:
+        signed[lyr.name] = (signed[lyr.inputs[0]] if lyr.kind == "flatten"
+                            else lyr is model.layers[-1])
+    return signed
+
+
 # ---------------------------------------------------------------------------
 # manifest codec, shared by the float and the quantized model types
 # ---------------------------------------------------------------------------

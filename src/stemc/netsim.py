@@ -13,14 +13,15 @@ integer weights and, for conv and pool layers, its geometry:
 * avgpool - a gather-sum; residual-add - the identity.
 
 Wire values. A train is the binary code of the integer it carries, so every
-wire is kept as that integer, one int16 per neuron and sample: a hidden
-population emits ``drlo(rot(V))`` under its sparsity setting, the output
-population its signed V. A spike count is the popcount of a value's K low
-bits. The 0/1 step bits exist only inside the population step that reads
-them, and in ``dump_spike_trains``, which unpacks the values that
-``run_batch`` records for a dump. Both unpack with ``_planes``, the one
-function that turns wire values of any shape into step-major 0/1 planes of
-a given dtype.
+wire is kept as that integer, one int16 per neuron and sample. Which wires
+are signed (the network input and the output layer) is read from
+``modelio.signed_wires``, never re-derived here. A hidden population emits
+``drlo(rot(V))`` under its sparsity setting, a signed one its V. A spike
+count is the popcount of a value's K low bits. The 0/1 step bits exist only
+inside the population step that reads them, and in ``dump_spike_trains``,
+which unpacks the values that ``run_batch`` records for a dump. Both unpack
+with ``_planes``, the one function that turns wire values of any shape into
+step-major 0/1 planes of a given dtype.
 
 The step kernel. ``Population.step_sum`` takes a sample block's int16 wire
 values and returns the unweighted synaptic sum S of every live step, per
@@ -43,37 +44,37 @@ spike, which the wires' signedness and the plan decide, never the data
 q_max < 2^(K-1), so it never spikes at step 0; one that ``drlo`` cuts by c
 never spikes in its last c steps (``rot`` clamps to q_max, so it cuts none).
 A population reads steps [1, K - c), c the smallest cut among its producers,
-or all K if a branch is the signed network input; at K <= c + 1 it reads
-none. A skipped step would add round(M0 * 0) = 0 to U, so skipping it
-changes no integer and no saturation count.
+or all K if a branch is signed (its phi carries the sign weight); at
+K <= c + 1 it reads none. A skipped step would add round(M0 * 0) = 0 to U,
+so skipping it changes no integer and no saturation count.
 
 Integration. Step t adds round(M0 * phi_t * S) to U, phi_t the wire's step
 weight. One phi serves every branch of a join: it is signed where a branch
-is the network input, and the unsigned weights differ only at step 0, where
-a hidden wire never spikes. S is an integer in [-B, B], B the largest
-sum|w| of a neuron (a pool's tap count, a join's branch count), so
-``compile_network`` tabulates every increment of every readable step with
-``fixedpoint.apply`` itself (``_m0_table``) wherever that table fits
-BLOCK_BYTES, and the population reads its increments from it; any other
-population rounds its step sums with ``apply``, once per step.
-``compile_network`` marks a population ``clamp_free`` when value(M0) times
-``quantizer.prefix_bound`` (the largest running prefix of a neuron's step
-sums, plus a product-scheme bias, over every input its wires can carry) plus
-(K+1)/2 fits the n-bit accumulator, checked exactly from the manifest's own
-constants. The quantizer picks M0 so that this holds, and then no running
-sum of U can reach the clamp, so U is the sum of the increments. Any
-other population (an M0 from elsewhere) takes the step-by-step saturating
-scan (``fixedpoint.saturate_array`` after each add), which counts every
-clamp.
+is signed, and the unsigned weights differ only at step 0, where a hidden
+wire never spikes. S is an integer in [-B, B], B the largest sum|w| of a
+neuron (a pool's tap count, a join's branch count), so ``compile_network``
+tabulates every increment of every readable step with ``fixedpoint.apply``
+itself (``_m0_table``) wherever that table fits BLOCK_BYTES, and the
+population reads its increments from it; any other population rounds its
+step sums with ``apply``, once per step. ``compile_network`` marks a
+population ``clamp_free`` when value(M0) times ``quantizer.prefix_bound``
+(the largest running prefix of a neuron's step sums, plus a product-scheme
+bias, over every input its wires can carry) plus (K+1)/2 fits the n-bit
+accumulator, checked exactly from the manifest's own constants. The
+quantizer picks M0 so that this holds, and then no running sum of U can
+reach the clamp, so U is the sum of the increments. Any other population (an
+M0 from elsewhere) takes the step-by-step saturating scan
+(``fixedpoint.saturate_array`` after each add), which counts every clamp.
 
 The population step. Every run hands each population's samples to one step,
 ``_population_step``, which works through them in sample blocks: each sample
 block's step sums, integration and emission are written into the
 population's values before the next one starts. A sample block holds as
 many samples as keep, over its live steps, its int64 step sums (8 bytes per
-output neuron), or a conv's float patches or a pool's tap planes of every
-live step if those are larger, within BLOCK_BYTES, and at least one. Sample blocks split only the
-batch axis, so they change no integer, trace or saturation count.
+output neuron), or a dense form's float planes, a conv's float patches or a
+pool's tap planes of every live step if those are larger, within
+BLOCK_BYTES, and at least one. Sample blocks split only the batch axis, so
+they change no integer, trace or saturation count.
 
 One executor. ``CachedRun`` is the only code that runs a network over
 samples: it takes every population in topological order through one
@@ -104,7 +105,7 @@ from pathlib import Path
 import numpy as np
 
 from .fixedpoint import FixedMult, apply, saturate_array
-from .modelio import INPUT_NAME, check_batch, conv_out_hw, pool_out_hw
+from .modelio import INPUT_NAME, check_batch, conv_out_hw, pool_out_hw, signed_wires
 from .quantizer import prefix_bound
 from .sparsity import LayerSparsity, SparsityPlan, drlo, rot
 from .stem import check_encodable, step_weights
@@ -167,7 +168,7 @@ class Population:
     kind: str
     inputs: list[str]               # producer names, flatten resolved away
     phi: np.ndarray                 # step weights of its wires, int64 [K]: signed
-                                    # if a branch is the network input
+                                    # if a branch's wire is signed
     n_out: int
     fanin: int                      # real synapses of the busiest neuron
     fanouts: list[np.ndarray]       # per branch: synapses per input neuron,
@@ -190,7 +191,7 @@ class Population:
     v_min: int
     v_max: int
     stage: int
-    is_output: bool
+    signed: bool                    # its own wire carries signed trains
 
     def step_sum(self, values: list[np.ndarray], steps: range) -> np.ndarray:
         """Unweighted synaptic sums of a block's live steps: per step, sample
@@ -230,8 +231,8 @@ class Population:
 
     def emit(self, v: np.ndarray, setting: LayerSparsity) -> np.ndarray:
         """The int16 values the trains of clamped int64 `v` carry: a hidden
-        layer's rounded off and cut by `setting`, the output layer's `v`."""
-        if not (self.is_output or setting.is_identity()):
+        layer's rounded off and cut by `setting`, a signed wire's `v`."""
+        if not (self.signed or setting.is_identity()):
             v = drlo(rot(v, setting.rot_bits, self.phi.size), setting.drlo_bits)
         return v.astype(np.int16)
 
@@ -388,7 +389,7 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
     alias: dict[str, str] = {INPUT_NAME: INPUT_NAME}
     stage: dict[str, int] = {INPUT_NAME: 0}
     pops: list[Population] = []
-    last = qnet.layers[-1]
+    signed = signed_wires(qnet)
     acc_hi = (1 << (qnet.acc_bits - 1)) - 1
     for lyr in qnet.layers:
         shapes[lyr.name] = lyr.out_shape
@@ -424,7 +425,8 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
                 in_shapes[0], lyr.attrs, lyr.weights, dtype)
             fanouts = [fanout]
         # a hidden wire never spikes at step 0, so one phi serves every branch
-        phi = step_weights(qnet.k, INPUT_NAME in sources)
+        reads_signed = any(signed[s] for s in lyr.inputs)
+        phi = step_weights(qnet.k, reads_signed)
 
         bias_pre_scaled = bias_post = None
         if lyr.bias is not None:
@@ -437,10 +439,9 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
                 bias_post = b
         bound = prefix_bound(lyr, lyr.weights,
                              lyr.bias if lyr.bias_scheme == "product" else None,
-                             INPUT_NAME in sources, qnet.k)
+                             reads_signed, qnet.k)
         clamp_free = abs(lyr.m0.value()) * bound + Fraction(qnet.k + 1, 2) <= acc_hi
 
-        is_output = lyr is last
         pops.append(Population(
             name=lyr.name, kind=lyr.kind, inputs=sources,
             phi=phi, n_out=n_out,
@@ -448,8 +449,8 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
             form=form, dense_w=dense_w, gather_idx=gather_idx, conv_w=conv_w,
             m0=lyr.m0, m1=lyr.m1, m0_table=_m0_table(lyr.m0, phi, sum_bound),
             bias_pre_scaled=bias_pre_scaled, bias_post=bias_post, clamp_free=clamp_free,
-            v_min=-qnet.q_max if is_output else 0, v_max=qnet.q_max,
-            stage=0, is_output=is_output,
+            v_min=-qnet.q_max if signed[lyr.name] else 0, v_max=qnet.q_max,
+            stage=0, signed=signed[lyr.name],
         ))
         stage[lyr.name] = 1 + max(stage[s] for s in sources)
         pops[-1].stage = stage[lyr.name]
@@ -459,11 +460,6 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
         input_shape=tuple(qnet.input_shape), populations=pops,
         n_stages=max(stage.values()), plan=plan,
     )
-
-
-def with_plan(snet: SpikingNetwork, plan: SparsityPlan) -> SpikingNetwork:
-    """The compiled network under another sparsity plan, sharing its populations."""
-    return dataclasses.replace(snet, plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +504,10 @@ def _live_steps(snet: SpikingNetwork, pop: Population) -> range:
 
     A hidden wire carries V in [0, q_max], q_max < 2^(K-1), so it never spikes
     at step 0, and one cut by ``drlo`` c never spikes in its last c steps
-    (``rot`` clamps to q_max, so it cuts none). A population reading the
-    signed network input reads every step.
+    (``rot`` clamps to q_max, so it cuts none). A population with a signed
+    branch, whose phi carries the sign weight, reads every step.
     """
-    if INPUT_NAME in pop.inputs:
+    if pop.phi[0] < 0:
         return range(snet.k)
     cut = min(snet.plan.for_layer(s).drlo_bits for s in pop.inputs)
     return range(1, max(1, snet.k - cut))
@@ -564,12 +560,14 @@ def _integrate_block(pop: Population, sums: np.ndarray, steps: range, acc_bits: 
 def _block_samples(pop: Population, steps: int) -> int:
     """Samples per sample block of a population step that reads `steps`
     live steps. Per sample and step, the step sums take 8 bytes per output
-    neuron, a conv's patches one weight itemsize per entry of its [F, n_pos]
-    gather, a pool's int16 tap planes 2 bytes per entry of its [F, n_out]
-    gather; a sample block holds BLOCK_BYTES of the largest, and at least one
-    sample."""
+    neuron, a dense form's planes one weight itemsize per input neuron, a
+    conv's patches one weight itemsize per entry of its [F, n_pos] gather, a
+    pool's int16 tap planes 2 bytes per entry of its [F, n_out] gather; a
+    sample block holds BLOCK_BYTES of the largest, and at least one sample."""
     width = 8 * pop.n_out
-    if pop.form == "conv":
+    if pop.form == "dense":
+        width = max(width, pop.dense_w.itemsize * pop.dense_w.shape[1])
+    elif pop.form == "conv":
         width = max(width, pop.conv_w.itemsize * pop.gather_idx.size)
     elif pop.form == "pool":
         width = max(width, 2 * pop.gather_idx.size)
@@ -718,10 +716,10 @@ class CachedRun:
         population downstream of it.
         """
         pop = next(p for p in self.snet.populations if p.name == name)
-        if pop.is_output or not self.snet.plan.for_layer(name).is_identity():
+        if pop.signed or not self.snet.plan.for_layer(name).is_identity():
             raise ValueError(f"cannot re-run {name!r}: its values are not its exact V")
         child = copy.copy(self)
-        child.snet = with_plan(self.snet, self.snet.plan.replaced(name, setting))
+        child.snet = dataclasses.replace(self.snet, plan=self.snet.plan.replaced(name, setting))
         child.values, child.counts, child.saturations = (
             dict(self.values), dict(self.counts), dict(self.saturations))
         v = self.values[name].astype(np.int64)
@@ -810,6 +808,7 @@ def rle_encode(bits: np.ndarray) -> str:
 
 
 def rle_decode(text: str, length: int) -> np.ndarray:
+    """The 0/1 spikes of `length` neurons from the runs of one dump line."""
     runs = [int(t) for t in text.split()] if text.strip() else []
     out = np.zeros(length, dtype=np.uint8)
     pos = 0

@@ -22,7 +22,8 @@ after m1 (the fallback for biases too large for the product scale).
 
 I_max bounds every running prefix of a neuron's per-step weighted sums over
 every value the input wires can carry: [0, q_max] on hidden wires,
-[-2^(K-1), q_max] for each prefix of the signed network input. Padded conv
+[-2^(K-1), q_max] for each prefix of a signed one (``modelio.signed_wires``;
+of the wires a layer reads, only the network input is signed). Padded conv
 taps read 0, inside both ranges. A product-scheme bias is added to both ends
 of that range. Each of the K per-step roundings and the bias injection moves
 the accumulator by at most 1/2 from m0 times the exact sum, and I_max leaves
@@ -38,7 +39,8 @@ from fractions import Fraction
 import numpy as np
 
 from .fixedpoint import NORM_HIGH, FixedMult, from_real
-from .modelio import INPUT_NAME, FloatModel, LayerDesc, ModelFormatError, infer_shapes
+from .modelio import (INPUT_NAME, FloatModel, LayerDesc, ModelFormatError, infer_shapes,
+                      signed_wires)
 from . import refengine
 
 log = logging.getLogger("stemc")
@@ -118,6 +120,12 @@ class QuantizedNetwork(FloatModel):
     def input_params(self) -> QuantParams:
         return QuantParams(self.input_scale, -self.q_max, self.q_max)
 
+    @property
+    def hidden_layers(self) -> list[str]:
+        """The layers a sparsity plan may set: each unsigned wire's producer."""
+        signed = signed_wires(self)
+        return [lyr.name for lyr in self.layers if lyr.kind != "flatten" and not signed[lyr.name]]
+
     def validate(self) -> None:
         """Check topology, scales, constants and sparsity rows."""
         if not 2 <= self.k <= 16:
@@ -160,7 +168,7 @@ class QuantizedNetwork(FloatModel):
                     )
         # Each sparsity row names a distinct hidden layer; rot and drlo are
         # bit counts of a train, so they lie in [0, 16] whatever K is.
-        hidden = [lyr.name for lyr in self.layers[:-1] if lyr.kind != "flatten"]
+        hidden = self.hidden_layers
         for i, row in enumerate(self.sparsity):
             where = f"sparsity row #{i} {row!r}"
             if not isinstance(row, dict) or set(row) - {"layer", "rot", "drlo"}:
@@ -258,13 +266,13 @@ def prefix_bound(lyr, weights_q: np.ndarray | None, bias_pre: np.ndarray | None,
     """Largest |P| (and |P + b| for a product-scheme bias b) over the output
     channels, where P is any running prefix of one neuron's per-step sums.
 
-    Each input's prefix lies in [x_lo, q_max]: x_lo = -2^(K-1) if a branch is
-    the signed network input (its first step carries the sign weight), 0
-    otherwise. So P lies in [x_lo*sum(w+) + q_max*sum(w-),
-    q_max*sum(w+) + x_lo*sum(w-)]. Pool and join taps have unit weights.
-    The ends are Python ints, so the bound is exact for any integer weights
-    whose per-channel sums fit int64. ``build_quantized_network`` picks M0
-    from it, and ``netsim.compile_network`` re-checks M0 against it.
+    Each input's prefix lies in [x_lo, q_max]: x_lo = -2^(K-1) if a branch's
+    wire is signed (its first step carries the sign weight), 0 otherwise.
+    So P lies in [x_lo*sum(w+) + q_max*sum(w-), q_max*sum(w+) + x_lo*sum(w-)].
+    Pool and join taps have unit weights. The ends are Python ints, so the
+    bound is exact for any integer weights whose per-channel sums fit int64.
+    ``build_quantized_network`` picks M0 from it, and
+    ``netsim.compile_network`` re-checks M0 against it.
     """
     q_max = (1 << (k - 1)) - 1
     x_lo = -(1 << (k - 1)) if signed else 0
@@ -331,7 +339,7 @@ def build_quantized_network(model: FloatModel, stats: RangeStats, k: int = 8,
         bias_check_width=bias_check_width, input_scale=in_qp.scale,
     )
     scale_of = {INPUT_NAME: in_qp.scale}
-    signed = refengine.signedness(model)
+    signed = signed_wires(model)
     for lyr in model.layers:
         in_scales = [scale_of[s] for s in lyr.inputs]
         if lyr.kind == "flatten":
@@ -365,7 +373,7 @@ def build_quantized_network(model: FloatModel, stats: RangeStats, k: int = 8,
             scale_w = 1.0
 
         r_lo, r_hi = stats.ranges[lyr.name]
-        if r_lo < 0 and lyr is not model.layers[-1]:
+        if r_lo < 0 and not signed[lyr.name]:
             log.warning("layer %s: calibrated minimum %g is below 0, but a hidden "
                         "wire carries only [0, q_max]", lyr.name, r_lo)
         out_qp = derive_scale(r_hi, r_lo, q_max)

@@ -39,24 +39,25 @@ The bit-plane walk (``wide``, ``hw``) runs each layer over blocks of about
 WALK_BYTES per step: one step's int64 sums, or a conv's or fc's float plane
 columns, whichever is larger. A block's columns are built once, as int16,
 from its wire values (zero padding has no set bit), and the 0/1 plane of
-step t is ``(cols >> (K-1-t)) & 1``, the bit ``stem.encode_planes`` puts on
-the wire at step t. fc and conv planes meet the weights in a float BLAS
-matmul: float32 where every output row's sum|w| is below 2^24, float64 below
-2^53, and the layer is rejected at 2^53. The planes are 0/1, so every
-partial sum is an exact integer. A step whose planes are all zero in a block
-is skipped, decided from the data (``not plane.any()``): it would add
-apply(M0, 0) = 0 to an in-range U, so no integer and no clamp count changes.
-Every other step is rounded with ``fixedpoint.apply`` and clamped where the
-data reaches the accumulator's range.
+step t is ``(cols >> (K-1-t)) & 1``, the bit the wire carries at step t. fc
+and conv planes meet the weights in a float BLAS matmul: float32 where every
+output row's sum|w| is below 2^24, float64 below 2^53, and the layer is
+rejected at 2^53. The planes are 0/1, so every partial sum is an exact
+integer. A step whose planes are all zero in a block is skipped, decided
+from the data (``not plane.any()``): it would add apply(M0, 0) = 0 to an
+in-range U, so no integer and no clamp count changes. Every other step is
+rounded with ``fixedpoint.apply`` and clamped where the data reaches the
+accumulator's range.
 
-``netsim`` shares two things with this module: the wire's bit order and step
-weights (``stem``) and the rounding primitive ``fixedpoint.apply``. It
-computes the same sums from its own compiled forms (dense matrices,
-per-position patch gathers, pool gathers), reads only the steps that its
-compile-time proof leaves live, tabulates the M0 increments and skips the
-clamp scan where it proves the accumulator cannot clamp. Nothing here uses
-those forms or proofs or imports ``netsim``, so ``compare`` checks two
-derivations of the same contract.
+``netsim`` shares three things with this module: the wire's bit order and
+step weights (``stem``), which wires are signed (``modelio.signed_wires``,
+which also sets each layer's clip range) and the rounding primitive
+``fixedpoint.apply``. It computes the same sums from its own compiled forms
+(dense matrices, per-position patch gathers, pool gathers), reads only the
+steps that its compile-time proof leaves live, tabulates the M0 increments
+and skips the clamp scan where it proves the accumulator cannot clamp.
+Nothing here uses those forms or proofs or imports ``netsim``, so
+``compare`` checks two derivations of the same contract.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedpoint import apply, saturate_array
-from .modelio import INPUT_NAME, check_batch, conv_out_hw, pool_out_hw
+from .modelio import INPUT_NAME, check_batch, conv_out_hw, pool_out_hw, signed_wires
 from .stem import check_encodable, step_weights
 
 # A convolution's float64 partial sums are integers of magnitude at most
@@ -209,15 +210,6 @@ def float_forward(model, x: np.ndarray) -> tuple[np.ndarray, dict[str, tuple[flo
 INT_MODES = ("direct", "wide", "hw")
 
 
-def signedness(net) -> dict[str, bool]:
-    """Which wires are read as signed trains: the network input and flatten
-    views of it. Hidden layers emit values in [0, q_max]."""
-    signed = {INPUT_NAME: True}
-    for lyr in net.layers:
-        signed[lyr.name] = signed[lyr.inputs[0]] if lyr.kind == "flatten" else False
-    return signed
-
-
 def int_forward(qnet, x_int: np.ndarray, mode: str = "hw"
                 ) -> tuple[np.ndarray, dict[str, LayerActivation]]:
     """Integer forward pass of a quantized network.
@@ -231,7 +223,8 @@ def int_forward(qnet, x_int: np.ndarray, mode: str = "hw"
         (outputs [N, n_out] int64, {layer name: LayerActivation})
 
     In every mode, an input outside the signed K-step wire range is a
-    ValueError; every hidden value is clipped to [0, q_max].
+    ValueError; a value is clipped to [-q_max, q_max] on a signed wire and
+    to [0, q_max] on a hidden one (``modelio.signed_wires``).
     """
     if mode not in INT_MODES:
         raise ValueError(f"mode must be one of {INT_MODES}")
@@ -239,7 +232,7 @@ def int_forward(qnet, x_int: np.ndarray, mode: str = "hw"
     n, k = xb.shape[0], qnet.k
     check_encodable(xb, k, signed=True)
     q_max = (1 << (k - 1)) - 1
-    signed = signedness(qnet)
+    signed = signed_wires(qnet)
     tensors: dict[str, np.ndarray] = {INPUT_NAME: xb}
     layers: dict[str, LayerActivation] = {}
     out = None
@@ -280,8 +273,7 @@ def int_forward(qnet, x_int: np.ndarray, mode: str = "hw"
         v = apply(m, u)
         if bias_post is not None:
             v = v + bias_post
-        lo = -q_max if lyr is qnet.layers[-1] else 0
-        out = np.clip(v, lo, q_max)
+        out = np.clip(v, -q_max if signed[lyr.name] else 0, q_max)
         layers[lyr.name] = LayerActivation(u, out, sat)
         tensors[lyr.name] = out.reshape((n,) + lyr.out_shape)
     return out, layers

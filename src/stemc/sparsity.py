@@ -154,16 +154,12 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
         acc = float(np.mean(preds == labels))
         return sop_total(run.layer_traces, qnet, include_io=include_io), acc
 
-    hidden = [
-        lyr.name for lyr in qnet.layers
-        if lyr.kind != "flatten" and lyr is not qnet.output_layer
-    ]
     cache = netsim.CachedRun(
         netsim.compile_network(qnet, plan=SparsityPlan.identity()), inputs_int)
     base_sops, base_acc = score(cache)
     cur_sops, cur_acc = base_sops, base_acc
     steps: list[TuneStep] = []
-    for name in hidden:
+    for name in qnet.hidden_layers:
         # Keep the most-SOP-saving candidate within budget: the first one in
         # the order (SOPs saved, rot, drlo); ties break on (rot, drlo).
         best = None

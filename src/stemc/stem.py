@@ -15,10 +15,11 @@ the output value domain by M1, the bias is added, and the clamped result V
 is emitted as a fresh train: at step t the neuron fires iff V >= 2^(K-1-t),
 subtracting the threshold when it does. This greedy emission gives exactly
 the binary digits of V for any V in [0, 2^(K-1)-1], so a train is the
-integer it carries, and ``encode_planes`` gives its bits. The integration is ``netsim``'s, and
-independently ``refengine``'s.
+integer it carries. The integration is ``netsim``'s, and independently
+``refengine``'s.
 
-Negative values (final-layer logits) are emitted as signed two's-complement
+Signed wires (the network input and the final-layer logits, as
+``modelio.signed_wires`` decides for both engines) carry two's-complement
 trains directly; threshold emission is only defined for V >= 0.
 """
 
@@ -41,13 +42,3 @@ def check_encodable(values: np.ndarray, k: int, signed: bool) -> None:
     hi = (1 << (k - 1)) - 1
     if values.size and (int(values.min()) < lo or int(values.max()) > hi):
         raise ValueError(f"values outside encodable range [{lo}, {hi}]")
-
-
-def encode_planes(values: np.ndarray, k: int, signed: bool) -> np.ndarray:
-    """The trains of `values`: the k low bits of each value's two's
-    complement, most significant first, as uint8 values.shape + (k,), from
-    the bytes of u << (16 - k) as big-endian uint16."""
-    v = np.asarray(values, dtype=np.int64)
-    check_encodable(v, k, signed)
-    words = ((v & ((1 << k) - 1))[..., None] << (16 - k)).astype(">u2").view(np.uint8)
-    return np.unpackbits(words, axis=-1, count=k)

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings
 from stemc import fixtures as fx
 from stemc.modelio import FloatModel, LayerDesc, infer_shapes
 from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
+from stemc.stem import check_encodable
 
 settings.register_profile(
     "suite",
@@ -15,8 +16,18 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+def encode_planes(values: np.ndarray, k: int, signed: bool) -> np.ndarray:
+    """The trains of `values`: the k low bits of each value's two's
+    complement, most significant first, as uint8 values.shape + (k,), from
+    the bytes of u << (16 - k) as big-endian uint16."""
+    v = np.asarray(values, dtype=np.int64)
+    check_encodable(v, k, signed)
+    words = ((v & ((1 << k) - 1))[..., None] << (16 - k)).astype(">u2").view(np.uint8)
+    return np.unpackbits(words, axis=-1, count=k)
+
+
 def encode_integer(q: int, k: int, signed: bool) -> np.ndarray:
-    """Scalar reference for ``stem.encode_planes``: the two's-complement
+    """Scalar reference for ``encode_planes``: the two's-complement
     spike train of q, MSB first, one bit at a time. Returns uint8[k]."""
     lo = -(1 << (k - 1)) if signed else 0
     hi = (1 << (k - 1)) - 1

@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 
-from conftest import encode_integer
+from conftest import encode_integer, encode_planes
 from stemc import fixtures, metrics, netsim
 from stemc.fixedpoint import FixedMult, apply, from_real
 from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
 from stemc.refengine import int_forward
 from stemc.sparsity import LayerSparsity, SparsityPlan, drlo, rot, tune_hybrid
-from stemc.stem import encode_planes, step_weights
+from stemc.stem import step_weights
 
 
 def _report(n: int, name: str, ok: bool, detail: str = "") -> None:

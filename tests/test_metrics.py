@@ -52,21 +52,26 @@ def _conv_weights(in_shape, attrs):
 class TestFanout:
     """SOP fan-outs, counted by ``compile_network`` from its index tables."""
 
-    def test_fc_full_fanout(self):
-        attrs = {"in_features": 36, "out_features": 24}
-        w = np.random.default_rng(3).integers(-127, 128, size=(24, 36))
-        fanouts = _fanouts((36,), "fully-connected", attrs, w)
-        assert [f.tolist() for f in fanouts] == [[24] * 36]
+    # small, cnn28's fc, and more than 100 outputs over 1568 inputs
+    @pytest.mark.parametrize("n_in,n_out", [(36, 24), (1568, 10), (1568, 128)])
+    def test_fc_full_fanout(self, n_in, n_out):
+        attrs = {"in_features": n_in, "out_features": n_out}
+        w = np.random.default_rng(3).integers(-127, 128, size=(n_out, n_in))
+        fanouts = _fanouts((n_in,), "fully-connected", attrs, w)
+        assert [f.tolist() for f in fanouts] == [[n_out] * n_in]
 
     @pytest.mark.parametrize("attrs", [
         {"kernel": [3, 3], "stride": 1, "padding": 1, "out_channels": 4},
         {"kernel": [3, 3], "stride": 2, "padding": 0, "out_channels": 8},
         {"kernel": [3, 3], "stride": 2, "padding": 1, "out_channels": 2},
         {"kernel": [2, 3], "stride": 1, "padding": 0, "out_channels": 5},
+        pytest.param({"kernel": [3, 3], "stride": 1, "padding": 1, "out_channels": 16,
+                      "in_shape": (1, 28, 28)}, id="cnn28-conv1"),
     ])
     def test_conv_matches_coverage_walk(self, attrs):
-        in_shape = (3, 7, 7)
-        attrs = {"in_channels": 3, **attrs}
+        attrs = dict(attrs)
+        in_shape = attrs.pop("in_shape", (3, 7, 7))
+        attrs["in_channels"] = in_shape[0]
         (fan,) = _fanouts(in_shape, "conv2d", attrs, _conv_weights(in_shape, attrs))
         assert np.array_equal(fan, _brute_conv_fanout(in_shape, attrs))
 

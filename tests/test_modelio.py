@@ -18,6 +18,7 @@ from stemc.modelio import (
     save_dataset,
     save_model,
     save_quantized_model,
+    signed_wires,
 )
 from stemc.quantizer import build_quantized_network
 from stemc.refengine import int_forward
@@ -238,6 +239,21 @@ def test_malformed_manifest_raises(tmp_path, cnn_bundle, model_type, edit, match
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match=re.escape(match)):
         load(path)
+
+
+class TestSignedWires:
+    def test_hand_built_graph(self, rng):
+        """The input and the output are signed, and a flatten view is
+        signed exactly when the wire it views is; a hidden layer is not."""
+        m = FloatModel("signs", (1, 4, 4), [
+            LayerDesc(name="flat_in", kind="flatten", attrs={}, inputs=["input"]),
+            _fc_desc("hidden", "flat_in", 16, 8, rng),
+            LayerDesc(name="flat_hidden", kind="flatten", attrs={}, inputs=["hidden"]),
+            _fc_desc("out", "flat_hidden", 8, 3, rng),
+        ])
+        infer_shapes(m)
+        assert signed_wires(m) == {"input": True, "flat_in": True, "hidden": False,
+                                   "flat_hidden": False, "out": True}
 
 
 class TestValidation:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -10,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_wide_fanin
+from conftest import encode_planes, make_wide_fanin
 from stemc import cli, fixtures, metrics, netsim
 from stemc.fixedpoint import FixedMult, apply, from_real, saturate_array
 from stemc.modelio import (INPUT_NAME, FloatModel, LayerDesc, infer_shapes, pool_out_hw,
-                           save_dataset, save_quantized_model)
+                           save_dataset, save_quantized_model, signed_wires)
 from stemc.netsim import (
     CachedRun,
     HardwareProfile,
@@ -32,12 +33,11 @@ from stemc.netsim import (
     rle_encode,
     run_batch,
     run_pipeline,
-    with_plan,
 )
 from stemc.quantizer import build_quantized_network, calibrate, prefix_bound, quantize_tensor
 from stemc.refengine import float_forward, int_forward
 from stemc.sparsity import LayerSparsity, SparsityPlan, drlo, rot, tune_hybrid
-from stemc.stem import encode_planes, step_weights
+from stemc.stem import step_weights
 
 
 def _quantized(model, n=24, seed=5, lo=0.0, hi=1.0, **kw):
@@ -797,7 +797,7 @@ class TestPipelineWindow:
     def test_memory_bounded_by_window(self, widefan_bundle):
         # a dense form unpacks its input planes in its weights' dtype, 4*K
         # bytes per input neuron and sample here: 512 inputs make that the
-        # largest temporary
+        # largest temporary, held to BLOCK_BYTES by its sample blocks
         snet = compile_network(widefan_bundle.qnet)
         x = np.tile(widefan_bundle.x_int, (50, 1))               # 2000 samples
         peaks = []
@@ -806,7 +806,9 @@ class TestPipelineWindow:
             run_batch(snet, x[:n])
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        assert peaks[1] < 1.1 * peaks[0]
+        # only the int64 [N, n_out] outputs that run_batch returns grow with N
+        outputs = (x.shape[0] - netsim.PIPELINE_WINDOW) * snet.output.n_out * 8
+        assert peaks[1] - outputs < 1.1 * peaks[0]
         assert peaks[1] < 4 * 2**20
 
 
@@ -874,7 +876,7 @@ def _neuron(m0=1.0, m1=1.0, bias_pre=None, bias_post=None, clamp_free=False,
         m0=from_real(m0), m1=from_real(m1), m0_table=None,
         bias_pre_scaled=None if bias_pre is None else np.array([bias_pre]),
         bias_post=None if bias_post is None else np.array([bias_post]),
-        clamp_free=clamp_free, v_min=v_min, v_max=127, stage=1, is_output=False)
+        clamp_free=clamp_free, v_min=v_min, v_max=127, stage=1, signed=False)
 
 
 def _steps(*values) -> np.ndarray:
@@ -1075,6 +1077,19 @@ def _assert_same_run(run: CachedRun, want: CachedRun):
     assert run.layer_traces == want.layer_traces
 
 
+@pytest.mark.parametrize("bundle", ["mlp_bundle", "cnn_bundle", "residual_bundle",
+                                    "bias_bundle", "deep_mlp_bundle", "widefan_bundle"])
+def test_populations_read_signedness_from_modelio(bundle, request):
+    """A population's phi carries the sign weight exactly when one of its
+    branches is signed, and it clips below 0 exactly when its own wire is."""
+    qnet = request.getfixturevalue(bundle).qnet
+    signed = signed_wires(qnet)
+    for pop in compile_network(qnet).populations:
+        reads_signed = any(signed[s] for s in qnet.layer(pop.name).inputs)
+        assert (pop.phi[0] < 0) == reads_signed, pop.name
+        assert (pop.v_min < 0) == pop.signed == signed[pop.name], pop.name
+
+
 class TestLiveSteps:
     """A population reads only the steps its producers can spike in: not
     step 0 of a hidden wire, nor the last c steps of one cut by drlo c."""
@@ -1155,7 +1170,7 @@ class TestLiveSteps:
                 run = cache.rerun(pop.name, setting)
                 assert all(len(_live_steps(run.snet, q)) == 0 for q in readers)
                 _assert_same_run(run, CachedRun(
-                    with_plan(snet, snet.plan.replaced(pop.name, setting)), x))
+                    dataclasses.replace(snet, plan=snet.plan.replaced(pop.name, setting)), x))
 
 
 class TestClampFree:
@@ -1382,8 +1397,8 @@ def _emitted(snet, x) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     out = {}
     for pop in snet.populations[:-1]:
         s = snet.plan.for_layer(pop.name)
-        exact = run_batch(with_plan(snet, snet.plan.replaced(pop.name, LayerSparsity())), x,
-                          record_values=True)
+        exact_plan = snet.plan.replaced(pop.name, LayerSparsity())
+        exact = run_batch(dataclasses.replace(snet, plan=exact_plan), x, record_values=True)
         v = exact.values[pop.name].astype(np.int64)
         want = encode_planes(drlo(rot(v, s.rot_bits, snet.k), s.drlo_bits), snet.k,
                              signed=False)
@@ -1425,9 +1440,11 @@ class TestPlanPrecedence:
         assert np.array_equal(got.outputs, want.outputs)
 
     def test_with_plan_matches_fresh_compile(self, cnn_bundle):
+        """A compiled network given another plan by ``dataclasses.replace``
+        shares its populations and runs like a fresh compile under the plan."""
         base = compile_network(cnn_bundle.qnet, plan=SparsityPlan.identity())
         plan = SparsityPlan({"conv1": LayerSparsity(1, 2), "pool2": LayerSparsity(2, 0)})
-        derived = with_plan(base, plan)
+        derived = dataclasses.replace(base, plan=plan)
         fresh = compile_network(cnn_bundle.qnet, plan=plan)
         assert derived.plan is plan and fresh.plan is plan
         assert base.plan.to_manifest() == []
@@ -1443,7 +1460,7 @@ class TestPlanPrecedence:
 def _thinning_plan(snet) -> SparsityPlan:
     """rot 1 and drlo 2 on every hidden population."""
     return SparsityPlan({p.name: LayerSparsity(1, 2)
-                         for p in snet.populations if not p.is_output})
+                         for p in snet.populations if not p.signed})
 
 
 class TestSpikeCounts:
@@ -1456,7 +1473,7 @@ class TestSpikeCounts:
         b = request.getfixturevalue(f"{which}_bundle")
         snet = compile_network(b.qnet, plan=SparsityPlan.identity())
         if thinned:
-            snet = with_plan(snet, _thinning_plan(snet))
+            snet = dataclasses.replace(snet, plan=_thinning_plan(snet))
         res = run_batch(snet, b.x_int[:32], record_values=True)
         trains = _trains(res, snet.k)
         for pop, t in zip(snet.populations, res.traces):
@@ -1479,10 +1496,10 @@ class TestCachedRun:
         cache = CachedRun(base, x)
         plan = SparsityPlan.identity()
         for name, setting in _thinning_plan(base).entries.items():
-            before = run_batch(with_plan(base, plan), x)
+            before = run_batch(dataclasses.replace(base, plan=plan), x)
             run = cache.rerun(name, setting)
             plan = plan.replaced(name, setting)
-            want = run_batch(with_plan(base, plan), x)
+            want = run_batch(dataclasses.replace(base, plan=plan), x)
             assert np.array_equal(run.outputs, want.outputs)
             assert run.layer_traces == want.traces
             assert run.snet.plan.entries == plan.entries
@@ -1502,8 +1519,9 @@ class TestCachedRun:
             cache.rerun("conv1", LayerSparsity(0, 1))
         with pytest.raises(ValueError, match=repr(snet.output.name)):
             cache.rerun(snet.output.name, LayerSparsity(0, 1))
-        tuned = CachedRun(with_plan(snet, SparsityPlan({"pool1": LayerSparsity(0, 1)})),
-                          cnn_bundle.x_int[:8])
+        tuned = CachedRun(
+            dataclasses.replace(snet, plan=SparsityPlan({"pool1": LayerSparsity(0, 1)})),
+            cnn_bundle.x_int[:8])
         with pytest.raises(ValueError, match="'pool1'"):
             tuned.rerun("pool1", LayerSparsity(1, 0))
         tuned.rerun("conv2", LayerSparsity(1, 0))       # still identity: allowed
@@ -1544,12 +1562,12 @@ class TestCachedRun:
                                                size=(32,) + qnet.input_shape)
         snet = compile_network(qnet, plan=SparsityPlan.identity())
         cache = CachedRun(snet, x)
-        hidden = [p.name for p in snet.populations if not p.is_output]
+        hidden = [p.name for p in snet.populations if not p.signed]
         assert any(int(cache.values[name].max()) == qnet.q_max for name in hidden)
         for name in hidden:
             setting = LayerSparsity(3, 2)
             _assert_same_run(cache.rerun(name, setting), CachedRun(
-                with_plan(snet, snet.plan.replaced(name, setting)), x))
+                dataclasses.replace(snet, plan=snet.plan.replaced(name, setting)), x))
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_input_range_checked(self, k):
@@ -1602,7 +1620,7 @@ def _every_result(q, x, y) -> list[tuple[str, object]]:
     base = compile_network(q, plan=SparsityPlan.identity())
     thin = _thinning_plan(base)
     got = []
-    for label, snet in (("identity", base), ("thin", with_plan(base, thin))):
+    for label, snet in (("identity", base), ("thin", dataclasses.replace(base, plan=thin))):
         res = run_batch(snet, x, record_values=True)
         got += [(f"{label} batch outputs", res.outputs), (f"{label} batch traces", res.traces)]
         got += [(f"{label} batch values {n}", v) for n, v in res.values.items()]
@@ -1705,6 +1723,21 @@ class TestPopulationBlocks:
         pop = snet.populations[0]
         steps = len(_live_steps(snet, pop))
         per_sample = steps * 2 * pop.gather_idx.size
+        assert per_sample > steps * 8 * pop.n_out
+        size = netsim._block_samples(pop, steps)
+        assert size > 1
+        assert size * per_sample <= netsim.BLOCK_BYTES < (size + 1) * per_sample
+
+    def test_dense_block_holds_its_planes(self):
+        """A cnn28-shaped fc (1568 -> 10) unpacks float32 planes, 4 bytes per
+        input neuron and live step, that outweigh its int64 step sums: a
+        sample block holds as many samples as keep them within BLOCK_BYTES."""
+        weights = np.random.default_rng(5).integers(-127, 128, size=(10, 1568))
+        snet = compile_network(_one_layer_qnet(
+            (1568,), "fully-connected", {"in_features": 1568, "out_features": 10}, weights))
+        pop = snet.populations[0]
+        steps = len(_live_steps(snet, pop))
+        per_sample = steps * pop.dense_w.itemsize * pop.dense_w.shape[1]
         assert per_sample > steps * 8 * pop.n_out
         size = netsim._block_samples(pop, steps)
         assert size > 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_wide_fanin
+from conftest import encode_planes, make_wide_fanin
 from stemc.fixedpoint import NORM_HIGH, NORM_LOW, FixedMult, from_real
 from stemc.quantizer import (
     QuantParams,
@@ -21,7 +21,7 @@ from stemc import fixtures, netsim
 from stemc.fixedpoint import apply
 from stemc.modelio import FloatModel, LayerDesc, infer_shapes
 from stemc.refengine import int_forward
-from stemc.stem import encode_planes, step_weights
+from stemc.stem import step_weights
 
 
 def _record_saturations(layers) -> int:

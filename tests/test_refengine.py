@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import encode_planes
 from stemc import fixtures as fx, refengine
 from stemc.fixedpoint import apply, from_real, saturate_array
 from stemc.modelio import INPUT_NAME, FloatModel, LayerDesc, conv_out_hw, infer_shapes, pool_out_hw
@@ -28,7 +29,7 @@ from stemc.refengine import (
     float_forward,
     int_forward,
 )
-from stemc.stem import encode_planes, step_weights
+from stemc.stem import step_weights
 from test_netsim import _cnn28_shaped, _conv_or_pool, _quantized, _skip_join_model
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import encode_planes
 from stemc import netsim
 from stemc.metrics import sop_total
 from stemc.modelio import INPUT_NAME
@@ -17,7 +19,6 @@ from stemc.sparsity import (
     rot,
     tune_hybrid,
 )
-from stemc.stem import encode_planes
 
 
 class TestRot:
@@ -168,7 +169,7 @@ def tune_hybrid_full_rerun(qnet, inputs_int: np.ndarray, labels: np.ndarray,
     compiled = netsim.compile_network(qnet, plan=SparsityPlan.identity())
 
     def evaluate(plan: SparsityPlan) -> tuple[int, float]:
-        res = netsim.run_batch(netsim.with_plan(compiled, plan), inputs_int)
+        res = netsim.run_batch(dataclasses.replace(compiled, plan=plan), inputs_int)
         preds = np.argmax(res.outputs, axis=-1)
         acc = float(np.mean(preds == labels))
         return sop_total(res.traces, qnet, include_io=include_io), acc
@@ -248,7 +249,7 @@ class TestSuffixOnly:
         tune_hybrid(qnet, x, y, accuracy_budget=0.015)
 
         pops = netsim.compile_network(qnet).populations
-        hidden = {p.name for p in pops if not p.is_output}
+        hidden = {p.name for p in pops if not p.signed}
         upstream = {INPUT_NAME: set()}
         for pop in pops:
             upstream[pop.name] = set(pop.inputs).union(*(upstream[s] for s in pop.inputs))

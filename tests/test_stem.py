@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import encode_integer
+from conftest import encode_integer, encode_planes
 from stemc.sparsity import drlo
-from stemc.stem import encode_planes, step_weights
+from stemc.stem import step_weights
 
 
 # Single-step reference oracle: the simulator emits a whole train from the
