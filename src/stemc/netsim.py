@@ -56,7 +56,7 @@ neuron (a pool's tap count, a join's branch count), so ``compile_network``
 tabulates every increment of every readable step with ``fixedpoint.apply``
 itself (``_m0_table``) wherever that table fits BLOCK_BYTES, and the
 population reads its increments from it; any other population rounds its
-step sums with ``apply``, once per step. ``compile_network`` marks a
+step sums with ``apply``, once per block. ``compile_network`` marks a
 population ``clamp_free`` when value(M0) times ``quantizer.prefix_bound``
 (the largest running prefix of a neuron's step sums, plus a product-scheme
 bias, over every input its wires can carry) plus (K+1)/2 fits the n-bit
@@ -89,7 +89,9 @@ transmission block). ``run_pipeline`` overlaps the layers on one global
 clock, which changes only the timing, never the integers: it is
 ``run_batch`` plus the schedule that ``pipeline_timing`` counts from the
 stage numbers. The sparsity tuner keeps one whole-batch CachedRun and
-re-runs only the populations downstream of a changed one.
+re-runs only the populations downstream of a changed one; each distinct
+candidate train is scored once, and a rerun rebuilds only the traces it
+changes.
 """
 
 from __future__ import annotations
@@ -188,10 +190,9 @@ class Population:
     bias_pre_scaled: np.ndarray | None   # round(M0 * q_b), injected into U
     bias_post: np.ndarray | None         # output-scale bias, added after M1
     clamp_free: bool                # no running sum of U can reach the clamp
-    v_min: int
-    v_max: int
     stage: int
-    signed: bool                    # its own wire carries signed trains
+    signed: bool                    # its own wire carries signed trains: V is
+                                    # clipped to [-q_max, q_max], else [0, q_max]
 
     def step_sum(self, values: list[np.ndarray], steps: range) -> np.ndarray:
         """Unweighted synaptic sums of a block's live steps: per step, sample
@@ -449,7 +450,6 @@ def compile_network(qnet, plan: SparsityPlan | None = None) -> SpikingNetwork:
             form=form, dense_w=dense_w, gather_idx=gather_idx, conv_w=conv_w,
             m0=lyr.m0, m1=lyr.m1, m0_table=_m0_table(lyr.m0, phi, sum_bound),
             bias_pre_scaled=bias_pre_scaled, bias_post=bias_post, clamp_free=clamp_free,
-            v_min=-qnet.q_max if signed[lyr.name] else 0, v_max=qnet.q_max,
             stage=0, signed=signed[lyr.name],
         ))
         stage[lyr.name] = 1 + max(stage[s] for s in sources)
@@ -530,19 +530,20 @@ def _integrate_block(pop: Population, sums: np.ndarray, steps: range, acc_bits: 
     """U from a block's unweighted step sums [len(steps), N, n_out] at
     `steps`, then the bias and the M1 rescale; returns (clamped V, saturation
     count). Step t's increment round(M0 * phi_t * S) is read from its row of
-    ``pop.m0_table`` (a negative S indexes from the row's end), or rounded by
-    ``apply`` where the population has no table. A ``clamp_free``
-    population's U is the sum of the increments, since no running sum can
-    reach the clamp; any other takes the step-by-step saturating scan. A
-    product-scheme bias is a saturating add to U, an output-scheme bias is
-    added after M1, and V is clamped to [v_min, v_max]."""
+    ``pop.m0_table`` (a negative S indexes from the row's end), or, where the
+    population has no table, rounded by one ``apply`` on the whole block
+    (it is elementwise). A ``clamp_free`` population's U is the sum of the
+    increments, since no running sum can reach the clamp; any other takes
+    the step-by-step saturating scan. A product-scheme bias is a saturating
+    add to U, an output-scheme bias is added after M1, and V is clamped to
+    [-q_max, q_max] on a signed wire, else to [0, q_max], q_max = 2^(K-1) - 1."""
     u = np.zeros(sums.shape[1:], dtype=np.int64)
     saturations = 0
-    for j, t in enumerate(steps):
-        if pop.m0_table is None:
-            inc = apply(pop.m0, pop.phi[t] * sums[j])
-        else:
-            inc = pop.m0_table[t - pop.phi.size][sums[j]]        # rows end at step K-1
+    if pop.m0_table is None:
+        incs = apply(pop.m0, pop.phi[steps.start:steps.stop, None, None] * sums)
+    else:                                                       # rows end at step K-1
+        incs = (pop.m0_table[t - pop.phi.size][s] for t, s in zip(steps, sums))
+    for inc in incs:
         if pop.clamp_free:
             u += inc
         else:
@@ -554,7 +555,8 @@ def _integrate_block(pop: Population, sums: np.ndarray, steps: range, acc_bits: 
     v = apply(pop.m1, u)
     if pop.bias_post is not None:
         v = v + pop.bias_post
-    return np.clip(v, pop.v_min, pop.v_max), saturations
+    q_max = (1 << (pop.phi.size - 1)) - 1
+    return np.clip(v, -q_max if pop.signed else 0, q_max), saturations
 
 
 def _block_samples(pop: Population, steps: int) -> int:
@@ -665,9 +667,11 @@ class CachedRun:
     one CachedRun per window. Every wire keeps its int16 [N, n] values with
     per-neuron spike counts, and every population its saturation count;
     ``layer_traces`` derives the traces from the counts with the ``_trace`` of
-    ``run_batch``. ``rerun`` re-emits one population under another sparsity
-    setting and re-runs only the populations downstream of it; every other
-    value, count and saturation is read from this cache.
+    ``run_batch``, building each population's trace once. ``rerun`` re-emits
+    one population under another sparsity setting and re-runs only the
+    populations downstream of it; every other value, count, saturation and
+    trace is read from this cache, so a rerun rebuilds only the traces it
+    changes.
     """
 
     def __init__(self, snet: SpikingNetwork, x_int: np.ndarray):
@@ -675,6 +679,7 @@ class CachedRun:
         self.values: dict[str, np.ndarray] = {}
         self.counts: dict[str, np.ndarray] = {}
         self.saturations: dict[str, int] = {}
+        self._traces: dict[str, LayerTrace] = {}      # built on first read
         x = check_batch(x_int, snet.input_shape)
         check_encodable(x, snet.k, signed=True)
         self._store(INPUT_NAME, x.reshape(x.shape[0], -1).astype(np.int16))
@@ -703,32 +708,45 @@ class CachedRun:
     @property
     def layer_traces(self) -> list[LayerTrace]:
         """Traces in population order, as ``RunResult.traces``."""
-        return [_trace(pop, self.counts, self.saturations[pop.name])
-                for pop in self.snet.populations]
+        for pop in self.snet.populations:
+            if pop.name not in self._traces:
+                self._traces[pop.name] = _trace(pop, self.counts, self.saturations[pop.name])
+        return [self._traces[pop.name] for pop in self.snet.populations]
 
-    def rerun(self, name: str, setting: LayerSparsity) -> "CachedRun":
-        """This run with hidden population `name` emitting under `setting`.
+    def emitted(self, name: str, setting: LayerSparsity) -> np.ndarray:
+        """The int16 values hidden population `name` emits under `setting`.
 
         `name` must have run under the identity setting, so that its cached
         values are its exact V in [0, q_max]. They are widened to int64
-        before ``rot``, which can overflow int16 at K=16. The result's maps
-        are copies of this run's, with new entries for `name` and every
-        population downstream of it.
+        before ``rot``, which can overflow int16 at K=16.
         """
         pop = next(p for p in self.snet.populations if p.name == name)
         if pop.signed or not self.snet.plan.for_layer(name).is_identity():
             raise ValueError(f"cannot re-run {name!r}: its values are not its exact V")
+        return pop.emit(self.values[name].astype(np.int64), setting)
+
+    def rerun(self, name: str, setting: LayerSparsity,
+              values: np.ndarray | None = None) -> "CachedRun":
+        """This run with hidden population `name` emitting under `setting`.
+
+        `values` are the values ``emitted(name, setting)`` returns, formed
+        here when not given. The result's maps are copies of this run's,
+        with new entries for `name` and every population downstream of it;
+        the traces of every other population are carried over.
+        """
+        if values is None:
+            values = self.emitted(name, setting)
         child = copy.copy(self)
         child.snet = dataclasses.replace(self.snet, plan=self.snet.plan.replaced(name, setting))
         child.values, child.counts, child.saturations = (
             dict(self.values), dict(self.counts), dict(self.saturations))
-        v = self.values[name].astype(np.int64)
-        child._store(name, pop.emit(v, setting))
+        child._store(name, values)
         changed = {name}
         for q in child.snet.populations:
             if changed.intersection(q.inputs):
                 child._run(q)
                 changed.add(q.name)
+        child._traces = {p: t for p, t in self._traces.items() if p not in changed}
         return child
 
 

@@ -17,8 +17,9 @@ The hybrid tuner walks layers front to back; per layer it scores each
 accuracy, and keeps the most-saving setting whose cumulative accuracy drop
 stays within the budget. A candidate is scored by re-running only the layers
 downstream of the tuned layer, from the cached run of the accepted plan:
-nothing upstream of it can change. Entirely deterministic: ties break on the
-smaller (rot, drlo) pair.
+nothing upstream of it can change. Each distinct candidate train is scored
+once; a rerun rebuilds only the traces it changes. Entirely deterministic:
+ties break on the smaller (rot, drlo) pair.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def rot(v: int | np.ndarray, drop_bits: int, k: int) -> int | np.ndarray:
     if drop_bits == 0:
         out = np.minimum(arr, (1 << (k - 1)) - 1)
     else:
-        unit = 1 << drop_bits
-        out = ((arr + unit // 2) // unit) * unit      # v >= 0: half rounds up
+        half = 1 << (drop_bits - 1)
+        out = ((arr + half) >> drop_bits) << drop_bits    # v >= 0: half rounds up
         out = np.minimum(out, (1 << (k - 1)) - 1)
     return int(out) if np.isscalar(v) or np.asarray(v).ndim == 0 else out
 
@@ -140,6 +141,13 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
     under the identity setting. The winning candidate's rerun becomes the
     cache for the next layer, and no more than two reruns are held at a time.
 
+    Each distinct candidate train is scored once: a candidate whose values
+    equal an earlier candidate's (the identity's included) is skipped.
+    Identical trains run identically downstream (a larger drlo only leaves
+    out steps that are silent in both), so the skipped candidate scores the
+    same and loses the tie on its larger (rot, drlo). A rerun rebuilds only
+    the traces it changes.
+
     Returns a TuneResult; the plan never degrades accuracy beyond the budget
     on the calibration inputs and falls back to identity per layer when every
     candidate overshoots.
@@ -163,13 +171,19 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
         # Keep the most-SOP-saving candidate within budget: the first one in
         # the order (SOPs saved, rot, drlo); ties break on (rot, drlo).
         best = None
+        trains: dict[int, list[LayerSparsity]] = {}      # hash -> settings emitting it
         for rb in ROT_CANDIDATES:
             for db in DRLO_CANDIDATES:
                 setting = LayerSparsity(rb, db)
+                values = cache.emitted(name, setting)
+                same = trains.setdefault(hash(values.tobytes()), [])
+                if any(np.array_equal(values, cache.emitted(name, s)) for s in same):
+                    continue                # an earlier candidate's train
+                same.append(setting)
                 if setting.is_identity():
                     run, sops, acc = None, cur_sops, cur_acc
                 else:
-                    run = cache.rerun(name, setting)
+                    run = cache.rerun(name, setting, values)
                     sops, acc = score(run)
                 key = (-(cur_sops - sops), rb, db)
                 if (base_acc - acc <= accuracy_budget and sops <= cur_sops

@@ -106,6 +106,49 @@ class TestOracleEquivalence:
         assert got.steps_per_sample == 6 * (snet.n_stages + 1)
 
 
+class TestFlattenedInput:
+    """A first weighted layer that reads flatten(input) reads the signed
+    network input: its phi carries the sign weight, and the simulator equals
+    the hardware-mode oracle on inputs of both signs."""
+
+    @staticmethod
+    def _model() -> FloatModel:
+        rng = np.random.default_rng(27)
+        model = FloatModel(name="flat-input", input_shape=(2, 3, 3), layers=[
+            LayerDesc(name="flat", kind="flatten", attrs={}, inputs=["input"]),
+            fixtures._fc("hidden", "flat", 18, 12, rng, 0.5),
+            fixtures._fc("out", "hidden", 12, 4, rng, 0.5, relu=False),
+        ])
+        infer_shapes(model)
+        return model
+
+    @pytest.mark.parametrize("protected", [True, False], ids=["calibrated", "hidden-m0-1"])
+    def test_matches_hw_oracle(self, protected):
+        qnet, x_int = _quantized(self._model(), n=48, lo=-1.0, hi=1.0)
+        if not protected:                   # the hidden fc saturates
+            qnet = _unprotected(qnet, "hidden")
+        snet = compile_network(qnet)
+        assert [p.name for p in snet.populations] == ["hidden", "out"]
+        assert snet.populations[0].inputs == [INPUT_NAME]
+        assert snet.populations[0].phi[0] < 0
+        assert int(x_int.min()) < 0 < int(x_int.max())
+        got = run_batch(snet, x_int)
+        want, layers = int_forward(qnet, x_int, mode="hw")
+        assert np.array_equal(got.outputs, want)
+        assert [t.saturations for t in got.traces] == [
+            layers[p.name].saturations for p in snet.populations]
+        assert (got.traces[0].saturations > 0) == (not protected)
+
+    def test_compare_exits_0(self, tmp_path, capsys):
+        x = np.random.default_rng(8).uniform(-1.0, 1.0, size=(24, 2, 3, 3)).astype(np.float32)
+        model = self._model()
+        qnet = build_quantized_network(model, calibrate(model, x))
+        save_quantized_model(qnet, tmp_path / "flat.q.json")
+        save_dataset(tmp_path / "x.ds", x, np.zeros(24, dtype=np.int64))
+        assert cli.main(["compare", str(tmp_path / "flat.q.json"), str(tmp_path / "x.ds")]) == 0
+        assert "0 mismatches / 24 samples" in capsys.readouterr().out
+
+
 def _signed_join_qnet(k: int, acc_bits: int):
     """A two-conv residual network whose join is rewired after quantization
     to read the signed network input and conv_b, with the input, conv_a's
@@ -570,10 +613,12 @@ def _scan_u(pop, sums, acc_bits) -> tuple[np.ndarray, int]:
 
 def _scan(pop, sums, acc_bits) -> tuple[np.ndarray, int]:
     """(V, saturations): ``_scan_u``'s U rescaled by M1, an output-scheme
-    bias added and the result clamped to [v_min, v_max]."""
+    bias added and the result clamped to the range of pop's wire, [-q_max,
+    q_max] if it is signed, else [0, q_max]."""
     u, saturations = _scan_u(pop, sums, acc_bits)
     v = apply(pop.m1, u) + (0 if pop.bias_post is None else pop.bias_post)
-    return np.clip(v, pop.v_min, pop.v_max), saturations
+    q_max = (1 << (pop.phi.size - 1)) - 1
+    return np.clip(v, -q_max if pop.signed else 0, q_max), saturations
 
 
 def run_pipeline_per_block(snet, x_int, wires=None) -> PipelineResult:
@@ -864,10 +909,11 @@ class TestSaturationParity:
 
 
 def _neuron(m0=1.0, m1=1.0, bias_pre=None, bias_post=None, clamp_free=False,
-            v_min=0, phi=None) -> Population:
+            signed=False, phi=None) -> Population:
     """A hand-built one-neuron population with one synapse of weight 3 and no
     M0 table. Its K=8 steps each weigh 1 unless `phi` is given, so a step sum
-    is that step's input to the M0 rounding."""
+    is that step's input to the M0 rounding; V is clipped to [-127, 127] if
+    it is `signed`, else to [0, 127]."""
     return Population(
         name="n", kind="fully-connected", inputs=[INPUT_NAME],
         phi=np.ones(8, dtype=np.int64) if phi is None else phi, n_out=1,
@@ -876,7 +922,7 @@ def _neuron(m0=1.0, m1=1.0, bias_pre=None, bias_post=None, clamp_free=False,
         m0=from_real(m0), m1=from_real(m1), m0_table=None,
         bias_pre_scaled=None if bias_pre is None else np.array([bias_pre]),
         bias_post=None if bias_post is None else np.array([bias_post]),
-        clamp_free=clamp_free, v_min=v_min, v_max=127, stage=1, signed=False)
+        clamp_free=clamp_free, stage=1, signed=signed)
 
 
 def _steps(*values) -> np.ndarray:
@@ -886,9 +932,9 @@ def _steps(*values) -> np.ndarray:
 
 def _integrated(pop, sums, acc_bits) -> tuple[list, int]:
     """``_integrate_block``'s (V as a list, saturation count) of step sums
-    at the last steps, checked to be the same with the increments read from
-    an M0 table that covers them."""
-    steps = range(8 - sums.shape[0], 8)
+    at the last steps of pop's K, checked to be the same with the increments
+    read from an M0 table that covers them."""
+    steps = range(pop.phi.size - sums.shape[0], pop.phi.size)
     v, saturations = _integrate_block(pop, sums, steps, acc_bits)
     tabled = copy.copy(pop)
     tabled.m0_table = netsim._m0_table(pop.m0, pop.phi, int(np.abs(sums).max()))
@@ -919,10 +965,18 @@ class TestIntegrateBlock:
     def test_finalize_clamps(self):
         sums = np.concatenate([_steps(300), _steps(-5)], axis=1)
         assert _integrated(_neuron(), sums, 16) == ([[127], [0]], 0)
+        assert _integrated(_neuron(signed=True), sums, 16) == ([[127], [-5]], 0)
+
+    @pytest.mark.parametrize("signed,want", [(False, [[7], [0]]), (True, [[7], [-7]])])
+    def test_finalize_clamps_to_the_wire_of_k(self, signed, want):
+        # at K=4, q_max = 7: a signed wire clips to [-7, 7], a hidden one to [0, 7]
+        pop = _neuron(signed=signed, phi=np.ones(4, dtype=np.int64))
+        sums = np.concatenate([_steps(300), _steps(-300)], axis=1)
+        assert _integrated(pop, sums, 16) == (want, 0)
 
     def test_integrate_saturates_and_counts(self):
         # an 8-bit U: 100 + 100 clamps at 127, then 127 - 300 at -128
-        pop = _neuron(v_min=-127)
+        pop = _neuron(signed=True)
         assert _integrated(pop, _steps(100, 100), 8) == ([[127]], 1)
         assert _integrated(pop, _steps(100, 100, -300), 8) == ([[-127]], 2)
 
@@ -935,7 +989,7 @@ class TestIntegrateBlock:
     @pytest.mark.parametrize("clamp_free", [False, True])
     def test_scaled_integration(self, clamp_free):
         # U accumulates round(M0 * I_t) per step: round(3.5) = 4, round(-3.5) = -4
-        pop = _neuron(m0=0.5, clamp_free=clamp_free, v_min=-127)
+        pop = _neuron(m0=0.5, clamp_free=clamp_free, signed=True)
         assert _integrated(pop, _steps(7, -7), 16) == ([[0]], 0)
         assert _integrated(pop, _steps(7), 16) == ([[4]], 0)
 
@@ -1081,13 +1135,15 @@ def _assert_same_run(run: CachedRun, want: CachedRun):
                                     "bias_bundle", "deep_mlp_bundle", "widefan_bundle"])
 def test_populations_read_signedness_from_modelio(bundle, request):
     """A population's phi carries the sign weight exactly when one of its
-    branches is signed, and it clips below 0 exactly when its own wire is."""
+    branches is signed, and its own wire is signed (so ``_integrate_block``
+    clips its V to [-q_max, q_max], not [0, q_max]) exactly when
+    ``signed_wires`` says so."""
     qnet = request.getfixturevalue(bundle).qnet
     signed = signed_wires(qnet)
     for pop in compile_network(qnet).populations:
         reads_signed = any(signed[s] for s in qnet.layer(pop.name).inputs)
         assert (pop.phi[0] < 0) == reads_signed, pop.name
-        assert (pop.v_min < 0) == pop.signed == signed[pop.name], pop.name
+        assert pop.signed == signed[pop.name], pop.name
 
 
 class TestLiveSteps:
@@ -1508,6 +1564,19 @@ class TestCachedRun:
             assert np.array_equal(cache.outputs, before.outputs)
             assert cache.layer_traces == before.traces
             cache = run
+
+    @pytest.mark.parametrize("which", ["cnn", "residual"])
+    def test_traces_after_a_chain_of_reruns_match_a_fresh_run(self, which, request):
+        """A rerun carries over the traces its parent built and builds the
+        others: after every link of a chain they equal a fresh run's."""
+        b = request.getfixturevalue(f"{which}_bundle")
+        x = b.x_int[:16]
+        base = compile_network(b.qnet, plan=SparsityPlan.identity())
+        cache = CachedRun(base, x)
+        assert cache.layer_traces == run_batch(base, x).traces
+        for name, setting in _thinning_plan(base).entries.items():
+            cache = cache.rerun(name, setting)
+            assert cache.layer_traces == CachedRun(cache.snet, x).layer_traces, name
 
     def test_rerun_needs_an_exact_train(self, cnn_bundle):
         """Only an identity train is V's digits, so a population that ran

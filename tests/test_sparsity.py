@@ -213,11 +213,12 @@ def _tune_inputs(bundle, n=40):
 
 class TestTunerReference:
     @pytest.mark.parametrize("include_io", [False, True], ids=["hidden", "io"])
-    @pytest.mark.parametrize("budget", [0.0, 0.015, 1.0])
+    # 80 samples let a budget of 0.015 tolerate one lost sample; at one
+    # sample, most candidates of a layer emit the same train
+    @pytest.mark.parametrize("budget,n", [(0.0, 40), (0.015, 80), (1.0, 40), (0.0, 1), (1.0, 1)],
+                             ids=["0.0", "0.015", "1.0", "0.0-n1", "1.0-n1"])
     @pytest.mark.parametrize("bundle", BUNDLES)
-    def test_matches_full_rerun(self, bundle, budget, include_io, request):
-        # 80 samples let a budget of 0.015 tolerate one lost sample
-        n = 80 if budget == 0.015 else 40
+    def test_matches_full_rerun(self, bundle, budget, n, include_io, request):
         qnet, x, y = _tune_inputs(request.getfixturevalue(bundle), n)
         got = tune_hybrid(qnet, x, y, accuracy_budget=budget, include_io=include_io)
         want = tune_hybrid_full_rerun(qnet, x, y, accuracy_budget=budget,
@@ -232,6 +233,38 @@ class TestTunerReference:
         result = tune_hybrid(qnet, x, y, accuracy_budget=1.0)
         assert result.plan.to_manifest() != []
         assert result.final_sops < result.baseline_sops
+
+
+class TestDistinctTrains:
+    @pytest.mark.parametrize("bundle,n", [("cnn_bundle", 1), ("cnn_bundle", 40),
+                                          ("residual_bundle", 40)])
+    def test_one_rerun_per_distinct_train(self, bundle, n, request, monkeypatch):
+        """A layer's candidates are rerun once per distinct train other than
+        the identity's, counted here from ``rot`` and ``drlo`` of the layer's
+        exact V under the plan tuned so far."""
+        qnet, x, y = _tune_inputs(request.getfixturevalue(bundle), n)
+        calls = Counter()
+        original = netsim.CachedRun.rerun
+
+        def counting(self, name, *args):
+            calls[name] += 1
+            return original(self, name, *args)
+
+        monkeypatch.setattr(netsim.CachedRun, "rerun", counting)
+        result = tune_hybrid(qnet, x, y, accuracy_budget=1.0)
+
+        plan = SparsityPlan.identity()
+        want = {}
+        for step in result.steps:
+            snet = netsim.compile_network(qnet, plan=plan)
+            v = netsim.CachedRun(snet, x).values[step.layer].astype(np.int64)
+            trains = {drlo(rot(v, rb, qnet.k), db).tobytes()
+                      for rb in ROT_CANDIDATES for db in DRLO_CANDIDATES}
+            want[step.layer] = len(trains - {v.tobytes()})
+            plan = plan.replaced(step.layer, step.chosen)
+        assert [s.layer for s in result.steps] == qnet.hidden_layers
+        assert dict(calls) == {name: c for name, c in want.items() if c}
+        assert sum(want.values()) < len(want) * (len(ROT_CANDIDATES) * len(DRLO_CANDIDATES) - 1)
 
 
 class TestSuffixOnly:
