@@ -53,11 +53,15 @@ def _load_dataset(data_path: str):
 
 
 def _load_inputs(qnet, data_path: str):
-    """The dataset and its quantized inputs as int16 (K <= 16 bits); the
-    simulator and the oracle widen them a window at a time."""
+    """The dataset and its quantized inputs as int16 (K <= 16 bits),
+    quantized one PIPELINE_WINDOW at a time; the simulator and the oracle
+    widen them a window at a time."""
     ds = _load_dataset(data_path)
-    x_int, _ = quantize_tensor(ds.inputs, qnet.input_params)
-    return ds, x_int.astype(np.int16)
+    x_int = np.empty(ds.inputs.shape, dtype=np.int16)
+    for lo in range(0, x_int.shape[0], netsim.PIPELINE_WINDOW):
+        window = slice(lo, lo + netsim.PIPELINE_WINDOW)
+        x_int[window] = quantize_tensor(ds.inputs[window], qnet.input_params)[0]
+    return ds, x_int
 
 
 def _oracle(qnet, x_int: np.ndarray, mode: str) -> tuple[np.ndarray, int]:

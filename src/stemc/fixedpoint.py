@@ -120,7 +120,8 @@ def _apply_array(m: FixedMult, x: np.ndarray) -> np.ndarray:
     if xi.size == 0 or max(-int(xi.min()), int(xi.max())) < _VEC_LIMIT:
         p = xi * np.int64(m.mantissa)               # |p| < 2^62, exact
         if m.shift:
-            p += np.int64((1 << m.shift) >> 1) - (p < 0)
+            p -= p < 0          # before the offset, so p = -half still reads as negative
+            p += np.int64((1 << m.shift) >> 1)
             p >>= np.int64(m.shift)
         return p
     return _apply_wide(m, xi)

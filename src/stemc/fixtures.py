@@ -138,7 +138,9 @@ def class_inputs(rng: np.random.Generator, n: int, shape: tuple[int, ...],
 
 def labeled_dataset(model: FloatModel, n: int, seed: int,
                     lo: float = 0.0, hi: float = 1.0) -> Dataset:
-    """Inputs from class_inputs, labels from the float model's own argmax."""
+    """Inputs from class_inputs, labels from the float model's own argmax.
+    The float pass holds one window's float64 tensors however large `n` is,
+    so only the float32 inputs and the labels grow with `n`."""
     rng = np.random.default_rng(seed)
     n_classes = int(np.prod(model.output_layer.out_shape))
     x = class_inputs(rng, n, model.input_shape, n_classes=n_classes, lo=lo, hi=hi)

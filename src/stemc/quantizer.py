@@ -248,10 +248,12 @@ def calibrate(model: FloatModel, inputs: np.ndarray) -> RangeStats:
     """One float pass over a batch [N, *input_shape]: per-tensor min/max of
     the post-activation values.
 
-    Both branches of a residual join are unified onto one range, so they
-    share an output scale.
+    The pass (``refengine.float_forward``) holds one window's float64 tensors
+    however large the batch, and the input range is read in the inputs' own
+    dtype, whose min and max are exact in float64. Both branches of a
+    residual join are unified onto one range, so they share an output scale.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = np.asarray(inputs)
     _, ranges = refengine.float_forward(model, inputs)
     return RangeStats((float(inputs.min()), float(inputs.max())),
                       _unify_residual_ranges(model, ranges), inputs.shape[0])

@@ -1,8 +1,13 @@
 """Reference engines: float forward pass and the integer oracle.
 
 The float pass serves calibration and dataset labelling. It returns the
-outputs and each layer's post-activation (min, max), and holds only the
-tensors a later layer still reads.
+outputs and each layer's post-activation (min, max). It runs the batch one
+window of samples at a time, as many as keep the largest layer's float64
+output plus its conv columns within COLS_BYTES, and merges each layer's
+ranges across windows with min and max, as post-training min/max
+calibration over a stream of batches does. Within a window it holds only
+the tensors a later layer still reads, so its memory does not grow with the
+batch beyond the outputs.
 
 The integer oracle is the ground truth the spiking simulator is judged
 against. It runs in three modes:
@@ -120,10 +125,11 @@ def _conv2d(x: np.ndarray, w: np.ndarray, attrs: dict) -> np.ndarray:
     padded input meet the [oc, c*kh*kw] weights in one matmul.
 
     The columns are built for at most COLS_BYTES of samples at a time (one
-    matmul each), so large batches such as a labelled data pool keep a
-    bounded temporary. Integer operands give integer results, exact while
-    every partial sum stays below 2^53 (``int_forward`` checks that bound in
-    direct mode); the result has the promoted dtype of x and w.
+    matmul each), so a large batch, such as a direct-mode oracle window of a
+    wide conv, keeps a bounded temporary. Integer operands give integer
+    results, exact while every partial sum stays below 2^53 (``int_forward``
+    checks that bound in direct mode); the result has the promoted dtype of
+    x and w.
     """
     n, _, h, wd = x.shape
     oc = w.shape[0]
@@ -170,37 +176,66 @@ def _linear(kind: str, attrs: dict, weights: np.ndarray | None,
 # float reference
 # ---------------------------------------------------------------------------
 
+def _float_window(model, n: int) -> int:
+    """Samples per window of ``float_forward`` over a batch of n: as many as
+    keep the largest layer's float64 output plus, for a conv, its float64
+    columns within COLS_BYTES, at least one, with the batch split into
+    windows of equal size (the last holds the remainder)."""
+    def sample_bytes(lyr) -> int:
+        values = int(np.prod(lyr.out_shape))
+        if lyr.kind == "conv2d":
+            values += lyr.weights[0].size * (values // lyr.out_shape[0])
+        return 8 * values
+    cap = max(1, COLS_BYTES // max(sample_bytes(lyr) for lyr in model.layers))
+    windows = -(-n // cap)
+    return -(-n // windows)
+
+
 def float_forward(model, x: np.ndarray) -> tuple[np.ndarray, dict[str, tuple[float, float]]]:
-    """Float64 forward pass of a batch x [N, *input_shape]. Hidden fc/conv
-    layers apply bias then ReLU.
+    """Float64 forward pass of a batch x [N, *input_shape], N >= 1, one
+    ``_float_window`` of samples at a time. Hidden fc/conv layers apply bias
+    then ReLU.
 
     Returns (outputs [N, n_out], ranges): ranges[layer] is the (min, max) of
-    that layer's post-activation over the batch. Only live tensors are kept:
-    each one is dropped once its last reader has run. The pool division, bias
-    add and ReLU work in place on the array the layer's own ``_linear`` call
+    that layer's post-activation over the batch, merged from its per-window
+    ranges. Each window's outputs and ranges equal a pass over that window
+    alone; a whole-batch pass may round a BLAS sum differently in its last
+    bit. Only live tensors of one window are kept: each one is dropped once
+    its last reader has run. The pool division, bias add
+    and ReLU work in place on the array the layer's own ``_linear`` call
     allocated; flatten returns a view of its input, so it is never written.
-    x itself is never written; it is copied only if it is not float64.
+    x itself is never written; a window is copied only if it is not float64.
     """
-    tensors = {INPUT_NAME: np.asarray(check_batch(x, model.input_shape), dtype=np.float64)}
+    xb = check_batch(x, model.input_shape)
+    n = xb.shape[0]
+    if n == 0:
+        raise ValueError("the float pass needs at least one sample")
+    size = _float_window(model, n)
     last_read = {src: i for i, lyr in enumerate(model.layers) for src in lyr.inputs}
+    out = np.empty((n, int(np.prod(model.output_layer.out_shape))))
     ranges = {}
-    for i, lyr in enumerate(model.layers):
-        y = _linear(lyr.kind, lyr.attrs, lyr.weights, [tensors[s] for s in lyr.inputs])
-        owned = lyr.kind != "flatten"
-        if lyr.kind == "avgpool2d":
-            kh, kw = lyr.attrs["kernel"]
-            y /= kh * kw
-        if lyr.bias is not None:
-            b = lyr.bias.reshape((1, -1) + (1,) * (y.ndim - 2))
-            y = np.add(y, b, out=y if owned else None)
-        if lyr.activation == "relu":
-            y = np.maximum(y, 0.0, out=y if owned else None)
-        ranges[lyr.name] = (float(y.min()), float(y.max()))
-        for src in lyr.inputs:
-            if last_read[src] == i:
-                tensors.pop(src, None)    # a join may read one tensor twice
-        tensors[lyr.name] = y
-    return y.reshape(y.shape[0], -1), ranges
+    for a in range(0, n, size):
+        tensors = {INPUT_NAME: np.asarray(xb[a:a + size], dtype=np.float64)}
+        for i, lyr in enumerate(model.layers):
+            y = _linear(lyr.kind, lyr.attrs, lyr.weights, [tensors[s] for s in lyr.inputs])
+            owned = lyr.kind != "flatten"
+            if lyr.kind == "avgpool2d":
+                kh, kw = lyr.attrs["kernel"]
+                y /= kh * kw
+            if lyr.bias is not None:
+                b = lyr.bias.reshape((1, -1) + (1,) * (y.ndim - 2))
+                y = np.add(y, b, out=y if owned else None)
+            if lyr.activation == "relu":
+                y = np.maximum(y, 0.0, out=y if owned else None)
+            lo, hi = float(y.min()), float(y.max())
+            seen = ranges.get(lyr.name, (lo, hi))
+            ranges[lyr.name] = (min(seen[0], lo), max(seen[1], hi))
+            for src in lyr.inputs:
+                if last_read[src] == i:
+                    tensors.pop(src, None)    # a join may read one tensor twice
+            tensors[lyr.name] = y
+        out[a:a + size] = y.reshape(y.shape[0], -1)
+    return out, ranges
 
 
 # ---------------------------------------------------------------------------

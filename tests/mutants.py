@@ -76,11 +76,27 @@ MUTANTS = [
         tests=("tests/test_netsim.py::TestFlattenedInput",)),
     Mutant(
         "apply-rounds-half-up", "fixedpoint.py",
-        old="p += np.int64((1 << m.shift) >> 1) - (p < 0)",
-        new="p += np.int64((1 << m.shift) >> 1)",
+        old="            p -= p < 0",
+        new="            pass",
         why="the array path of fixedpoint.apply rounds a negative half up, not away "
             "from zero; both engines share it, so compare cannot see it",
         tests=("tests/test_acceptance.py::test_criterion_9_fixed_point_oracle",)),
+    Mutant(
+        "float-window-keeps-last-min", "refengine.py",
+        old="(min(seen[0], lo), max(seen[1], hi))",
+        new="(lo, max(seen[1], hi))",
+        why="the float pass keeps each layer's min from the last window only, so "
+            "calibration sees a range narrower than the batch's",
+        tests=("tests/test_refengine.py::TestFloatPass"
+               "::test_windows_equal_reference_per_window",)),
+    Mutant(
+        "float-window-drops-partial", "refengine.py",
+        old="for a in range(0, n, size):",
+        new="for a in range(0, n - n % size, size):",
+        why="the float pass skips a trailing window shorter than the others, so those "
+            "samples get no output and no part in the ranges",
+        tests=("tests/test_refengine.py::TestFloatPass"
+               "::test_windows_equal_reference_per_window",)),
     Mutant(
         "drlo-cuts-one-bit-fewer", "sparsity.py",
         old="mask = ~((1 << cut_bits) - 1)",

@@ -1,13 +1,16 @@
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stemc import cli, netsim
+from stemc import cli, fixtures, netsim
 from stemc.modelio import (FloatModel, LayerDesc, infer_shapes, load_dataset,
                            load_quantized_model, save_dataset, save_model)
 from stemc.netsim import rle_decode
+from stemc.quantizer import build_quantized_network, calibrate, quantize_tensor
+from test_netsim import _cnn28_shaped
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +75,27 @@ class TestCompare:
         out = capsys.readouterr().out
         assert rc == 0
         assert "0 mismatches / 24 samples" in out
+
+
+class TestLoadInputs:
+    def test_quantized_per_window(self, tmp_path):
+        """The inputs are quantized one PIPELINE_WINDOW at a time into one
+        int16 array: the values of quantizing the whole set at once, and on
+        2048 cnn28-shaped samples a traced peak within 16 MiB (55.1 MiB when
+        the whole set went through float64 and int64 temporaries)."""
+        model = _cnn28_shaped()
+        x = fixtures.class_inputs(np.random.default_rng(6), 2048, model.input_shape)
+        qnet = build_quantized_network(model, calibrate(model, x[:32]))
+        save_dataset(tmp_path / "x.ds", x, np.zeros(len(x), dtype=np.int32))
+        tracemalloc.start()
+        try:
+            _, x_int = cli._load_inputs(qnet, str(tmp_path / "x.ds"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, peak / 2**20
+        assert x_int.dtype == np.int16
+        assert np.array_equal(x_int, quantize_tensor(x, qnet.input_params)[0])
 
 
 class TestRun:

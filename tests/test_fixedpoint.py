@@ -172,6 +172,21 @@ class TestApply:
         assert out.dtype == np.int64
         assert out.tolist() == [brute_apply(m, int(v)) for v in x]
 
+    @pytest.mark.parametrize("shift", [1, 31, 62])
+    @pytest.mark.parametrize("mantissa", [1, -1])
+    def test_array_rounds_halves_as_scalar(self, shift, mantissa):
+        """Products p = ±half and ±half ± 1, half = 2^(shift-1), where the
+        array path's sign correction and rounding offset meet. At shifts 1
+        and 31 they take the one-multiply int64 path; at shift 62 no product
+        of two factors below 2^31 comes within 1 of half, so they take the
+        split multiply."""
+        m = FixedMult(mantissa, shift)
+        half = 1 << (shift - 1)
+        x = np.array([mantissa * (sign * half + d) for sign in (1, -1) for d in (-1, 0, 1)],
+                     dtype=np.int64)
+        want = [apply(m, int(v)) for v in x]
+        assert apply(m, x).tolist() == want == [brute_apply(m, int(v)) for v in x]
+
     @given(st.integers(min_value=-(1 << 40), max_value=1 << 40),
            st.floats(min_value=2.0 ** -20, max_value=2.0 ** 10,
                      allow_nan=False, allow_infinity=False))

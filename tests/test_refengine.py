@@ -25,6 +25,7 @@ from stemc.refengine import (
     _linear,
     _plane_weights,
     _pool_sum,
+    _float_window,
     _sample_bytes,
     float_forward,
     int_forward,
@@ -439,6 +440,69 @@ class TestFloatPass:
         peak = _traced_peak(float_forward, model, x)
         ref = _traced_peak(_float_forward_record, model, x)
         assert peak <= 0.7 * ref, (peak, ref)
+
+    def test_window_sizes(self, monkeypatch):
+        """A window holds as many samples as keep the largest layer's float64
+        output plus its conv columns within COLS_BYTES, and a batch splits
+        into equal windows. Every batch of ``test_bit_identical_to_reference``
+        fits one window, so that test compares whole-batch passes."""
+        cnn28 = _cnn28_shaped()
+        assert _float_window(cnn28, 10**6) == 30          # conv2: 8 * 34496 B/sample
+        assert _float_window(cnn28, 32) == 16             # two windows, not 30 + 2
+        assert _float_window(cnn28, 2048) == 30           # 68 windows of 30, then 8
+        assert _float_window(fx.make_residual(), 10**6) == 728
+        for name, (builder, _, _) in FLOAT_MODELS.items():
+            assert _float_window(builder(), 10**6) >= 728, name
+        for n in (1, 29, 30, 31, 61, 2048):
+            size = _float_window(cnn28, n)
+            assert 1 <= size <= 30 and -(-n // size) == -(-n // 30), n
+        monkeypatch.setattr(refengine, "COLS_BYTES", 1)
+        assert _float_window(cnn28, 5) == 1
+
+    def test_empty_batch_rejected(self):
+        model = fx.make_mlp()
+        with pytest.raises(ValueError, match="at least one sample"):
+            float_forward(model, np.zeros((0,) + model.input_shape))
+
+    @pytest.mark.parametrize("name", ["cnn", "residual", "skip-join"])
+    def test_windows_equal_reference_per_window(self, monkeypatch, name):
+        """With windows forced small, the outputs equal the record-keeping
+        pass over each window, concatenated, bit for bit, and the ranges and
+        ``calibrate`` equal the min and max of the per-window ranges."""
+        builder, lo, hi = FLOAT_MODELS[name]
+        model = builder()
+        x = fx.class_inputs(np.random.default_rng(8), 23, model.input_shape, lo=lo, hi=hi)
+        monkeypatch.setattr(refengine, "COLS_BYTES", refengine.COLS_BYTES // 200)
+        size = _float_window(model, len(x))
+        assert 1 < size < len(x) and len(x) % size, size     # a trailing partial window
+        outs, window_ranges = [], []
+        for a in range(0, len(x), size):
+            out, record = _float_forward_record(model, x[a:a + size])
+            outs.append(out)
+            window_ranges.append(_record_ranges(record))
+        want_ranges = {layer: (min(r[layer][0] for r in window_ranges),
+                               max(r[layer][1] for r in window_ranges))
+                       for layer in window_ranges[0]}
+        got, ranges = float_forward(model, x)
+        want = np.concatenate(outs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert _bits(ranges) == _bits(want_ranges)
+        stats = calibrate(model, x)
+        assert stats.samples == len(x)
+        assert _bits({"input": stats.input_range}) == _bits(
+            {"input": (float(x.min()), float(x.max()))})
+        assert _bits(stats.ranges) == _bits(_unify_residual_ranges(model, want_ranges))
+
+    def test_peak_memory_does_not_grow_with_batch(self):
+        """One window's tensors at a time: the traced peak on 2048
+        cnn28-shaped samples is within 16 MiB and within 10% of the peak on
+        256 (a whole-batch pass took 258.6 MiB at 2048)."""
+        model = _cnn28_shaped()
+        x = fx.class_inputs(np.random.default_rng(6), 2048, model.input_shape)
+        small = _traced_peak(float_forward, model, x[:256])
+        large = _traced_peak(float_forward, model, x)
+        assert large <= 16 * 2**20, large / 2**20
+        assert large <= 1.1 * small, (large, small)
 
 
 @st.composite
