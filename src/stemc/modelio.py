@@ -27,6 +27,8 @@ input shape, label width) followed by packed float32 inputs and int32 labels.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -478,39 +480,46 @@ def save_dataset(path: str | Path, inputs: np.ndarray, labels: np.ndarray) -> No
         fh.write(labels.tobytes())
 
 
-def _unpack_header(fmt: str, raw: bytes, offset: int, name: str) -> tuple:
+def _unpack_header(fmt: str, fh, offset: int, size: int, name: str) -> tuple:
+    """The fields of `fmt` at `offset` of the `size`-byte file `fh`, which is
+    positioned there."""
     end = offset + struct.calcsize(fmt)
-    if len(raw) < end:
+    if size < end:
         raise ModelFormatError(
-            f"{name}: {len(raw)} bytes, expected at least {end} for the header"
+            f"{name}: {size} bytes, expected at least {end} for the header"
         )
-    return struct.unpack_from(fmt, raw, offset)
+    return struct.unpack(fmt, fh.read(end - offset))
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """The dataset at `path`; every error names the path as given."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != DATASET_MAGIC:
-        raise ModelFormatError(f"{path}: not a dataset file")
-    ver, count, ndim, label_width = _unpack_header("<IIII", raw, 4, path)
-    if ver != FORMAT_VERSION:
-        raise ModelFormatError(f"{path}: dataset version {ver} not supported")
-    dims = _unpack_header(f"<{ndim}I", raw, 20, path)
-    offset = 20 + 4 * ndim
-    n_in = count * int(np.prod(dims)) if ndim else count
-    expected = offset + 4 * n_in + 4 * count * label_width
-    if len(raw) != expected:
-        raise ModelFormatError(
-            f"{path}: {len(raw)} bytes, expected {expected} from header"
-        )
-    inputs = np.frombuffer(raw, dtype="<f4", count=n_in, offset=offset)
-    inputs = inputs.reshape((count,) + tuple(dims)).copy()
-    if (bad := int(np.count_nonzero(~np.isfinite(inputs)))):
+    """The dataset at `path`; every error names the path as given. The header
+    is read first, then the inputs and labels straight into their arrays, so
+    loading holds one copy of the data."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != DATASET_MAGIC:
+            raise ModelFormatError(f"{path}: not a dataset file")
+        ver, count, ndim, label_width = _unpack_header("<IIII", fh, 4, size, path)
+        if ver != FORMAT_VERSION:
+            raise ModelFormatError(f"{path}: dataset version {ver} not supported")
+        dims = _unpack_header(f"<{ndim}I", fh, 20, size, path)
+        n_in = count * math.prod(dims)         # Python ints: a corrupt header cannot wrap
+        expected = 20 + 4 * ndim + 4 * n_in + 4 * count * label_width
+        if size != expected:
+            raise ModelFormatError(
+                f"{path}: {size} bytes, expected {expected} from header"
+            )
+        inputs = np.fromfile(fh, dtype="<f4", count=n_in)
+        labels = np.fromfile(fh, dtype="<i4", count=count * label_width)
+    inputs = inputs.reshape((count,) + tuple(dims))
+    # counted in slices, so no bool mask the size of the inputs is held
+    flat = inputs.reshape(-1)
+    bad = flat.size - sum(int(np.count_nonzero(np.isfinite(flat[a:a + (1 << 16)])))
+                          for a in range(0, flat.size, 1 << 16))
+    if bad:
         raise ModelFormatError(
             f"{path}: {bad} of {inputs.size} input values are not finite")
-    labels = np.frombuffer(raw, dtype="<i4", count=count * label_width,
-                           offset=offset + 4 * n_in)
-    labels = labels.reshape(count, label_width).copy()
+    labels = labels.reshape(count, label_width)
     if label_width == 1:
         labels = labels[:, 0]
     return Dataset(inputs, labels)

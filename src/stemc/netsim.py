@@ -62,7 +62,8 @@ population ``clamp_free`` when value(M0) times ``quantizer.prefix_bound``
 bias, over every input its wires can carry) plus (K+1)/2 fits the n-bit
 accumulator, checked exactly from the manifest's own constants. The
 quantizer picks M0 so that this holds, and then no running sum of U can
-reach the clamp, so U is the sum of the increments. Any other population (an
+reach the clamp, so U is the sum of the increments and the product-scheme
+bias, added in place. Any other population (an
 M0 from elsewhere) takes the step-by-step saturating scan
 (``fixedpoint.saturate_array`` after each add), which counts every clamp.
 
@@ -90,8 +91,9 @@ clock, which changes only the timing, never the integers: it is
 ``run_batch`` plus the schedule that ``pipeline_timing`` counts from the
 stage numbers. The sparsity tuner keeps one whole-batch CachedRun and
 re-runs only the populations downstream of a changed one; each distinct
-candidate train is scored once, and a rerun rebuilds only the traces it
-changes.
+candidate train is rerun at most once, and only when ``sops_floor`` (a lower
+bound on its SOPs, counted from its spikes and the cache with no population
+run) leaves it a chance to win. A rerun rebuilds only the traces it changes.
 """
 
 from __future__ import annotations
@@ -534,8 +536,10 @@ def _integrate_block(pop: Population, sums: np.ndarray, steps: range, acc_bits: 
     population has no table, rounded by one ``apply`` on the whole block
     (it is elementwise). A ``clamp_free`` population's U is the sum of the
     increments, since no running sum can reach the clamp; any other takes
-    the step-by-step saturating scan. A product-scheme bias is a saturating
-    add to U, an output-scheme bias is added after M1, and V is clamped to
+    the step-by-step saturating scan. A product-scheme bias is added to U,
+    in place where the population is ``clamp_free`` (``compile_network``'s
+    bound includes it) and with saturation otherwise; an output-scheme bias
+    is added after M1, and V is clamped to
     [-q_max, q_max] on a signed wire, else to [0, q_max], q_max = 2^(K-1) - 1."""
     u = np.zeros(sums.shape[1:], dtype=np.int64)
     saturations = 0
@@ -550,8 +554,11 @@ def _integrate_block(pop: Population, sums: np.ndarray, steps: range, acc_bits: 
             u, events = saturate_array(u + inc, acc_bits)
             saturations += events
     if pop.bias_pre_scaled is not None:
-        u, events = saturate_array(u + pop.bias_pre_scaled, acc_bits)
-        saturations += events
+        if pop.clamp_free:              # compile_network's bound includes the bias
+            u += pop.bias_pre_scaled
+        else:
+            u, events = saturate_array(u + pop.bias_pre_scaled, acc_bits)
+            saturations += events
     v = apply(pop.m1, u)
     if pop.bias_post is not None:
         v = v + pop.bias_post
@@ -671,7 +678,9 @@ class CachedRun:
     one population under another sparsity setting and re-runs only the
     populations downstream of it; every other value, count, saturation and
     trace is read from this cache, so a rerun rebuilds only the traces it
-    changes.
+    changes. ``sops_floor`` bounds a rerun's SOPs from below before it is
+    made, from the re-emitted values, the cached counts and the fan-outs, so
+    the tuner reruns only the candidates that can still win.
     """
 
     def __init__(self, snet: SpikingNetwork, x_int: np.ndarray):
@@ -724,6 +733,36 @@ class CachedRun:
         if pop.signed or not self.snet.plan.for_layer(name).is_identity():
             raise ValueError(f"cannot re-run {name!r}: its values are not its exact V")
         return pop.emit(self.values[name].astype(np.int64), setting)
+
+    def sops_floor(self, name: str, values: np.ndarray, counted: set[str]) -> int:
+        """A lower bound on the SOPs, summed over the populations in
+        `counted`, of ``rerun(name, setting, values)``, from `values` and
+        this cache alone, with no population run.
+
+        Let D be the populations strictly downstream of `name`. A population
+        outside D (`name` itself included) reads no wire that the rerun
+        changes, so its cached SOPs are its rerun SOPs. A direct consumer of
+        `name` counts its branches from `name` on the spike counts of
+        `values` and its branches from wires outside D on the cached counts,
+        exactly as the rerun will. Every term left out is a branch fed from
+        D, whose SOPs are at least 0, so the floor never exceeds the rerun's.
+        """
+        below = {name}
+        for q in self.snet.populations:
+            if below.intersection(q.inputs):
+                below.add(q.name)
+        below.discard(name)
+        counts = {**self.counts, name: _spike_counts(values, self.snet.k)}
+        total = 0
+        for pop, trace in zip(self.snet.populations, self.layer_traces):
+            if pop.name not in counted:
+                continue
+            if pop.name not in below:
+                total += trace.sops
+            elif name in pop.inputs:
+                total += sum(metrics.count_sops(counts[s], fo)
+                             for s, fo in zip(pop.inputs, pop.fanouts) if s not in below)
+        return total
 
     def rerun(self, name: str, setting: LayerSparsity,
               values: np.ndarray | None = None) -> "CachedRun":

@@ -17,9 +17,11 @@ The hybrid tuner walks layers front to back; per layer it scores each
 accuracy, and keeps the most-saving setting whose cumulative accuracy drop
 stays within the budget. A candidate is scored by re-running only the layers
 downstream of the tuned layer, from the cached run of the accepted plan:
-nothing upstream of it can change. Each distinct candidate train is scored
-once; a rerun rebuilds only the traces it changes. Entirely deterministic:
-ties break on the smaller (rot, drlo) pair.
+nothing upstream of it can change. Each distinct candidate train is rerun at
+most once, and only while a floor on its SOPs, counted from its own spikes
+(``netsim.CachedRun.sops_floor``), leaves it a chance to beat the best
+candidate so far; a rerun rebuilds only the traces it changes. Entirely
+deterministic: ties break on the smaller (rot, drlo) pair.
 """
 
 from __future__ import annotations
@@ -141,12 +143,20 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
     under the identity setting. The winning candidate's rerun becomes the
     cache for the next layer, and no more than two reruns are held at a time.
 
-    Each distinct candidate train is scored once: a candidate whose values
-    equal an earlier candidate's (the identity's included) is skipped.
-    Identical trains run identically downstream (a larger drlo only leaves
-    out steps that are silent in both), so the skipped candidate scores the
-    same and loses the tie on its larger (rot, drlo). A rerun rebuilds only
-    the traces it changes.
+    The winner is the feasible candidate first in (SOPs, rot, drlo). A
+    candidate whose values equal an earlier candidate's (the identity's
+    included) is dropped: identical trains run identically downstream (a
+    larger drlo only leaves out steps that are silent in both), so it scores
+    the same and loses the tie on its larger (rot, drlo). Each other
+    candidate gets a floor, ``CachedRun.sops_floor``: no more SOPs than its
+    rerun will count. The identity needs no rerun and is always feasible, so
+    it is the first best. The candidates are then visited in ascending
+    (floor, rot, drlo), and one is rerun only while its (floor, rot, drlo)
+    does not exceed the best feasible (SOPs, rot, drlo) so far. Since its
+    SOPs are at least its floor, a candidate past that point cannot win, nor
+    can any after it, so skipping them changes no plan. Only the floors and
+    settings are held; a candidate's values are emitted again when it is
+    rerun. A rerun rebuilds only the traces it changes.
 
     Returns a TuneResult; the plan never degrades accuracy beyond the budget
     on the calibration inputs and falls back to identity per layer when every
@@ -155,7 +165,7 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
     if not 0.0 <= accuracy_budget <= 1.0:          # also rejects nan
         raise ValueError(f"accuracy budget {accuracy_budget!r} is not a fraction in [0, 1]")
     from . import netsim   # local import: netsim depends on this module
-    from .metrics import sop_total
+    from .metrics import io_layer_names, sop_total
 
     def score(run) -> tuple[int, float]:
         preds = np.argmax(run.outputs, axis=-1)
@@ -164,13 +174,14 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
 
     cache = netsim.CachedRun(
         netsim.compile_network(qnet, plan=SparsityPlan.identity()), inputs_int)
+    counted = {p.name for p in cache.snet.populations} - (
+        set() if include_io else io_layer_names(qnet))
     base_sops, base_acc = score(cache)
     cur_sops, cur_acc = base_sops, base_acc
     steps: list[TuneStep] = []
     for name in qnet.hidden_layers:
-        # Keep the most-SOP-saving candidate within budget: the first one in
-        # the order (SOPs saved, rot, drlo); ties break on (rot, drlo).
-        best = None
+        # one floor per distinct train other than the identity's
+        floors: list[tuple[int, int, int]] = []          # (floor, rot, drlo)
         trains: dict[int, list[LayerSparsity]] = {}      # hash -> settings emitting it
         for rb in ROT_CANDIDATES:
             for db in DRLO_CANDIDATES:
@@ -180,21 +191,25 @@ def tune_hybrid(qnet, inputs_int: np.ndarray, labels: np.ndarray,
                 if any(np.array_equal(values, cache.emitted(name, s)) for s in same):
                     continue                # an earlier candidate's train
                 same.append(setting)
-                if setting.is_identity():
-                    run, sops, acc = None, cur_sops, cur_acc
-                else:
-                    run = cache.rerun(name, setting, values)
-                    sops, acc = score(run)
-                key = (-(cur_sops - sops), rb, db)
-                if (base_acc - acc <= accuracy_budget and sops <= cur_sops
-                        and (best is None or key < best[0])):
-                    best = (key, setting, run, sops, acc)
-        if best is not None:
-            _, setting, run, sops, acc = best
-            if run is not None:
-                cache = run
-            cur_sops, cur_acc = sops, acc
-            steps.append(TuneStep(name, setting, sops, acc))
+                if not setting.is_identity():
+                    floors.append((cache.sops_floor(name, values, counted), rb, db))
+        # Keep the feasible candidate first in (SOPs, rot, drlo). The identity
+        # is feasible and needs no rerun; a candidate whose (floor, rot, drlo)
+        # exceeds the best key so far cannot win, nor can any after it.
+        best_key, best = (cur_sops, 0, 0), (LayerSparsity(), None, cur_acc)
+        for floor, rb, db in sorted(floors):
+            if (floor, rb, db) > best_key:
+                break
+            setting = LayerSparsity(rb, db)
+            run = cache.rerun(name, setting)
+            sops, acc = score(run)
+            if base_acc - acc <= accuracy_budget and (sops, rb, db) < best_key:
+                best_key, best = (sops, rb, db), (setting, run, acc)
+        cur_sops = best_key[0]
+        setting, run, cur_acc = best
+        if run is not None:
+            cache = run
+        steps.append(TuneStep(name, setting, cur_sops, cur_acc))
     plan = cache.snet.plan
     log.info("tuned plan %s: sops %d -> %d, accuracy %.4f -> %.4f",
              plan.to_manifest(), base_sops, cur_sops, base_acc, cur_acc)

@@ -61,6 +61,22 @@ MUTANTS = [
             "alone, so it never scores a drlo cut",
         tests=("tests/test_sparsity.py::TestTunerReference::test_matches_full_rerun",)),
     Mutant(
+        "floor-reads-cached-counts", "netsim.py",
+        old="counts = {**self.counts, name: _spike_counts(values, self.snet.k)}",
+        new="counts = self.counts",
+        why="the SOP floor counts the direct consumers' branches from the tuned "
+            "layer on its cached train, not the candidate's, so it can exceed the "
+            "rerun's SOPs and let the tuner skip a candidate that could win",
+        tests=("tests/test_sparsity.py::TestSopsFloor::test_floor_never_exceeds_rerun_sops",)),
+    Mutant(
+        "floor-fixes-two-hops-down", "netsim.py",
+        old="if below.intersection(q.inputs):",
+        new="if name in q.inputs:",
+        why="the SOP floor takes only the tuned layer's direct consumers as "
+            "downstream, so it keeps the cached SOPs of a population two hops "
+            "down, which the rerun changes",
+        tests=("tests/test_sparsity.py::TestSopsFloor::test_floor_never_exceeds_rerun_sops",)),
+    Mutant(
         "rerun-keeps-stale-trace", "netsim.py",
         old="if p not in changed}",
         new="if p not in changed - {name}}",

@@ -2,6 +2,8 @@ import copy
 import json
 import re
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +353,22 @@ class TestValidation:
         assert model.layer("fc").activation == "none"  # output layer
 
 
+def _load_dataset_reference(path):
+    """The loader as it stood before it read straight into arrays: the whole
+    file as bytes, then copies of the inputs and labels out of it."""
+    raw = Path(path).read_bytes()
+    count, ndim, label_width = struct.unpack_from("<III", raw, 8)
+    dims = struct.unpack_from(f"<{ndim}I", raw, 20)
+    offset = 20 + 4 * ndim
+    n_in = count * int(np.prod(dims)) if ndim else count
+    inputs = np.frombuffer(raw, dtype="<f4", count=n_in, offset=offset)
+    labels = np.frombuffer(raw, dtype="<i4", count=count * label_width,
+                           offset=offset + 4 * n_in).reshape(count, label_width)
+    if label_width == 1:
+        labels = labels[:, 0]
+    return inputs.reshape((count,) + tuple(dims)).copy(), labels.copy()
+
+
 class TestDataset:
     def test_roundtrip_image_shape(self, tmp_path, rng):
         x = rng.random((7, 1, 8, 8)).astype(np.float32)
@@ -369,6 +387,31 @@ class TestDataset:
         ds = load_dataset(tmp_path / "d.ds")
         assert ds.labels.shape == (5, 3)
         assert np.array_equal(ds.labels, y)
+
+    def test_equals_the_byte_copy_loader_on_every_fixture(self, tmp_path):
+        fixtures.write_fixture_tree(tmp_path, calib_n=16, eval_n=24)
+        files = sorted(tmp_path.glob("*/*.ds"))
+        assert len(files) == 2 * len(fixtures.FIXTURES)
+        for path in files:
+            ds = load_dataset(path)
+            inputs, labels = _load_dataset_reference(path)
+            for got, want in ((ds.inputs, inputs), (ds.labels, labels)):
+                assert got.dtype == want.dtype and got.shape == want.shape, path
+                assert np.array_equal(got, want) and got.flags.writeable, path
+
+    def test_peak_memory_is_one_copy(self, tmp_path):
+        """Loading 2048 cnn28-shaped samples holds little beyond the float32
+        inputs themselves (reading the whole file first held two copies)."""
+        x = np.random.default_rng(0).random((2048, 1, 28, 28), dtype=np.float32)
+        save_dataset(tmp_path / "d.ds", x, np.arange(2048, dtype=np.int32) % 10)
+        tracemalloc.start()
+        try:
+            ds = load_dataset(tmp_path / "d.ds")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.inputs, x)
+        assert peak <= 1.2 * x.nbytes, peak / x.nbytes
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "d.ds").write_bytes(b"XXXX" + b"\0" * 32)
@@ -390,6 +433,15 @@ class TestDataset:
     def test_truncated_header(self, tmp_path, raw):
         (tmp_path / "d.ds").write_bytes(raw)
         with pytest.raises(ModelFormatError, match="expected at least"):
+            load_dataset(tmp_path / "d.ds")
+
+    def test_huge_dims_fail_the_size_check(self, tmp_path):
+        # 2^31 cubed wraps to 0 in int64, which would match this 48-byte file
+        raw = (b"STDS" + struct.pack("<IIII", 1, 4, 3, 1)
+               + struct.pack("<3I", 1 << 31, 1 << 31, 1 << 31) + bytes(16))
+        (tmp_path / "d.ds").write_bytes(raw)
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(tmp_path / 'd.ds'))}: "
+                           f"48 bytes, expected {48 + 4 * 4 * (1 << 93)} from header$"):
             load_dataset(tmp_path / "d.ds")
 
     def test_label_count_mismatch(self, tmp_path, rng):

@@ -980,11 +980,21 @@ class TestIntegrateBlock:
         assert _integrated(pop, _steps(100, 100), 8) == ([[127]], 1)
         assert _integrated(pop, _steps(100, 100, -300), 8) == ([[-127]], 2)
 
-    @pytest.mark.parametrize("clamp_free", [False, True])
-    def test_bias_add_saturates(self, clamp_free):
-        # a product-scheme bias is a saturating add on either path
-        pop = _neuron(bias_pre=50, clamp_free=clamp_free)
+    def test_bias_add_saturates(self):
+        # a product-scheme bias is a saturating add where U may clamp
+        pop = _neuron(bias_pre=50)
         assert _integrated(pop, _steps(120), 8) == ([[127]], 1)
+
+    def test_clamp_free_bias_is_a_plain_add(self, monkeypatch):
+        # where compile_network proves U cannot clamp, bias included, the
+        # bias is added in place, with no saturating scan
+        def no_scan(*args):
+            raise AssertionError("saturate_array called on a clamp-free population")
+
+        monkeypatch.setattr(netsim, "saturate_array", no_scan)
+        pop = _neuron(bias_pre=50, clamp_free=True)
+        assert _integrated(pop, _steps(60), 8) == ([[110]], 0)
+        assert _integrated(pop, _steps(-60), 8) == ([[0]], 0)
 
     @pytest.mark.parametrize("clamp_free", [False, True])
     def test_scaled_integration(self, clamp_free):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import encode_planes
 from stemc import netsim
-from stemc.metrics import sop_total
+from stemc.metrics import io_layer_names, sop_total
 from stemc.modelio import INPUT_NAME
 from stemc.sparsity import (
     DRLO_CANDIDATES,
@@ -235,36 +235,107 @@ class TestTunerReference:
         assert result.final_sops < result.baseline_sops
 
 
+def _layer_states(qnet, result):
+    """(layer, plan before it was tuned, its TuneStep) for each tuned layer."""
+    plan = SparsityPlan.identity()
+    for step in result.steps:
+        yield step.layer, plan, step
+        plan = plan.replaced(step.layer, step.chosen)
+
+
+def _counting_reruns(monkeypatch) -> list[tuple[str, LayerSparsity]]:
+    """Every (layer, setting) that ``CachedRun.rerun`` is called with, in order."""
+    calls = []
+    original = netsim.CachedRun.rerun
+
+    def counting(self, name, setting, *args):
+        calls.append((name, setting))
+        return original(self, name, setting, *args)
+
+    monkeypatch.setattr(netsim.CachedRun, "rerun", counting)
+    return calls
+
+
+def _full_rerun_sops(qnet, plan, x, include_io) -> int:
+    """SOPs of a whole-network ``run_batch`` of `x` under `plan`."""
+    res = netsim.run_batch(netsim.compile_network(qnet, plan=plan), x)
+    return sop_total(res.traces, qnet, include_io=include_io)
+
+
 class TestDistinctTrains:
     @pytest.mark.parametrize("bundle,n", [("cnn_bundle", 1), ("cnn_bundle", 40),
                                           ("residual_bundle", 40)])
     def test_one_rerun_per_distinct_train(self, bundle, n, request, monkeypatch):
-        """A layer's candidates are rerun once per distinct train other than
-        the identity's, counted here from ``rot`` and ``drlo`` of the layer's
-        exact V under the plan tuned so far."""
+        """A layer's candidates are rerun at most once per distinct train other
+        than the identity's, counted here from ``rot`` and ``drlo`` of the
+        layer's exact V under the plan tuned so far; the SOP floor skips some
+        of them on the residual network."""
         qnet, x, y = _tune_inputs(request.getfixturevalue(bundle), n)
-        calls = Counter()
-        original = netsim.CachedRun.rerun
-
-        def counting(self, name, *args):
-            calls[name] += 1
-            return original(self, name, *args)
-
-        monkeypatch.setattr(netsim.CachedRun, "rerun", counting)
+        calls = _counting_reruns(monkeypatch)
         result = tune_hybrid(qnet, x, y, accuracy_budget=1.0)
 
-        plan = SparsityPlan.identity()
         want = {}
-        for step in result.steps:
+        for name, plan, _ in _layer_states(qnet, result):
             snet = netsim.compile_network(qnet, plan=plan)
-            v = netsim.CachedRun(snet, x).values[step.layer].astype(np.int64)
+            v = netsim.CachedRun(snet, x).values[name].astype(np.int64)
             trains = {drlo(rot(v, rb, qnet.k), db).tobytes()
                       for rb in ROT_CANDIDATES for db in DRLO_CANDIDATES}
-            want[step.layer] = len(trains - {v.tobytes()})
-            plan = plan.replaced(step.layer, step.chosen)
+            want[name] = len(trains - {v.tobytes()})
+        got = Counter(name for name, _ in calls)
         assert [s.layer for s in result.steps] == qnet.hidden_layers
-        assert dict(calls) == {name: c for name, c in want.items() if c}
+        assert len(set(calls)) == len(calls)                # no candidate twice
+        assert all(got[name] <= c for name, c in want.items()), (dict(got), want)
         assert sum(want.values()) < len(want) * (len(ROT_CANDIDATES) * len(DRLO_CANDIDATES) - 1)
+        if bundle == "residual_bundle":
+            assert sum(got.values()) < sum(want.values())
+
+
+class TestSopsFloor:
+    @pytest.mark.parametrize("include_io", [False, True], ids=["hidden", "io"])
+    @pytest.mark.parametrize("bundle", BUNDLES)
+    def test_floor_never_exceeds_rerun_sops(self, bundle, include_io, request):
+        """At every hidden layer, under the plan tuned before it, every
+        candidate's floor is at most the SOPs of a full run of the network
+        under the candidate."""
+        qnet, x, y = _tune_inputs(request.getfixturevalue(bundle))
+        result = tune_hybrid(qnet, x, y, accuracy_budget=1.0, include_io=include_io)
+        counted = {lyr.name for lyr in qnet.layers if lyr.kind != "flatten"}
+        if not include_io:
+            counted -= io_layer_names(qnet)
+        checked = 0
+        for name, plan, _ in _layer_states(qnet, result):
+            cache = netsim.CachedRun(netsim.compile_network(qnet, plan=plan), x)
+            for rb in ROT_CANDIDATES:
+                for db in DRLO_CANDIDATES:
+                    setting = LayerSparsity(rb, db)
+                    floor = cache.sops_floor(name, cache.emitted(name, setting), counted)
+                    full = _full_rerun_sops(qnet, plan.replaced(name, setting), x, include_io)
+                    assert 0 <= floor <= full, (name, setting)
+                    checked += 1
+        assert checked == len(qnet.hidden_layers) * len(ROT_CANDIDATES) * len(DRLO_CANDIDATES)
+
+    @pytest.mark.parametrize("include_io", [False, True], ids=["hidden", "io"])
+    @pytest.mark.parametrize("budget", [0.0, 1.0])
+    @pytest.mark.parametrize("bundle", BUNDLES)
+    def test_skipped_candidates_cannot_win(self, bundle, budget, include_io, request,
+                                           monkeypatch):
+        """Every candidate the tuner does not rerun has a full-run (SOPs, rot,
+        drlo) greater than the chosen candidate's (SOPs, rot, drlo)."""
+        qnet, x, y = _tune_inputs(request.getfixturevalue(bundle))
+        calls = _counting_reruns(monkeypatch)
+        result = tune_hybrid(qnet, x, y, accuracy_budget=budget, include_io=include_io)
+        rerun, skipped = set(calls), 0
+        for name, plan, step in _layer_states(qnet, result):
+            chosen = (step.sops, step.chosen.rot_bits, step.chosen.drlo_bits)
+            for rb in ROT_CANDIDATES:
+                for db in DRLO_CANDIDATES:
+                    setting = LayerSparsity(rb, db)
+                    if setting.is_identity() or (name, setting) in rerun:
+                        continue
+                    sops = _full_rerun_sops(qnet, plan.replaced(name, setting), x, include_io)
+                    assert (sops, rb, db) > chosen, (name, setting)
+                    skipped += 1
+        assert skipped > 0
 
 
 class TestSuffixOnly:
